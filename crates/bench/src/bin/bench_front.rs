@@ -16,19 +16,15 @@
 //! `--quick` (or `CCM_QUICK=1`): two presets, two policies, shorter
 //! streams — the CI smoke configuration.
 
-use ccm_core::ReplacementPolicy;
+use ccm_bench::harness::{json_section, write_bench_json, ExperimentScale};
 use ccm_front::PolicyKind;
-use ccm_load::{run_front, BackendChoice, FrontSpec};
+use ccm_load::{run, Arrivals, BackendChoice, LoadSpec, Target};
 use ccm_traces::Preset;
-use std::io::Write;
 
-fn spec_for(
-    preset: Preset,
-    dispatch: PolicyKind,
-    backend: BackendChoice,
-    quick: bool,
-) -> FrontSpec {
-    let mut spec = FrontSpec::new(preset, dispatch, backend);
+fn spec_for(preset: Preset, dispatch: PolicyKind, backend: BackendChoice, quick: bool) -> LoadSpec {
+    let mut spec = LoadSpec::new(preset);
+    spec.arrivals = Arrivals::closed(false);
+    spec.target = Target::Front { dispatch, backend };
     if quick {
         spec.head_files = Some(150);
         spec.warmup_requests = 150;
@@ -38,8 +34,7 @@ fn spec_for(
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var("CCM_QUICK").is_ok_and(|v| v != "0" && !v.is_empty());
+    let quick = ExperimentScale::is_quick();
     let presets: &[Preset] = if quick {
         &[Preset::Calgary, Preset::Rutgers]
     } else {
@@ -50,22 +45,21 @@ fn main() {
     } else {
         &PolicyKind::all()
     };
-    let backends = [
-        BackendChoice::Ccm(ReplacementPolicy::MasterPreserving),
-        BackendChoice::L2s,
-    ];
+    let backends = [BackendChoice::Ccm, BackendChoice::L2s];
 
     let mut cells = Vec::new();
     for &preset in presets {
         for &dispatch in policies {
             for backend in backends {
                 let spec = spec_for(preset, dispatch, backend, quick);
-                let report = run_front(&spec);
+                let report = run(&spec);
                 println!("{}", report.summary());
                 assert!(
                     report.reconciled,
                     "{} {} {}: driver and front-tier counters disagree",
-                    report.backend, report.preset, report.dispatch
+                    report.backend(),
+                    report.preset,
+                    dispatch.name()
                 );
                 cells.push(report);
             }
@@ -79,8 +73,8 @@ fn main() {
         let best = |name: &str| {
             cells
                 .iter()
-                .filter(|c| c.backend == name && c.preset.starts_with(preset.name()))
-                .map(|c| c.hit_ratio())
+                .filter(|c| c.backend() == name && c.preset.starts_with(preset.name()))
+                .map(|c| c.total_hit_ratio())
                 .fold(0.0f64, f64::max)
         };
         println!(
@@ -91,20 +85,7 @@ fn main() {
         );
     }
 
-    let mut json = String::from("{\n  \"bench\": \"bench_front\",\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str("  \"cells\": [\n");
-    for (i, report) in cells.iter().enumerate() {
-        json.push_str("    ");
-        json.push_str(&report.to_json());
-        json.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-
-    // Repo root, next to Cargo.toml (crates/bench/../..).
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_front.json");
-    let mut f = std::fs::File::create(path).expect("create BENCH_front.json");
-    f.write_all(json.as_bytes())
-        .expect("write BENCH_front.json");
-    println!("\nwrote {path}");
+    let cells = json_section("cells", &cells);
+    let json = format!("{{\n  \"bench\": \"bench_front\",\n  \"quick\": {quick},\n{cells}\n}}\n");
+    write_bench_json("front", &json);
 }

@@ -35,11 +35,11 @@
 //! print its cells, leaving `BENCH_load.json` untouched (the exploration
 //! mode the README quickstart uses).
 
-use ccm_load::{run, run_on, LoadSpec, OpenLoopProcess, OpenLoopReport, OpenLoopSpec};
+use ccm_bench::harness::{json_section, write_bench_json, ExperimentScale};
+use ccm_load::{run, run_on, Arrivals, LoadReport, LoadSpec, OpenLoopProcess};
 use ccm_net::TcpLan;
 use ccm_rt::WriteConfig;
 use ccm_traces::{Preset, ScanConfig};
-use std::io::Write;
 use std::sync::Arc;
 
 fn spec_for(preset: Preset, quick: bool) -> LoadSpec {
@@ -52,38 +52,55 @@ fn spec_for(preset: Preset, quick: bool) -> LoadSpec {
     spec
 }
 
-/// The open-loop base cell; `--quick` shrinks the window, not the shape.
-fn ol_spec(quick: bool) -> OpenLoopSpec {
-    let mut spec = OpenLoopSpec::new(Preset::Calgary);
+/// One open-loop cell: the Calgary base cell (`--quick` shrinks the
+/// window, not the shape) under `process`. The steady sweep runs in real
+/// time through the default 32-slot table; an `adversarial` shape runs in
+/// virtual time with a ~2.5 ms/request service model against 8 slots, so
+/// a 4 krps crowd offers ~10 Erlangs (heavy shedding) and the baselines ~1.
+fn ol_spec(quick: bool, process: OpenLoopProcess, adversarial: bool) -> LoadSpec {
+    let mut spec = spec_for(Preset::Calgary, quick);
     if quick {
-        spec.head_files = Some(150);
-        spec.warmup_events = 200;
-        spec.measure_events = 400;
+        spec.warmup_requests = 200;
+        spec.measure_requests = 400;
     }
+    spec.seed = 0x0B39;
+    let (max_inflight, service_base_ns, service_per_block_ns) = if adversarial {
+        (8, 2_000_000, 500_000)
+    } else {
+        (32, 200_000, 60_000)
+    };
+    spec.arrivals = Arrivals::Open {
+        process,
+        max_inflight,
+        workers: 8,
+        virtual_time: adversarial,
+        service_base_ns,
+        service_per_block_ns,
+    };
     spec
 }
 
-/// One open-loop cell on the chosen backend.
-fn ol_run(spec: &OpenLoopSpec, backend: &str) -> OpenLoopReport {
+/// One cell on the chosen cluster transport, reconciliation asserted.
+fn run_cell(spec: &LoadSpec, backend: &str) -> LoadReport {
     let report = match backend {
-        "channel" => ccm_load::run_open_loop(spec),
+        "channel" => run(spec),
         _ => {
             let lan = Arc::new(TcpLan::loopback(spec.nodes).expect("bind loopback listeners"));
-            ccm_load::run_open_loop_on(spec, lan, "tcp")
+            run_on(spec, lan, "tcp")
         }
     };
     println!("{}", report.summary());
     assert!(
         report.reconciled,
-        "{backend} {}: open-loop counts failed reconciliation",
-        report.process
+        "{backend} {}: driver and runtime counters disagree",
+        report.preset
     );
     report
 }
 
 /// The open-loop matrix: {steady sweep, flash crowd, diurnal} × {channel,
 /// tcp}, the adversarial cells across both policies.
-fn openloop_matrix(quick: bool) -> Vec<OpenLoopReport> {
+fn openloop_matrix(quick: bool) -> Vec<LoadReport> {
     use ccm_core::ReplacementPolicy::{GlobalLru, MasterPreserving};
     let mut cells = Vec::new();
     // Three offered rates in real time: the latency-vs-offered-load
@@ -96,55 +113,42 @@ fn openloop_matrix(quick: bool) -> Vec<OpenLoopReport> {
     };
     for backend in ["channel", "tcp"] {
         for &rate_rps in rates {
-            let mut spec = ol_spec(quick);
-            spec.virtual_time = false;
-            spec.process = OpenLoopProcess::Poisson { rate_rps };
-            cells.push(ol_run(&spec, backend));
+            let process = OpenLoopProcess::Poisson { rate_rps };
+            cells.push(run_cell(&ol_spec(quick, process, false), backend));
         }
-        // The adversarial shapes run in virtual time with a ~2.5 ms
-        // virtual service model against 8 in-flight slots: the 4 krps
-        // crowd offers ~10 Erlangs (heavy shedding), the baselines ~1.
+        let mut flash = Vec::new();
         for policy in [MasterPreserving, GlobalLru] {
-            let mut spec = ol_spec(quick);
-            spec.policy = policy;
-            spec.max_inflight = 8;
-            spec.service_base_ns = 2_000_000;
-            spec.service_per_block_ns = 500_000;
-            spec.process = OpenLoopProcess::FlashCrowd {
+            let crowd = OpenLoopProcess::FlashCrowd {
                 base_rps: 400.0,
                 peak_rps: 4_000.0,
                 start_ns: 200_000_000,
                 duration_ns: 400_000_000,
                 crowd_fraction: 0.5,
             };
-            let report = ol_run(&spec, backend);
+            let mut spec = ol_spec(quick, crowd, true);
+            spec.policy = policy;
+            let report = run_cell(&spec, backend);
             assert!(
                 report.shed > 0,
                 "{backend} flash crowd never hit the in-flight bound — \
                  the overload cell is not overloaded"
             );
+            flash.push(cells.len());
             cells.push(report);
 
-            let mut spec = ol_spec(quick);
-            spec.policy = policy;
-            spec.max_inflight = 8;
-            spec.service_base_ns = 2_000_000;
-            spec.service_per_block_ns = 500_000;
-            spec.process = OpenLoopProcess::Diurnal {
+            let wave = OpenLoopProcess::Diurnal {
                 trough_rps: 200.0,
                 peak_rps: 2_400.0,
                 period_ns: 500_000_000,
                 steps: 24,
             };
-            cells.push(ol_run(&spec, backend));
+            let mut spec = ol_spec(quick, wave, true);
+            spec.policy = policy;
+            cells.push(run_cell(&spec, backend));
         }
         // The headline: master-preserving must carry a better cluster
         // hit ratio than global-LRU *through the crowd*.
-        let flash: Vec<&OpenLoopReport> = cells
-            .iter()
-            .filter(|c| c.backend == backend && c.process == "flash-crowd")
-            .collect();
-        let (mp, glru) = (flash[0], flash[1]);
+        let (mp, glru) = (&cells[flash[0]], &cells[flash[1]]);
         assert!(
             mp.total_hit_ratio() >= glru.total_hit_ratio(),
             "{backend}: master-preserving lost the flash crowd \
@@ -165,8 +169,7 @@ fn openloop_matrix(quick: bool) -> Vec<OpenLoopReport> {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var("CCM_QUICK").is_ok_and(|v| v != "0" && !v.is_empty());
+    let quick = ExperimentScale::is_quick();
     if std::env::args().any(|a| a == "--open-loop") {
         let cells = openloop_matrix(quick);
         println!(
@@ -185,21 +188,7 @@ fn main() {
     for &preset in presets {
         let spec = spec_for(preset, quick);
         for backend in ["channel", "tcp"] {
-            let report = match backend {
-                "channel" => run(&spec),
-                _ => {
-                    let lan =
-                        Arc::new(TcpLan::loopback(spec.nodes).expect("bind loopback listeners"));
-                    run_on(&spec, lan, "tcp")
-                }
-            };
-            println!("{}", report.summary());
-            assert!(
-                report.reconciled,
-                "{} {}: driver and runtime counters disagree",
-                backend, report.preset
-            );
-            cells.push(report);
+            cells.push(run_cell(&spec, backend));
         }
     }
 
@@ -212,16 +201,14 @@ fn main() {
         ("back", WriteConfig::back(32)),
     ] {
         let mut spec = spec_for(Preset::Calgary, true);
-        spec.deterministic = true;
+        spec.arrivals = Arrivals::closed(true);
         spec.write_ratio = 0.2;
         spec.write = write;
-        let report = run(&spec);
-        println!("{}", report.summary());
-        assert!(
-            report.reconciled,
-            "write-{label}: write counters failed reconciliation"
+        let report = run_cell(&spec, "channel");
+        assert_eq!(
+            report.write_stats.lost, 0,
+            "write-{label}: lost an acked write"
         );
-        assert_eq!(report.lost_writes, 0, "write-{label}: lost an acked write");
         write_cells.push(report);
     }
 
@@ -240,16 +227,13 @@ fn main() {
     let mut admission_cells = Vec::new();
     for ghosts in [None, Some(256)] {
         let mut spec = spec_for(Preset::Calgary, true);
-        spec.deterministic = true;
+        spec.arrivals = Arrivals::closed(true);
         spec.capacity_blocks = 48;
         spec.warmup_requests = 600;
         spec.measure_requests = 3000;
         spec.scan = Some(scan);
         spec.admission_ghosts = ghosts;
-        let report = run(&spec);
-        println!("{}", report.summary());
-        assert!(report.reconciled, "admission cell failed reconciliation");
-        admission_cells.push(report);
+        admission_cells.push(run_cell(&spec, "channel"));
     }
     let (adm_off, adm_on) = (&admission_cells[0], &admission_cells[1]);
     let delta = adm_on.total_hit_ratio() - adm_off.total_hit_ratio();
@@ -264,52 +248,30 @@ fn main() {
         "admission delta on {}: +{:.2}% total hit ratio ({} rejected, {} ghost hits)",
         adm_on.preset,
         100.0 * delta,
-        adm_on.admission_rejected,
-        adm_on.admission_ghost_hits
+        adm_on.admission.rejected,
+        adm_on.admission.ghost_hits
     );
 
     // The open-loop matrix: steady sweep, flash crowd, diurnal wave.
     let openloop_cells = openloop_matrix(quick);
 
-    let push_cells = |json: &mut String, cells: &[ccm_load::LoadReport]| {
-        for (i, report) in cells.iter().enumerate() {
-            json.push_str("    ");
-            json.push_str(&report.to_json());
-            json.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-        }
-    };
-    let mut json = String::from("{\n  \"bench\": \"bench_load\",\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str("  \"cells\": [\n");
-    push_cells(&mut json, &cells);
-    json.push_str("  ],\n  \"write\": [\n");
-    push_cells(&mut json, &write_cells);
-    json.push_str("  ],\n  \"admission\": [\n");
-    push_cells(&mut json, &admission_cells);
-    json.push_str("  ],\n  \"openloop\": [\n");
-    for (i, report) in openloop_cells.iter().enumerate() {
-        json.push_str("    ");
-        json.push_str(&report.to_json());
-        json.push_str(if i + 1 < openloop_cells.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"admission_delta\": {{ \"preset\": \"{}\", \"off_hit_ratio\": {:.6}, \
-         \"on_hit_ratio\": {:.6}, \"delta\": {:.6} }}\n",
-        adm_on.preset,
-        adm_off.total_hit_ratio(),
-        adm_on.total_hit_ratio(),
-        delta
-    ));
-    json.push_str("}\n");
-
-    // Repo root, next to Cargo.toml (crates/bench/../..).
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_load.json");
-    let mut f = std::fs::File::create(path).expect("create BENCH_load.json");
-    f.write_all(json.as_bytes()).expect("write BENCH_load.json");
-    println!("\nwrote {path}");
+    let sections = [
+        json_section("cells", &cells),
+        json_section("write", &write_cells),
+        json_section("admission", &admission_cells),
+        json_section("openloop", &openloop_cells),
+        format!(
+            "  \"admission_delta\": {{ \"preset\": \"{}\", \"off_hit_ratio\": {:.6}, \
+             \"on_hit_ratio\": {:.6}, \"delta\": {:.6} }}",
+            adm_on.preset,
+            adm_off.total_hit_ratio(),
+            adm_on.total_hit_ratio(),
+            delta
+        ),
+    ];
+    let json = format!(
+        "{{\n  \"bench\": \"bench_load\",\n  \"quick\": {quick},\n{}\n}}\n",
+        sections.join(",\n")
+    );
+    write_bench_json("load", &json);
 }

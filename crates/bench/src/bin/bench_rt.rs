@@ -8,6 +8,7 @@
 //!
 //! Usage: `cargo run --release -p ccm-bench --bin bench_rt [--quick]`
 
+use ccm_bench::harness::{write_bench_json, ExperimentScale};
 use ccm_core::{BlockId, FileId, NodeId, ReplacementPolicy, BLOCK_SIZE};
 use ccm_net::TcpLan;
 use ccm_obs::{Hop, Registry, Stopwatch, TraceRing};
@@ -16,7 +17,6 @@ use ccm_rt::{
     Catalog, DiskConfig, DiskMechanics, DiskService, FaultPlan, FileStore, LinkFaults, Middleware,
     RtConfig, SchedPolicy, SyntheticStore,
 };
-use std::io::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -169,7 +169,7 @@ fn run_backend(backend: Backend, rounds: usize) -> Vec<Phase> {
         time_reads(&mw, holder, &set_b, &mut Vec::new()); // peer masters B
         let mut samples = Vec::new();
         time_reads(&mw, reader, &set_b, &mut samples);
-        assert_eq!(mw.store_fallbacks(), CAPACITY as u64);
+        assert_eq!(mw.stats().store_fallbacks, CAPACITY as u64);
         phases.push(Phase {
             scenario: "remote_miss_fallback",
             samples,
@@ -435,8 +435,7 @@ fn obs_section(rounds: usize) -> String {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var("CCM_QUICK").is_ok_and(|v| v != "0" && !v.is_empty());
+    let quick = ExperimentScale::is_quick();
     let rounds = if quick { 2 } else { 16 };
 
     let mut json = String::from("{\n");
@@ -483,9 +482,5 @@ fn main() {
     json.push_str(&obs_section(rounds));
     json.push_str("}\n");
 
-    // Repo root, next to Cargo.toml (crates/bench/../..).
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_rt.json");
-    let mut f = std::fs::File::create(path).expect("create BENCH_rt.json");
-    f.write_all(json.as_bytes()).expect("write BENCH_rt.json");
-    println!("\nwrote {path}");
+    write_bench_json("rt", &json);
 }

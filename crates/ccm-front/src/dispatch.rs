@@ -38,19 +38,13 @@ pub trait Dispatch: Send + Sync {
     fn end(&self, _node: NodeId) {}
 }
 
-/// FNV-1a, the workspace's standard content hash, finished with a
-/// SplitMix64 avalanche — raw FNV of short, similar strings clusters in
-/// the high bits, which skews ring-point placement badly.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    let mut z = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// Ring hash: FNV-1a finished with a SplitMix64 avalanche — raw FNV of
+/// short, similar strings clusters in the high bits, which skews
+/// ring-point placement badly.
+fn ring_hash(bytes: &[u8]) -> u64 {
+    let mut h = simcore::hash::FNV_OFFSET;
+    simcore::hash::fnv1a(&mut h, bytes);
+    simcore::rng::splitmix64(&mut h)
 }
 
 /// Rotate through nodes in arrival order — what round-robin DNS does.
@@ -106,7 +100,7 @@ impl ConsistentHash {
         let mut ring = Vec::with_capacity(nodes * VNODES);
         for n in 0..nodes {
             for v in 0..VNODES {
-                let point = fnv1a(format!("node-{n}/vnode-{v}").as_bytes());
+                let point = ring_hash(format!("node-{n}/vnode-{v}").as_bytes());
                 ring.push((point, NodeId(n as u16)));
             }
         }
@@ -121,7 +115,7 @@ impl Dispatch for ConsistentHash {
     }
 
     fn pick(&self, _arrival: NodeId, path: &str, _file: Option<FileId>) -> NodeId {
-        let h = fnv1a(path.as_bytes());
+        let h = ring_hash(path.as_bytes());
         // First ring point at or after the key, wrapping.
         let idx = self.ring.partition_point(|&(p, _)| p < h);
         self.ring[idx % self.ring.len()].1
@@ -337,6 +331,20 @@ mod tests {
                 "node {n} got {c} of 4000 — ring is badly unbalanced"
             );
         }
+    }
+
+    /// Ring placement is a wire-visible function of the shared FNV-1a and
+    /// the SplitMix64 finish: these values were captured before the hash
+    /// moved into `simcore::hash` and must never change.
+    #[test]
+    fn consistent_hash_placement_is_pinned() {
+        assert_eq!(ring_hash(b"/file/42"), 0x8f75_cbd6_cf9e_f2da);
+        let ch = ConsistentHash::new(4);
+        assert_eq!(ch.ring[0].0, 0x009e_ddf7_f122_5f72);
+        let picks: Vec<u16> = (0..16)
+            .map(|i| ch.pick(NodeId(0), &format!("/file/{i}"), None).0)
+            .collect();
+        assert_eq!(picks, [2, 0, 1, 1, 1, 2, 3, 3, 2, 0, 1, 2, 1, 3, 3, 3]);
     }
 
     #[test]

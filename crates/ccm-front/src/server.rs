@@ -240,20 +240,6 @@ impl FrontTier {
         self.inner.obs.rejected.get()
     }
 
-    /// One-line dispatch summary (the `--front` demo prints this on
-    /// shutdown).
-    pub fn dispatch_summary(&self) -> String {
-        let counts = self.dispatch_counts();
-        let total: u64 = counts.iter().sum();
-        format!(
-            "policy={} dispatched={} handoffs={} per-node={:?}",
-            self.policy(),
-            total,
-            self.handoffs(),
-            counts
-        )
-    }
-
     /// Stop accepting and drain connection workers. The backend is left
     /// running — its lifecycle belongs to whoever started it.
     pub fn shutdown(mut self) {

@@ -1,71 +1,51 @@
 //! # ccm-load — trace-replay load generation for the live cluster
 //!
 //! The simulator reproduces the paper's figures; this crate closes the
-//! loop by driving the *running* middleware (`ccm-rt`, over either LAN
-//! backend) with the same calibrated trace presets and the paper's own
-//! methodology:
+//! loop by driving the *running* system with the same calibrated trace
+//! presets and the paper's one methodology (§4): a warmed cluster, a
+//! fixed request plan, statistics over the measurement window only.
 //!
-//! * **Closed-loop clients.** N clients per node, each firing its next
-//!   request as soon as the previous one completes — the paper ignores
-//!   trace timing the same way (§4: "requests are generated by a fixed
-//!   number of clients per node").
-//! * **Warm-up/measurement split.** Statistics are deltas over the
-//!   measurement window only, mirroring `ccm-webserver`'s `SimConfig`
-//!   (warm the caches, then measure steady state).
-//! * **Seeded replay.** The request stream is recorded up front from the
-//!   preset's popularity distribution ([`ccm_traces::Workload::record`])
-//!   and striped across clients, so the byte workload is a pure function
-//!   of `(preset, head, seed)` — on any backend, at any concurrency.
-//! * **Reconciled reports.** Per-request latency lands in `ccm-obs`
-//!   histograms; the run report cross-checks the driver's own block/byte
-//!   counts against the runtime's `ccm_rt_reads_total` registry deltas
-//!   before quoting hit ratios.
+//! There is **one pipeline** — build the cluster → warm-up → measurement
+//! window → reconcile → report ([`run`] / [`run_on`]) — described by one
+//! [`LoadSpec`] and reported by one [`LoadReport`]. Two seams vary:
 //!
-//! Two drive modes:
+//! * the **arrival source** ([`Arrivals`]): *closed-loop* clients striped
+//!   over a recorded stream (concurrent for throughput, or in-order
+//!   `deterministic` replay whose protocol statistics equal the pure
+//!   [`ClusterCache`](ccm_core::ClusterCache)'s for the same stream —
+//!   [`simulate`], asserted by `tests/live_conformance.rs`); or an
+//!   *open-loop* [`ccm_arrivals`] schedule ([`OpenLoopProcess`]: Poisson,
+//!   flash crowd, diurnal wave, popularity churn) injected regardless of
+//!   completions through a bounded in-flight table whose refusals are
+//!   *counted* as shed — in real time, or in bit-reproducible virtual
+//!   time;
+//! * the **target** ([`Target`]): the bare middleware handles (the only
+//!   target that takes the shadow-verified write mix), or `ccm-front`'s
+//!   HTTP front tier over the CCM cluster or the live L2S baseline
+//!   ([`BackendChoice`]) — the paper's CCM-vs-L2S comparison over real
+//!   sockets.
 //!
-//! * [`run`] / [`run_on`] with [`LoadSpec::deterministic`] **false**: the
-//!   throughput mode — concurrent closed-loop clients, wall-clock
-//!   latency/throughput figures ([`LoadReport::to_json`]).
-//! * `deterministic` **true**: single-threaded in-order replay. The
-//!   protocol statistics are then *exactly* the ones the pure
-//!   [`ClusterCache`](ccm_core::ClusterCache) produces for the same
-//!   stream ([`simulate`]), which is what `tests/live_conformance.rs`
-//!   asserts, and [`LoadReport::deterministic_json`] is bit-identical
-//!   across reruns.
-//!
-//! Both modes verify every delivered byte against the backing-store
-//! ground truth and fold the payload into an order-insensitive FNV
-//! digest, so a report is also an integrity certificate.
-//!
-//! A third mode, [`run_front`] / [`run_front_on`], drives the same
-//! recorded streams through `ccm-front`'s HTTP front door instead of the
-//! bare middleware, against either the CCM cluster or the live L2S
-//! baseline — the paper's CCM-vs-L2S comparison over real sockets, with
-//! the same verification and reconciliation discipline.
-//!
-//! And a fourth, *open-loop* family ([`run_open_loop`] /
-//! [`run_open_loop_on`] with [`OpenLoopSpec`]): requests are injected at
-//! the instants a seeded [`ccm_arrivals`] process schedules — flash
-//! crowds, diurnal waves, popularity churn — regardless of completions,
-//! with a bounded in-flight table whose refusals are *counted* as shed
-//! rather than silently dropped. This is the family that can overload
-//! the cluster on purpose; see [`openloop`](self) module docs via
-//! [`OpenLoopReport`].
+//! Everything else exists once. The request plan is a pure function of
+//! `(preset, head, seed)` on any transport at any concurrency; every
+//! served payload is verified byte for byte against the backing store and
+//! folded into an order-insensitive FNV-1a digest, so a report is also an
+//! integrity certificate; and the report cross-checks the driver's own
+//! counts against the runtime's `ccm_rt_reads_total` registry deltas, the
+//! front tier's `ccm_front_*` counters and the backend's hit accounting
+//! before quoting a hit ratio. For a deterministic spec
+//! [`LoadReport::deterministic_json`] is bit-identical across reruns.
+//! Combinations nobody drives (open-loop arrivals into the front tier,
+//! writes anywhere but deterministic closed-loop handles, a transport
+//! under L2S) are rejected by [`LoadSpec::validate`].
 
 #![warn(missing_docs)]
 
-mod front;
-mod openloop;
+mod drive;
 mod report;
-mod run;
 mod sim;
 mod spec;
 
-pub use front::{run_front, run_front_on, BackendChoice, FrontReport, FrontSpec};
-pub use openloop::{
-    run_open_loop, run_open_loop_on, OpenLoopProcess, OpenLoopReport, OpenLoopSpec,
-};
+pub use drive::{run, run_on};
 pub use report::LoadReport;
-pub use run::{run, run_on};
 pub use sim::{simulate, SimReport};
-pub use spec::LoadSpec;
+pub use spec::{Arrivals, BackendChoice, LoadSpec, OpenLoopProcess, Target};

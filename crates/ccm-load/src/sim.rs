@@ -6,7 +6,7 @@
 //! live cluster's measurement-window statistics must equal this replay's
 //! bit for bit — the conformance suite's oracle.
 
-use crate::spec::LoadSpec;
+use crate::spec::{Arrivals, LoadSpec};
 use ccm_core::block::blocks_of_file;
 use ccm_core::{BlockId, CacheConfig, CacheStats, ClusterCache, FileId, NodeId};
 
@@ -34,8 +34,8 @@ impl SimReport {
 /// delta.
 pub fn simulate(spec: &LoadSpec) -> SimReport {
     assert!(
-        spec.write_ratio == 0.0,
-        "the protocol simulator models read-only replay"
+        spec.write_ratio == 0.0 && matches!(spec.arrivals, Arrivals::Closed { .. }),
+        "the protocol simulator models read-only closed-loop replay"
     );
     let wl = spec.workload();
     let requests = spec.record_stream();

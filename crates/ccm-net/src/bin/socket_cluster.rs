@@ -4,7 +4,7 @@
 //! backing-store ground truth.
 //!
 //! Usage: `cargo run --release -p ccm-net --bin socket_cluster [nodes] [ops] [--serve]
-//! [--join] [--write-mix] [--file-store <dir>] [--replay <preset>]`
+//! [--join] [--write-mix] [--file-store <dir>] [--replay <preset>] [--front <policy>]`
 //! (defaults: 4 nodes, 4000 reads total).
 //!
 //! With `--file-store <dir>` the cluster is backed by a real on-disk block
@@ -44,20 +44,21 @@
 //! printed addresses; Ctrl-C to exit.
 //!
 //! With `--front <policy>` (round-robin, consistent-hash, content-aware,
-//! load-aware) the workload instead goes through `ccm-front`'s dispatching
-//! front tier: requests arrive round-robin at per-node HTTP endpoints, the
-//! chosen policy picks the serving node (handing the request off when that
-//! is not the arrival endpoint), and the cooperative caching middleware
-//! serves the blocks over this crate's TCP peer transport. Every body is
-//! verified against the backing store and the per-node dispatch counters
-//! are printed on shutdown.
+//! load-aware) the replay (`calgary` unless `--replay` names another
+//! preset) goes through `ccm-front`'s dispatching front tier — the same
+//! `ccm-load` run with its target seam switched: requests arrive
+//! round-robin at per-node HTTP endpoints, the chosen policy picks the
+//! serving node (handing the request off when that is not the arrival
+//! endpoint), and the cooperative caching middleware serves the blocks
+//! over this crate's TCP peer transport. Every body is verified against
+//! the backing store and the report carries the hand-off count.
 
 use ccm_core::{
     AdmissionConfig, BlockId, DirectoryKind, FileId, NodeId, ReplacementPolicy, BLOCK_SIZE,
 };
-use ccm_front::{CcmBackend, FrontBackend, FrontClient, FrontTier, PolicyKind};
+use ccm_front::PolicyKind;
 use ccm_httpd::HttpCluster;
-use ccm_load::LoadSpec;
+use ccm_load::{BackendChoice, LoadSpec, Target};
 use ccm_net::TcpLan;
 use ccm_obs::Registry;
 use ccm_rt::store::{read_file_direct, BlockStore};
@@ -106,8 +107,12 @@ fn main() {
     let ops: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(4_000);
     assert!(nodes >= 2, "a cluster needs at least 2 nodes");
 
-    if let Some(name) = replay {
-        replay_preset(&name, nodes, ops);
+    if replay.is_some() || front.is_some() {
+        let target = front.map_or(Target::Handle, |dispatch| Target::Front {
+            dispatch,
+            backend: BackendChoice::Ccm,
+        });
+        replay_preset(replay.as_deref().unwrap_or("calgary"), nodes, ops, target);
         return;
     }
 
@@ -179,10 +184,6 @@ fn main() {
         serve_http(cfg, catalog, store, lan, ops);
         return;
     }
-    if let Some(policy) = front {
-        front_demo(cfg, catalog, store, lan, &wl, ops, policy);
-        return;
-    }
     if join {
         join_demo(cfg, catalog, store, lan, &wl, ops);
         return;
@@ -227,7 +228,7 @@ fn main() {
     mw.quiesce();
     mw.check_invariants();
     let stats = mw.stats();
-    let fallbacks = mw.store_fallbacks();
+    let fallbacks = mw.stats().store_fallbacks;
     let net = lan.net_stats();
 
     let accesses = stats.local_hits + stats.remote_hits + stats.disk_reads;
@@ -253,11 +254,13 @@ fn main() {
     drop(mw);
 }
 
-/// `--replay <preset>`: hand the cluster to `ccm-load` — closed-loop
-/// clients replay the preset's recorded stream over a fresh `TcpLan`, the
-/// driver verifies every byte, and the reconciled run report is printed
-/// as one `BENCH_load.json`-style JSON cell.
-fn replay_preset(name: &str, nodes: usize, ops: u64) {
+/// `--replay <preset>` / `--front <policy>`: hand the cluster to
+/// `ccm-load` — closed-loop clients replay the preset's recorded stream
+/// over a fresh `TcpLan`, against the bare handles or through the
+/// dispatching front tier; the driver verifies every byte, and the
+/// reconciled run report is printed as one `BENCH_load.json`-style JSON
+/// cell.
+fn replay_preset(name: &str, nodes: usize, ops: u64, target: Target) {
     let preset = Preset::all()
         .into_iter()
         .find(|p| p.name() == name)
@@ -268,15 +271,17 @@ fn replay_preset(name: &str, nodes: usize, ops: u64) {
     spec.nodes = nodes;
     spec.measure_requests = ops as usize;
     spec.warmup_requests = (ops / 2) as usize;
+    spec.target = target;
     let lan = Arc::new(TcpLan::loopback(nodes).expect("bind loopback listeners"));
     for i in 0..nodes {
         println!("node {i}: peer transport on {}", lan.addr(NodeId(i as u16)));
     }
     println!(
-        "replaying {} over TCP: {} nodes x {} clients, {} warm-up + {} measured requests\n",
+        "replaying {} over TCP: {} nodes, {:?} into {:?}, {} warm-up + {} measured requests\n",
         preset.name(),
         nodes,
-        spec.clients_per_node,
+        spec.arrivals,
+        spec.target,
         spec.warmup_requests,
         spec.measure_requests,
     );
@@ -481,89 +486,6 @@ fn write_mix_demo(
     }
 }
 
-/// `--front <policy>`: the dispatching front tier over the TCP peer
-/// transport. Requests arrive round-robin at the per-node endpoints (as
-/// rotating DNS would deliver them), the policy picks the serving node,
-/// and the cooperative caching middleware serves the blocks. Prints the
-/// per-node dispatch counters and the cache hit breakdown on shutdown.
-fn front_demo(
-    cfg: RtConfig,
-    catalog: Catalog,
-    store: Arc<dyn BlockStore>,
-    lan: Arc<TcpLan>,
-    wl: &ccm_traces::Workload,
-    ops: u64,
-    policy: PolicyKind,
-) {
-    let nodes = cfg.nodes;
-    let registry = cfg
-        .obs
-        .clone()
-        .expect("demo config always carries a registry");
-    let mw = Arc::new(Middleware::start_on(
-        cfg,
-        catalog.clone(),
-        store.clone(),
-        lan,
-    ));
-    let backend: Arc<dyn FrontBackend> = Arc::new(CcmBackend::new(mw.clone()));
-    let dispatch = policy.build(&registry, nodes);
-    let tier = FrontTier::start(backend, dispatch, registry);
-    println!();
-    for (i, addr) in tier.addrs().iter().enumerate() {
-        println!("endpoint {i}: http://{addr}  (GET /file/<id>, /front/stats, /metrics)");
-    }
-
-    // One keep-alive connection per endpoint; request i arrives at
-    // endpoint i mod nodes, exactly what round-robin DNS would do.
-    let mut conns: Vec<FrontClient> = tier
-        .addrs()
-        .iter()
-        .map(|&a| FrontClient::connect(a).expect("connect to front endpoint"))
-        .collect();
-    let start = Instant::now();
-    let mut rng = Rng::new(0xF407).substream(1);
-    let mut bytes = 0u64;
-    for op in 0..ops {
-        let file = FileId(wl.sample(&mut rng).0);
-        let resp = conns[(op % nodes as u64) as usize]
-            .get(&format!("/file/{}", file.0))
-            .expect("front-door GET");
-        assert_eq!(resp.status, 200, "op {op}: unexpected status");
-        let want = read_file_direct(&*store, &catalog, file);
-        assert_eq!(resp.body, want, "op {op}: bytes corrupted");
-        bytes += resp.body.len() as u64;
-    }
-    let elapsed = start.elapsed();
-
-    mw.quiesce();
-    mw.check_invariants();
-    let stats = mw.stats();
-    let accesses = stats.local_hits + stats.remote_hits + stats.disk_reads;
-    println!(
-        "\n{} front-door requests ({:.1} MB) across {} endpoints in {:.2?} — {:.1} req/s",
-        ops,
-        bytes as f64 / (1 << 20) as f64,
-        nodes,
-        elapsed,
-        ops as f64 / elapsed.as_secs_f64(),
-    );
-    println!("dispatch: {}", tier.dispatch_summary());
-    println!(
-        "blocks: {accesses} accesses ({:.1}% local, {:.1}% remote, {:.1}% disk)",
-        100.0 * stats.local_hits as f64 / accesses as f64,
-        100.0 * stats.remote_hits as f64 / accesses as f64,
-        100.0 * stats.disk_reads as f64 / accesses as f64,
-    );
-    println!("every byte verified through the front door — front tier OK");
-    drop(conns);
-    tier.shutdown();
-    match Arc::try_unwrap(mw) {
-        Ok(mw) => mw.shutdown(),
-        Err(_) => { /* a handle outlived us; Drop will clean up */ }
-    }
-}
-
 /// `--serve`: HTTP front ends over the TCP peer transport. Warms the
 /// cluster with `ops` verified HTTP reads, then serves until killed.
 fn serve_http(
@@ -574,7 +496,12 @@ fn serve_http(
     ops: u64,
 ) {
     let nodes = cfg.nodes;
-    let cluster = HttpCluster::start_on(cfg, catalog.clone(), store.clone(), lan);
+    let cluster = HttpCluster::over(Middleware::start_on(
+        cfg,
+        catalog.clone(),
+        store.clone(),
+        lan,
+    ));
     println!();
     for (i, addr) in cluster.addrs().iter().enumerate() {
         println!("node {i}: http://{addr}  (GET /file/<id>, /metrics, /debug/trace)");

@@ -145,11 +145,8 @@ struct DirtyLedger {
 
 /// FNV-1a over a block payload (the dirty-entry acknowledgment digest).
 fn digest_bytes(data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let mut h = simcore::hash::FNV_OFFSET;
+    simcore::hash::fnv1a(&mut h, data);
     h
 }
 
@@ -813,15 +810,6 @@ impl Middleware {
         let mut s = self.shared.cache.lock().stats();
         s.store_fallbacks = self.shared.obs.store_fallbacks();
         s
-    }
-
-    /// Data-plane races resolved through the backing store.
-    ///
-    /// Compatibility shim: the count now lives on the metric registry as
-    /// the per-node `ccm_rt_store_fallbacks_total` family; this returns its
-    /// sum, exactly the old aggregate.
-    pub fn store_fallbacks(&self) -> u64 {
-        self.shared.obs.store_fallbacks()
     }
 
     /// `node`'s disk-service statistics: physical reads, coalesce and
@@ -1692,7 +1680,7 @@ mod tests {
             s.remote_hits > 0,
             "second reader should hit node 0's masters"
         );
-        assert_eq!(mw.store_fallbacks(), 0, "no races in sequential use");
+        assert_eq!(mw.stats().store_fallbacks, 0, "no races in sequential use");
         mw.check_invariants();
         mw.shutdown();
     }
@@ -1908,9 +1896,13 @@ mod tests {
             let want = read_file_direct(&*store, &cat, FileId(f));
             assert_eq!(got, want, "file {f} wrong after node failure");
         }
-        assert!(
-            mw.store_fallbacks() > 0,
-            "fallbacks must have covered the dead node"
+        let fallbacks = mw.stats().store_fallbacks;
+        assert!(fallbacks > 0, "fallbacks must have covered the dead node");
+        assert_eq!(
+            mw.obs_snapshot()
+                .counter_sum("ccm_rt_store_fallbacks_total"),
+            fallbacks,
+            "stats and the registry family are one count"
         );
         drop(mw);
     }
@@ -2059,45 +2051,6 @@ mod tests {
             Some(&ccm_obs::Value::Gauge(g)) if g as u64 == 2 * blocks
         ));
         mw.shutdown();
-    }
-
-    #[test]
-    fn stats_shim_equals_registry_fallback_counters() {
-        // Equivalence pin for the store_fallbacks migration: the legacy
-        // accessors and the registry family must always agree. Kill a
-        // node's service thread behind the protocol's back to force
-        // fallbacks (same shape as node_failure_degrades_to_store_fallback).
-        let cat = catalog(6, 20_000);
-        let store = Arc::new(SyntheticStore::new(cat.clone(), 42));
-        let mw = Middleware::start(
-            RtConfig {
-                nodes: 3,
-                capacity_blocks: 64,
-                policy: ReplacementPolicy::MasterPreserving,
-                fetch_timeout: Duration::from_millis(50),
-                ..RtConfig::default()
-            },
-            cat,
-            store,
-        );
-        for f in 0..6u32 {
-            mw.handle(NodeId(0)).read_file(FileId(f));
-        }
-        mw.shared
-            .lan()
-            .send(NodeId(0), NodeId(0), PeerMsg::Shutdown);
-        for f in 0..6u32 {
-            mw.handle(NodeId(1)).read_file(FileId(f));
-        }
-        let direct = mw.store_fallbacks();
-        assert!(direct > 0, "dead node must force fallbacks");
-        assert_eq!(mw.stats().store_fallbacks, direct);
-        assert_eq!(
-            mw.obs_snapshot()
-                .counter_sum("ccm_rt_store_fallbacks_total"),
-            direct
-        );
-        drop(mw);
     }
 
     #[test]

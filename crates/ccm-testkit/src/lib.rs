@@ -312,28 +312,16 @@ pub fn acceptance_workload() -> Workload {
     .build()
 }
 
-/// The FNV-1a offset basis (the digest accumulator's initial value).
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Fold `bytes` into an FNV-1a digest accumulator.
-#[inline]
-pub fn fnv1a(digest: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *digest ^= b as u64;
-        *digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
+pub use simcore::hash::{fnv1a, FNV_OFFSET};
 
 /// Everything observable from one deterministic drive.
 #[derive(Debug, PartialEq, Eq)]
 pub struct DriveOutcome {
     /// FNV-1a digest over every delivered byte, in op order.
     pub digest: u64,
-    /// Protocol counters at the end of the drive.
+    /// Protocol counters at the end of the drive (`store_fallbacks` must be
+    /// 0 for a quiesced single-threaded drive to count as deterministic).
     pub stats: CacheStats,
-    /// Store fallbacks (must be 0 for a quiesced single-threaded drive to
-    /// count as deterministic).
-    pub fallbacks: u64,
 }
 
 /// Drive `ops` deterministic single-threaded reads (same seed → same node
@@ -365,7 +353,6 @@ pub fn drive(
     DriveOutcome {
         digest,
         stats: mw.stats(),
-        fallbacks: mw.store_fallbacks(),
     }
 }
 
@@ -786,14 +773,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fixture_is_deterministic_and_fnv_matches_reference() {
+    fn fixture_is_deterministic() {
         let (c1, _) = fixture(5);
         let (c2, _) = fixture(5);
         assert_eq!(c1.sizes(), c2.sizes());
-        // FNV-1a of "a" is the classic reference value.
-        let mut d = FNV_OFFSET;
-        fnv1a(&mut d, b"a");
-        assert_eq!(d, 0xaf63dc4c8601ec8c);
     }
 
     #[test]

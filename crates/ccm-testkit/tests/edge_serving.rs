@@ -88,7 +88,7 @@ fn edge_files_account_for_the_exact_block_counts() {
             );
             assert_eq!(got.len() as u64, catalog.size_of(file));
         }
-        assert_eq!(cluster.store_fallbacks(), 0);
+        assert_eq!(cluster.stats().store_fallbacks, 0);
         cluster.check_invariants();
         cluster.shutdown();
     }

@@ -851,17 +851,9 @@ impl ClusterCache {
     /// Deterministic hash used to shard blocks over the live set for
     /// re-mastering on membership changes (FNV-1a over the block id).
     fn block_shard(block: BlockId) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in block
-            .file
-            .0
-            .to_le_bytes()
-            .into_iter()
-            .chain(block.index.to_le_bytes())
-        {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        let mut h = simcore::hash::FNV_OFFSET;
+        simcore::hash::fnv1a(&mut h, &block.file.0.to_le_bytes());
+        simcore::hash::fnv1a(&mut h, &block.index.to_le_bytes());
         h
     }
 
@@ -1137,6 +1129,14 @@ mod tests {
 
     fn cluster(nodes: usize, cap: usize, policy: ReplacementPolicy) -> ClusterCache {
         ClusterCache::new(CacheConfig::paper(nodes, cap, policy))
+    }
+
+    /// Re-mastering shards are FNV-1a over the little-endian block id;
+    /// the value was captured before the hash moved into `simcore::hash`.
+    #[test]
+    fn block_shard_is_pinned() {
+        let shard = ClusterCache::block_shard(BlockId::new(FileId(7), 3));
+        assert_eq!(shard, 0xabdc_f70e_b116_9ed1);
     }
 
     #[test]

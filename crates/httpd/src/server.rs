@@ -18,7 +18,7 @@
 use crate::http::{read_request, route_file, write_response, write_response_typed, ParseError};
 use ccm_core::{FileId, NodeId};
 use ccm_obs::{Counter, Gauge, Histogram, Registry, Stopwatch};
-use ccm_rt::{BlockStore, Catalog, Middleware, NodeHandle, RtConfig, Transport};
+use ccm_rt::{BlockStore, Catalog, Middleware, NodeHandle, RtConfig};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -199,32 +199,21 @@ impl HttpCluster {
     /// Panics if a loopback socket cannot be bound (no such environment is
     /// supported).
     pub fn start(cfg: RtConfig, catalog: Catalog, store: Arc<dyn BlockStore>) -> HttpCluster {
-        let middleware = Middleware::start(cfg, catalog.clone(), store);
-        HttpCluster::over(middleware, catalog)
+        HttpCluster::over(Middleware::start(cfg, catalog, store))
     }
 
-    /// Like [`HttpCluster::start`], but with the peer LAN supplied by the
-    /// caller — e.g. `ccm-net`'s `TcpLan` for a cluster whose cache
-    /// cooperation runs over real sockets, not in-process channels. The
-    /// HTTP layer is identical either way; only the transport underneath
-    /// the middleware changes.
+    /// Spawn the per-node HTTP listeners over an already-running cluster,
+    /// taking over its lifecycle ([`HttpCluster::shutdown`] stops both).
+    /// The HTTP layer is identical whatever carries the peer traffic: start
+    /// the middleware with `Middleware::start_on` and e.g. `ccm-net`'s
+    /// `TcpLan` for a cluster whose cache cooperation runs over real
+    /// sockets, not in-process channels.
     ///
     /// # Panics
-    /// Panics if a loopback socket cannot be bound, or if `transport` does
-    /// not match `cfg.nodes`.
-    pub fn start_on(
-        cfg: RtConfig,
-        catalog: Catalog,
-        store: Arc<dyn BlockStore>,
-        transport: Arc<dyn Transport>,
-    ) -> HttpCluster {
-        let middleware = Middleware::start_on(cfg, catalog.clone(), store, transport);
-        HttpCluster::over(middleware, catalog)
-    }
-
-    /// Spawn the per-node HTTP listeners over an already-running cluster.
-    fn over(middleware: Middleware, catalog: Catalog) -> HttpCluster {
+    /// Panics if a loopback socket cannot be bound.
+    pub fn over(middleware: Middleware) -> HttpCluster {
         let nodes = middleware.nodes();
+        let catalog = middleware.catalog().clone();
         let middleware = Arc::new(middleware);
         let stop = Arc::new(AtomicBool::new(false));
         let mut addrs = Vec::with_capacity(nodes);

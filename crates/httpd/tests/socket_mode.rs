@@ -7,14 +7,14 @@ use ccm_core::{BlockId, FileId, NodeId, ReplacementPolicy};
 use ccm_httpd::client::{get, load_run};
 use ccm_httpd::HttpCluster;
 use ccm_net::TcpLan;
-use ccm_rt::{Catalog, MemStore, RtConfig, SyntheticStore};
+use ccm_rt::{Catalog, MemStore, Middleware, RtConfig, SyntheticStore};
 use std::sync::Arc;
 
 fn start_tcp(nodes: usize, files: usize, size: u64, cap: usize) -> (HttpCluster, Catalog) {
     let catalog = Catalog::new(vec![size; files]);
     let store = Arc::new(SyntheticStore::new(catalog.clone(), 42));
     let lan = Arc::new(TcpLan::loopback(nodes).expect("bind peer listeners"));
-    let cluster = HttpCluster::start_on(
+    let cluster = HttpCluster::over(Middleware::start_on(
         RtConfig {
             nodes,
             capacity_blocks: cap,
@@ -24,7 +24,7 @@ fn start_tcp(nodes: usize, files: usize, size: u64, cap: usize) -> (HttpCluster,
         catalog.clone(),
         store,
         lan,
-    );
+    ));
     (cluster, catalog)
 }
 
@@ -74,7 +74,7 @@ fn writes_invalidate_replicas_over_tcp_peers() {
     let catalog = Catalog::new(vec![16_384u64; 4]);
     let store = Arc::new(MemStore::new(catalog.clone(), 7));
     let lan = Arc::new(TcpLan::loopback(2).expect("bind peer listeners"));
-    let cluster = HttpCluster::start_on(
+    let cluster = HttpCluster::over(Middleware::start_on(
         RtConfig {
             nodes: 2,
             capacity_blocks: 32,
@@ -84,7 +84,7 @@ fn writes_invalidate_replicas_over_tcp_peers() {
         catalog.clone(),
         store,
         lan,
-    );
+    ));
     get(cluster.addrs()[0], "/file/0").unwrap();
     get(cluster.addrs()[1], "/file/0").unwrap(); // node 1 now holds a replica
     let payload = vec![0x5A; 8_192];

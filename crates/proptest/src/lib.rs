@@ -160,7 +160,9 @@ impl TestRunner {
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(config.cases);
-        let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a over the test name
+        // FNV-1a over the test name. Deliberately not `simcore::hash`: this
+        // shim stands in for the published crate and depends on nothing.
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
         for b in name.bytes() {
             h ^= b as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01B3);

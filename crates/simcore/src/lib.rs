@@ -21,6 +21,8 @@
 //!   not depend on `rand`: sequence stability across versions matters more
 //!   here than distribution breadth, and the trace generators implement their
 //!   own samplers on top of this.
+//! * [`hash`] — FNV-1a, the one content hash every digest, ring point and
+//!   re-mastering shard in the workspace is computed with.
 //! * [`chan`] / [`sync`] — unbounded MPMC channels and poison-free lock
 //!   wrappers for the threaded runtime. The whole workspace builds with no
 //!   external dependencies (the build environment has no registry access),
@@ -34,6 +36,7 @@
 pub mod chan;
 pub mod event;
 pub mod fxhash;
+pub mod hash;
 pub mod histogram;
 pub mod rng;
 pub mod service;

@@ -75,7 +75,7 @@ fn main() {
     );
     println!("  masters forwarded  {:>8}", s.forwards);
     println!("  evictions dropped  {:>8}", s.evict_drops);
-    println!("  data-plane races   {:>8}", mw.store_fallbacks());
+    println!("  data-plane races   {:>8}", mw.stats().store_fallbacks);
 
     mw.check_invariants();
     Arc::try_unwrap(mw).ok().expect("sole owner").shutdown();

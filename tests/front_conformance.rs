@@ -34,7 +34,7 @@
 //! across reruns and across the channel/TCP cluster transports.
 
 use ccm_front::PolicyKind;
-use ccm_load::{run_front, run_front_on, BackendChoice, FrontReport, FrontSpec};
+use ccm_load::{run, run_on, Arrivals, BackendChoice, LoadReport, LoadSpec, Target};
 use ccm_net::TcpLan;
 use coopcache::core::ReplacementPolicy;
 use coopcache::traces::Preset;
@@ -52,34 +52,37 @@ fn cell(
     capacity_blocks: usize,
     dispatch: PolicyKind,
     backend: BackendChoice,
-) -> FrontSpec {
-    let mut spec = FrontSpec::new(preset, dispatch, backend);
+) -> LoadSpec {
+    let mut spec = LoadSpec::new(preset);
     spec.head_files = Some(240);
     spec.capacity_blocks = capacity_blocks;
+    spec.policy = ReplacementPolicy::MasterPreserving;
     spec.warmup_requests = 400;
     spec.measure_requests = 900;
     spec.seed = 0x5EED;
-    spec.deterministic = true;
+    spec.arrivals = Arrivals::closed(true);
+    spec.target = Target::Front { dispatch, backend };
     spec
 }
 
-fn ccm_cell(preset: Preset, capacity_blocks: usize) -> FrontSpec {
+fn ccm_cell(preset: Preset, capacity_blocks: usize) -> LoadSpec {
     cell(
         preset,
         capacity_blocks,
         PolicyKind::RoundRobin,
-        BackendChoice::Ccm(ReplacementPolicy::MasterPreserving),
+        BackendChoice::Ccm,
     )
 }
 
-fn checked(spec: &FrontSpec) -> FrontReport {
-    let report = run_front(spec);
+fn checked(spec: &LoadSpec) -> LoadReport {
+    let report = run(spec);
     assert!(
         report.reconciled,
-        "{} {} {}: driver and front-tier counters disagree",
-        report.backend, report.preset, report.dispatch
+        "{} {}: driver and front-tier counters disagree",
+        report.backend(),
+        report.preset
     );
-    assert_eq!(report.requests, spec.measure_requests as u64);
+    assert_eq!(report.served, spec.measure_requests as u64);
     report
 }
 
@@ -111,7 +114,11 @@ fn ccm_matches_or_beats_live_l2s_at_the_plentiful_point() {
         // Same stream, same bytes, same block accounting basis.
         assert_eq!(ccm.digest, l2s.digest, "backends served different bytes");
         assert_eq!(ccm.blocks, l2s.blocks);
-        let (c, l, lr) = (ccm.hit_ratio(), l2s.hit_ratio(), l2s_rr.hit_ratio());
+        let (c, l, lr) = (
+            ccm.total_hit_ratio(),
+            l2s.total_hit_ratio(),
+            l2s_rr.total_hit_ratio(),
+        );
         if c >= l {
             wins += 1;
         }
@@ -168,18 +175,18 @@ fn scarce_point_reproduces_the_figure_4_shape() {
         ));
         assert_eq!(ccm.digest, l2s.digest, "backends served different bytes");
         assert!(
-            ccm.hits > 0 && ccm.hit_ratio() > 0.5,
+            ccm.hits > 0 && ccm.total_hit_ratio() > 0.5,
             "{}: cooperative caching must keep the majority of block reads \
              in cluster memory even at the scarce point (got {:.4})",
             ccm.preset,
-            ccm.hit_ratio()
+            ccm.total_hit_ratio()
         );
         assert!(
-            l2s.hit_ratio() > l2s_rr.hit_ratio() + 0.10,
+            l2s.total_hit_ratio() > l2s_rr.total_hit_ratio() + 0.10,
             "{}: content-aware routing is what carries L2S (ca {:.4}, rr {:.4})",
             l2s.preset,
-            l2s.hit_ratio(),
-            l2s_rr.hit_ratio()
+            l2s.total_hit_ratio(),
+            l2s_rr.total_hit_ratio()
         );
     }
 }
@@ -199,7 +206,7 @@ fn front_reports_reproduce_across_reruns_and_transports() {
     );
 
     let lan = Arc::new(TcpLan::loopback(spec.nodes).expect("bind loopback listeners"));
-    let tcp = run_front_on(&spec, lan, "tcp");
+    let tcp = run_on(&spec, lan, "tcp");
     assert!(tcp.reconciled);
     assert_eq!(tcp.transport, "tcp");
     assert_eq!(

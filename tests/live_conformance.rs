@@ -21,7 +21,7 @@
 //! * **Report determinism** — the same seed reproduces a bit-identical
 //!   deterministic run report, on the channel backend and over TCP.
 
-use ccm_load::{run, run_on, simulate, LoadSpec, SimReport};
+use ccm_load::{run, run_on, simulate, Arrivals, LoadSpec, SimReport};
 use ccm_net::TcpLan;
 use coopcache::core::ReplacementPolicy;
 use coopcache::traces::Preset;
@@ -47,7 +47,7 @@ fn grid() -> Vec<LoadSpec> {
             spec.warmup_requests = 400;
             spec.measure_requests = 900;
             spec.seed = 0x5EED;
-            spec.deterministic = true;
+            spec.arrivals = Arrivals::closed(true);
             cells.push(spec);
         }
     }
@@ -114,7 +114,7 @@ fn deterministic_reports_reproduce_across_reruns_and_backends() {
     spec.warmup_requests = 300;
     spec.measure_requests = 600;
     spec.seed = 0x5EED;
-    spec.deterministic = true;
+    spec.arrivals = Arrivals::closed(true);
 
     let a = run(&spec);
     let b = run(&spec);

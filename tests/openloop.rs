@@ -12,33 +12,37 @@
 
 use std::sync::Arc;
 
-use ccm_load::{run_open_loop, run_open_loop_on, OpenLoopProcess, OpenLoopSpec};
+use ccm_load::{run, run_on, Arrivals, LoadSpec, OpenLoopProcess};
 use ccm_net::TcpLan;
 use coopcache::core::ReplacementPolicy;
 use coopcache::traces::Preset;
 
 /// The conformance cell: a flash crowd onto the head's coldest file, hot
 /// enough to shed at a 24-slot table.
-fn crowd_spec() -> OpenLoopSpec {
-    let mut spec = OpenLoopSpec::new(Preset::Calgary);
+fn crowd_spec() -> LoadSpec {
+    let mut spec = LoadSpec::new(Preset::Calgary);
     spec.head_files = Some(120);
     spec.nodes = 4;
     spec.capacity_blocks = 48;
-    spec.warmup_events = 300;
-    spec.measure_events = 900;
-    spec.max_inflight = 8;
-    // Virtual service ~2.5 ms/request: the 4 krps crowd offers ~10
-    // Erlangs against 8 slots (heavy counted shedding), the 400 rps
-    // baseline ~1 Erlang (essentially none).
-    spec.service_base_ns = 2_000_000;
-    spec.service_per_block_ns = 500_000;
+    spec.warmup_requests = 300;
+    spec.measure_requests = 900;
     spec.seed = 0xF1A5;
-    spec.process = OpenLoopProcess::FlashCrowd {
-        base_rps: 400.0,
-        peak_rps: 4_000.0,
-        start_ns: 500_000_000,
-        duration_ns: 600_000_000,
-        crowd_fraction: 0.5,
+    spec.arrivals = Arrivals::Open {
+        process: OpenLoopProcess::FlashCrowd {
+            base_rps: 400.0,
+            peak_rps: 4_000.0,
+            start_ns: 500_000_000,
+            duration_ns: 600_000_000,
+            crowd_fraction: 0.5,
+        },
+        max_inflight: 8,
+        workers: 8,
+        virtual_time: true,
+        // Virtual service ~2.5 ms/request: the 4 krps crowd offers ~10
+        // Erlangs against 8 slots (heavy counted shedding), the 400 rps
+        // baseline ~1 Erlang (essentially none).
+        service_base_ns: 2_000_000,
+        service_per_block_ns: 500_000,
     };
     spec
 }
@@ -46,8 +50,8 @@ fn crowd_spec() -> OpenLoopSpec {
 #[test]
 fn flash_crowd_virtual_run_is_bit_identical_across_reruns() {
     let spec = crowd_spec();
-    let a = run_open_loop(&spec);
-    let b = run_open_loop(&spec);
+    let a = run(&spec);
+    let b = run(&spec);
     assert!(a.reconciled);
     assert!(a.shed > 0, "crowd never hit the in-flight bound");
     assert_eq!(a.served + a.shed, a.offered_events);
@@ -57,9 +61,9 @@ fn flash_crowd_virtual_run_is_bit_identical_across_reruns() {
 #[test]
 fn flash_crowd_virtual_run_is_identical_over_tcp() {
     let spec = crowd_spec();
-    let channel = run_open_loop(&spec);
+    let channel = run(&spec);
     let lan = Arc::new(TcpLan::loopback(spec.nodes).expect("bind loopback"));
-    let tcp = run_open_loop_on(&spec, lan, "tcp");
+    let tcp = run_on(&spec, lan, "tcp");
     assert!(tcp.reconciled);
     // Same seed, same admission, same caching decisions — the transport
     // must be invisible to every deterministic field but its own label.
@@ -77,8 +81,8 @@ fn master_preserving_beats_global_lru_through_the_crowd() {
     mp.policy = ReplacementPolicy::MasterPreserving;
     let mut glru = crowd_spec();
     glru.policy = ReplacementPolicy::GlobalLru;
-    let mp_run = run_open_loop(&mp);
-    let glru_run = run_open_loop(&glru);
+    let mp_run = run(&mp);
+    let glru_run = run(&glru);
     assert!(mp_run.reconciled && glru_run.reconciled);
     assert!(
         mp_run.total_hit_ratio() >= glru_run.total_hit_ratio(),

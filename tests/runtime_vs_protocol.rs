@@ -60,7 +60,7 @@ fn runtime_matches_protocol_stats_single_threaded() {
     assert_eq!(got.forwards, want.forwards, "forwards diverged");
     assert_eq!(got.evict_drops, want.evict_drops, "evictions diverged");
     assert_eq!(
-        mw.store_fallbacks(),
+        mw.stats().store_fallbacks,
         0,
         "single-threaded use must never race"
     );
