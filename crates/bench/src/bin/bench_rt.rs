@@ -10,33 +10,18 @@
 
 use ccm_bench::harness::{write_bench_json, ExperimentScale};
 use ccm_core::{BlockId, FileId, NodeId, ReplacementPolicy, BLOCK_SIZE};
-use ccm_net::TcpLan;
 use ccm_obs::{Hop, Registry, Stopwatch, TraceRing};
 use ccm_rt::store::BlockStore;
 use ccm_rt::{
     Catalog, DiskConfig, DiskMechanics, DiskService, FaultPlan, FileStore, LinkFaults, Middleware,
     RtConfig, SchedPolicy, SyntheticStore,
 };
+use ccm_testkit::{start_cluster, Backend};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Cache capacity per node, in blocks; also the per-phase working set.
 const CAPACITY: usize = 1024;
-
-#[derive(Debug, Clone, Copy)]
-enum Backend {
-    Channel,
-    Tcp,
-}
-
-impl Backend {
-    fn name(self) -> &'static str {
-        match self {
-            Backend::Channel => "channel",
-            Backend::Tcp => "tcp",
-        }
-    }
-}
 
 /// One measured phase: per-op latencies in nanoseconds.
 struct Phase {
@@ -59,17 +44,6 @@ impl Phase {
         let total_ns = self.samples.iter().sum::<u64>() as f64;
         let bytes = self.samples.len() as f64 * BLOCK_SIZE as f64;
         bytes / (1 << 20) as f64 / (total_ns / 1e9)
-    }
-}
-
-fn start_cluster(backend: Backend, cfg: RtConfig, catalog: &Catalog) -> Middleware {
-    let store = Arc::new(SyntheticStore::new(catalog.clone(), 99));
-    match backend {
-        Backend::Channel => Middleware::start(cfg, catalog.clone(), store),
-        Backend::Tcp => {
-            let lan = Arc::new(TcpLan::loopback(cfg.nodes).expect("bind loopback"));
-            Middleware::start_on(cfg, catalog.clone(), store, lan)
-        }
     }
 }
 
@@ -100,6 +74,10 @@ fn run_backend(backend: Backend, rounds: usize) -> Vec<Phase> {
         faults,
         ..RtConfig::default()
     };
+    let start = |faults: Option<FaultPlan>| {
+        let store = Arc::new(SyntheticStore::new(catalog.clone(), 99));
+        start_cluster(backend, cfg(faults), catalog.clone(), store)
+    };
     let reader = NodeId(0);
     let holder = NodeId(1);
     let mut phases = Vec::new();
@@ -107,7 +85,7 @@ fn run_backend(backend: Backend, rounds: usize) -> Vec<Phase> {
     // Cold disk reads: nothing cached anywhere, every read faults in from
     // the backing store (and becomes a local master).
     {
-        let mw = start_cluster(backend, cfg(None), &catalog);
+        let mw = start(None);
         let mut samples = Vec::new();
         time_reads(&mw, reader, &set_a, &mut samples);
         assert_eq!(mw.stats().disk_reads, CAPACITY as u64);
@@ -120,7 +98,7 @@ fn run_backend(backend: Backend, rounds: usize) -> Vec<Phase> {
 
     // Local hits: prime once, then re-read the resident set.
     {
-        let mw = start_cluster(backend, cfg(None), &catalog);
+        let mw = start(None);
         time_reads(&mw, reader, &set_a, &mut Vec::new()); // prime
         let mut samples = Vec::new();
         for _ in 0..rounds {
@@ -138,7 +116,7 @@ fn run_backend(backend: Backend, rounds: usize) -> Vec<Phase> {
     // over the LAN exactly once (the fetched replicas then sit local, so
     // every sample is a genuine peer round trip).
     {
-        let mw = start_cluster(backend, cfg(None), &catalog);
+        let mw = start(None);
         time_reads(&mw, holder, &set_a, &mut Vec::new()); // peer masters A
         let mut samples = Vec::new();
         time_reads(&mw, reader, &set_a, &mut samples);
@@ -165,7 +143,7 @@ fn run_backend(backend: Backend, rounds: usize) -> Vec<Phase> {
             crashes: Vec::new(),
             disk: Default::default(),
         };
-        let mw = start_cluster(backend, cfg(Some(all_drop)), &catalog);
+        let mw = start(Some(all_drop));
         time_reads(&mw, holder, &set_b, &mut Vec::new()); // peer masters B
         let mut samples = Vec::new();
         time_reads(&mw, reader, &set_b, &mut samples);
@@ -449,7 +427,7 @@ fn main() {
         "{:<8} {:<22} {:>9} {:>12} {:>10} {:>10} {:>10}",
         "backend", "scenario", "samples", "mean ns/blk", "p50 ns", "p99 ns", "MB/s"
     );
-    for (bi, backend) in [Backend::Channel, Backend::Tcp].into_iter().enumerate() {
+    for (bi, backend) in Backend::all().into_iter().enumerate() {
         let phases = run_backend(backend, rounds);
         json.push_str(&format!("    \"{}\": {{\n", backend.name()));
         for (pi, ph) in phases.iter().enumerate() {

@@ -1,6 +1,7 @@
-//! A blocking HTTP client that keeps response headers — the front tier's
-//! tests and load driver need `Content-Range`/`ETag`, which the simpler
-//! `ccm-httpd` client discards.
+//! The workspace's one blocking HTTP client: keep-alive and one-shot
+//! `GET`/`HEAD` with `Content-Length` framing, request pipelining, and
+//! responses that keep their headers (tests and the load driver read
+//! `Content-Range`/`ETag`).
 
 use ccm_httpd::http::Headers;
 use std::io::{BufRead, BufReader, Write};
@@ -113,18 +114,8 @@ impl FrontClient {
 
 /// One-shot `GET` with extra headers (fresh connection, close).
 pub fn get_with(addr: SocketAddr, path: &str, extra: &[(&str, &str)]) -> std::io::Result<Response> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: front\r\nConnection: close\r\n"
-    )?;
-    for (name, value) in extra {
-        write!(stream, "{name}: {value}\r\n")?;
-    }
-    stream.write_all(b"\r\n")?;
-    let mut reader = BufReader::new(stream);
-    read_response(&mut reader, false)
+    let close = [extra, &[("Connection", "close")]].concat();
+    FrontClient::connect(addr)?.get_with(path, &close)
 }
 
 /// One-shot plain `GET`.

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //!             ┌────────── endpoint ──────────┐
-//!  client ──▶ │ accept · keep-alive · parse  │   (ccm-httpd's shared
-//!             └──────────────┬───────────────┘    HTTP module)
+//!  client ──▶ │ accept · keep-alive · parse  │   (`ccm-httpd`, the
+//!             └──────────────┬───────────────┘    shared codec)
 //!             ┌────────── middleware ────────┐
 //!             │ obs: latency · inflight ·    │   (`ccm_front_*` family)
 //!             │ dispatch/handoff counters    │
@@ -23,14 +23,20 @@
 //! for. Connections are thread-per-connection with keep-alive, and because
 //! each connection is drained strictly in order, pipelined requests get
 //! their responses in request order with no extra machinery.
+//!
+//! This is the only HTTP server in the workspace. The paper's "off-the-
+//! shelf server behind round-robin DNS" (§7) is this tier with
+//! [`RoundRobin`](crate::RoundRobin) dispatch over a
+//! [`CcmBackend`](crate::CcmBackend). Besides `GET`/`HEAD /file/<id>`
+//! every endpoint answers `/metrics` (Prometheus text), `/front/stats`
+//! (dispatch counts as JSON) and `/debug/trace` (the backend's block-path
+//! trace ring as JSON; `404` from a backend that keeps none).
 
 use crate::backend::FrontBackend;
 use crate::dispatch::{inflight_gauges, Dispatch};
 use crate::range::{self, RangeOutcome};
 use ccm_core::{FileId, NodeId};
-use ccm_httpd::http::{
-    read_request, route_file, write_response, write_response_with, ParseError, Request,
-};
+use ccm_httpd::http::{read_request, route_file, write_response_with, ParseError, Request};
 use ccm_obs::{Counter, Gauge, Histogram, Registry, Stopwatch};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -147,7 +153,9 @@ pub struct FrontTier {
 impl FrontTier {
     /// Start one loopback listener per backend node. `registry` carries
     /// the `ccm_front_*` family; pass the middleware's registry to get
-    /// front and cache metrics on one `/metrics` page.
+    /// front and cache metrics on one `/metrics` page (a
+    /// [`CcmBackend`](crate::CcmBackend) renders the middleware's registry,
+    /// so the front family is on the page only if it is this one).
     ///
     /// # Panics
     /// Panics if a loopback socket cannot be bound (no such environment
@@ -303,7 +311,20 @@ impl Prepared {
         }
     }
 
-    fn write(&self, writer: &mut TcpStream, req: &Request, head_only: bool) -> std::io::Result<()> {
+    /// A `200` page of an observability route, with its content type.
+    fn page(content_type: &'static str, body: String) -> Prepared {
+        Prepared {
+            content_type,
+            ..Prepared::new(200, "OK", body.into_bytes())
+        }
+    }
+
+    fn write(
+        &self,
+        writer: &mut TcpStream,
+        keep_alive: bool,
+        head_only: bool,
+    ) -> std::io::Result<()> {
         let extra: Vec<(&str, &str)> = self.extra.iter().map(|(k, v)| (*k, v.as_str())).collect();
         write_response_with(
             writer,
@@ -312,7 +333,7 @@ impl Prepared {
             self.content_type,
             &extra,
             &self.body,
-            req.keep_alive,
+            keep_alive,
             head_only,
         )
     }
@@ -334,7 +355,8 @@ fn serve_connection(stream: TcpStream, endpoint: NodeId, inner: &FrontInner) {
             Err(ParseError::ConnectionClosed) => return,
             Err(_) => {
                 inner.obs.count(400);
-                let _ = write_response(&mut writer, 400, "Bad Request", b"", false, false);
+                let _ =
+                    Prepared::new(400, "Bad Request", Vec::new()).write(&mut writer, false, false);
                 return;
             }
         };
@@ -345,7 +367,7 @@ fn serve_connection(stream: TcpStream, endpoint: NodeId, inner: &FrontInner) {
         let prepared = handle_request(endpoint, &req, inner);
         sw.stop(&inner.obs.latency_ns);
         inner.obs.count(prepared.status);
-        let ok = prepared.write(&mut writer, &req, head_only);
+        let ok = prepared.write(&mut writer, req.keep_alive, head_only);
         if ok.is_err() || !req.keep_alive {
             return;
         }
@@ -359,11 +381,16 @@ fn handle_request(endpoint: NodeId, req: &Request, inner: &FrontInner) -> Prepar
     }
     match req.path.as_str() {
         "/metrics" => {
-            let body = ccm_obs::prom::render(&inner.registry.snapshot());
-            let mut p = Prepared::new(200, "OK", body.into_bytes());
-            p.content_type = "text/plain; version=0.0.4; charset=utf-8";
-            p
+            let snapshot = inner.backend.metrics_snapshot(&inner.registry);
+            Prepared::page(
+                "text/plain; version=0.0.4; charset=utf-8",
+                ccm_obs::prom::render(&snapshot),
+            )
         }
+        "/debug/trace" => match inner.backend.trace_json() {
+            Some(body) => Prepared::page("application/json", body),
+            None => Prepared::new(404, "Not Found", b"backend keeps no trace ring".to_vec()),
+        },
         "/front/stats" => {
             let counts = inner
                 .obs
@@ -379,9 +406,7 @@ fn handle_request(endpoint: NodeId, req: &Request, inner: &FrontInner) -> Prepar
                 inner.obs.handoffs.get(),
                 counts
             );
-            let mut p = Prepared::new(200, "OK", body.into_bytes());
-            p.content_type = "application/json";
-            p
+            Prepared::page("application/json", body)
         }
         path => {
             let file = route_file(path)

@@ -1,13 +1,21 @@
-//! The front tier over live sockets: range semantics on every backend,
-//! pipelining, dispatch accounting, and the `ccm_front_*` metric family
-//! on `GET /metrics` (the `obs_endpoints` pattern, one tier up).
+//! The workspace's one HTTP server over live sockets: range semantics on
+//! every backend, pipelining, dispatch accounting, the malformed-input and
+//! shutdown paths, cache cooperation and write coherence underneath real
+//! socket traffic on both LAN backends, and the observability routes
+//! (`/metrics` with the `ccm_front_*` and cluster families, `/debug/trace`).
+//!
+//! Round-robin dispatch rotates globally, so under one sequential client
+//! request *i* is served by node *i mod N* whatever endpoint it arrived
+//! at — the cross-node tests below lean on that to stay deterministic.
 
-use ccm_core::{FileId, NodeId, BLOCK_SIZE};
-use ccm_front::client::{get_with, FrontClient};
+use ccm_core::{BlockId, FileId, NodeId, BLOCK_SIZE};
+use ccm_front::client::{get, get_with, FrontClient};
 use ccm_front::PolicyKind;
 use ccm_rt::store::read_file_direct;
-use ccm_rt::{Catalog, RtConfig, SyntheticStore};
-use ccm_testkit::{start_front, FrontBackendKind, FrontFixture};
+use ccm_rt::{BlockStore, Catalog, MemStore, RtConfig, SyntheticStore};
+use ccm_testkit::{start_front, Backend, FrontBackendKind, FrontFixture};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 
 /// Files exercising every range corner: multi-block with a partial tail,
@@ -41,6 +49,37 @@ fn start(
         store.clone(),
     );
     (fx, catalog, store)
+}
+
+/// Round-robin over the CCM backend on `lan` — the paper's own
+/// configuration (§7) — with the cluster shape the caller needs.
+fn start_ccm(
+    lan: Backend,
+    nodes: usize,
+    capacity_blocks: usize,
+    catalog: &Catalog,
+    store: Arc<dyn BlockStore>,
+) -> FrontFixture {
+    start_front(
+        FrontBackendKind::Ccm(lan),
+        PolicyKind::RoundRobin,
+        RtConfig {
+            nodes,
+            capacity_blocks,
+            ..RtConfig::default()
+        },
+        catalog.clone(),
+        store,
+    )
+}
+
+/// Send raw bytes on a fresh connection and read until the server closes.
+fn raw_exchange(addr: std::net::SocketAddr, request: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(request).unwrap();
+    let mut buf = Vec::new();
+    stream.read_to_end(&mut buf).unwrap();
+    String::from_utf8_lossy(&buf).into_owned()
 }
 
 #[test]
@@ -241,6 +280,14 @@ fn metrics_page_carries_the_front_family() {
             .status,
         206
     );
+    // Every file again, twice in a row: under a sequential client
+    // consecutive picks rotate over the two nodes, so each file has now
+    // been read at both — cross-node reads, whoever mastered it.
+    for id in [0u32, 1, 2] {
+        for _ in 0..2 {
+            assert_eq!(conn.get(&format!("/file/{id}")).unwrap().status, 200);
+        }
+    }
 
     let r = conn.get("/metrics").unwrap();
     assert_eq!(r.status, 200);
@@ -255,7 +302,20 @@ fn metrics_page_carries_the_front_family() {
         "ccm_front_inflight",
         // The cluster behind the seam reports into the same registry.
         "ccm_rt_reads_total",
+        "ccm_rt_fetch_latency_ns_bucket",
+        "ccm_rt_store_blocks",
+        "ccm_rt_directory_blocks",
+        // So do the per-node disk services.
+        "ccm_disk_requests_total",
         "ccm_disk_reads_total",
+        "ccm_disk_read_latency_ns_bucket",
+        "ccm_disk_queue_depth",
+        // Hint-directory and membership families are always registered —
+        // zero under the perfect directory, but present on every scrape.
+        "ccm_rt_hint_hits_total",
+        "ccm_rt_hint_stale_total",
+        "ccm_rt_hint_forward_hops_total",
+        "ccm_rt_epoch",
     ] {
         assert!(names.contains(family), "scrape missing {family}:\n{text}");
     }
@@ -275,15 +335,90 @@ fn metrics_page_carries_the_front_family() {
         .map(|s| s.value)
         .sum();
     assert!(partial >= 1.0, "206 responses must be tallied separately");
+
+    let sum = |name: &str, labels: &[(&str, &str)]| -> f64 {
+        samples
+            .iter()
+            .filter(|s| s.name == name && labels.iter().all(|&(k, v)| s.label(k) == Some(v)))
+            .map(|s| s.value)
+            .sum()
+    };
+    // Every request made above (the scrape itself is counted after it
+    // renders, so it is not on its own page) is a tallied response.
+    let ok = sum("ccm_front_responses_total", &[("status", "2xx")]);
+    assert_eq!(ok + partial, 10.0, "3 + 6 full reads and one range");
+
+    // The page is the backend's scrape, not the bare registry's: the
+    // directory-occupancy gauge is only written at snapshot time, and
+    // each of the fixture's 3 + 3 + 1 blocks is now resident at both nodes.
+    assert_eq!(
+        sum("ccm_rt_directory_blocks", &[]),
+        14.0,
+        "the tier's /metrics must refresh the snapshot-time gauges"
+    );
+    // One process, one registry: both nodes' series are on the one page.
+    // The cold misses were physical demand reads through a node's disk
+    // service, and the cross-node reads were served from a peer's memory.
+    for node in ["0", "1"] {
+        assert!(
+            samples
+                .iter()
+                .any(|s| s.name == "ccm_rt_reads_total" && s.label("node") == Some(node)),
+            "node {node}'s read series missing:\n{text}"
+        );
+    }
+    assert!(sum("ccm_disk_reads_total", &[("kind", "demand")]) > 0.0);
+    assert!(
+        sum("ccm_rt_reads_total", &[("class", "remote")]) > 0.0,
+        "cross-node reads must include remote hits"
+    );
+    fx.shutdown();
+}
+
+#[test]
+fn debug_trace_serves_the_ring_on_ccm_and_404s_on_l2s() {
+    let (fx, _catalog, _store) = start(
+        FrontBackendKind::Ccm(Backend::Channel),
+        PolicyKind::RoundRobin,
+    );
+    let addr = fx.front.addrs()[0];
+    // Two sequential reads of one file: node 0 masters it, node 1 fetches
+    // it from node 0.
+    for _ in 0..2 {
+        assert_eq!(get(addr, "/file/0").unwrap().status, 200);
+    }
+    let r = get(addr, "/debug/trace").unwrap();
+    assert_eq!(r.status, 200);
+    assert_eq!(r.headers.get("content-type"), Some("application/json"));
+    let body = String::from_utf8(r.body).expect("trace dump is UTF-8");
+    assert!(body.starts_with("{\"capacity\":"), "got: {body:.80}");
+    // The ring itself is compiled out under `obs-off`.
+    if cfg!(not(feature = "obs-off")) {
+        for hop in ["\"dispatch\"", "\"serve\"", "\"peer_fetch\""] {
+            assert!(body.contains(hop), "trace dump missing {hop} hop:\n{body}");
+        }
+    }
+    fx.shutdown();
+
+    // The L2S backend keeps no ring: the route exists and says so.
+    let (fx, _catalog, _store) = start(FrontBackendKind::L2s, PolicyKind::RoundRobin);
+    let r = get(fx.front.addrs()[0], "/debug/trace").unwrap();
+    assert_eq!(r.status, 404);
+    assert_eq!(r.body, b"backend keeps no trace ring", "not the file 404");
     fx.shutdown();
 }
 
 #[test]
 fn every_policy_serves_verified_bytes_through_the_ccm_backend() {
+    // Both LANs: the HTTP layer is the same code whatever carries the peer
+    // traffic, and the swap underneath must be invisible in the bytes.
     let (catalog, store) = fixture();
-    for policy in PolicyKind::all() {
+    let cells = Backend::all()
+        .into_iter()
+        .flat_map(|lan| PolicyKind::all().map(|policy| (lan, policy)));
+    for (lan, policy) in cells {
         let fx = start_front(
-            FrontBackendKind::Ccm(ccm_testkit::Backend::Channel),
+            FrontBackendKind::Ccm(lan),
             policy,
             RtConfig {
                 nodes: 3,
@@ -407,5 +542,146 @@ fn l2s_node_id_maps_to_arrival_listener() {
     assert_eq!(addrs.len(), 2);
     assert_ne!(addrs[0], addrs[1]);
     let _ = NodeId(0);
+    fx.shutdown();
+}
+
+#[test]
+fn malformed_head_gets_400_and_close_and_other_methods_405() {
+    let (fx, _catalog, _store) = start(FrontBackendKind::L2s, PolicyKind::RoundRobin);
+    let addr = fx.front.addrs()[0];
+
+    // Raw garbage → 400, then the server closes (`raw_exchange` reads to
+    // EOF) — and no panic server-side: the tier keeps serving.
+    let text = raw_exchange(addr, b"NOT HTTP AT ALL\r\n\r\n");
+    assert!(text.starts_with("HTTP/1.1 400"), "got: {text}");
+    assert!(text.contains("Connection: close"), "got: {text}");
+
+    // Unsupported method → 405, before any dispatch.
+    let text = raw_exchange(addr, b"POST /file/0 HTTP/1.0\r\n\r\n");
+    assert!(text.starts_with("HTTP/1.1 405"), "got: {text}");
+    assert_eq!(fx.front.dispatch_counts().iter().sum::<u64>(), 0);
+
+    assert_eq!(get(addr, "/file/0").unwrap().status, 200);
+    let responses = |class: &str| {
+        let snap = fx.registry.snapshot();
+        snap.counter_sum_where("ccm_front_responses_total", "status", class)
+    };
+    assert_eq!((responses("4xx"), responses("2xx")), (2, 1));
+    fx.shutdown();
+}
+
+#[test]
+fn cross_node_reads_cooperate_on_both_lans() {
+    let catalog = Catalog::new(vec![30_000u64; 2]);
+    let store = Arc::new(SyntheticStore::new(catalog.clone(), 42));
+    let truth = read_file_direct(store.as_ref(), &catalog, FileId(0));
+    for lan in Backend::all() {
+        let fx = start_ccm(lan, 3, 64, &catalog, store.clone());
+        // Three sequential reads of file 0 are served by nodes 0, 1, 2:
+        // the first warms it, the other two must fetch from a peer.
+        for &addr in fx.front.addrs() {
+            let r = get(addr, "/file/0").unwrap();
+            assert_eq!(r.status, 200);
+            assert_eq!(r.body, truth, "{} corrupted bytes", lan.name());
+        }
+        assert_eq!(fx.front.dispatch_counts(), [1, 1, 1]);
+        let mw = fx.middleware.as_ref().expect("ccm fixture");
+        mw.quiesce();
+        let s = mw.stats();
+        assert!(
+            s.remote_hits > 0,
+            "{}: peer fetches should have happened, got {s:?}",
+            lan.name()
+        );
+        mw.check_invariants();
+        fx.shutdown();
+    }
+}
+
+#[test]
+fn concurrent_keep_alive_load_is_exact_on_both_lans() {
+    const FILES: u64 = 24;
+    let catalog = Catalog::new(vec![16_000u64; FILES as usize]);
+    let store = Arc::new(SyntheticStore::new(catalog.clone(), 42));
+    let truth: Vec<Vec<u8>> = (0..FILES as u32)
+        .map(|f| read_file_direct(store.as_ref(), &catalog, FileId(f)))
+        .collect();
+    for lan in Backend::all() {
+        // 48 blocks a node for 48 blocks of files: evictions, forwards and
+        // remote hits all happen under the sockets.
+        let fx = start_ccm(lan, 4, 48, &catalog, store.clone());
+        let addrs = fx.front.addrs();
+        // 8 clients × 100 requests, each on one keep-alive connection.
+        std::thread::scope(|s| {
+            for t in 0..8usize {
+                let truth = &truth;
+                s.spawn(move || {
+                    let mut rng = simcore::Rng::new(t as u64);
+                    let mut conn = FrontClient::connect(addrs[t % addrs.len()]).unwrap();
+                    for _ in 0..100 {
+                        let id = rng.next_below(FILES) as usize;
+                        let r = conn.get(&format!("/file/{id}")).unwrap();
+                        assert_eq!(r.status, 200, "{} file {id}", lan.name());
+                        assert_eq!(r.body, truth[id], "{} file {id} corrupted", lan.name());
+                    }
+                });
+            }
+        });
+        assert_eq!(fx.front.dispatch_counts().iter().sum::<u64>(), 800);
+        let mw = fx.middleware.as_ref().expect("ccm fixture");
+        mw.quiesce();
+        assert_eq!(mw.stats().accesses(), 800 * 2, "two blocks a file");
+        mw.check_invariants();
+        fx.shutdown();
+    }
+}
+
+/// The HTTP surface is read-only; a write through a middleware handle
+/// must invalidate the replica a peer acquired earlier, so that peer's
+/// next HTTP response serves the new bytes, not its stale copy.
+#[test]
+fn handle_writes_are_visible_to_following_http_reads_on_both_lans() {
+    let catalog = Catalog::new(vec![16_384u64; 4]);
+    for lan in Backend::all() {
+        let store = Arc::new(MemStore::new(catalog.clone(), 7));
+        let fx = start_ccm(lan, 2, 32, &catalog, store);
+        let addr = fx.front.addrs()[0];
+        // Warm at both nodes: node 1 now holds a replica of node 0's master.
+        for _ in 0..2 {
+            assert_eq!(get(addr, "/file/0").unwrap().status, 200);
+        }
+        let payload = vec![0x5A; BLOCK_SIZE as usize];
+        let mw = fx.middleware.as_ref().expect("ccm fixture");
+        mw.handle(NodeId(0))
+            .write_block(BlockId::new(FileId(0), 0), &payload)
+            .unwrap();
+        mw.quiesce(); // drain the Invalidate messages
+        for node in 0..2 {
+            let r = get(addr, "/file/0").unwrap();
+            assert_eq!(
+                &r.body[..payload.len()],
+                &payload[..],
+                "{}: node {node} served stale data",
+                lan.name()
+            );
+        }
+        assert_eq!(fx.front.dispatch_counts(), [2, 2]);
+        fx.shutdown();
+    }
+}
+
+#[test]
+fn shutdown_returns_with_an_idle_keep_alive_connection_open() {
+    let (fx, _catalog, _store) = start(
+        FrontBackendKind::Ccm(Backend::Channel),
+        PolicyKind::RoundRobin,
+    );
+    // One connection that never sent a byte, one that is idle between
+    // keep-alive requests; both stay open across the shutdown.
+    let _silent = TcpStream::connect(fx.front.addrs()[0]).unwrap();
+    let mut idle = FrontClient::connect(fx.front.addrs()[1]).unwrap();
+    assert_eq!(idle.get("/file/1").unwrap().status, 200);
+    // Must not hang or panic: the workers leave on the read timeout, and
+    // the fixture can then unwrap the middleware the tier no longer holds.
     fx.shutdown();
 }

@@ -14,8 +14,9 @@ use std::time::{Duration, Instant};
 
 use ccm_core::block::{blocks_of_file, BLOCK_SIZE};
 use ccm_core::{AdmissionConfig, BlockId, CacheStats, FileId, NodeId};
-use ccm_front::{CcmBackend, FrontBackend, FrontClient, FrontTier, HitStats, L2sBackend};
-use ccm_httpd::HttpCluster;
+use ccm_front::{
+    CcmBackend, FrontBackend, FrontClient, FrontTier, HitStats, L2sBackend, PolicyKind,
+};
 use ccm_obs::{Counter, Gauge, Histogram, LatencySummary, Registry, Stopwatch};
 use ccm_rt::store::read_file_direct;
 use ccm_rt::{BlockStore, Catalog, MemStore, Middleware, RtConfig, SyntheticStore, Transport};
@@ -23,7 +24,7 @@ use ccm_traces::Workload;
 use simcore::hash::{fnv1a, FNV_OFFSET};
 
 use crate::report::LoadReport;
-use crate::spec::{Arrivals, BackendChoice, LoadSpec, Target};
+use crate::spec::{Arrivals, LoadSpec, Target};
 
 /// One request, as the arrival source planned it.
 #[derive(Debug, Clone, Copy)]
@@ -96,17 +97,17 @@ impl Plan {
     }
 }
 
-/// The running cluster: the bare middleware, the middleware behind
-/// per-node HTTP listeners (for the live `/metrics` scrape), or a backend
-/// behind the front tier.
-enum Cluster {
-    Bare(Middleware),
-    Http(HttpCluster),
-    Front {
-        tier: FrontTier,
-        backend: Arc<dyn FrontBackend>,
-        mw: Option<Arc<Middleware>>,
-    },
+/// The running cluster: a backend (the middleware wrapped as a
+/// [`CcmBackend`], or live L2S) and, when the run needs HTTP listeners,
+/// the front tier over it — the target itself under [`Target::Front`], or
+/// the `/metrics` scrape surface of a handle run with `serve_metrics`.
+struct Cluster {
+    /// The middleware, which every target but the L2S front runs.
+    mw: Option<Arc<Middleware>>,
+    backend: Arc<dyn FrontBackend>,
+    tier: Option<FrontTier>,
+    /// Requests go through the tier's sockets, not the bare handles.
+    over_http: bool,
 }
 
 impl Cluster {
@@ -117,7 +118,11 @@ impl Cluster {
         registry: &Registry,
         transport: Option<Arc<dyn Transport>>,
     ) -> Cluster {
-        let middleware = || {
+        let (mw, backend): (_, Arc<dyn FrontBackend>) = if spec.is_l2s() {
+            let capacity_bytes = spec.capacity_blocks as u64 * BLOCK_SIZE;
+            let l2s = L2sBackend::new(catalog.clone(), store.clone(), spec.nodes, capacity_bytes);
+            (None, Arc::new(l2s))
+        } else {
             let cfg = RtConfig {
                 nodes: spec.nodes,
                 capacity_blocks: spec.capacity_blocks,
@@ -133,58 +138,49 @@ impl Cluster {
                 admission: spec.admission_ghosts.map(AdmissionConfig::new),
                 ..RtConfig::default()
             };
-            match transport {
+            let mw = Arc::new(match transport {
                 None => Middleware::start(cfg, catalog.clone(), store.clone()),
                 Some(t) => Middleware::start_on(cfg, catalog.clone(), store.clone(), t),
-            }
+            });
+            (Some(mw.clone()), Arc::new(CcmBackend::new(mw)))
         };
-        match spec.target {
-            Target::Handle if spec.serve_metrics => Cluster::Http(HttpCluster::over(middleware())),
-            Target::Handle => Cluster::Bare(middleware()),
-            Target::Front { dispatch, backend } => {
-                let (backend, mw): (Arc<dyn FrontBackend>, _) = match backend {
-                    BackendChoice::Ccm => {
-                        let mw = Arc::new(middleware());
-                        (Arc::new(CcmBackend::new(mw.clone())), Some(mw))
-                    }
-                    BackendChoice::L2s => {
-                        let capacity_bytes = spec.capacity_blocks as u64 * BLOCK_SIZE;
-                        let l2s = L2sBackend::new(
-                            catalog.clone(),
-                            store.clone(),
-                            spec.nodes,
-                            capacity_bytes,
-                        );
-                        (Arc::new(l2s), None)
-                    }
-                };
-                let dispatch = dispatch.build(registry, spec.nodes);
-                let tier = FrontTier::start(backend.clone(), dispatch, registry.clone());
-                Cluster::Front { tier, backend, mw }
-            }
+        // The scrape surface is the paper's own configuration: round-robin
+        // over the CCM backend. The handle run never sends it a file
+        // request, so it only ever answers the scraper.
+        let dispatch = match spec.target {
+            Target::Front { dispatch, .. } => Some(dispatch),
+            Target::Handle => spec.serve_metrics.then_some(PolicyKind::RoundRobin),
+        };
+        let tier = dispatch.map(|d| {
+            FrontTier::start(
+                backend.clone(),
+                d.build(registry, spec.nodes),
+                registry.clone(),
+            )
+        });
+        Cluster {
+            mw,
+            backend,
+            tier,
+            over_http: matches!(spec.target, Target::Front { .. }),
         }
     }
 
     /// The middleware underneath, if the target runs one.
     fn mw(&self) -> Option<&Middleware> {
-        match self {
-            Cluster::Bare(mw) => Some(mw),
-            Cluster::Http(c) => Some(c.middleware()),
-            Cluster::Front { mw, .. } => mw.as_deref(),
-        }
+        self.mw.as_deref()
     }
 
+    /// Where the mid-window `/metrics` scrape goes: a handle run's tier.
     fn scrape_addr(&self) -> Option<SocketAddr> {
-        match self {
-            Cluster::Http(c) => Some(c.addrs()[0]),
-            _ => None,
-        }
+        let tier = self.tier.as_ref().filter(|_| !self.over_http)?;
+        Some(tier.addrs()[0])
     }
 
     /// A fresh connection to the target, for one client's exclusive use.
     fn conn(&self) -> Conn<'_> {
-        match self {
-            Cluster::Front { tier, .. } => {
+        match &self.tier {
+            Some(tier) if self.over_http => {
                 let addrs = tier.addrs();
                 Conn::Front(addrs, addrs.iter().map(|_| None).collect())
             }
@@ -195,37 +191,22 @@ impl Cluster {
     /// Drain in-flight background work so counters are stable (the L2S
     /// backend has none).
     fn quiesce(&self) {
-        if let Some(mw) = self.mw() {
-            mw.quiesce();
-        }
+        self.backend.quiesce();
     }
 
     /// Block-weighted hit accounting so far, comparable across targets.
     fn hit_stats(&self) -> HitStats {
-        match self {
-            Cluster::Front { backend, .. } => backend.hit_stats(),
-            _ => {
-                let s = self.mw().expect("handle target").stats();
-                HitStats {
-                    hits: s.local_hits + s.remote_hits,
-                    accesses: s.accesses(),
-                }
-            }
-        }
+        self.backend.hit_stats()
     }
 
     fn shutdown(self) {
-        match self {
-            Cluster::Bare(mw) => mw.shutdown(),
-            Cluster::Http(c) => c.shutdown(),
-            Cluster::Front { tier, backend, mw } => {
-                tier.shutdown();
-                drop(backend);
-                // If a handle outlived us, Drop cleans up instead.
-                if let Some(Ok(mw)) = mw.map(Arc::try_unwrap) {
-                    mw.shutdown();
-                }
-            }
+        if let Some(tier) = self.tier {
+            tier.shutdown();
+        }
+        drop(self.backend);
+        // If a handle outlived us, Drop cleans up instead.
+        if let Some(Ok(mw)) = self.mw.map(Arc::try_unwrap) {
+            mw.shutdown();
         }
     }
 }
@@ -311,7 +292,7 @@ fn scrape_ok(addr: SocketAddr) -> bool {
         "ccm_load_offered_rps",
         "ccm_rt_reads_total",
     ];
-    ccm_httpd::client::get(addr, "/metrics").is_ok_and(|r| {
+    ccm_front::client::get(addr, "/metrics").is_ok_and(|r| {
         let body = String::from_utf8_lossy(&r.body);
         r.status == 200 && families.iter().all(|f| body.contains(f))
     })

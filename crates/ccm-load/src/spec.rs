@@ -241,9 +241,13 @@ pub struct LoadSpec {
     /// Seed for the request stream or arrival schedule and the synthetic
     /// store.
     pub seed: u64,
-    /// Run the cluster behind per-node HTTP front ends and scrape one
-    /// node's `/metrics` mid-run, recording whether the load and runtime
-    /// metric families were live ([`LoadReport::metrics_scrape`]).
+    /// On the handle target, also start the front tier (round-robin over
+    /// the CCM backend) beside the handles as a scrape surface and `GET`
+    /// one endpoint's `/metrics` mid-run, recording whether the load and
+    /// runtime metric families were live
+    /// ([`LoadReport::metrics_scrape`]). Rejected with [`Target::Front`]:
+    /// there the scrape would be a counted response of the tier under
+    /// test.
     ///
     /// [`LoadReport::metrics_scrape`]: crate::LoadReport::metrics_scrape
     pub serve_metrics: bool,
@@ -327,9 +331,13 @@ impl LoadSpec {
                 open && self.scan.is_some(),
                 "the scan tail requires closed-loop arrivals",
             ),
+            // A scrape through the tier under test is itself a counted 2xx
+            // response: it would break the window's reconciliation
+            // identity `ccm_front_responses_total{2xx} == served`.
             (
                 front && self.serve_metrics,
-                "the /metrics scrape is not driven through the front tier",
+                "the /metrics scrape is not driven through the front tier \
+                 (the tier would count it as a 2xx response of the window)",
             ),
             (
                 l2s && on_transport,

@@ -37,11 +37,13 @@
 //! used in place of the paper's perfect directory. Byte verification holds
 //! across the transition, and the run prints the hint-accuracy counters.
 //!
-//! With `--serve` the workload runs through per-node HTTP front ends
-//! (`GET /file/<id>`) instead of direct middleware handles, and the
-//! process then stays up serving `/metrics` (Prometheus text) and
-//! `/debug/trace` (JSON) on every node — point `ccmtop` or `curl` at the
-//! printed addresses; Ctrl-C to exit.
+//! With `--serve` the workload runs through `ccm-front`'s HTTP tier
+//! (`GET /file/<id>` at per-node endpoints, round-robin dispatch over the
+//! CCM backend — the paper's own configuration) instead of direct
+//! middleware handles, and the process then stays up serving `/metrics`
+//! (Prometheus text), `/debug/trace` and `/front/stats` (JSON) on every
+//! endpoint — point `ccmtop` or `curl` at the printed addresses; Ctrl-C
+//! to exit.
 //!
 //! With `--front <policy>` (round-robin, consistent-hash, content-aware,
 //! load-aware) the replay (`calgary` unless `--replay` names another
@@ -56,8 +58,7 @@
 use ccm_core::{
     AdmissionConfig, BlockId, DirectoryKind, FileId, NodeId, ReplacementPolicy, BLOCK_SIZE,
 };
-use ccm_front::PolicyKind;
-use ccm_httpd::HttpCluster;
+use ccm_front::{CcmBackend, FrontClient, FrontTier, PolicyKind};
 use ccm_load::{BackendChoice, LoadSpec, Target};
 use ccm_net::TcpLan;
 use ccm_obs::Registry;
@@ -486,7 +487,7 @@ fn write_mix_demo(
     }
 }
 
-/// `--serve`: HTTP front ends over the TCP peer transport. Warms the
+/// `--serve`: the HTTP front tier over the TCP peer transport. Warms the
 /// cluster with `ops` verified HTTP reads, then serves until killed.
 fn serve_http(
     cfg: RtConfig,
@@ -496,31 +497,51 @@ fn serve_http(
     ops: u64,
 ) {
     let nodes = cfg.nodes;
-    let cluster = HttpCluster::over(Middleware::start_on(
+    let mw = Arc::new(Middleware::start_on(
         cfg,
         catalog.clone(),
         store.clone(),
         lan,
     ));
+    // The middleware's registry, so one /metrics page carries every layer.
+    let registry = mw.registry().clone();
+    let tier = FrontTier::start(
+        Arc::new(CcmBackend::new(mw)),
+        PolicyKind::RoundRobin.build(&registry, nodes),
+        registry,
+    );
     println!();
-    for (i, addr) in cluster.addrs().iter().enumerate() {
-        println!("node {i}: http://{addr}  (GET /file/<id>, /metrics, /debug/trace)");
+    for (i, addr) in tier.addrs().iter().enumerate() {
+        println!(
+            "endpoint {i}: http://{addr}  (GET /file/<id>, /metrics, /debug/trace, /front/stats)"
+        );
     }
 
-    let check_store = store.clone();
-    let check_catalog = catalog.clone();
-    let report = ccm_httpd::client::load_run(
-        cluster.addrs(),
-        catalog.num_files() as u32,
-        nodes,
-        (ops as usize) / nodes,
-        move |id, body| body == read_file_direct(&*check_store, &check_catalog, FileId(id)),
-    );
+    // One keep-alive client per endpoint, seeded file picks, every body
+    // checked against the backing store.
+    let files = catalog.num_files() as u64;
+    let per_client = ops / nodes as u64;
+    std::thread::scope(|s| {
+        for (t, &addr) in tier.addrs().iter().enumerate() {
+            let (store, catalog) = (&store, &catalog);
+            s.spawn(move || {
+                let mut rng = Rng::new(0xD3110).substream(10 + t as u64);
+                let mut conn = FrontClient::connect(addr).expect("connect endpoint");
+                for op in 0..per_client {
+                    let file = FileId(rng.next_below(files) as u32);
+                    let r = conn.get(&format!("/file/{}", file.0)).expect("HTTP read");
+                    let want = read_file_direct(&**store, catalog, file);
+                    assert_eq!(r.status, 200, "endpoint {t} op {op}");
+                    assert!(r.body == want, "endpoint {t} op {op}: bytes corrupted");
+                }
+            });
+        }
+    });
     println!(
-        "\nwarmup: {} HTTP reads ok, {} failed — bodies verified against the backing store",
-        report.ok, report.failed
+        "\nwarmup: {} HTTP reads — every body verified against the backing store",
+        per_client * nodes as u64
     );
-    let addrs: Vec<String> = cluster.addrs().iter().map(|a| a.to_string()).collect();
+    let addrs: Vec<String> = tier.addrs().iter().map(|a| a.to_string()).collect();
     println!(
         "scrape:  cargo run -p ccm-obs --bin ccmtop -- {}",
         addrs.join(" ")

@@ -181,19 +181,16 @@ fn render(series: &BTreeMap<SeriesKey, f64>, errors: &[String]) {
         } else {
             0.0
         };
-        let http = get(
-            series,
-            "ccm_http_responses_total",
-            &[("node", n), ("status", "2xx")],
-        ) + get(
-            series,
-            "ccm_http_responses_total",
-            &[("node", n), ("status", "4xx")],
-        ) + get(
-            series,
-            "ccm_http_responses_total",
-            &[("node", n), ("status", "5xx")],
-        );
+        // Requests the front tier dispatched to this node, whatever the
+        // policy label.
+        let http: f64 = series
+            .iter()
+            .filter(|((name, labels), _)| {
+                name == "ccm_front_dispatch_total"
+                    && labels.iter().any(|(k, v)| k == "node" && v == n)
+            })
+            .map(|(_, v)| v)
+            .sum();
         println!(
             "{:<5} {:>9} {:>9} {:>9} {:>9} {:>6.1} {:>8} {:>8} {:>7} {:>9} {:>9}",
             n,
@@ -206,7 +203,7 @@ fn render(series: &BTreeMap<SeriesKey, f64>, errors: &[String]) {
             get(series, "ccm_rt_forwards_total", &[("node", n)]),
             get(series, "ccm_rt_store_blocks", &[("node", n)]),
             http,
-            get(series, "ccm_http_inflight", &[("node", n)]),
+            get(series, "ccm_front_inflight", &[("node", n)]),
         );
     }
     if nodes.is_empty() {

@@ -3,9 +3,10 @@
 //! [`Transport`] is the seam between the middleware and whatever carries its
 //! peer traffic. Two backends implement it: the in-process channel [`Lan`]
 //! defined here (the original emulated LAN), and `ccm-net`'s `TcpLan`, which
-//! moves the same [`PeerMsg`] traffic over real TCP sockets. [`Middleware`],
-//! the `ChaosLan` fault injector, and `ccm-httpd` are all written against
-//! the trait and run unchanged over either backend.
+//! moves the same [`PeerMsg`] traffic over real TCP sockets. [`Middleware`]
+//! and the `ChaosLan` fault injector are written against the trait and run
+//! unchanged over either backend (as does everything above the middleware,
+//! the HTTP front tier included).
 //!
 //! In the channel backend each node owns an unbounded receiver; any thread
 //! holding a [`Lan`] can address any node. Data-plane replies travel on

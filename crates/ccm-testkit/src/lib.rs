@@ -597,7 +597,10 @@ pub struct FrontFixture {
     /// The shared metric registry (`ccm_front_*` plus, for CCM kinds,
     /// the full `ccm_rt_*` family).
     pub registry: ccm_obs::Registry,
-    middleware: Option<Arc<Middleware>>,
+    /// The cluster behind a CCM backend (handles for writes, protocol
+    /// stats, invariants); `None` under L2S. Borrow it, don't clone it:
+    /// [`FrontFixture::shutdown`] needs the last reference.
+    pub middleware: Option<Arc<Middleware>>,
 }
 
 impl FrontFixture {

@@ -1,16 +1,14 @@
-//! Minimal HTTP/1.x request parsing and response writing — the shared
-//! module every HTTP-speaking tier in this workspace parses with.
+//! Minimal HTTP/1.x request parsing and response writing — the one codec
+//! every HTTP-speaking layer in this workspace shares: the front tier's
+//! server and client (`ccm-front`) and the benchmark's layer probes.
 //!
-//! Originally this supported exactly what the block-server needed: the
-//! request line and enough header handling to honor `Connection:
-//! keep-alive`/`close`. The front tier (`ccm-front`) needs real header
-//! access — `Range`, `If-Range`, multi-valued fields — so parsing now
-//! captures every header into [`Headers`], a case-insensitive multimap
-//! that also combines repeated fields the way RFC 9110 §5.2 prescribes
-//! (same semantics as one comma-joined field). Robust against malformed
-//! input (a bad request yields a 400, never a panic) and bounded
-//! (oversized request heads are rejected) so listeners can face untrusted
-//! bytes.
+//! Parsing captures every header into [`Headers`], a case-insensitive
+//! multimap that also combines repeated fields the way RFC 9110 §5.2
+//! prescribes (same semantics as one comma-joined field) — the front
+//! tier needs real header access (`Range`, `If-Range`, multi-valued
+//! fields), not just `Connection`. Robust against malformed input (a bad
+//! request yields a 400, never a panic) and bounded (oversized request
+//! heads are rejected) so listeners can face untrusted bytes.
 
 use std::io::{BufRead, Write};
 
@@ -172,54 +170,10 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, ParseError> {
     })
 }
 
-/// Write a response head (and, unless `head_only`, the body) with an
-/// `application/octet-stream` content type — what file bodies are.
-pub fn write_response(
-    w: &mut impl Write,
-    status: u16,
-    reason: &str,
-    body: &[u8],
-    keep_alive: bool,
-    head_only: bool,
-) -> std::io::Result<()> {
-    write_response_typed(
-        w,
-        status,
-        reason,
-        "application/octet-stream",
-        body,
-        keep_alive,
-        head_only,
-    )
-}
-
-/// [`write_response`] with an explicit content type (the observability
-/// endpoints serve Prometheus text and JSON, not octet streams).
-pub fn write_response_typed(
-    w: &mut impl Write,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    body: &[u8],
-    keep_alive: bool,
-    head_only: bool,
-) -> std::io::Result<()> {
-    write_response_with(
-        w,
-        status,
-        reason,
-        content_type,
-        &[],
-        body,
-        keep_alive,
-        head_only,
-    )
-}
-
-/// The general response writer: explicit content type plus any extra
-/// headers (`Content-Range`, `ETag`, `Accept-Ranges`, …). Framing is
-/// always `Content-Length`; `head_only` omits the body but keeps its
-/// length, as `HEAD` requires.
+/// The response writer: explicit content type plus any extra headers
+/// (`Content-Range`, `ETag`, `Accept-Ranges`, …). Framing is always
+/// `Content-Length`; `head_only` omits the body but keeps its length, as
+/// `HEAD` requires.
 #[allow(clippy::too_many_arguments)]
 pub fn write_response_with(
     w: &mut impl Write,
@@ -363,22 +317,36 @@ mod tests {
         assert_eq!(parse(&s).unwrap_err(), ParseError::TooLarge);
     }
 
+    /// A `200 text/plain` written into memory.
+    fn written(body: &[u8], keep_alive: bool, head_only: bool) -> String {
+        let mut out = Vec::new();
+        write_response_with(
+            &mut out,
+            200,
+            "OK",
+            "text/plain",
+            &[],
+            body,
+            keep_alive,
+            head_only,
+        )
+        .unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
     #[test]
     fn response_has_content_length_framing() {
-        let mut out = Vec::new();
-        write_response(&mut out, 200, "OK", b"hello", true, false).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = written(b"hello", true, false);
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 5\r\n"));
+        assert!(text.contains("Content-Type: text/plain\r\n"));
         assert!(text.contains("Connection: keep-alive\r\n"));
         assert!(text.ends_with("\r\n\r\nhello"));
     }
 
     #[test]
     fn head_omits_body_but_keeps_length() {
-        let mut out = Vec::new();
-        write_response(&mut out, 200, "OK", b"hello", false, true).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = written(b"hello", false, true);
         assert!(text.contains("Content-Length: 5\r\n"));
         assert!(text.ends_with("\r\n\r\n"), "no body bytes");
     }

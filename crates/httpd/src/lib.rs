@@ -1,28 +1,18 @@
-//! # ccm-httpd — a web server on the cooperative caching middleware
+//! # ccm-httpd — the HTTP/1.x codec
 //!
-//! The paper's motivating application is "an off-the-shelf web server"
-//! stacked on the generic caching layer plus round-robin DNS (§7). This
-//! crate is that stack, runnable: a small HTTP/1.x static-file server whose
-//! every read goes through `ccm-rt`'s cooperative cache. One process hosts
-//! the whole cluster — each node is a middleware service thread *plus* a TCP
-//! listener on its own port (the per-node address a round-robin DNS would
-//! hand out).
+//! What every HTTP-speaking layer of the workspace genuinely shares, and
+//! nothing else: request parsing ([`http::read_request`] into
+//! [`http::Request`]/[`http::Headers`], bounded by
+//! [`http::MAX_HEAD_BYTES`]), the response writer
+//! ([`http::write_response_with`]) and the `/file/<id>` route
+//! ([`http::route_file`]). Std-only, no workspace dependencies.
 //!
-//! Scope: `GET`/`HEAD` of catalog files at `/file/<id>`, HTTP/1.0 and 1.1
-//! with keep-alive, `Content-Length` framing. Nothing more — it exists to
-//! demonstrate and test the middleware under a real socket workload, not to
-//! be a general web server.
-//!
-//! * [`http`] — request parsing and response writing.
-//! * [`server`] — per-node listeners and the cluster front end.
-//! * [`client`] — a tiny blocking HTTP client and load generator used by the
-//!   tests and examples.
+//! The server and the client that speak this codec live in `ccm-front`:
+//! the paper's "off-the-shelf web server on the caching layer behind
+//! round-robin DNS" (§7) is `FrontTier` over `CcmBackend` with
+//! `RoundRobin` dispatch — the degenerate front tier, not a second
+//! server.
 
 #![warn(missing_docs)]
 
-pub mod client;
 pub mod http;
-pub mod server;
-
-pub use client::{get, LoadReport};
-pub use server::HttpCluster;

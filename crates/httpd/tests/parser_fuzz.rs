@@ -2,7 +2,7 @@
 //! must never panic, never over-read, and must round-trip everything the
 //! server itself emits.
 
-use ccm_httpd::http::{read_request, write_response, ParseError, MAX_HEAD_BYTES};
+use ccm_httpd::http::{read_request, write_response_with, ParseError, MAX_HEAD_BYTES};
 use proptest::prelude::*;
 use std::io::BufReader;
 
@@ -84,7 +84,7 @@ proptest! {
         keep in any::<bool>(),
     ) {
         let mut wire = Vec::new();
-        write_response(&mut wire, status, "X", &body, keep, false).unwrap();
+        write_response_with(&mut wire, status, "X", "x/y", &[], &body, keep, false).unwrap();
         // Reparse: headers end at the first CRLFCRLF; Content-Length matches.
         let head_end = wire.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
         let head = String::from_utf8_lossy(&wire[..head_end]);

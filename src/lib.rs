@@ -21,8 +21,8 @@
 //! | [`rt`] | `ccm-rt` | The protocol as a running, threaded middleware |
 //! | [`disk`] | `ccm-disk` | Asynchronous disk I/O: contiguity scheduling (CcmSched-style), miss coalescing, readahead, and a real file-backed block store |
 //! | [`net`] | `ccm-net` | TCP peer transport: wire codec plus the `TcpLan` socket backend |
-//! | [`httpd`] | `ccm-httpd` | An HTTP/1.x file server on the middleware (real sockets) |
-//! | [`front`] | `ccm-front` | Content-aware HTTP front tier: pluggable dispatch over interchangeable CCM / live-L2S backends |
+//! | [`httpd`] | `ccm-httpd` | The HTTP/1.x codec: bounded request parsing, header multimap, response writer |
+//! | [`front`] | `ccm-front` | The HTTP server and client (real sockets): a front tier with pluggable dispatch over interchangeable CCM / live-L2S backends; round-robin over CCM is the paper's own deployment |
 //! | [`obs`] | `ccm-obs` | Observability: lock-free metrics registry, block-path trace ring, Prometheus exposition, `ccmtop` |
 //! | [`load`] | `ccm-load` | Trace-replay load generator for the live cluster, with the runtime-vs-simulator conformance driver |
 //! | [`arrivals`] | `ccm-arrivals` | Seeded open-loop arrival processes: Poisson, diurnal waves, flash crowds, popularity churn |

@@ -17,7 +17,7 @@
 //! persisted-image rule on every detected loss, bit-identical same-seed
 //! replay, and cross-backend agreement.
 
-use ccm_testkit::{fnv1a, Backend, FNV_OFFSET};
+use ccm_testkit::{fnv1a, start_cluster, Backend, FNV_OFFSET};
 use coopcache::core::{BlockId, CacheStats, FileId, NodeId, ReplacementPolicy};
 use coopcache::rt::store::{read_file_direct, MemStore, SyntheticStore};
 use coopcache::rt::BlockStore;
@@ -74,14 +74,7 @@ fn run_write_torture(backend: Backend, seed: u64, mode: WriteMode, faults: bool)
         write: write_cfg,
         ..RtConfig::default()
     };
-    let mw = match backend {
-        Backend::Channel => Middleware::start(cfg, catalog.clone(), store.clone()),
-        Backend::Tcp => {
-            let lan =
-                Arc::new(coopcache::net::TcpLan::loopback(NODES).expect("bind loopback listeners"));
-            Middleware::start_on(cfg, catalog.clone(), store.clone(), lan)
-        }
-    };
+    let mw = start_cluster(backend, cfg, catalog.clone(), store.clone());
 
     let mix = WriteMix::new(seed, WRITE_RATIO);
     let victim = NodeId((seed % NODES as u64) as u16);
