@@ -23,16 +23,42 @@
 //! staged backlog: pushers briefly yield instead of growing a train past
 //! the cap while the peer is slow.
 //!
-//! The receive side is one *reactor thread per node* (replacing the old
-//! acceptor + per-connection demux and reply-reader threads). The reactor
-//! owns the node's nonblocking listener, every inbound connection, and
-//! the read half of every outbound connection the node dialed. Inbound
-//! frames are reassembled incrementally ([`FrameAssembler`]) and
-//! forwarded to the service inbox; requests that need replies park a
-//! per-connection FIFO of reply receivers which the reactor harvests
-//! without blocking — so many requests stream down one connection
-//! *pipelined*, their replies batched into a reply train, instead of the
-//! old lockstep request/reply-per-thread cycle.
+//! The receive side is one *reactor thread per node*. The reactor owns
+//! the node's nonblocking listener, every inbound connection, and the read
+//! half of every outbound connection the node dialed. Inbound frames are
+//! reassembled incrementally ([`FrameAssembler`]) and then either
+//!
+//! * **answered by the reactor itself** — a [`WireMsg::BlockRequest`] whose
+//!   block is in the node's attached store
+//!   ([`Transport::attach_stores`]) is a lock-sharded map lookup, so the
+//!   reactor pushes the [`WireMsg::BlockReply`] onto the connection's reply
+//!   train in the same pass, with no other thread involved; or
+//! * **forwarded to the service inbox** — everything that mutates the node
+//!   (`Forward`, `Invalidate`, `WriteInvalidate`), everything that must
+//!   observe the inbox order (`Barrier`, `Ping`), and every `BlockRequest`
+//!   the reactor cannot answer: a store *miss*, no store attached, or a
+//!   dead inbox incarnation. Requests that need replies park a
+//!   per-connection FIFO of reply receivers which the reactor harvests
+//!   without blocking, so many requests stream down one connection
+//!   *pipelined* and their replies batch into a reply train.
+//!
+//! The miss fall-through is what keeps ordering: a `Forward{X}` still
+//! queued in the inbox followed by a `BlockRequest{X}` on the same
+//! connection resolves through the inbox, behind the forward, exactly as
+//! if the reactor served nothing — the short cut can only add hits.
+//! Liveness is the inbox's: the reactor answers only while the inbox
+//! incarnation pinned at Hello time still has a live receiver, so a
+//! crashed or severed node serves nothing from its (stale) store. Replies
+//! correlate by request id, so a reactor-served reply overtaking one the
+//! service thread still owes is legal on the wire.
+//!
+//! An idle reactor **blocks in `poll(2)`** on its listener, its sockets and
+//! a wake pipe (new `Watch` work, shutdown): kernel readiness wakes it the
+//! moment a peer's bytes arrive, and it costs nothing while there are none.
+//! It waits with a zero timeout only while the service thread owes a reply
+//! it can learn of no other way (the reply channel cannot be polled by the
+//! kernel), and with a deadline while an accepted connection has yet to
+//! say Hello.
 //!
 //! ## Connection lifecycle
 //!
@@ -64,13 +90,15 @@
 //! connection dies resolves early (disconnect), one whose reply is merely
 //! slow resolves at the deadline; both degrade to the §3 disk read.
 //!
-//! In-process the whole cluster shares one `TcpLan` (every listener plus
-//! every outbound link), which is what the tests and the demo binary use;
-//! the frame protocol itself carries no process-local state, so a future
-//! multi-process deployment only needs a constructor that owns one slot
-//! and dials remote addresses.
+//! The whole cluster shares one `TcpLan` in one process (every listener
+//! plus every outbound link). The frame protocol carries no process-local
+//! state, but the runtime above it does — protocol decisions come from one
+//! in-process `ClusterCache` and `TcpLan` ships bytes only — so this is
+//! not a multi-process transport yet; see DESIGN.md "Deployment modes" for
+//! what that would take.
 //!
 //! [`Transport`]: ccm_rt::Transport
+//! [`Transport::attach_stores`]: ccm_rt::Transport::attach_stores
 //! [`Transport::fetch_block`]: ccm_rt::Transport::fetch_block
 //! [`Transport::reconnect`]: ccm_rt::Transport::reconnect
 //! [`PeerMsg`]: ccm_rt::PeerMsg
@@ -78,13 +106,15 @@
 use crate::wire::{FrameAssembler, FrameTrain, WireMsg, WIRE_VERSION};
 use ccm_core::{BlockId, NodeId};
 use ccm_obs::{Counter, Gauge, Registry};
-use ccm_rt::{PeerMsg, Transport};
+use ccm_rt::{AttachedStores, BlockStores, PeerMsg, Transport};
 use simcore::chan::{unbounded, Receiver, Sender, TryRecvError};
 use simcore::sync::{Mutex, RwLock};
 use simcore::FxHashMap;
 use std::collections::VecDeque;
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -104,11 +134,6 @@ pub struct TcpConfig {
     /// writer drains it (bounded memory under a slow peer — the moral
     /// equivalent of the old blocking write).
     pub max_train_bytes: usize,
-    /// Longest mailbox wait an idle reactor takes between polls. Wakeups
-    /// are normally on demand (writers nudge the reactor as frames hit
-    /// the wire), so this only bounds staleness for traffic from writers
-    /// that cannot nudge (a future remote process).
-    pub max_idle_sleep: Duration,
 }
 
 impl Default for TcpConfig {
@@ -118,7 +143,6 @@ impl Default for TcpConfig {
             initial_backoff: Duration::from_millis(10),
             max_backoff: Duration::from_millis(500),
             max_train_bytes: 256 * 1024,
-            max_idle_sleep: Duration::from_micros(500),
         }
     }
 }
@@ -163,12 +187,23 @@ struct LinkObs {
     backoff_ms: Gauge,
 }
 
-/// All per-pair handles, registered once at construction so the data path
-/// never touches the registry.
+/// Per-node reactor metric handles.
+struct ReactorObs {
+    /// Block requests answered from the attached store by the reactor
+    /// itself (the rest went through the service inbox).
+    served: Counter,
+    /// Returns from the readiness wait — what an idle reactor must not do.
+    wakeups: Counter,
+}
+
+/// All per-pair and per-node handles, registered once at construction so
+/// the data path never touches the registry.
 struct NetObs {
     /// Row-major `from * nodes + to`; `None` on the diagonal (self-sends
     /// short-circuit the wire entirely).
     links: Vec<Option<LinkObs>>,
+    /// Index = node.
+    reactors: Vec<ReactorObs>,
     nodes: usize,
 }
 
@@ -237,7 +272,29 @@ impl NetObs {
                 }));
             }
         }
-        NetObs { links, nodes }
+        let reactors = (0..nodes)
+            .map(|node| {
+                let node = node.to_string();
+                let l = [("node", node.as_str())];
+                ReactorObs {
+                    served: registry.counter(
+                        "ccm_net_reactor_served_total",
+                        "Block requests the reactor answered from the node's store itself",
+                        &l,
+                    ),
+                    wakeups: registry.counter(
+                        "ccm_net_reactor_wakeups_total",
+                        "Returns of the reactor's readiness wait (an idle reactor makes none)",
+                        &l,
+                    ),
+                }
+            })
+            .collect();
+        NetObs {
+            links,
+            reactors,
+            nodes,
+        }
     }
 
     fn pair(&self, from: NodeId, to: NodeId) -> &LinkObs {
@@ -354,16 +411,13 @@ struct NodeSlot {
     inbox: RwLock<Sender<PeerMsg>>,
 }
 
-/// Work handed to a node's reactor thread.
-enum ReactorCmd {
-    /// Watch the read half of an outbound connection this node dialed:
-    /// demux replies into its pending table.
-    Watch { dst: NodeId, conn: Arc<Conn> },
-    /// Frames were just put on the wire toward this node: wake up and
-    /// read them. In-process writers nudge after every train flush, so an
-    /// idle reactor blocks on its mailbox instead of sleeping blind and
-    /// the first frame after a lull pays one channel wakeup, not a nap.
-    Nudge,
+/// Work handed to a node's reactor thread: watch the read half of an
+/// outbound connection this node dialed and demux replies into its pending
+/// table. (Frames need no hand-off — the kernel wakes the reactor when a
+/// peer's bytes reach one of its sockets.)
+struct Watch {
+    dst: NodeId,
+    conn: Arc<Conn>,
 }
 
 struct TcpShared {
@@ -371,8 +425,12 @@ struct TcpShared {
     slots: Vec<NodeSlot>,
     /// Row-major `src * nodes + dst`.
     links: Vec<Mutex<Link>>,
-    /// Per-node reactor mailboxes (index = node).
-    reactor_tx: Vec<Sender<ReactorCmd>>,
+    /// Per-node reactor mailboxes (index = node) and the write ends of the
+    /// pipes that wake a reactor blocked in its readiness wait to look at
+    /// its mailbox or the stop flag.
+    reactor_tx: Vec<Sender<Watch>>,
+    wakers: Vec<UnixStream>,
+    stores: AttachedStores,
     next_req: AtomicU64,
     stop: AtomicBool,
     connects: AtomicU64,
@@ -393,9 +451,10 @@ impl TcpShared {
         self.slots[dst.index()].inbox.read().send(msg).is_ok()
     }
 
-    /// Wake `node`'s reactor: frames for it just hit the wire.
-    fn nudge(&self, node: NodeId) {
-        let _ = self.reactor_tx[node.index()].send(ReactorCmd::Nudge);
+    /// Wake `node`'s reactor out of its readiness wait. A full pipe means
+    /// wake-ups are already pending, which is all that is asked for.
+    fn wake(&self, node: NodeId) {
+        let _ = (&self.wakers[node.index()]).write(&[1]);
     }
 
     /// Tear an established connection down and arm the backoff. No-op if
@@ -440,9 +499,13 @@ fn conn_failed(shared: &TcpShared, src: NodeId, dst: NodeId, conn: &Arc<Conn>) {
     }
 }
 
-/// Flush one detached train, retrying through `WouldBlock` (the peer's
-/// reactor always drains, so this terminates unless the connection dies).
-/// Counts wire metrics only once the whole train is on the wire.
+/// Flush one detached train, retrying through `WouldBlock`. A full socket
+/// drains without our help: the peer's reactor has this connection in its
+/// readiness set whenever it waits, wakes as soon as bytes sit in the
+/// receive buffer, and never blocks on anything but that wait (it hands
+/// frames to an unbounded inbox and flushes its own replies nonblocking),
+/// so the loop terminates unless the connection dies. Counts wire metrics
+/// only once the whole train is on the wire.
 fn write_train(
     shared: &TcpShared,
     src: NodeId,
@@ -460,7 +523,6 @@ fn write_train(
                 let o = shared.obs.pair(src, dst);
                 o.frames_out.add(train.frames());
                 o.bytes_out.add(train.bytes());
-                shared.nudge(dst);
                 return true;
             }
             Ok(false) => {
@@ -499,7 +561,8 @@ fn pump_frames(
         return false;
     }
     // Backpressure: while a slow flush is in progress, don't grow the
-    // staged train past the cap — wait for the writer to drain it.
+    // staged train past the cap — wait for the writer to drain it (it is
+    // in `write_train`, whose progress the peer's reactor guarantees).
     while ob.writing && ob.train.bytes() >= cap {
         drop(ob);
         std::thread::yield_now();
@@ -596,11 +659,16 @@ impl TcpLan {
             });
         }
         let mut reactor_tx = Vec::with_capacity(nodes);
+        let mut wakers = Vec::with_capacity(nodes);
         let mut reactor_rx = Vec::with_capacity(nodes);
         for _ in 0..nodes {
             let (tx, rx) = unbounded();
+            let (waker, woken) = UnixStream::pair()?;
+            waker.set_nonblocking(true)?;
+            woken.set_nonblocking(true)?;
             reactor_tx.push(tx);
-            reactor_rx.push(rx);
+            wakers.push(waker);
+            reactor_rx.push((rx, woken));
         }
         let shared = Arc::new(TcpShared {
             cfg,
@@ -615,6 +683,8 @@ impl TcpLan {
                 })
                 .collect(),
             reactor_tx,
+            wakers,
+            stores: AttachedStores::default(),
             next_req: AtomicU64::new(1),
             stop: AtomicBool::new(false),
             connects: AtomicU64::new(0),
@@ -629,12 +699,12 @@ impl TcpLan {
             .into_iter()
             .zip(reactor_rx)
             .enumerate()
-            .map(|(i, (listener, cmds))| {
+            .map(|(i, (listener, (cmds, woken)))| {
                 let shared = shared.clone();
                 let node = NodeId(i as u16);
                 std::thread::Builder::new()
                     .name(format!("ccm-net-reactor-{i}"))
-                    .spawn(move || reactor_loop(shared, node, listener, cmds))
+                    .spawn(move || reactor_loop(shared, node, listener, cmds, woken))
             })
             .collect::<std::io::Result<Vec<_>>>()?;
         Ok(TcpLan {
@@ -710,7 +780,7 @@ impl TcpLan {
         });
         // Hand the read half to our reactor for reply demux.
         if self.shared.reactor_tx[src.index()]
-            .send(ReactorCmd::Watch {
+            .send(Watch {
                 dst,
                 conn: conn.clone(),
             })
@@ -720,6 +790,7 @@ impl TcpLan {
             fail(link);
             return None;
         }
+        self.shared.wake(src);
         self.shared.connects.fetch_add(1, Ordering::Relaxed);
         obs.backoff_ms.set(0);
         link.conn = Some(conn.clone());
@@ -818,10 +889,10 @@ impl Transport for TcpLan {
 
     /// Pipelined fetch: every request in the batch goes into flight before
     /// the first reply is awaited. The requests stage as one frame train
-    /// (one vectored write when the link is quiet), the peer's service
-    /// thread drains them back to back, and the reactor batches the replies
-    /// into reply trains — so the per-trip wakeup chain is paid once per
-    /// batch instead of once per block.
+    /// (one vectored write when the link is quiet), the peer's reactor
+    /// answers them back to back (from its store, or through its service
+    /// thread) and batches the replies into reply trains — so the per-trip
+    /// wakeup chain is paid once per batch instead of once per block.
     fn fetch_blocks(
         &self,
         src: NodeId,
@@ -910,6 +981,10 @@ impl Transport for TcpLan {
         rx
     }
 
+    fn attach_stores(&self, stores: BlockStores) {
+        self.shared.stores.attach(stores);
+    }
+
     fn barrier(&self, node: NodeId, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         // One wire barrier per live inbound connection: each ack proves
@@ -961,17 +1036,16 @@ impl Drop for TcpLan {
     fn drop(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
         // Killing every outbound connection unblocks stuck writers and
-        // lets each reactor observe the teardown; reactors poll `stop`
-        // between passes, so they exit within one idle nap.
+        // lets each reactor observe the teardown.
         for link in &self.shared.links {
             if let Some(conn) = link.lock().conn.take() {
                 conn.kill();
             }
         }
-        // Wake any reactor blocked on its mailbox so it sees `stop` now
-        // instead of at the end of its nap.
+        // A reactor with nothing to do sleeps in the kernel with no
+        // timeout: wake each one so it sees `stop` now.
         for i in 0..self.shared.slots.len() {
-            self.shared.nudge(NodeId(i as u16));
+            self.shared.wake(NodeId(i as u16));
         }
         for r in self.reactors.lock().drain(..) {
             let _ = r.join();
@@ -985,9 +1059,6 @@ const HELLO_DEADLINE: Duration = Duration::from_secs(5);
 const READS_PER_PASS: usize = 8;
 /// Bytes per read call into a connection's assembler.
 const READ_CHUNK: usize = 64 * 1024;
-/// Reactor idle escalation: pure spins, then yields, then sleeps.
-const IDLE_SPINS: u32 = 64;
-const IDLE_YIELDS: u32 = 64;
 
 /// A reply the reactor owes an inbound connection, in request order.
 enum ReplyWait {
@@ -1038,20 +1109,25 @@ impl InConn {
         }
     }
 
-    /// One nonblocking pass: read + demux + harvest replies + flush.
-    /// Returns false when the connection must be dropped.
-    fn poll(&mut self, shared: &TcpShared, node: NodeId, progress: &mut bool) -> bool {
+    /// True while the service thread owes this connection a reply. Its
+    /// completion arrives on an in-process channel the kernel cannot
+    /// signal, so the reactor must keep looking.
+    fn owed(&self) -> bool {
+        !self.waits.is_empty()
+    }
+
+    /// One nonblocking pass: read (if the socket reported `ready`), demux,
+    /// harvest replies, flush. Returns false when the connection must be
+    /// dropped.
+    fn poll(&mut self, shared: &TcpShared, node: NodeId, ready: bool) -> bool {
         // Read whatever the socket has, bounded for fairness, straight
         // into the assembler (one copy from the kernel).
-        for _ in 0..READS_PER_PASS {
+        let reads = if ready { READS_PER_PASS } else { 0 };
+        for _ in 0..reads {
             match self.asm.read_from(&mut &self.sock, READ_CHUNK) {
                 Ok(0) => return false, // EOF: peer is gone
-                Ok(n) => {
-                    *progress = true;
-                    if n < READ_CHUNK {
-                        break;
-                    }
-                }
+                Ok(n) if n < READ_CHUNK => break,
+                Ok(_) => {}
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => return false,
@@ -1093,14 +1169,26 @@ impl InConn {
             let inbox = self.inbox.as_ref().expect("inbox pinned with src");
             let delivered = match frame {
                 WireMsg::BlockRequest { req_id, block } => {
-                    let (tx, rx) = unbounded();
-                    let ok = inbox
-                        .send(PeerMsg::BlockRequest { block, reply: tx })
-                        .is_ok();
-                    if ok {
-                        self.waits.push_back(ReplyWait::Block { req_id, rx });
+                    if let Some(data) = shared.stores.hit(node, inbox, block) {
+                        // Answered where the request already is. A miss is
+                        // never answered here: it must queue behind any
+                        // Forward of the block still in the inbox.
+                        self.wtrain.push(&WireMsg::BlockReply {
+                            req_id,
+                            data: Some(data),
+                        });
+                        shared.obs.reactors[node.index()].served.inc();
+                        true
+                    } else {
+                        let (tx, rx) = unbounded();
+                        let ok = inbox
+                            .send(PeerMsg::BlockRequest { block, reply: tx })
+                            .is_ok();
+                        if ok {
+                            self.waits.push_back(ReplyWait::Block { req_id, rx });
+                        }
+                        ok
                     }
-                    ok
                 }
                 WireMsg::Forward {
                     block,
@@ -1151,7 +1239,6 @@ impl InConn {
             if !delivered {
                 return false; // dead incarnation or corruption: kill conn
             }
-            *progress = true;
         }
         if self.src.is_none() && Instant::now() >= self.deadline {
             return false; // silent connection never said Hello
@@ -1166,7 +1253,6 @@ impl InConn {
                             data,
                         });
                         self.waits.pop_front();
-                        *progress = true;
                     }
                     // Node crashed before answering: the requester sees an
                     // explicit miss immediately, not a timeout.
@@ -1176,7 +1262,6 @@ impl InConn {
                             data: None,
                         });
                         self.waits.pop_front();
-                        *progress = true;
                     }
                     Err(TryRecvError::Empty) => break,
                 },
@@ -1189,7 +1274,6 @@ impl InConn {
                         };
                         self.wtrain.push(&frame);
                         self.waits.pop_front();
-                        *progress = true;
                     }
                     // Node died mid-barrier/ping: no ack, let the
                     // requester time out (matches the channel backend).
@@ -1198,25 +1282,26 @@ impl InConn {
                 },
             }
         }
-        // Flush the reply train as far as the socket allows.
+        // Flush the reply train as far as the socket allows. Frames count
+        // as sent when their train is handed to the socket, not after: the
+        // requester can have the reply — and read the counters — before
+        // this thread runs again. A full socket keeps the rest; the reactor
+        // asks for writability while the train is non-empty and resumes.
         if !self.wtrain.is_empty() {
-            match self.wtrain.write_some(&mut &self.sock) {
-                Ok(true) => {
-                    let src = self.src.expect("replies only exist post-hello");
-                    let frames = self.wtrain.frames() - self.counted_frames;
-                    let bytes = self.wtrain.bytes() - self.counted_bytes;
-                    self.counted_frames = self.wtrain.frames();
-                    self.counted_bytes = self.wtrain.bytes();
-                    shared.frames_sent.fetch_add(frames, Ordering::Relaxed);
-                    shared.trains_sent.fetch_add(1, Ordering::Relaxed);
-                    let out_obs = shared.obs.pair(node, src);
-                    out_obs.frames_out.add(frames);
-                    out_obs.bytes_out.add(bytes);
-                    shared.nudge(src);
-                    *progress = true;
-                }
-                Ok(false) => {} // socket full; resume next pass
-                Err(_) => return false,
+            let frames = self.wtrain.frames() - self.counted_frames;
+            if frames > 0 {
+                let src = self.src.expect("replies only exist post-hello");
+                let bytes = self.wtrain.bytes() - self.counted_bytes;
+                self.counted_frames = self.wtrain.frames();
+                self.counted_bytes = self.wtrain.bytes();
+                shared.frames_sent.fetch_add(frames, Ordering::Relaxed);
+                shared.trains_sent.fetch_add(1, Ordering::Relaxed);
+                let out_obs = shared.obs.pair(node, src);
+                out_obs.frames_out.add(frames);
+                out_obs.bytes_out.add(bytes);
+            }
+            if self.wtrain.write_some(&mut &self.sock).is_err() {
+                return false;
             }
         }
         true
@@ -1238,20 +1323,17 @@ struct OutWatch {
 }
 
 impl OutWatch {
-    /// Returns false when the connection failed (already cleaned up).
-    fn poll(&mut self, shared: &TcpShared, node: NodeId, progress: &mut bool) -> bool {
+    /// One nonblocking read + demux pass over a socket that reported
+    /// ready. Returns false when the connection failed (already cleaned up).
+    fn poll(&mut self, shared: &TcpShared, node: NodeId) -> bool {
         for _ in 0..READS_PER_PASS {
             match self.asm.read_from(&mut &self.conn.sock, READ_CHUNK) {
                 Ok(0) => {
                     conn_failed(shared, node, self.dst, &self.conn);
                     return false;
                 }
-                Ok(n) => {
-                    *progress = true;
-                    if n < READ_CHUNK {
-                        break;
-                    }
-                }
+                Ok(n) if n < READ_CHUNK => break,
+                Ok(_) => {}
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -1274,7 +1356,6 @@ impl OutWatch {
                         link_obs.pending_replies.adjust(-1);
                         let _ = tx.send(data); // requester may have timed out
                     }
-                    *progress = true;
                 }
                 Ok(Some((WireMsg::BarrierAck { req_id }, n)))
                 | Ok(Some((WireMsg::Pong { req_id }, n))) => {
@@ -1285,7 +1366,6 @@ impl OutWatch {
                         link_obs.pending_replies.adjust(-1);
                         let _ = tx.send(());
                     }
-                    *progress = true;
                 }
                 Ok(None) => break,
                 // Only replies travel dst → node; anything else is
@@ -1300,93 +1380,156 @@ impl OutWatch {
     }
 }
 
-/// The per-node event loop: accepts inbound connections, demuxes their
-/// frames to the service inbox, batches and writes their replies, and
-/// resolves replies arriving on connections this node dialed. Everything
-/// is nonblocking; when there is no work the loop backs off from spinning
-/// through yields to capped sleeps ([`TcpConfig::max_idle_sleep`]).
+/// One `struct pollfd` of POSIX `<poll.h>`.
+#[repr(C)]
+struct PollFd {
+    fd: RawFd,
+    events: i16,
+    revents: i16,
+}
+
+const POLLIN: i16 = 0x001;
+const POLLOUT: i16 = 0x004;
+
+impl PollFd {
+    fn new(fd: &impl AsRawFd, events: i16) -> PollFd {
+        PollFd {
+            fd: fd.as_raw_fd(),
+            events,
+            revents: 0,
+        }
+    }
+
+    /// Readable, writable, hung up or in error: worth a nonblocking pass.
+    fn ready(&self) -> bool {
+        self.revents != 0
+    }
+}
+
+/// Block until one of `fds` is ready or `timeout` passes (`None`: no
+/// timeout), filling in each `revents`; returns how many are ready. The
+/// reactor's only blocking call, and the workspace's only `unsafe`: std has
+/// no readiness wait and the build has no registry, but std already links
+/// the platform's libc.
+fn wait_ready(fds: &mut [PollFd], timeout: Option<Duration>) -> usize {
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type NFds = std::ffi::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type NFds = std::ffi::c_uint;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: NFds, timeout: std::ffi::c_int) -> std::ffi::c_int;
+    }
+    // Round up: waking a millisecond early would spin until the deadline.
+    let ms = timeout.map_or(-1, |t| {
+        t.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as std::ffi::c_int
+    });
+    // SAFETY: `fds` is an exclusively borrowed slice of `#[repr(C)]` structs
+    // with the field order and types of `struct pollfd`, `nfds` is exactly
+    // its length, and `poll` reads `fd`/`events` and writes `revents` of
+    // those entries only, for the duration of the call. A descriptor that
+    // is closed or invalid is reported in `revents` (`POLLNVAL`), not UB.
+    let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as NFds, ms) };
+    usize::try_from(n).unwrap_or_else(|_| {
+        // EINTR (or a transient ENOMEM): `revents` is unspecified, so have
+        // the caller try everything once — its reads are nonblocking.
+        for f in fds.iter_mut() {
+            f.revents = f.events;
+        }
+        fds.len()
+    })
+}
+
+/// The per-node event loop: accepts inbound connections, answers their
+/// block requests from the node's store or demuxes their frames to the
+/// service inbox, batches and writes their replies, and resolves replies
+/// arriving on connections this node dialed. Every socket is nonblocking;
+/// the one place the loop blocks is [`wait_ready`], where a reactor with
+/// nothing to do sleeps in the kernel until a socket, the listener or the
+/// wake pipe has something for it.
 fn reactor_loop(
     shared: Arc<TcpShared>,
     node: NodeId,
     listener: TcpListener,
-    cmds: Receiver<ReactorCmd>,
+    cmds: Receiver<Watch>,
+    mut woken: UnixStream,
 ) {
     let mut inbound: Vec<InConn> = Vec::new();
     let mut outbound: Vec<OutWatch> = Vec::new();
-    let mut idle: u32 = 0;
-    // Spinning only ever pays when the thread being waited for can run on
-    // another core; on a single-CPU host it just delays that thread's
-    // timeslice, so go straight to yielding.
-    let spins = match std::thread::available_parallelism() {
-        Ok(n) if n.get() > 1 => IDLE_SPINS,
-        _ => 0,
-    };
-    while !shared.stop.load(Ordering::Acquire) {
-        let mut progress = false;
-        // Adopt newly dialed connections and absorb nudges (the nudged-for
-        // frames surface in the read pass below).
-        loop {
-            match cmds.try_recv() {
-                Ok(ReactorCmd::Watch { dst, conn }) => {
-                    outbound.push(OutWatch {
-                        dst,
-                        conn,
-                        asm: FrameAssembler::new(),
-                    });
-                    progress = true;
-                }
-                Ok(ReactorCmd::Nudge) => progress = true,
-                Err(_) => break,
+    let mut fds: Vec<PollFd> = Vec::new();
+    let obs = &shared.obs.reactors[node.index()];
+    loop {
+        // Interest set, in this order: listener, wake pipe, inbound
+        // connections (writability too while a reply train is stuck behind
+        // a full socket), watched outbound connections.
+        fds.clear();
+        fds.push(PollFd::new(&listener, POLLIN));
+        fds.push(PollFd::new(&woken, POLLIN));
+        fds.extend(inbound.iter().map(|c| {
+            let flush = if c.wtrain.is_empty() { 0 } else { POLLOUT };
+            PollFd::new(&c.sock, POLLIN | flush)
+        }));
+        fds.extend(outbound.iter().map(|w| PollFd::new(&w.conn.sock, POLLIN)));
+        // How long to sleep: not at all while the service thread owes a
+        // reply (see `InConn::owed`); until the nearest Hello deadline
+        // while a connection is still anonymous; else until woken.
+        let owed = inbound.iter().any(InConn::owed);
+        let timeout = if owed {
+            Some(Duration::ZERO)
+        } else {
+            let now = Instant::now();
+            inbound
+                .iter()
+                .filter(|c| c.src.is_none())
+                .map(|c| c.deadline.saturating_duration_since(now))
+                .min()
+        };
+        let n_ready = wait_ready(&mut fds, timeout);
+        obs.wakeups.inc();
+        if shared.stop.load(Ordering::Acquire) {
+            break; // InConn/Conn drops close every socket
+        }
+        let mut ready = fds.iter().map(PollFd::ready);
+        let accept = ready.next().expect("listener entry");
+        let mailbox = ready.next().expect("wake pipe entry");
+        // Serve what is ready. Connections adopted below were not in this
+        // wait; the next one reports them at once if they have bytes.
+        inbound.retain_mut(|c| c.poll(&shared, node, ready.next().expect("inbound entry")));
+        outbound.retain_mut(|w| !ready.next().expect("outbound entry") || w.poll(&shared, node));
+        if owed && n_ready == 0 {
+            // Nothing but the service thread can make progress: let it run.
+            std::thread::yield_now();
+        }
+        if mailbox {
+            // Drain the wake bytes before the mailbox, so a wake-up sent
+            // after this point finds the pipe readable again.
+            let mut sink = [0u8; 64];
+            while matches!(woken.read(&mut sink), Ok(n) if n > 0) {}
+            while let Ok(Watch { dst, conn }) = cmds.try_recv() {
+                outbound.push(OutWatch {
+                    dst,
+                    conn,
+                    asm: FrameAssembler::new(),
+                });
             }
         }
-        // Accept inbound connections (WouldBlock/transient: try next pass).
-        while let Ok((sock, _)) = listener.accept() {
-            let _ = sock.set_nodelay(true);
-            let _ = sock.set_nonblocking(true);
-            inbound.push(InConn::new(sock));
-            progress = true;
-        }
-        inbound.retain_mut(|c| c.poll(&shared, node, &mut progress));
-        outbound.retain_mut(|w| w.poll(&shared, node, &mut progress));
-        if progress {
-            idle = 0;
-            continue;
-        }
-        // Idle escalation: spin (sub-µs wakeup under load), then yield.
-        idle = idle.saturating_add(1);
-        if idle <= spins {
-            std::hint::spin_loop();
-        } else if idle <= spins + IDLE_YIELDS {
-            std::thread::yield_now();
-        } else if inbound
-            .iter()
-            .any(|c| !c.waits.is_empty() || !c.wtrain.is_empty())
-        {
-            // A service thread owes a reply (it answers in microseconds)
-            // or a reply train is blocked on a full socket: stay hot —
-            // neither completion arrives through the mailbox.
-            std::thread::park_timeout(Duration::from_micros(10));
-        } else {
-            // Nothing in flight: block on the mailbox with a capped nap.
-            // Writers nudge it the moment frames hit the wire, so this
-            // wakes on demand; the nap only bounds staleness for frames
-            // from writers that cannot nudge (a future remote process).
-            let step = (idle - spins - IDLE_YIELDS) as u64;
-            let cap = shared.cfg.max_idle_sleep.max(Duration::from_micros(1));
-            let nap = Duration::from_micros(step.saturating_mul(10)).min(cap);
-            match cmds.recv_timeout(nap) {
-                Ok(ReactorCmd::Watch { dst, conn }) => {
-                    outbound.push(OutWatch {
-                        dst,
-                        conn,
-                        asm: FrameAssembler::new(),
-                    });
-                    idle = 0;
+        if accept {
+            loop {
+                match listener.accept() {
+                    Ok((sock, _)) => {
+                        let _ = sock.set_nodelay(true);
+                        let _ = sock.set_nonblocking(true);
+                        inbound.push(InConn::new(sock));
+                    }
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(_) => {
+                        // Out of descriptors or the like: the listener
+                        // stays readable, so do not spin on it.
+                        std::thread::sleep(Duration::from_millis(1));
+                        break;
+                    }
                 }
-                Ok(ReactorCmd::Nudge) => idle = 0,
-                Err(_) => {}
             }
         }
     }
-    // Shutdown: InConn/Conn drops close every socket.
 }

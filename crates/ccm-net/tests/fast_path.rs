@@ -1,0 +1,328 @@
+//! Ordering and liveness of the "answer where the request already is"
+//! short cut, on both transports.
+//!
+//! A transport that has the nodes' block stores attached answers a block
+//! request *hit* without the holder's service thread — on the caller's
+//! thread over the channel `Lan`, on the receiving reactor over `TcpLan`.
+//! The short cut must be invisible to the protocol, which these tests pin:
+//!
+//! * a store **miss** is never answered directly — it queues behind
+//!   whatever the holder's inbox still holds, so a `Forward{X}` followed by
+//!   a fetch of `X` from the same source finds the forwarded bytes even
+//!   while the holder's service thread is stuck;
+//! * a **dead inbox** answers nothing: a node whose service thread is gone
+//!   (severed, crashed) or was never started serves no bytes from its
+//!   store, however many it still holds;
+//! * with **no store attached** everything round-trips through the inbox;
+//! * through a running cluster, a remote read after a `write_block` returns
+//!   what was written.
+
+use ccm_core::{BlockId, FileId, NodeId, ReplacementPolicy, BLOCK_SIZE};
+use ccm_net::TcpLan;
+use ccm_obs::Registry;
+use ccm_rt::{
+    BlockStores, Catalog, Lan, MemStore, Middleware, PeerMsg, RtConfig, ShardedMap, SyntheticStore,
+    Transport,
+};
+use ccm_testkit::Backend;
+use simcore::chan::{unbounded, Receiver, RecvTimeoutError};
+use std::sync::Arc;
+use std::time::Duration;
+
+const TIMEOUT: Duration = Duration::from_secs(5);
+
+fn transport(backend: Backend, nodes: usize, registry: &Registry) -> Arc<dyn Transport> {
+    match backend {
+        Backend::Channel => Arc::new(Lan::with_nodes(nodes)),
+        Backend::Tcp => Arc::new(TcpLan::loopback_obs(nodes, registry).expect("bind loopback")),
+    }
+}
+
+fn stores(nodes: usize) -> BlockStores {
+    (0..nodes).map(|_| ShardedMap::new()).collect()
+}
+
+fn block(i: u32) -> BlockId {
+    BlockId::new(FileId(3), i)
+}
+
+fn bytes(fill: u8) -> Arc<[u8]> {
+    vec![fill; BLOCK_SIZE as usize].into()
+}
+
+/// What the runtime's service thread does with the data plane, over one
+/// node's store — but only once `gate` opens (a message or a disconnect).
+fn gated_service(
+    inbox: Receiver<PeerMsg>,
+    stores: BlockStores,
+    node: NodeId,
+    gate: Receiver<()>,
+) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || {
+        let _ = gate.recv();
+        let store = &stores[node.index()];
+        for msg in inbox.iter() {
+            match msg {
+                PeerMsg::BlockRequest { block, reply } => {
+                    let _ = reply.send(store.get(block));
+                }
+                PeerMsg::Forward { block, data, .. } => {
+                    store.insert(block, data);
+                }
+                PeerMsg::Barrier { reply } | PeerMsg::Ping { reply } => {
+                    let _ = reply.send(());
+                }
+                PeerMsg::Invalidate { block } | PeerMsg::WriteInvalidate { block, .. } => {
+                    store.remove(block);
+                }
+                PeerMsg::Shutdown => break,
+            }
+        }
+    })
+}
+
+fn reactor_served(registry: &Registry) -> u64 {
+    registry
+        .snapshot()
+        .counter_sum("ccm_net_reactor_served_total")
+}
+
+/// (i) `Forward{X}` then `fetch_block(X)` from the same source, with the
+/// holder's service thread held behind a gate: the fetch must wait for the
+/// forward and return its bytes — never a miss answered over its head.
+#[test]
+fn a_fetch_queues_behind_a_forward_of_the_same_block() {
+    for backend in Backend::all() {
+        let registry = Registry::new();
+        let lan = transport(backend, 2, &registry);
+        let _rx0 = lan.reconnect(NodeId(0));
+        let rx1 = lan.reconnect(NodeId(1));
+        let stores = stores(2);
+        lan.attach_stores(stores.clone());
+        let (open_gate, gate) = unbounded();
+        let service = gated_service(rx1, stores.clone(), NodeId(1), gate);
+
+        assert!(lan.send(
+            NodeId(0),
+            NodeId(1),
+            PeerMsg::Forward {
+                block: block(0),
+                data: bytes(0xF0),
+                displace: None,
+            },
+        ));
+        let (done_tx, done_rx) = unbounded();
+        let fetcher = std::thread::spawn({
+            let lan = lan.clone();
+            move || {
+                let got = lan.fetch_block(NodeId(0), NodeId(1), block(0), TIMEOUT);
+                let _ = done_tx.send(got);
+            }
+        });
+        // The store does not hold the block yet and the service thread is
+        // stuck: nothing may answer. (An implementation that served misses
+        // directly would deliver `None` right here.)
+        assert_eq!(
+            done_rx.recv_timeout(Duration::from_millis(100)),
+            Err(RecvTimeoutError::Timeout),
+            "{}: the fetch was answered over the queued forward's head",
+            backend.name()
+        );
+        open_gate.send(()).expect("service waits at the gate");
+        let got = done_rx.recv_timeout(TIMEOUT).expect("fetch completes");
+        assert_eq!(
+            got.as_deref(),
+            Some(&bytes(0xF0)[..]),
+            "{}: the fetch must return the forwarded bytes",
+            backend.name()
+        );
+        fetcher.join().unwrap();
+
+        // Now that the store holds it, the same fetch needs no service
+        // thread at all.
+        let served_before = reactor_served(&registry);
+        let got = lan.fetch_block(NodeId(0), NodeId(1), block(0), TIMEOUT);
+        assert_eq!(got.as_deref(), Some(&bytes(0xF0)[..]));
+        if backend == Backend::Tcp {
+            assert_eq!(
+                reactor_served(&registry),
+                served_before + 1,
+                "a store hit is the reactor's to answer"
+            );
+        }
+
+        assert!(lan.send(NodeId(1), NodeId(1), PeerMsg::Shutdown));
+        service.join().unwrap();
+    }
+}
+
+/// (ii, transport level) A node whose inbox has no receiver — its service
+/// thread exited, or it never joined — answers nothing from its store.
+#[test]
+fn a_dead_inbox_serves_nothing_from_its_store() {
+    for backend in Backend::all() {
+        let registry = Registry::new();
+        let lan = transport(backend, 3, &registry);
+        let _rx0 = lan.reconnect(NodeId(0));
+        let rx1 = lan.reconnect(NodeId(1));
+        // Node 2 never joins: no `reconnect`, no service thread.
+        let stores = stores(3);
+        stores[1].insert(block(1), bytes(0x11));
+        stores[2].insert(block(2), bytes(0x22));
+        lan.attach_stores(stores.clone());
+
+        // Alive: the hit is served (and over TCP, by the reactor).
+        let got = lan.fetch_block(NodeId(0), NodeId(1), block(1), TIMEOUT);
+        assert_eq!(got.as_deref(), Some(&bytes(0x11)[..]));
+        // Severed: the service thread is gone, the store still holds bytes.
+        drop(rx1);
+        assert!(stores[1].get(block(1)).is_some());
+        for _ in 0..2 {
+            // Twice: over TCP the first attempt tears the connection down,
+            // the second meets the link's fail-fast backoff.
+            let got = lan.fetch_block(NodeId(0), NodeId(1), block(1), TIMEOUT);
+            assert_eq!(got, None, "{}: a severed node answered", backend.name());
+        }
+        let got = lan.fetch_block(NodeId(0), NodeId(2), block(2), TIMEOUT);
+        assert_eq!(got, None, "{}: an absent node answered", backend.name());
+        if backend == Backend::Tcp {
+            assert_eq!(reactor_served(&registry), 1, "only the live hit was served");
+        }
+    }
+}
+
+fn cluster_cfg(nodes: usize, registry: &Registry) -> RtConfig {
+    RtConfig {
+        nodes,
+        capacity_blocks: 32,
+        policy: ReplacementPolicy::MasterPreserving,
+        fetch_timeout: Duration::from_secs(2),
+        obs: Some(registry.clone()),
+        ..RtConfig::default()
+    }
+}
+
+/// (ii, cluster level) After `sever_node` and after `crash_node`, a read
+/// routed at the dead node degrades to the §3 store fallback: right bytes,
+/// one fallback counted, and not one byte out of the dead node's store.
+#[test]
+fn reads_aimed_at_a_severed_or_crashed_node_degrade_to_the_store() {
+    for backend in Backend::all() {
+        for crash in [false, true] {
+            let registry = Registry::new();
+            let catalog = Catalog::new(vec![BLOCK_SIZE; 8]);
+            let disk = Arc::new(SyntheticStore::new(catalog.clone(), 21));
+            let lan = transport(backend, 3, &registry);
+            let mw = Middleware::start_on(
+                cluster_cfg(3, &registry),
+                catalog,
+                disk.clone(),
+                lan.clone(),
+            );
+            let b = BlockId::new(FileId(5), 0);
+            let want = ccm_rt::BlockStore::read_block(&*disk, b);
+            // Node 1 becomes the master of `b`; a peer read is a remote hit
+            // served from node 1's store without its service thread.
+            assert_eq!(&*mw.handle(NodeId(1)).read_block(b), &want[..]);
+            assert_eq!(&*mw.handle(NodeId(0)).read_block(b), &want[..]);
+            assert_eq!(mw.stats().remote_hits, 1);
+            assert_eq!(mw.stats().store_fallbacks, 0);
+            let direct = lan.fetch_block(NodeId(2), NodeId(1), b, TIMEOUT);
+            assert_eq!(direct.as_deref(), Some(&want[..]));
+
+            if crash {
+                mw.crash_node(NodeId(1));
+            } else {
+                mw.sever_node(NodeId(1));
+            }
+            let direct = lan.fetch_block(NodeId(2), NodeId(1), b, TIMEOUT);
+            assert_eq!(direct, None, "{}: a dead node answered", backend.name());
+            // Through the protocol: node 2 has no copy. After a sever the
+            // directory still points at node 1 (nothing was repaired), so
+            // the read is a remote hit that degrades to a store fallback;
+            // after a crash the directory was repaired around node 1.
+            assert_eq!(&*mw.handle(NodeId(2)).read_block(b), &want[..]);
+            let stats = mw.stats();
+            if crash {
+                assert_eq!(stats.store_fallbacks, 0);
+            } else {
+                assert_eq!(stats.remote_hits, 2, "the directory still names node 1");
+                assert_eq!(stats.store_fallbacks, 1, "and the fetch degraded");
+            }
+            drop(mw);
+        }
+    }
+}
+
+/// (iii) No store attached — the stub-peer set-up of
+/// `ccm_testkit::probe_transports` — still round-trips, through the inbox.
+#[test]
+fn a_transport_without_stores_round_trips_through_the_inbox() {
+    for backend in Backend::all() {
+        let registry = Registry::new();
+        let lan = transport(backend, 2, &registry);
+        let _rx0 = lan.reconnect(NodeId(0));
+        let rx1 = lan.reconnect(NodeId(1));
+        let service = std::thread::spawn(move || {
+            for msg in rx1.iter() {
+                match msg {
+                    PeerMsg::BlockRequest { block, reply } => {
+                        let _ = reply.send(Some(bytes(block.index as u8)));
+                    }
+                    PeerMsg::Shutdown => break,
+                    _ => {}
+                }
+            }
+        });
+        for i in 0..16 {
+            let got = lan.fetch_block(NodeId(0), NodeId(1), block(i), TIMEOUT);
+            assert_eq!(got.as_deref(), Some(&bytes(i as u8)[..]));
+        }
+        let blocks: Vec<BlockId> = (0..16).map(block).collect();
+        let got = lan.fetch_blocks(NodeId(0), NodeId(1), &blocks, TIMEOUT);
+        for (i, data) in got.iter().enumerate() {
+            assert_eq!(data.as_deref(), Some(&bytes(i as u8)[..]));
+        }
+        assert_eq!(reactor_served(&registry), 0, "there is no store to serve");
+        assert!(lan.send(NodeId(1), NodeId(1), PeerMsg::Shutdown));
+        service.join().unwrap();
+    }
+}
+
+/// (iv) A block written through `write_block` is what a following remote
+/// read returns — the short cut reads the store the write installed into.
+#[test]
+fn a_remote_read_after_a_write_returns_the_written_bytes() {
+    for backend in Backend::all() {
+        let registry = Registry::new();
+        let catalog = Catalog::new(vec![BLOCK_SIZE * 2; 4]);
+        let disk = Arc::new(MemStore::new(catalog.clone(), 9));
+        let lan = transport(backend, 3, &registry);
+        let mw = Middleware::start_on(cluster_cfg(3, &registry), catalog, disk, lan);
+        let b = BlockId::new(FileId(2), 1);
+        for (round, fill) in [0xA1u8, 0xB2, 0xC3].into_iter().enumerate() {
+            let writer = NodeId((round % 3) as u16);
+            let reader = NodeId(((round + 1) % 3) as u16);
+            let data = vec![fill; BLOCK_SIZE as usize];
+            mw.handle(writer).write_block(b, &data).expect("writable");
+            let before = mw.stats().remote_hits;
+            assert_eq!(
+                &*mw.handle(reader).read_block(b),
+                &data[..],
+                "{} round {round}: stale bytes after a write",
+                backend.name()
+            );
+            assert_eq!(mw.stats().remote_hits, before + 1, "served by the writer");
+            mw.quiesce();
+        }
+        assert_eq!(mw.stats().store_fallbacks, 0);
+        if backend == Backend::Tcp {
+            assert_eq!(
+                reactor_served(&registry),
+                3,
+                "every remote read was a store hit at the writer's reactor"
+            );
+        }
+        mw.shutdown();
+    }
+}

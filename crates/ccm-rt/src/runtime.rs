@@ -19,7 +19,7 @@ use crate::membership::{MemberState, Membership};
 use crate::obs::{ReadClass, RtObs};
 use crate::shard::ShardedMap;
 use crate::store::{BlockStore, Catalog};
-use crate::transport::{Lan, PeerMsg, Transport};
+use crate::transport::{BlockStores, Lan, PeerMsg, Transport};
 use crate::write::{WriteConfig, WriteMode, WriteStats};
 use ccm_core::{
     AccessOutcome, AdmissionConfig, AdmissionStats, BlockId, CacheConfig, CacheStats, ClusterCache,
@@ -114,12 +114,6 @@ impl Default for RtConfig {
     }
 }
 
-/// One node's data-plane block store: bytes striped across sharded locks
-/// (see [`crate::shard`]) so concurrent operations on different blocks do
-/// not serialize. Buffers are `Arc<[u8]>` end to end — decode, install,
-/// forward, and serve all share one allocation.
-type NodeStore = ShardedMap<Arc<[u8]>>;
-
 /// One acknowledged, unpersisted write: whose store holds the bytes, and a
 /// digest of exactly the payload that was acknowledged. The digest is what
 /// keeps crash recovery honest — a survivor's copy only counts as the
@@ -176,7 +170,9 @@ enum FlushOutcome {
 
 struct Shared {
     cache: Mutex<ClusterCache>,
-    stores: Vec<NodeStore>,
+    /// Per-node block stores, shared with the transport (see
+    /// [`Transport::attach_stores`]).
+    stores: BlockStores,
     disk: Arc<dyn BlockStore>,
     /// One asynchronous disk service per node: queued, scheduled,
     /// coalesced reads against `disk`. Kept by value so dropping `Shared`
@@ -700,6 +696,11 @@ impl Middleware {
         let inboxes: Vec<_> = (0..cfg.nodes)
             .map(|i| transport.reconnect(NodeId(i as u16)))
             .collect();
+        // The transport gets the stores (and only the stores: holding
+        // `Shared` would be a cycle that leaks the disk workers) so it can
+        // answer a peer fetch hit where the request already is.
+        let stores: BlockStores = (0..cfg.nodes).map(|_| ShardedMap::new()).collect();
+        transport.attach_stores(stores.clone());
         let plan = cfg.faults.unwrap_or_else(|| FaultPlan::quiet(0));
         let registry = cfg.obs.unwrap_or_default();
         let chaos = ChaosLan::with_registry(transport, &plan, &registry);
@@ -728,7 +729,7 @@ impl Middleware {
         obs.epoch.set(membership.epoch() as i64);
         let shared = Arc::new(Shared {
             cache: Mutex::new(cache),
-            stores: (0..cfg.nodes).map(|_| ShardedMap::new()).collect(),
+            stores,
             disk,
             disks,
             catalog,

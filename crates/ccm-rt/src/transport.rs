@@ -21,8 +21,29 @@
 //! restarted node starts with an empty inbox (messages addressed to the
 //! dead incarnation are gone, as they would be on a real reboot).
 //!
+//! ## Answering a fetch where it already is
+//!
+//! A `BlockRequest` is a lookup in the holder's block store — a sharded
+//! map of `Arc<[u8]>` — and costs far less than waking the holder's
+//! service thread to do it. [`Transport::attach_stores`] therefore hands a
+//! transport the per-node stores, and a transport may answer a request
+//! *hit* from the destination's store on whichever thread already has the
+//! request in hand: the caller's for [`Lan`], the receiving reactor's for
+//! `TcpLan`. Two rules keep that invisible to the protocol:
+//!
+//! * **A miss goes through the inbox, as always.** A `Forward{X}` still
+//!   queued in the holder's inbox followed by a fetch of `X` from the same
+//!   source must find the forwarded bytes, so a store miss is never
+//!   answered directly — the request queues behind the forward and the
+//!   service thread answers it. The short cut can add hits, never misses.
+//! * **Liveness is the inbox's.** The short cut answers only while the
+//!   destination's inbox incarnation still has a live receiver; a crashed,
+//!   severed or not-yet-joined node answers nothing from its store,
+//!   exactly as its dead inbox answers nothing.
+//!
 //! [`Middleware`]: crate::runtime::Middleware
 
+use crate::shard::ShardedMap;
 use ccm_core::{BlockId, NodeId};
 use simcore::chan::{unbounded, Receiver, Sender};
 use simcore::sync::RwLock;
@@ -93,6 +114,38 @@ pub enum PeerMsg {
     Shutdown,
 }
 
+/// The per-node data-plane block stores (index = node), as [`Middleware`]
+/// builds them and as [`Transport::attach_stores`] shares them: bytes
+/// striped across sharded locks (see [`crate::shard`]) so concurrent
+/// operations on different blocks do not serialize. Buffers are `Arc<[u8]>`
+/// end to end — decode, install, forward, and serve all share one
+/// allocation.
+///
+/// [`Middleware`]: crate::runtime::Middleware
+pub type BlockStores = Arc<[ShardedMap<Arc<[u8]>>]>;
+
+/// Where a transport keeps the stores [`Transport::attach_stores`] gave it,
+/// and the one rule by which it may answer a block request from them (see
+/// the module docs): a hit only, and only for a live inbox.
+#[derive(Default)]
+pub struct AttachedStores(RwLock<Option<BlockStores>>);
+
+impl AttachedStores {
+    /// Install (or replace) the stores.
+    pub fn attach(&self, stores: BlockStores) {
+        *self.0.write() = Some(stores);
+    }
+
+    /// `node`'s bytes for `block`, if stores are attached, `node`'s store
+    /// holds the block, and `inbox` — the inbox incarnation the request
+    /// would otherwise be delivered to — still has a receiver. `None`
+    /// means "deliver the request to the inbox".
+    pub fn hit(&self, node: NodeId, inbox: &Sender<PeerMsg>, block: BlockId) -> Option<Arc<[u8]>> {
+        let data = self.0.read().as_ref()?.get(node.index())?.get(block)?;
+        inbox.is_connected().then_some(data)
+    }
+}
+
 /// What the middleware needs from a peer transport.
 ///
 /// Implementations deliver [`PeerMsg`]s into per-node inboxes; the
@@ -121,6 +174,12 @@ pub trait Transport: Send + Sync + 'static {
     /// Install a fresh inbox for `node` (startup and node restart) and
     /// return its receive end for the node's service thread.
     fn reconnect(&self, node: NodeId) -> Receiver<PeerMsg>;
+
+    /// Share the per-node block stores with the transport, so it may answer
+    /// a [`PeerMsg::BlockRequest`] hit from the destination's store without
+    /// its service thread (see the module docs for the two rules). The
+    /// default ignores them: every request goes through the inbox.
+    fn attach_stores(&self, _stores: BlockStores) {}
 
     /// Request `block` from `holder` on behalf of `src`, waiting at most
     /// `timeout`. `None` means the holder no longer caches the block, is
@@ -203,7 +262,12 @@ pub trait Transport: Send + Sync + 'static {
 /// Addressable senders to every node.
 #[derive(Clone)]
 pub struct Lan {
-    peers: Arc<Vec<RwLock<Sender<PeerMsg>>>>,
+    fabric: Arc<Fabric>,
+}
+
+struct Fabric {
+    peers: Vec<RwLock<Sender<PeerMsg>>>,
+    stores: AttachedStores,
 }
 
 impl Lan {
@@ -217,9 +281,13 @@ impl Lan {
             peers.push(RwLock::new(tx));
             inboxes.push(rx);
         }
+        let fabric = Fabric {
+            peers,
+            stores: AttachedStores::default(),
+        };
         (
             Lan {
-                peers: Arc::new(peers),
+                fabric: Arc::new(fabric),
             },
             inboxes,
         )
@@ -234,13 +302,13 @@ impl Lan {
 
     /// Number of nodes attached.
     pub fn nodes(&self) -> usize {
-        self.peers.len()
+        self.fabric.peers.len()
     }
 
     /// Send `msg` to `node`. Returns false if the node's service thread has
     /// already exited (its inbox is disconnected).
     pub fn send(&self, node: NodeId, msg: PeerMsg) -> bool {
-        self.peers[node.index()].read().send(msg).is_ok()
+        self.fabric.peers[node.index()].read().send(msg).is_ok()
     }
 
     /// Replace `node`'s channel with a fresh one (node restart). Messages
@@ -248,11 +316,14 @@ impl Lan {
     /// receive end for the restarted service thread.
     pub fn reconnect(&self, node: NodeId) -> Receiver<PeerMsg> {
         let (tx, rx) = unbounded();
-        *self.peers[node.index()].write() = tx;
+        *self.fabric.peers[node.index()].write() = tx;
         rx
     }
 
     /// Request `block` from `holder` and wait up to `timeout` for the reply.
+    /// With the stores attached, a block the live holder's store has is
+    /// returned on the calling thread without waking the holder's service
+    /// thread; a store miss goes through its inbox (module docs).
     ///
     /// `None` means the holder no longer caches the block, its thread is
     /// gone, or the reply did not arrive in time; callers fall back to the
@@ -263,6 +334,11 @@ impl Lan {
         block: BlockId,
         timeout: Duration,
     ) -> Option<Arc<[u8]>> {
+        let inbox = &self.fabric.peers[holder.index()];
+        let hit = self.fabric.stores.hit(holder, &inbox.read(), block);
+        if hit.is_some() {
+            return hit;
+        }
         let (reply_tx, reply_rx) = unbounded();
         if !self.send(
             holder,
@@ -301,6 +377,10 @@ impl Transport for Lan {
 
     fn reconnect(&self, node: NodeId) -> Receiver<PeerMsg> {
         Lan::reconnect(self, node)
+    }
+
+    fn attach_stores(&self, stores: BlockStores) {
+        self.fabric.stores.attach(stores);
     }
 
     fn fetch_block(
@@ -384,6 +464,25 @@ mod tests {
         let got = lan.fetch_block(NodeId(0), b(7), TIMEOUT);
         assert_eq!(got.as_deref(), Some(&[42u8][..]));
         server.join().unwrap();
+    }
+
+    #[test]
+    fn attached_stores_answer_hits_only_and_only_for_live_inboxes() {
+        let (lan, inboxes) = Lan::new(2);
+        let stores: BlockStores = (0..2).map(|_| ShardedMap::new()).collect();
+        stores[1].insert(b(4), vec![9].into());
+        Transport::attach_stores(&lan, stores);
+        // A hit: nobody services node 1's inbox, yet the fetch returns.
+        let got = lan.fetch_block(NodeId(1), b(4), TIMEOUT);
+        assert_eq!(got.as_deref(), Some(&[9u8][..]));
+        assert!(inboxes[1].is_empty(), "a hit never reaches the inbox");
+        // A miss is the service thread's to answer (nobody does, here).
+        let got = lan.fetch_block(NodeId(1), b(5), Duration::from_millis(20));
+        assert_eq!(got, None);
+        assert_eq!(inboxes[1].len(), 1, "the miss was queued, not answered");
+        // A dead inbox: the store still holds the block; nothing is served.
+        drop(inboxes);
+        assert_eq!(lan.fetch_block(NodeId(1), b(4), TIMEOUT), None);
     }
 
     #[test]

@@ -124,6 +124,13 @@ impl<T> Sender<T> {
         self.shared.ready.notify_one();
         Ok(())
     }
+
+    /// True while at least one receiver exists, i.e. while [`Sender::send`]
+    /// would succeed. A snapshot: the last receiver may drop right after,
+    /// exactly as it may right after a successful send.
+    pub fn is_connected(&self) -> bool {
+        self.shared.lock().receivers > 0
+    }
 }
 
 impl<T> Clone for Sender<T> {
@@ -300,6 +307,18 @@ mod tests {
         let (tx, rx) = unbounded();
         drop(rx);
         assert_eq!(tx.send(1u8), Err(SendError(1)));
+    }
+
+    #[test]
+    fn is_connected_tracks_the_last_receiver() {
+        let (tx, rx1) = unbounded::<u8>();
+        let rx2 = rx1.clone();
+        assert!(tx.is_connected());
+        drop(rx1);
+        assert!(tx.is_connected(), "one receiver is still alive");
+        drop(rx2);
+        assert!(!tx.is_connected());
+        assert_eq!(tx.send(1), Err(SendError(1)));
     }
 
     #[test]
