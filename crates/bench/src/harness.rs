@@ -31,11 +31,6 @@ impl ExperimentScale {
         }
     }
 
-    /// Whether `--quick` / `CCM_QUICK=1` asked for the smoke scale.
-    pub fn is_quick() -> bool {
-        ExperimentScale::from_env() == ExperimentScale::Quick
-    }
-
     fn apply(self, mut cfg: SimConfig) -> SimConfig {
         match self {
             ExperimentScale::Full => cfg,
@@ -47,23 +42,6 @@ impl ExperimentScale {
             }
         }
     }
-}
-
-/// Write a `bench_*` binary's report to `BENCH_<name>.json` at the repo
-/// root, next to Cargo.toml (crates/bench/../..).
-pub fn write_bench_json(name: &str, json: &str) {
-    let path = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
-    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("\nwrote {path}");
-}
-
-/// One named JSON array of `ccm-load` report cells, one cell per line.
-pub fn json_section(name: &str, cells: &[ccm_load::LoadReport]) -> String {
-    let cells: Vec<String> = cells
-        .iter()
-        .map(|c| format!("    {}", c.to_json()))
-        .collect();
-    format!("  \"{name}\": [\n{}\n  ]", cells.join(",\n"))
 }
 
 /// The per-node memory sweep of Figure 2 (4–512 MB).

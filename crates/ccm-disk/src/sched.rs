@@ -18,8 +18,8 @@
 //! [`SchedPolicy::Fifo`] is the paper's -Basic strawman: strict arrival
 //! order, which collapses under interleaved sequential streams (12 seeks
 //! where batching pays 4 — the simulator's
-//! `paper_interleaving_example_12_vs_4_seeks` test, reproduced at the
-//! runtime level by `bench_rt`'s `disk` section).
+//! `paper_interleaving_example_12_vs_4_seeks` test, reproduced for this
+//! queue by `tests/parity.rs`'s `paper_interleaving_example_matches`).
 
 use std::collections::VecDeque;
 

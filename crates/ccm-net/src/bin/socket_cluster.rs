@@ -17,9 +17,8 @@
 //! With `--replay <preset>` (calgary, clarknet, nasa, rutgers) the run is
 //! handed to `ccm-load`: the preset's recorded trace stream replayed over
 //! this cluster by closed-loop clients with a warm-up/measurement split,
-//! every byte verified, and the reconciled run report printed as JSON —
-//! the same cell format `bench_load` writes to `BENCH_load.json`, with
-//! `[ops]` sizing the measurement window.
+//! every byte verified, and the reconciled run report printed as JSON
+//! (`LoadReport::to_json`), with `[ops]` sizing the measurement window.
 //!
 //! With `--write-mix` the cluster runs a mixed read/write workload over a
 //! writable in-memory store in write-back mode with the ghost-LRU
@@ -259,8 +258,7 @@ fn main() {
 /// `ccm-load` — closed-loop clients replay the preset's recorded stream
 /// over a fresh `TcpLan`, against the bare handles or through the
 /// dispatching front tier; the driver verifies every byte, and the
-/// reconciled run report is printed as one `BENCH_load.json`-style JSON
-/// cell.
+/// reconciled run report is printed as one `LoadReport::to_json` cell.
 fn replay_preset(name: &str, nodes: usize, ops: u64, target: Target) {
     let preset = Preset::all()
         .into_iter()

@@ -254,8 +254,8 @@ fn reads_aimed_at_a_severed_or_crashed_node_degrade_to_the_store() {
     }
 }
 
-/// (iii) No store attached — the stub-peer set-up of
-/// `ccm_testkit::probe_transports` — still round-trips, through the inbox.
+/// (iii) No store attached — a stub peer whose service thread answers
+/// every `BlockRequest` itself — still round-trips, through the inbox.
 #[test]
 fn a_transport_without_stores_round_trips_through_the_inbox() {
     for backend in Backend::all() {

@@ -56,6 +56,10 @@ fn total_message_loss_degrades_to_disk_but_stays_correct() {
     }
     let stats = mw.stats();
     assert!(stats.store_fallbacks > 0, "fallback path never taken");
+    assert_eq!(
+        stats.store_fallbacks, stats.remote_hits,
+        "each dropped remote hit degrades to exactly one store read"
+    );
     assert!(mw.chaos_stats().dropped > 0);
     mw.check_invariants();
     mw.shutdown();

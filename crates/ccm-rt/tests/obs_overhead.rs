@@ -17,8 +17,7 @@
 //! as the corresponding ratio exploding, in either build.
 //!
 //! Run it in release, in both configurations, and compare the printed
-//! ns/read (the cross-build delta is what `BENCH_rt.json`'s `obs` section
-//! records):
+//! ns/read (the cross-build delta is the instrumentation's cost):
 //!
 //! ```text
 //! cargo test -p ccm-rt --release --test obs_overhead -- --ignored --nocapture

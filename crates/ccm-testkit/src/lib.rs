@@ -660,117 +660,6 @@ pub fn start_front(
     }
 }
 
-/// Raw-transport fetch latency for one backend, from [`probe_transports`].
-#[derive(Debug, Clone, Copy)]
-pub struct FetchProbe {
-    /// Minimum over rounds of the mean ns per serial `fetch_block` round
-    /// trip (one outstanding request, one block per train).
-    pub serial_ns: u64,
-    /// Minimum over rounds of the mean ns per block of a batched
-    /// `fetch_blocks` train.
-    pub batched_ns: u64,
-}
-
-/// Measure raw `Transport` fetch latency on both LAN backends — no cache,
-/// no disk, just the wire and a minimal peer service thread answering
-/// `BlockRequest` with an 8 KiB block.
-///
-/// Both backends are set up first and then measured in *interleaved*
-/// rounds (channel chunk, TCP chunk, repeat), taking the per-backend
-/// minimum of the per-round means. On a shared box a noise burst that
-/// lands during one backend's solo measurement would skew any
-/// channel-vs-TCP ratio; interleaving gives both backends the same shot
-/// at a quiet window, and the minima converge on the uncontended cost.
-/// `tests/perf_gate.rs` and `bench_rt` both use this function so the
-/// committed baseline and the gate measure the same thing.
-pub fn probe_transports(rounds: usize, fetches: u64, batch: usize) -> (FetchProbe, FetchProbe) {
-    use ccm_core::{BlockId, BLOCK_SIZE};
-    use ccm_rt::{PeerMsg, Transport};
-    use std::time::Instant;
-
-    fn serve(rx: simcore::chan::Receiver<PeerMsg>) -> std::thread::JoinHandle<()> {
-        let payload: Arc<[u8]> = vec![7u8; BLOCK_SIZE as usize].into();
-        std::thread::spawn(move || {
-            while let Ok(msg) = rx.recv() {
-                match msg {
-                    PeerMsg::BlockRequest { reply, .. } => {
-                        let _ = reply.send(Some(payload.clone()));
-                    }
-                    PeerMsg::Shutdown => break,
-                    _ => {}
-                }
-            }
-        })
-    }
-
-    struct Peer {
-        lan: Arc<dyn Transport>,
-        // Node 0's inbox must stay open while we fetch *as* node 0.
-        _rx0: simcore::chan::Receiver<PeerMsg>,
-        service: std::thread::JoinHandle<()>,
-    }
-
-    fn setup(lan: Arc<dyn Transport>) -> Peer {
-        let _rx0 = lan.reconnect(NodeId(0));
-        let service = serve(lan.reconnect(NodeId(1)));
-        Peer { lan, _rx0, service }
-    }
-
-    let timeout = Duration::from_secs(2);
-    let block = |i: u32| BlockId::new(FileId(0), i);
-    let (chan, _inboxes) = Lan::new(2);
-    let peers = [
-        setup(Arc::new(chan)),
-        setup(Arc::new(
-            TcpLan::loopback(2).expect("bind loopback listeners"),
-        )),
-    ];
-    for p in &peers {
-        for _ in 0..64 {
-            p.lan
-                .fetch_block(NodeId(0), NodeId(1), block(0), timeout)
-                .expect("warmup hit");
-        }
-    }
-
-    let rounds = rounds.max(3);
-    let blocks: Vec<BlockId> = (0..batch as u32).map(block).collect();
-    let trains = (fetches / batch as u64).max(1);
-    let mut out = [FetchProbe {
-        serial_ns: u64::MAX,
-        batched_ns: u64::MAX,
-    }; 2];
-    for _ in 0..rounds {
-        for (i, p) in peers.iter().enumerate() {
-            let t = Instant::now();
-            for _ in 0..fetches {
-                p.lan
-                    .fetch_block(NodeId(0), NodeId(1), block(0), timeout)
-                    .expect("serial hit");
-            }
-            out[i].serial_ns = out[i]
-                .serial_ns
-                .min(t.elapsed().as_nanos() as u64 / fetches);
-
-            let t = Instant::now();
-            for _ in 0..trains {
-                let got = p.lan.fetch_blocks(NodeId(0), NodeId(1), &blocks, timeout);
-                assert!(got.iter().all(|d| d.is_some()), "batched hit");
-            }
-            out[i].batched_ns = out[i]
-                .batched_ns
-                .min(t.elapsed().as_nanos() as u64 / (trains * batch as u64));
-        }
-    }
-
-    let [ch, tcp] = out;
-    for p in peers {
-        assert!(p.lan.send(NodeId(1), NodeId(1), PeerMsg::Shutdown));
-        p.service.join().unwrap();
-    }
-    (ch, tcp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
