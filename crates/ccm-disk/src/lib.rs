@@ -8,12 +8,16 @@
 //! file I/O. This crate is the missing layer:
 //!
 //! * [`DiskService`] — a per-node asynchronous disk service: bounded
-//!   request queue with backpressure, a small worker pool, a pluggable
-//!   scheduler ([`SchedPolicy::Fifo`] vs [`SchedPolicy::Batched`], the
-//!   latter semantically matched to `ccm_cluster::DiskScheduler::Batched`),
-//!   in-flight miss coalescing (concurrent requests for one block issue a
-//!   single physical read and share the `Arc<[u8]>`), and sequential
-//!   readahead for detected streams.
+//!   request queue with backpressure, one worker (one head), the paper's
+//!   batched C-LOOK scheduler ([`SchedPolicy::Batched`], semantically
+//!   matched to `ccm_cluster::DiskScheduler::Batched`), in-flight miss
+//!   coalescing (concurrent requests for one block issue a single physical
+//!   read and share the `Arc<[u8]>`), and sequential readahead for
+//!   detected streams.
+//! * [`SchedQueue`] — the scheduler as a pure data structure. The service
+//!   runs only [`SchedPolicy::Batched`]; [`SchedPolicy::Fifo`] (the
+//!   paper's -Basic strawman) stays as the reference order that
+//!   `tests/parity.rs` checks against the simulator's `Disk`.
 //! * [`FileStore`] — a real file-backed [`BlockStore`]: blocks laid out in
 //!   per-file extent-aligned regions of an actual data file, with correct
 //!   partial tail blocks, reopenable from the same data dir.
@@ -39,5 +43,5 @@ pub mod store;
 pub use file_store::FileStore;
 pub use layout::DiskLayout;
 pub use sched::{SchedPolicy, SchedQueue};
-pub use service::{DiskConfig, DiskError, DiskFaults, DiskMechanics, DiskService, DiskStats};
+pub use service::{DiskConfig, DiskError, DiskFaults, DiskService, DiskStats};
 pub use store::{read_file_direct, BlockStore, Catalog, MemStore, SyntheticStore};

@@ -1,16 +1,17 @@
-//! The asynchronous disk service: a bounded scheduled queue, a small
-//! worker pool, miss coalescing, and sequential readahead, per node.
+//! The asynchronous disk service: a bounded scheduled queue, one worker
+//! (one disk head), miss coalescing, and sequential readahead, per node.
 //!
 //! ## Request life cycle
 //!
-//! [`DiskService::read_async`] first consults the readahead cache, then —
-//! with coalescing on — attaches to any in-flight request for the same
-//! block (one physical read, everyone shares the `Arc<[u8]>`). Otherwise
-//! it blocks while `queue_cap` demand requests are already pending (the
-//! backpressure seam: callers feel a full disk queue as latency, exactly
-//! like a real device), then enqueues into a [`SchedQueue`] ordered by the
-//! configured [`SchedPolicy`]. Workers pop in scheduler order, perform the
-//! physical read outside the lock, and deliver to every waiter.
+//! [`DiskService::read_async`] first consults the readahead cache, then
+//! attaches to any in-flight request for the same block (one physical
+//! read, everyone shares the `Arc<[u8]>`). Otherwise it blocks while
+//! `queue_cap` demand requests are already pending (the backpressure
+//! seam: callers feel a full disk queue as latency, exactly like a real
+//! device), then enqueues into a [`SchedQueue`] ordered by the paper's
+//! batched C-LOOK rule ([`SchedPolicy::Batched`]). The worker pops in
+//! scheduler order, performs the physical read outside the lock, and
+//! delivers to every waiter.
 //!
 //! ## Readahead
 //!
@@ -38,9 +39,10 @@ use ccm_core::block::BLOCK_SIZE;
 use ccm_core::BlockId;
 use ccm_obs::{Counter, Gauge, Histogram, Registry, Stopwatch};
 use simcore::chan::{self, Receiver, Sender};
+use simcore::sync::{Condvar, Mutex};
 use simcore::FxHashMap;
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Result of one block read through the service.
@@ -90,52 +92,26 @@ impl Default for DiskFaults {
     }
 }
 
-/// Emulated device physics for benchmarks: without them a synthetic store
-/// serves every block at memory speed and scheduling discipline would be
-/// invisible in wall-clock terms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DiskMechanics {
-    /// Cost per seek charged by the scheduler (a non-contiguous
-    /// single-block request pays two: positioning + metadata).
-    pub seek: Duration,
-    /// Base service time per physical read.
-    pub read_latency: Duration,
-}
-
 /// Disk service configuration.
 #[derive(Debug, Clone)]
 pub struct DiskConfig {
-    /// Queue discipline (default: the paper's batched/C-LOOK policy).
-    pub scheduler: SchedPolicy,
-    /// Worker threads (spindles). Default 1 — one head, which is what
-    /// makes scheduling order meaningful.
-    pub workers: usize,
     /// Max pending *demand* requests before submitters block (backpressure).
     pub queue_cap: usize,
-    /// Share one physical read among concurrent same-block requests.
-    pub coalesce: bool,
     /// Blocks to read ahead once a sequential stream is detected (0 = off).
     pub readahead: u32,
-    /// Capacity of the single-shot readahead cache, in blocks.
-    pub readahead_cache: usize,
-    /// Emulated seek/service physics (default: none — real store latency
-    /// only).
-    pub mechanics: Option<DiskMechanics>,
 }
 
 impl Default for DiskConfig {
     fn default() -> DiskConfig {
         DiskConfig {
-            scheduler: SchedPolicy::Batched,
-            workers: 1,
             queue_cap: 128,
-            coalesce: true,
             readahead: 2,
-            readahead_cache: 64,
-            mechanics: None,
         }
     }
 }
+
+/// Capacity of the single-shot readahead cache, in blocks.
+const READAHEAD_CACHE: usize = 64;
 
 /// Counter snapshot for tests and reports. Counters stay live under
 /// `obs-off`, so assertions on coalescing/readahead hold in every build.
@@ -339,7 +315,7 @@ struct Inner {
 /// [`DiskService::start_observed`].
 pub struct DiskService {
     inner: Arc<Inner>,
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    worker: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 const SLOW_SALT: u64 = 0x510D_15C0;
@@ -378,7 +354,7 @@ impl DiskService {
         };
         let inner = Arc::new(Inner {
             core: Mutex::new(Core {
-                queue: SchedQueue::new(cfg.scheduler),
+                queue: SchedQueue::new(SchedPolicy::Batched),
                 pending: FxHashMap::default(),
                 by_block: FxHashMap::default(),
                 demand_queued: 0,
@@ -392,7 +368,6 @@ impl DiskService {
             work: Condvar::new(),
             space: Condvar::new(),
             cfg: DiskConfig {
-                workers: cfg.workers.max(1),
                 queue_cap: cfg.queue_cap.max(1),
                 ..cfg
             },
@@ -402,18 +377,16 @@ impl DiskService {
             faults: faults.filter(|(_, f)| !f.is_none()),
             m,
         });
-        let workers = (0..inner.cfg.workers)
-            .map(|i| {
-                let inner = inner.clone();
-                std::thread::Builder::new()
-                    .name(format!("ccm-disk-{i}"))
-                    .spawn(move || worker_loop(&inner))
-                    .expect("spawn disk worker")
-            })
-            .collect();
+        let worker = {
+            let inner = inner.clone();
+            std::thread::Builder::new()
+                .name("ccm-disk".into())
+                .spawn(move || worker_loop(&inner))
+                .expect("spawn disk worker")
+        };
         DiskService {
             inner,
-            workers: Mutex::new(workers),
+            worker: Mutex::new(Some(worker)),
         }
     }
 
@@ -430,7 +403,7 @@ impl DiskService {
     pub fn read_async(&self, block: BlockId) -> Receiver<DiskRead> {
         let inner = &*self.inner;
         let (tx, rx) = chan::unbounded();
-        let mut core = inner.core.lock().expect("disk core poisoned");
+        let mut core = inner.core.lock();
         inner.m.requests.inc();
         if core.stop {
             let _ = tx.send(Err(DiskError::Shutdown));
@@ -445,19 +418,17 @@ impl DiskService {
             return rx;
         }
         // 2. Coalesce onto an in-flight or queued read of the same block.
-        if inner.cfg.coalesce {
-            if let Some(&seq) = core.by_block.get(&block) {
-                if let Some(p) = core.pending.get_mut(&seq) {
-                    inner.m.coalesce_hits.inc();
-                    p.internal = false;
-                    p.waiters.push(tx);
-                    return rx;
-                }
+        if let Some(&seq) = core.by_block.get(&block) {
+            if let Some(p) = core.pending.get_mut(&seq) {
+                inner.m.coalesce_hits.inc();
+                p.internal = false;
+                p.waiters.push(tx);
+                return rx;
             }
         }
         // 3. Backpressure, then enqueue a demand request.
         while core.demand_queued >= inner.cfg.queue_cap && !core.stop {
-            core = inner.space.wait(core).expect("disk core poisoned");
+            core = inner.space.wait(core);
         }
         if core.stop {
             let _ = tx.send(Err(DiskError::Shutdown));
@@ -488,7 +459,7 @@ impl DiskService {
     /// writes: readahead bytes fetched before the write must never be
     /// served after it).
     pub fn invalidate(&self, block: BlockId) {
-        let mut core = self.inner.core.lock().expect("disk core poisoned");
+        let mut core = self.inner.core.lock();
         core.write_gen += 1;
         core.ra_cache.remove(&block);
         // Detach any in-flight read of this block: waiters that raced the
@@ -510,7 +481,7 @@ impl DiskService {
     /// store is read-only.
     pub fn write_block(&self, block: BlockId, data: &[u8]) -> bool {
         {
-            let mut core = self.inner.core.lock().expect("disk core poisoned");
+            let mut core = self.inner.core.lock();
             if core.stop {
                 return false;
             }
@@ -532,7 +503,7 @@ impl DiskService {
     pub fn stats(&self) -> DiskStats {
         let m = &self.inner.m;
         let max_queue_depth = {
-            let core = self.inner.core.lock().expect("disk core poisoned");
+            let core = self.inner.core.lock();
             core.queue.max_depth() as u64
         };
         DiskStats {
@@ -555,11 +526,11 @@ impl DiskService {
         &self.inner.catalog
     }
 
-    /// Stop the workers and fail every queued request with
+    /// Stop the worker and fail every queued request with
     /// [`DiskError::Shutdown`]. Idempotent; also runs on drop.
     pub fn shutdown(&self) {
         {
-            let mut core = self.inner.core.lock().expect("disk core poisoned");
+            let mut core = self.inner.core.lock();
             if core.stop {
                 return;
             }
@@ -573,8 +544,7 @@ impl DiskService {
             self.inner.work.notify_all();
             self.inner.space.notify_all();
         }
-        let mut workers = self.workers.lock().expect("worker list poisoned");
-        for h in workers.drain(..) {
+        if let Some(h) = self.worker.lock().take() {
             let _ = h.join();
         }
     }
@@ -588,7 +558,7 @@ impl Drop for DiskService {
 
 impl std::fmt::Debug for DiskService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "DiskService({:?})", self.inner.cfg.scheduler)
+        write!(f, "DiskService({:?})", self.inner.cfg)
     }
 }
 
@@ -640,11 +610,8 @@ fn note_stream_and_readahead(core: &mut Core, inner: &Inner, block: BlockId) {
 }
 
 /// Park readahead bytes in the single-shot cache, evicting oldest-first.
-fn ra_insert(core: &mut Core, cap: usize, block: BlockId, data: Arc<[u8]>) {
-    if cap == 0 {
-        return;
-    }
-    if core.ra_order.len() >= cap.saturating_mul(2) {
+fn ra_insert(core: &mut Core, block: BlockId, data: Arc<[u8]>) {
+    if core.ra_order.len() >= READAHEAD_CACHE * 2 {
         // Taken and invalidated entries leave stale ids in the eviction
         // order; prune them before they dominate.
         let Core {
@@ -652,7 +619,7 @@ fn ra_insert(core: &mut Core, cap: usize, block: BlockId, data: Arc<[u8]>) {
         } = core;
         ra_order.retain(|b| ra_cache.contains_key(b));
     }
-    while core.ra_cache.len() >= cap {
+    while core.ra_cache.len() >= READAHEAD_CACHE {
         let Some(old) = core.ra_order.pop_front() else {
             break;
         };
@@ -665,13 +632,13 @@ fn ra_insert(core: &mut Core, cap: usize, block: BlockId, data: Arc<[u8]>) {
 }
 
 fn worker_loop(inner: &Inner) {
-    let mut core = inner.core.lock().expect("disk core poisoned");
+    let mut core = inner.core.lock();
     loop {
         if core.stop {
             return;
         }
         let Some(picked) = core.queue.pop() else {
-            core = inner.work.wait(core).expect("disk core poisoned");
+            core = inner.work.wait(core);
             continue;
         };
         let seq = picked.seq;
@@ -700,8 +667,8 @@ fn worker_loop(inner: &Inner) {
         inner.m.inflight.adjust(1);
         drop(core);
 
-        // Physical service, no lock held: injected faults, emulated
-        // mechanics, then the real store read.
+        // Physical service, no lock held: injected faults, then the real
+        // store read.
         let sw = Stopwatch::start();
         let mut injected_err = false;
         if let Some((seed, f)) = inner.faults {
@@ -711,12 +678,6 @@ fn worker_loop(inner: &Inner) {
             }
             if f.error_prob > 0.0 && roll(seed, ERR_SALT, block) < f.error_prob {
                 injected_err = true;
-            }
-        }
-        if let Some(mech) = inner.cfg.mechanics {
-            let d = mech.read_latency + mech.seek * picked.seeks;
-            if !d.is_zero() {
-                std::thread::sleep(d);
             }
         }
         let res: DiskRead = if injected_err {
@@ -736,7 +697,7 @@ fn worker_loop(inner: &Inner) {
             &inner.m.latency_demand
         });
 
-        core = inner.core.lock().expect("disk core poisoned");
+        core = inner.core.lock();
         inner.m.inflight.adjust(-1);
         if let Some(p) = core.pending.remove(&seq) {
             if core.by_block.get(&block) == Some(&seq) {
@@ -746,7 +707,7 @@ fn worker_loop(inner: &Inner) {
                 // Pure readahead: cache unless a write intervened.
                 if let Ok(data) = &res {
                     if p.gen == core.write_gen && gen == p.gen {
-                        ra_insert(&mut core, inner.cfg.readahead_cache, block, data.clone());
+                        ra_insert(&mut core, block, data.clone());
                     }
                 }
             } else {

@@ -7,7 +7,7 @@ use ccm_core::block::BLOCK_SIZE;
 use ccm_core::{BlockId, FileId};
 use ccm_disk::{
     BlockStore, Catalog, DiskConfig, DiskError, DiskFaults, DiskService, FileStore, MemStore,
-    SchedPolicy, SyntheticStore,
+    SyntheticStore,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -106,36 +106,6 @@ fn concurrent_same_block_misses_issue_one_physical_read() {
     assert_eq!(stats.requests, 8);
 }
 
-/// With coalescing disabled the same workload pays eight physical reads.
-#[test]
-fn coalescing_off_issues_one_physical_read_per_request() {
-    let catalog = catalog();
-    let store = Arc::new(GatedStore::new(catalog.clone(), 0xC0A2));
-    store.open_gate();
-    let svc = Arc::new(DiskService::start(
-        store.clone(),
-        catalog,
-        DiskConfig {
-            coalesce: false,
-            readahead: 0,
-            ..DiskConfig::default()
-        },
-    ));
-    let block = BlockId::new(FileId(0), 5);
-    let readers: Vec<_> = (0..8)
-        .map(|_| {
-            let svc = svc.clone();
-            std::thread::spawn(move || svc.read(block).expect("read"))
-        })
-        .collect();
-    for r in readers {
-        r.join().expect("reader");
-    }
-    let stats = svc.stats();
-    assert_eq!(stats.physical_demand_reads, 8);
-    assert_eq!(stats.coalesce_hits, 0);
-}
-
 /// A sequential scan triggers readahead, and the prefetched bytes are
 /// exact.
 #[test]
@@ -178,8 +148,6 @@ fn full_demand_queue_blocks_submitters() {
         DiskConfig {
             queue_cap: 2,
             readahead: 0,
-            coalesce: false,
-            ..DiskConfig::default()
         },
     ));
     // First request: popped by the worker, held at the gate.
@@ -369,7 +337,6 @@ fn batched_service_over_file_store_serves_exact_bytes() {
         Arc::new(fs),
         catalog.clone(),
         DiskConfig {
-            scheduler: SchedPolicy::Batched,
             readahead: 0,
             ..DiskConfig::default()
         },

@@ -26,7 +26,8 @@ use ccm_l2s::FileCache;
 use ccm_obs::{Registry, Snapshot};
 use ccm_rt::store::read_file_direct;
 use ccm_rt::{BlockStore, Catalog, Middleware, NodeHandle};
-use std::sync::{Arc, Mutex};
+use simcore::sync::Mutex;
+use std::sync::Arc;
 
 /// Block-weighted cache accounting, comparable across backends.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -228,7 +229,7 @@ impl L2sBackend {
     /// Whole-file cache access at `node`: LRU touch, faulting the file in
     /// (with de-replication-aware eviction) on a miss.
     fn access(&self, node: NodeId, file: FileId) {
-        let mut st = self.state.lock().expect("l2s state poisoned");
+        let mut st = self.state.lock();
         st.tick += 1;
         let tick = st.tick;
         let blocks = self.catalog.blocks_of(file) as u64;
@@ -249,7 +250,7 @@ impl L2sBackend {
 
     /// Full-state invariant check (tests): copy counts match the caches.
     pub fn check_invariants(&self) {
-        let st = self.state.lock().expect("l2s state poisoned");
+        let st = self.state.lock();
         let mut counts = vec![0u32; st.copies.len()];
         for c in &st.caches {
             c.check_invariants();
@@ -267,7 +268,7 @@ impl FrontBackend for L2sBackend {
     }
 
     fn nodes(&self) -> usize {
-        self.state.lock().expect("l2s state poisoned").caches.len()
+        self.state.lock().caches.len()
     }
 
     fn catalog(&self) -> &Catalog {
@@ -301,7 +302,7 @@ impl FrontBackend for L2sBackend {
     }
 
     fn hit_stats(&self) -> HitStats {
-        self.state.lock().expect("l2s state poisoned").stats
+        self.state.lock().stats
     }
 }
 

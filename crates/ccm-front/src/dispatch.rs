@@ -19,8 +19,8 @@
 use ccm_core::{FileId, NodeId};
 use ccm_l2s::{L2sConfig, L2sRouter};
 use ccm_obs::{Gauge, Registry};
+use simcore::sync::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// A front-door dispatch policy.
 pub trait Dispatch: Send + Sync {
@@ -148,7 +148,7 @@ impl ContentAware {
 
     /// Routing counters (handoffs, replications, de-replications).
     pub fn router_stats(&self) -> ccm_l2s::RouterStats {
-        self.router.lock().expect("router poisoned").stats()
+        self.router.lock().stats()
     }
 }
 
@@ -161,28 +161,16 @@ impl Dispatch for ContentAware {
         match file {
             // Non-file endpoints have no content to be aware of.
             None => arrival,
-            Some(f) => {
-                self.router
-                    .lock()
-                    .expect("router poisoned")
-                    .route(arrival, f)
-                    .target
-            }
+            Some(f) => self.router.lock().route(arrival, f).target,
         }
     }
 
     fn begin(&self, node: NodeId) {
-        self.router
-            .lock()
-            .expect("router poisoned")
-            .begin_request(node);
+        self.router.lock().begin_request(node);
     }
 
     fn end(&self, node: NodeId) {
-        self.router
-            .lock()
-            .expect("router poisoned")
-            .end_request(node);
+        self.router.lock().end_request(node);
     }
 }
 

@@ -43,8 +43,7 @@
 pub mod tcp;
 pub mod wire;
 
-pub use tcp::{NetStats, TcpConfig, TcpLan};
+pub use tcp::{NetStats, TcpLan, MAX_TRAIN_BYTES};
 pub use wire::{
-    decode, encode, read_frame, read_frame_counted, write_frame, DecodeError, FrameAssembler,
-    FrameTrain, WireMsg, WIRE_VERSION,
+    decode, encode, write_frame, DecodeError, FrameAssembler, FrameTrain, WireMsg, WIRE_VERSION,
 };

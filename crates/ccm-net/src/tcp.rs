@@ -19,9 +19,9 @@
 //! concurrent requests coalesce into one syscall — the classic
 //! group-commit shape. Block payloads ride the train as shared
 //! `Arc<[u8]>` segments, so an 8 KB block goes from the peer's store to
-//! the socket without a copy. [`TcpConfig::max_train_bytes`] bounds the
-//! staged backlog: pushers briefly yield instead of growing a train past
-//! the cap while the peer is slow.
+//! the socket without a copy. [`MAX_TRAIN_BYTES`] bounds the staged
+//! backlog: pushers briefly yield instead of growing a train past the cap
+//! while the peer is slow.
 //!
 //! The receive side is one *reactor thread per node*. The reactor owns
 //! the node's nonblocking listener, every inbound connection, and the read
@@ -120,32 +120,17 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Tuning knobs for the connection manager and data plane.
-#[derive(Debug, Clone, Copy)]
-pub struct TcpConfig {
-    /// Per-attempt dial timeout.
-    pub connect_timeout: Duration,
-    /// Backoff after the first failure on a link.
-    pub initial_backoff: Duration,
-    /// Backoff ceiling (doubles per consecutive failure up to this).
-    pub max_backoff: Duration,
-    /// Staged-outbox ceiling per connection: once a train holds this many
-    /// bytes while a flush is in progress, further pushers yield until the
-    /// writer drains it (bounded memory under a slow peer — the moral
-    /// equivalent of the old blocking write).
-    pub max_train_bytes: usize,
-}
+/// Per-attempt dial timeout.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+/// Backoff after the first failure on a link.
+const INITIAL_BACKOFF: Duration = Duration::from_millis(10);
+/// Backoff ceiling (doubles per consecutive failure up to this).
+const MAX_BACKOFF: Duration = Duration::from_millis(500);
 
-impl Default for TcpConfig {
-    fn default() -> TcpConfig {
-        TcpConfig {
-            connect_timeout: Duration::from_secs(1),
-            initial_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(500),
-            max_train_bytes: 256 * 1024,
-        }
-    }
-}
+/// Staged-outbox ceiling per connection: once a train holds this many
+/// bytes while a flush is in progress, further pushers yield until the
+/// writer drains it (bounded memory under a slow peer).
+pub const MAX_TRAIN_BYTES: usize = 256 * 1024;
 
 /// Wire/connection counters (diagnostics; monotonic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -421,7 +406,6 @@ struct Watch {
 }
 
 struct TcpShared {
-    cfg: TcpConfig,
     slots: Vec<NodeSlot>,
     /// Row-major `src * nodes + dst`.
     links: Vec<Mutex<Link>>,
@@ -474,7 +458,7 @@ impl TcpShared {
             let o = self.obs.pair(src, dst);
             o.teardowns.inc();
             o.backoff_ms.set(link.backoff.as_millis() as i64);
-            link.backoff = (link.backoff * 2).min(self.cfg.max_backoff);
+            link.backoff = (link.backoff * 2).min(MAX_BACKOFF);
             self.teardowns.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -555,7 +539,7 @@ fn pump_frames(
     conn: &Arc<Conn>,
     frames: &[WireMsg],
 ) -> bool {
-    let cap = shared.cfg.max_train_bytes as u64;
+    let cap = MAX_TRAIN_BYTES as u64;
     let mut ob = conn.outbox.lock();
     if ob.dead {
         return false;
@@ -605,13 +589,14 @@ pub struct TcpLan {
 }
 
 impl TcpLan {
-    /// Bind `nodes` listeners on loopback ephemeral ports with default
-    /// tuning.
+    /// Bind `nodes` listeners on loopback ephemeral ports.
     ///
     /// # Errors
     /// Any socket error while binding or spawning reactors.
     pub fn loopback(nodes: usize) -> std::io::Result<TcpLan> {
-        TcpLan::with_config(nodes, TcpConfig::default())
+        // A private registry: the counters still count (NetStats reads
+        // them through the same handles), the series just go nowhere.
+        TcpLan::loopback_obs(nodes, &Registry::default())
     }
 
     /// [`TcpLan::loopback`], registering per-link wire metrics
@@ -621,28 +606,6 @@ impl TcpLan {
     /// # Errors
     /// Any socket error while binding or spawning reactors.
     pub fn loopback_obs(nodes: usize, registry: &Registry) -> std::io::Result<TcpLan> {
-        TcpLan::with_config_obs(nodes, TcpConfig::default(), registry)
-    }
-
-    /// Bind `nodes` listeners on loopback ephemeral ports.
-    ///
-    /// # Errors
-    /// Any socket error while binding or spawning reactors.
-    pub fn with_config(nodes: usize, cfg: TcpConfig) -> std::io::Result<TcpLan> {
-        // A private registry: the counters still count (NetStats reads
-        // them through the same handles), the series just go nowhere.
-        TcpLan::with_config_obs(nodes, cfg, &Registry::default())
-    }
-
-    /// [`TcpLan::with_config`] with per-link wire metrics on `registry`.
-    ///
-    /// # Errors
-    /// Any socket error while binding or spawning reactors.
-    pub fn with_config_obs(
-        nodes: usize,
-        cfg: TcpConfig,
-        registry: &Registry,
-    ) -> std::io::Result<TcpLan> {
         let mut listeners = Vec::with_capacity(nodes);
         let mut slots = Vec::with_capacity(nodes);
         for _ in 0..nodes {
@@ -671,13 +634,12 @@ impl TcpLan {
             reactor_rx.push((rx, woken));
         }
         let shared = Arc::new(TcpShared {
-            cfg,
             slots,
             links: (0..nodes * nodes)
                 .map(|_| {
                     Mutex::new(Link {
                         conn: None,
-                        backoff: cfg.initial_backoff,
+                        backoff: INITIAL_BACKOFF,
                         retry_at: None,
                     })
                 })
@@ -756,14 +718,13 @@ impl TcpLan {
             obs.dial_failures.inc();
             obs.backoff_ms.set(link.backoff.as_millis() as i64);
             link.retry_at = Some(Instant::now() + link.backoff);
-            link.backoff = (link.backoff * 2).min(self.shared.cfg.max_backoff);
+            link.backoff = (link.backoff * 2).min(MAX_BACKOFF);
         };
-        let dial =
-            TcpStream::connect_timeout(&addr, self.shared.cfg.connect_timeout).and_then(|sock| {
-                sock.set_nodelay(true)?;
-                sock.set_nonblocking(true)?;
-                Ok(sock)
-            });
+        let dial = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT).and_then(|sock| {
+            sock.set_nodelay(true)?;
+            sock.set_nonblocking(true)?;
+            Ok(sock)
+        });
         let sock = match dial {
             Ok(sock) => sock,
             Err(_) => {
@@ -794,7 +755,7 @@ impl TcpLan {
         self.shared.connects.fetch_add(1, Ordering::Relaxed);
         obs.backoff_ms.set(0);
         link.conn = Some(conn.clone());
-        link.backoff = self.shared.cfg.initial_backoff;
+        link.backoff = INITIAL_BACKOFF;
         link.retry_at = None;
         Some(conn)
     }
@@ -971,7 +932,7 @@ impl Transport for TcpLan {
                     self.shared.teardowns.fetch_add(1, Ordering::Relaxed);
                     pair.teardowns.inc();
                 }
-                link.backoff = self.shared.cfg.initial_backoff;
+                link.backoff = INITIAL_BACKOFF;
                 link.retry_at = None;
                 pair.backoff_ms.set(0);
             }

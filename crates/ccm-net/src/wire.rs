@@ -41,7 +41,7 @@
 //! [`PeerMsg`]: ccm_rt::PeerMsg
 
 use ccm_core::{BlockId, FileId, NodeId};
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, IoSlice, Write};
 use std::sync::Arc;
 
 /// Wire protocol version, carried in [`WireMsg::Hello`]; bump on any frame
@@ -367,67 +367,28 @@ pub fn decode(payload: &[u8]) -> Result<WireMsg, DecodeError> {
 }
 
 /// Write `msg` as one length-prefixed frame and flush it. Returns the
-/// total bytes put on the wire (length prefix included) so callers can
-/// account traffic without re-encoding.
+/// total bytes put on the wire (length prefix included). The data plane
+/// writes [`FrameTrain`]s; this one-frame encoder is the reference their
+/// byte stream is tested against.
 pub fn write_frame(w: &mut impl Write, msg: &WireMsg) -> io::Result<usize> {
     let mut payload = Vec::new();
     encode(msg, &mut payload);
     let mut frame = Vec::with_capacity(4 + payload.len());
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     frame.extend_from_slice(&payload);
-    // One write call per frame: frames from concurrent writers must not
-    // interleave mid-frame (the TCP layer serializes writers per link, but
-    // a single syscall keeps the invariant obvious and cheap).
     w.write_all(&frame)?;
     w.flush()?;
     Ok(frame.len())
-}
-
-/// Read one length-prefixed frame. `Ok(None)` on clean EOF at a frame
-/// boundary; mid-frame EOF, an oversized length prefix, and any
-/// [`DecodeError`] surface as `io::ErrorKind::InvalidData` /
-/// `UnexpectedEof` errors.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<WireMsg>> {
-    Ok(read_frame_counted(r)?.map(|(msg, _)| msg))
-}
-
-/// [`read_frame`], but also reporting how many bytes the frame occupied on
-/// the wire (length prefix included) — the read-side counterpart of
-/// [`write_frame`]'s return value.
-pub fn read_frame_counted(r: &mut impl Read) -> io::Result<Option<(WireMsg, u64)>> {
-    let mut len_buf = [0u8; 4];
-    // Distinguish "connection ended between frames" (fine) from "ended in
-    // the middle of one" (corruption).
-    match r.read(&mut len_buf) {
-        Ok(0) => return Ok(None),
-        Ok(n) => r.read_exact(&mut len_buf[n..])?,
-        Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-            r.read_exact(&mut len_buf)?;
-        }
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds MAX_FRAME {MAX_FRAME}"),
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    decode(&payload)
-        .map(|msg| Some((msg, 4 + len as u64)))
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad frame: {e}")))
 }
 
 /// Incremental frame decoder for nonblocking reads.
 ///
 /// Socket bytes arrive in arbitrary slices; [`FrameAssembler::extend`]
 /// appends them and [`FrameAssembler::next_frame`] yields each complete
-/// frame as it becomes decodable. The same rejection rules as
-/// [`read_frame_counted`] apply — an oversized length prefix or any
-/// [`DecodeError`] poisons the stream with `InvalidData` — but partial
-/// frames simply wait for more bytes instead of blocking a thread.
+/// frame as it becomes decodable. An oversized length prefix (checked
+/// before allocation) or any [`DecodeError`] poisons the stream with
+/// `InvalidData`; partial frames simply wait for more bytes instead of
+/// blocking a thread.
 #[derive(Default)]
 pub struct FrameAssembler {
     /// Fully initialized storage; the undecoded bytes live in
@@ -854,49 +815,6 @@ mod tests {
         let len_at = buf.len() - 3 - 4;
         buf[len_at..len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(decode(&buf), Err(DecodeError::BadLength));
-    }
-
-    #[test]
-    fn frames_round_trip_over_a_stream() {
-        let msgs = vec![
-            WireMsg::Hello {
-                version: WIRE_VERSION,
-                node: NodeId(2),
-            },
-            WireMsg::Forward {
-                block: b(8, 1),
-                data: vec![5; 100].into(),
-                displace: None,
-            },
-            WireMsg::BarrierAck { req_id: 77 },
-        ];
-        let mut stream = Vec::new();
-        for m in &msgs {
-            write_frame(&mut stream, m).unwrap();
-        }
-        let mut r = stream.as_slice();
-        for m in &msgs {
-            assert_eq!(read_frame(&mut r).unwrap().as_ref(), Some(m));
-        }
-        assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF");
-    }
-
-    #[test]
-    fn oversized_frame_is_rejected_before_allocation() {
-        let mut stream = Vec::new();
-        stream.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
-        stream.extend_from_slice(&[0; 16]);
-        let err = read_frame(&mut stream.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn mid_frame_eof_is_an_error_not_none() {
-        let mut stream = Vec::new();
-        write_frame(&mut stream, &WireMsg::Barrier { req_id: 9 }).unwrap();
-        stream.truncate(stream.len() - 2);
-        let mut r = stream.as_slice();
-        assert!(read_frame(&mut r).is_err());
     }
 
     /// A mixed train: frames above and below the zero-copy threshold, in

@@ -17,7 +17,7 @@
 
 use ccm_core::{BlockId, FileId, NodeId};
 use ccm_net::wire::{FrameAssembler, FrameTrain, WireMsg, MAX_FRAME};
-use ccm_net::{TcpConfig, TcpLan};
+use ccm_net::{TcpLan, MAX_TRAIN_BYTES};
 use ccm_rt::{PeerMsg, Transport};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -101,7 +101,7 @@ fn lone_request_flushes_immediately() {
 /// frame bit-for-bit.
 #[test]
 fn exactly_full_train_flushes_and_reassembles() {
-    let cap = TcpConfig::default().max_train_bytes;
+    let cap = MAX_TRAIN_BYTES;
     let mut train = FrameTrain::new();
 
     // Learn the per-frame overhead empirically so the test tracks the

@@ -136,7 +136,7 @@ fn dropping_an_idle_transport_is_prompt() {
 
 /// A connection that never says Hello is closed at its deadline (5 s) even
 /// though no traffic wakes the reactor in the meantime. Ignored by default
-/// because it has to sit the deadline out; CI's `perf` job runs it.
+/// because it has to sit the deadline out; CI's `release` job runs it.
 #[test]
 #[ignore = "sits out the 5 s Hello deadline"]
 fn a_silent_connection_is_closed_at_the_hello_deadline() {

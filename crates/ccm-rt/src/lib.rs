@@ -51,9 +51,7 @@ pub mod store;
 pub mod transport;
 pub mod write;
 
-pub use ccm_disk::{
-    DiskConfig, DiskFaults, DiskMechanics, DiskService, DiskStats, FileStore, SchedPolicy,
-};
+pub use ccm_disk::{DiskConfig, DiskFaults, DiskService, DiskStats, FileStore};
 pub use fault::{ChaosLan, ChaosStats, CrashEvent, FaultPlan, LinkFaults};
 pub use membership::{MemberState, Membership};
 pub use obs::ReadClass;

@@ -20,7 +20,8 @@
 //! `Transport` seam and walks unresponsive members Up → Suspect → Down.
 
 use ccm_core::NodeId;
-use std::sync::{Arc, Condvar, Mutex};
+use simcore::sync::{Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Lifecycle state of one provisioned node slot.
@@ -96,17 +97,17 @@ impl Membership {
 
     /// Number of provisioned slots (fixed for the cluster's lifetime).
     pub fn capacity(&self) -> usize {
-        self.inner.0.lock().unwrap().states.len()
+        self.inner.0.lock().states.len()
     }
 
     /// The current epoch: bumped once per state transition.
     pub fn epoch(&self) -> u64 {
-        self.inner.0.lock().unwrap().epoch
+        self.inner.0.lock().epoch
     }
 
     /// The state of one slot.
     pub fn state(&self, node: NodeId) -> MemberState {
-        self.inner.0.lock().unwrap().states[node.index()]
+        self.inner.0.lock().states[node.index()]
     }
 
     /// True if `node` currently counts as a member (`Up` or `Suspect`).
@@ -116,7 +117,7 @@ impl Membership {
 
     /// Member slots in ascending id order.
     pub fn members(&self) -> Vec<NodeId> {
-        let t = self.inner.0.lock().unwrap();
+        let t = self.inner.0.lock();
         t.states
             .iter()
             .enumerate()
@@ -131,7 +132,7 @@ impl Membership {
     /// is harmless (waiters re-check state).
     pub fn transition(&self, node: NodeId, to: MemberState) -> u64 {
         let (lock, cvar) = &*self.inner;
-        let mut t = lock.lock().unwrap();
+        let mut t = lock.lock();
         t.states[node.index()] = to;
         t.epoch += 1;
         let epoch = t.epoch;
@@ -144,10 +145,7 @@ impl Membership {
     /// path means joiners/monitors never poll the table.
     pub fn wait_for_epoch(&self, at_least: u64, timeout: Duration) -> u64 {
         let (lock, cvar) = &*self.inner;
-        let t = lock.lock().unwrap();
-        let (t, _) = cvar
-            .wait_timeout_while(t, timeout, |t| t.epoch < at_least)
-            .expect("membership lock poisoned");
+        let (t, _) = cvar.wait_timeout_while(lock.lock(), timeout, |t| t.epoch < at_least);
         t.epoch
     }
 }

@@ -11,7 +11,6 @@
 //! | `ccm_rt_evictions_total` | counter | `node` |
 //! | `ccm_rt_forwards_total` | counter | `node` |
 //! | `ccm_rt_store_fallbacks_total` | counter | `node` |
-//! | `ccm_rt_fetch_shed_total` | counter | `node` |
 //! | `ccm_rt_move_fallbacks_total` | counter | `node` |
 //! | `ccm_rt_disk_error_fallbacks_total` | counter | `node` |
 //! | `ccm_rt_store_blocks` | gauge | `node` |
@@ -91,7 +90,6 @@ pub(crate) struct NodeObs {
     pub evictions: Counter,
     pub forwards: Counter,
     pub store_fallbacks: Counter,
-    pub fetch_sheds: Counter,
     pub move_fallbacks: Counter,
     pub disk_error_fallbacks: Counter,
     pub store_blocks: Gauge,
@@ -158,11 +156,6 @@ impl RtObs {
                     store_fallbacks: registry.counter(
                         "ccm_rt_store_fallbacks_total",
                         "Data-plane races resolved through the backing store (the paper's 'eventual disk read')",
-                        &l,
-                    ),
-                    fetch_sheds: registry.counter(
-                        "ccm_rt_fetch_shed_total",
-                        "Peer fetches shed at the pending-fetch bound and degraded to a store fallback (overload control)",
                         &l,
                     ),
                     move_fallbacks: registry.counter(

@@ -32,7 +32,7 @@ use simcore::chan::Receiver;
 use simcore::sync::Mutex;
 use simcore::FxHashMap;
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -69,11 +69,6 @@ pub struct RtConfig {
     pub fetch_timeout: Duration,
     /// Link-level fault injection, if any (testing).
     pub faults: Option<FaultPlan>,
-    /// Per-node disk service configuration: scheduler policy, worker count,
-    /// queue bound, coalescing, and readahead. Every miss and degraded
-    /// fallback is read through a node's [`DiskService`] rather than
-    /// touching the [`BlockStore`] inline.
-    pub disk: DiskConfig,
     /// Metric registry the cluster reports into. `None` creates a private
     /// one (reachable via [`Middleware::registry`]); pass a shared registry
     /// to co-locate runtime, transport, and HTTP metrics in one scrape.
@@ -88,13 +83,6 @@ pub struct RtConfig {
     /// without being cached until they re-touch); `None` (the default)
     /// admits everything, exactly the paper's behavior.
     pub admission: Option<AdmissionConfig>,
-    /// Overload control at the peer-fetch seam: `Some(n)` bounds each
-    /// node's concurrently outstanding peer fetches to `n`. A fetch over
-    /// the bound is *shed* — counted on `ccm_rt_fetch_shed_total` and
-    /// degraded to a store fallback (the same path as the §3 race), so the
-    /// request is still served and never silently dropped. `None` (the
-    /// default) leaves fetches unbounded, exactly the prior behavior.
-    pub max_pending_fetches: Option<usize>,
 }
 
 impl Default for RtConfig {
@@ -105,11 +93,9 @@ impl Default for RtConfig {
             policy: ReplacementPolicy::MasterPreserving,
             fetch_timeout: Duration::from_secs(2),
             faults: None,
-            disk: DiskConfig::default(),
             obs: None,
             write: WriteConfig::default(),
             admission: None,
-            max_pending_fetches: None,
         }
     }
 }
@@ -174,9 +160,10 @@ struct Shared {
     /// [`Transport::attach_stores`]).
     stores: BlockStores,
     disk: Arc<dyn BlockStore>,
-    /// One asynchronous disk service per node: queued, scheduled,
-    /// coalesced reads against `disk`. Kept by value so dropping `Shared`
-    /// joins the worker threads.
+    /// One asynchronous disk service per node (default [`DiskConfig`]):
+    /// every miss and degraded fallback is a queued, scheduled, coalesced
+    /// read against `disk`. Kept by value so dropping `Shared` joins the
+    /// worker threads.
     disks: Vec<DiskService>,
     catalog: Catalog,
     chaos: ChaosLan,
@@ -194,7 +181,7 @@ struct Shared {
     /// had not caught up with a protocol decision) live here too, as
     /// per-node counters.
     obs: RtObs,
-    /// Write-path coherence configuration (mode, dirty budget, flusher).
+    /// Write-path coherence configuration (mode, dirty budget, cadence).
     write_cfg: WriteConfig,
     /// Monotonic cluster-wide write version, carried on
     /// [`PeerMsg::WriteInvalidate`] frames so a networked observer can
@@ -206,11 +193,6 @@ struct Shared {
     /// exactly the order the protocol observes. Locks are created on first
     /// write of a block and retained (one `Arc` per ever-written block).
     write_locks: ShardedMap<Arc<Mutex<()>>>,
-    /// Overload control: per-node count of outstanding peer fetches, and
-    /// the bound beyond which a fetch is shed to a store fallback
-    /// (`RtConfig::max_pending_fetches`; `None` = unbounded).
-    pending_fetches: Vec<AtomicUsize>,
-    max_pending_fetches: Option<usize>,
     /// Acknowledged writes across all nodes — the clock for the
     /// `WriteConfig::flush_every_ops` cadence.
     write_ops: AtomicU64,
@@ -268,34 +250,6 @@ impl Shared {
     fn write_lock(&self, block: BlockId) -> Arc<Mutex<()>> {
         self.write_locks
             .get_or_insert_with(block, || Arc::new(Mutex::new(())))
-    }
-
-    /// Try to claim one of `node`'s peer-fetch slots. Always admits when
-    /// `max_pending_fetches` is `None`. Returning `false` means the node
-    /// is at its bound: the caller sheds the round trip (counted on
-    /// `ccm_rt_fetch_shed_total`) and degrades to a store fallback.
-    fn try_begin_fetch(&self, node: NodeId) -> bool {
-        let Some(bound) = self.max_pending_fetches else {
-            return true;
-        };
-        let slot = &self.pending_fetches[node.index()];
-        let mut cur = slot.load(Ordering::Relaxed);
-        loop {
-            if cur >= bound {
-                return false;
-            }
-            match slot.compare_exchange_weak(cur, cur + 1, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return true,
-                Err(now) => cur = now,
-            }
-        }
-    }
-
-    /// Release the slot claimed by a successful [`Shared::try_begin_fetch`].
-    fn end_fetch(&self, node: NodeId) {
-        if self.max_pending_fetches.is_some() {
-            self.pending_fetches[node.index()].fetch_sub(1, Ordering::Relaxed);
-        }
     }
 
     /// Persist `block` through `node`'s disk service (which fences its own
@@ -534,9 +488,6 @@ pub struct Middleware {
     /// The heartbeat failure detector, once started: its stop flag and
     /// thread handle (joined on shutdown).
     monitor: Mutex<Option<(Arc<AtomicBool>, JoinHandle<()>)>>,
-    /// The background write-back flusher, if `WriteConfig::flush_interval`
-    /// asked for one: its stop flag and thread handle (joined on shutdown).
-    flusher: Mutex<Option<(Arc<AtomicBool>, JoinHandle<()>)>>,
 }
 
 /// A per-node client handle; cheap to clone and `Send`.
@@ -718,7 +669,7 @@ impl Middleware {
                 DiskService::start_observed(
                     disk.clone(),
                     catalog.clone(),
-                    cfg.disk.clone(),
+                    DiskConfig::default(),
                     Some((plan.seed, plan.disk)),
                     Some(&registry),
                     &i.to_string(),
@@ -743,8 +694,6 @@ impl Middleware {
             write_cfg: cfg.write,
             write_version: AtomicU64::new(0),
             write_locks: ShardedMap::new(),
-            pending_fetches: (0..cfg.nodes).map(|_| AtomicUsize::new(0)).collect(),
-            max_pending_fetches: cfg.max_pending_fetches,
             write_ops: AtomicU64::new(0),
             dirty: Mutex::new(DirtyLedger::default()),
             lost_writes: Mutex::new(BTreeSet::new()),
@@ -762,25 +711,11 @@ impl Middleware {
                     .then(|| spawn_service(&shared, node, inbox))
             })
             .collect();
-        let mw = Middleware {
+        Middleware {
             shared,
             threads: Mutex::new(threads),
             monitor: Mutex::new(None),
-            flusher: Mutex::new(None),
-        };
-        if cfg.write.mode == WriteMode::Back {
-            if let Some(interval) = cfg.write.flush_interval {
-                let stop = Arc::new(AtomicBool::new(false));
-                let shared = mw.shared.clone();
-                let flag = stop.clone();
-                let handle = std::thread::Builder::new()
-                    .name("ccm-wb-flusher".into())
-                    .spawn(move || flusher_loop(shared, flag, interval))
-                    .expect("spawn write-back flusher");
-                *mw.flusher.lock() = Some((stop, handle));
-            }
         }
-        mw
     }
 
     /// A client handle bound to `node`.
@@ -1176,13 +1111,6 @@ impl Middleware {
     }
 
     fn stop_threads(&self, strict: bool) {
-        if let Some((stop, handle)) = self.flusher.lock().take() {
-            stop.store(true, Ordering::Release);
-            let joined = handle.join();
-            if strict {
-                joined.expect("write-back flusher panicked");
-            }
-        }
         if let Some((stop, handle)) = self.monitor.lock().take() {
             stop.store(true, Ordering::Release);
             let joined = handle.join();
@@ -1210,25 +1138,6 @@ impl Drop for Middleware {
     fn drop(&mut self) {
         // Best-effort shutdown if the user forgot; ignore already-dead nodes.
         self.stop_threads(false);
-    }
-}
-
-/// The background write-back flusher behind `WriteConfig::flush_interval`:
-/// drain the dirty ledger every interval. Wall-clock driven, hence (like
-/// the heartbeat monitor) intentionally not deterministic; replay-exact
-/// tests flush explicitly instead.
-fn flusher_loop(shared: Arc<Shared>, stop: Arc<AtomicBool>, interval: Duration) {
-    while !stop.load(Ordering::Acquire) {
-        // Sleep in small slices so a stop request is honored promptly.
-        let mut slept = Duration::ZERO;
-        while slept < interval && !stop.load(Ordering::Acquire) {
-            let slice = (interval - slept).min(Duration::from_millis(10));
-            std::thread::sleep(slice);
-            slept += slice;
-        }
-        if !stop.load(Ordering::Acquire) {
-            shared.flush_dirty();
-        }
     }
 }
 
@@ -1422,25 +1331,12 @@ impl NodeHandle {
                     },
                 );
                 // A holder that died since the directory decision cannot
-                // answer; skip the round trip and its timeout. A live
-                // holder still costs a round trip only if we are under the
-                // pending-fetch bound — over it, the fetch is shed
-                // (counted) and the read degrades to the same store
-                // fallback as the §3 race, so overload trades peer traffic
-                // for backing-store reads instead of queueing unboundedly.
-                let fetched = if !self.shared.is_alive(from) {
-                    None
-                } else if self.shared.try_begin_fetch(self.node) {
-                    let got = self.shared.chaos.fetch_block(
-                        self.node,
-                        from,
-                        block,
-                        self.shared.fetch_timeout,
-                    );
-                    self.shared.end_fetch(self.node);
-                    got
+                // answer; skip the round trip and its timeout.
+                let fetched = if self.shared.is_alive(from) {
+                    self.shared
+                        .chaos
+                        .fetch_block(self.node, from, block, self.shared.fetch_timeout)
                 } else {
-                    obs.node(self.node).fetch_sheds.inc();
                     None
                 };
                 let (data, class) = match fetched {
@@ -2557,44 +2453,6 @@ mod tests {
     }
 
     #[test]
-    fn background_flusher_persists_without_explicit_flush() {
-        use crate::store::MemStore;
-        use crate::write::{WriteConfig, WriteMode};
-        let cat = catalog(1, 8_000);
-        let store = Arc::new(MemStore::new(cat.clone(), 42));
-        let mw = Middleware::start(
-            RtConfig {
-                nodes: 2,
-                capacity_blocks: 16,
-                write: WriteConfig {
-                    mode: WriteMode::Back,
-                    dirty_budget: 64,
-                    flush_interval: Some(Duration::from_millis(5)),
-                    flush_every_ops: None,
-                },
-                ..RtConfig::default()
-            },
-            cat.clone(),
-            store.clone(),
-        );
-        let block = BlockId::new(FileId(0), 0);
-        let payload = vec![0x6B; cat.block_bytes(block) as usize];
-        mw.handle(NodeId(0))
-            .write_block(block, &payload)
-            .expect("write");
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while store.read_block(block) != payload {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "background flusher never persisted the dirty block"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(mw.dirty_blocks(), 0);
-        mw.shutdown();
-    }
-
-    #[test]
     fn op_cadence_flushes_without_background_thread() {
         use crate::store::MemStore;
         use crate::write::WriteConfig;
@@ -2626,48 +2484,6 @@ mod tests {
             }
         }
         assert_eq!(mw.write_stats().flushes, 8);
-        mw.shutdown();
-    }
-
-    #[test]
-    fn pending_fetch_bound_sheds_to_fallback() {
-        let cat = catalog(4, 20_000);
-        let store = Arc::new(SyntheticStore::new(cat.clone(), 42));
-        let mw = Middleware::start(
-            RtConfig {
-                nodes: 2,
-                capacity_blocks: 64,
-                // A zero bound sheds every peer fetch: the harshest
-                // setting, and the one with a deterministic outcome.
-                max_pending_fetches: Some(0),
-                ..RtConfig::default()
-            },
-            cat.clone(),
-            store.clone(),
-        );
-        // Node 0 masters the file; node 1's reads are remote decisions.
-        let want = read_file_direct(&*store, &cat, FileId(0));
-        assert_eq!(mw.handle(NodeId(0)).read_file(FileId(0)), want);
-        assert_eq!(
-            mw.handle(NodeId(1)).read_file(FileId(0)),
-            want,
-            "a shed fetch must still serve correct bytes"
-        );
-        let snap = mw.obs_snapshot();
-        let sheds = snap.counter_sum("ccm_rt_fetch_shed_total");
-        let blocks = cat.blocks_of(FileId(0)) as u64;
-        assert_eq!(sheds, blocks, "every remote fetch shed at bound 0");
-        assert_eq!(
-            snap.counter_sum_where("ccm_rt_reads_total", "class", "remote"),
-            0
-        );
-        // The sheds ride the §3 fallback path, so the reconciliation
-        // identity is untouched.
-        assert_eq!(
-            snap.counter_sum_where("ccm_rt_reads_total", "class", "fallback")
-                + snap.counter_sum("ccm_rt_move_fallbacks_total"),
-            snap.counter_sum("ccm_rt_store_fallbacks_total"),
-        );
         mw.shutdown();
     }
 

@@ -13,11 +13,16 @@
 //! * **Write-back** ([`WriteMode::Back`]): the writing node becomes a
 //!   *dirty master* — the write is acknowledged once the protocol
 //!   invalidation is done and the bytes sit in the master's store;
-//!   persistence is deferred to a flush (background, budget-triggered,
-//!   eviction-triggered, or explicit). Losing the dirty master before its
-//!   flush loses the write; the loss is *bounded* by
-//!   [`WriteConfig::dirty_budget`] and *detected* — every lost block is
-//!   recorded and reported, never silently served stale.
+//!   persistence is deferred to a flush. Flushes run on the thread that
+//!   triggers them, never on a background timer, so same-seed runs stay
+//!   deterministic: a write over the dirty budget flushes the oldest
+//!   blocks, evicting a dirty master flushes it, every
+//!   [`WriteConfig::flush_every_ops`]-th write drains the set, and
+//!   `Middleware::flush_dirty`, `leave_node` and `shutdown` drain what
+//!   they own. Losing the dirty master before its flush loses the write;
+//!   the loss is *bounded* by [`WriteConfig::dirty_budget`] and
+//!   *detected* — every lost block is recorded and reported, never
+//!   silently served stale.
 //!
 //! Durability contract, precisely:
 //!
@@ -34,8 +39,6 @@
 //! * Both modes: graceful paths lose nothing — `leave_node` flushes the
 //!   leaver's dirty blocks before handing off its masters, and
 //!   `Middleware::shutdown` drains the dirty set before stopping.
-
-use std::time::Duration;
 
 /// When a write is persisted to the backing store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,17 +61,10 @@ pub struct WriteConfig {
     /// grows past this many blocks (plus writes concurrently in flight).
     /// A budget of zero degenerates to flush-on-every-write.
     pub dirty_budget: usize,
-    /// Write-back only: if set, a background flusher drains the dirty set
-    /// every interval. `None` (the default) leaves flushing to the budget,
-    /// evictions, and explicit `flush_dirty` calls — which keeps
-    /// same-seed runs deterministic (the flusher is wall-clock driven).
-    pub flush_interval: Option<Duration>,
     /// Write-back only: if set, every `n`-th acknowledged write (counted
     /// across all nodes) synchronously drains the whole dirty set before
     /// returning. An op-count cadence is a pure function of the request
-    /// stream — unlike [`WriteConfig::flush_interval`] it needs no
-    /// background thread and keeps same-seed runs bit-identical, so
-    /// single-threaded benches and deterministic tests can exercise
+    /// stream, so same-seed runs stay bit-identical while exercising
     /// periodic flushing. Zero is rejected at startup.
     pub flush_every_ops: Option<u64>,
 }
@@ -79,25 +75,22 @@ impl WriteConfig {
         WriteConfig {
             mode: WriteMode::Through,
             dirty_budget: 0,
-            flush_interval: None,
             flush_every_ops: None,
         }
     }
 
-    /// Write-back with the given dirty-block budget and no background
-    /// flusher (deterministic).
+    /// Write-back with the given dirty-block budget and no cadence.
     pub fn back(dirty_budget: usize) -> WriteConfig {
         WriteConfig {
             mode: WriteMode::Back,
             dirty_budget,
-            flush_interval: None,
             flush_every_ops: None,
         }
     }
 
     /// Write-back with a deterministic op-count flush cadence: the whole
     /// dirty set is drained synchronously on every `every`-th acknowledged
-    /// write, with no background thread.
+    /// write.
     ///
     /// # Panics
     /// Panics on a cadence of zero.
@@ -106,7 +99,6 @@ impl WriteConfig {
         WriteConfig {
             mode: WriteMode::Back,
             dirty_budget,
-            flush_interval: None,
             flush_every_ops: Some(every),
         }
     }
@@ -143,7 +135,7 @@ mod tests {
     fn default_is_write_through() {
         let cfg = WriteConfig::default();
         assert_eq!(cfg.mode, WriteMode::Through);
-        assert_eq!(cfg.flush_interval, None);
+        assert_eq!(cfg.flush_every_ops, None);
     }
 
     #[test]
@@ -151,7 +143,6 @@ mod tests {
         let cfg = WriteConfig::back(8);
         assert_eq!(cfg.mode, WriteMode::Back);
         assert_eq!(cfg.dirty_budget, 8);
-        assert_eq!(cfg.flush_interval, None);
         assert_eq!(cfg.flush_every_ops, None);
     }
 
@@ -160,7 +151,6 @@ mod tests {
         let cfg = WriteConfig::back_every_ops(8, 16);
         assert_eq!(cfg.mode, WriteMode::Back);
         assert_eq!(cfg.flush_every_ops, Some(16));
-        assert_eq!(cfg.flush_interval, None);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Poison-free lock wrappers.
+//! Poison-free lock and condition-variable wrappers.
 //!
-//! Thin wrappers over `std::sync` locks with `parking_lot`-style ergonomics
+//! Thin wrappers over `std::sync` with `parking_lot`-style ergonomics
 //! (no external dependency, no `Result` at every call site). A panic while a
 //! guard is held does not poison these locks: the runtime's invariants are
 //! checked explicitly (`check_invariants`), not inferred from poisoning, and
@@ -8,6 +8,7 @@
 //! failure panicked a worker thread.
 
 use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+use std::time::Duration;
 
 /// A mutual-exclusion lock; `lock()` never returns a poison error.
 #[derive(Debug, Default)]
@@ -61,6 +62,53 @@ impl<T> RwLock<T> {
     }
 }
 
+/// A condition variable paired with [`Mutex`] guards; waits never return
+/// poison errors.
+#[derive(Debug, Default)]
+pub struct Condvar(std::sync::Condvar);
+
+impl Condvar {
+    /// A new condition variable.
+    pub fn new() -> Condvar {
+        Condvar(std::sync::Condvar::new())
+    }
+
+    /// Release `guard`, block until notified, and reacquire the lock.
+    /// Spurious wake-ups happen: callers re-check their condition.
+    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+        self.0.wait(guard).unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Block while `condition` holds, for at most `timeout`. Returns the
+    /// reacquired guard and whether the wait timed out with `condition`
+    /// still true.
+    pub fn wait_timeout_while<'a, T, F>(
+        &self,
+        guard: MutexGuard<'a, T>,
+        timeout: Duration,
+        condition: F,
+    ) -> (MutexGuard<'a, T>, bool)
+    where
+        F: FnMut(&mut T) -> bool,
+    {
+        let (guard, res) = self
+            .0
+            .wait_timeout_while(guard, timeout, condition)
+            .unwrap_or_else(|e| e.into_inner());
+        (guard, res.timed_out())
+    }
+
+    /// Wake one waiter.
+    pub fn notify_one(&self) {
+        self.0.notify_one();
+    }
+
+    /// Wake every waiter.
+    pub fn notify_all(&self) {
+        self.0.notify_all();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,5 +142,64 @@ mod tests {
         // A poisoned std mutex would panic here; ours keeps working.
         *m.lock() += 1;
         assert_eq!(*m.lock(), 1);
+    }
+
+    #[test]
+    fn condvar_wakes_a_waiter_on_notify() {
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let mut ready = pair.0.lock();
+        let notifier = {
+            let pair = pair.clone();
+            // Blocks on the lock until the waiter below releases it in
+            // `wait`, so the notify cannot be lost before the wait starts.
+            std::thread::spawn(move || {
+                *pair.0.lock() = true;
+                pair.1.notify_one();
+            })
+        };
+        while !*ready {
+            ready = pair.1.wait(ready);
+        }
+        drop(ready);
+        notifier.join().expect("notifier");
+    }
+
+    #[test]
+    fn condvar_wait_times_out() {
+        let m = Mutex::new(0);
+        let cv = Condvar::new();
+        let (guard, timed_out) =
+            cv.wait_timeout_while(m.lock(), Duration::from_millis(5), |_| true);
+        assert!(timed_out);
+        // A false condition returns at once, with the lock still held.
+        let (guard, timed_out) = cv.wait_timeout_while(guard, Duration::from_secs(10), |_| false);
+        assert!(!timed_out);
+        assert_eq!(*guard, 0);
+    }
+
+    #[test]
+    fn condvar_survives_a_panic_while_the_lock_is_held() {
+        let pair = Arc::new((Mutex::new(0), Condvar::new()));
+        let p2 = pair.clone();
+        let _ = std::thread::spawn(move || {
+            let _guard = p2.0.lock();
+            panic!("injected");
+        })
+        .join();
+        let guard = pair.0.lock();
+        let notifier = {
+            let pair = pair.clone();
+            std::thread::spawn(move || {
+                *pair.0.lock() = 1;
+                pair.1.notify_all();
+            })
+        };
+        let (guard, timed_out) = pair
+            .1
+            .wait_timeout_while(guard, Duration::from_secs(10), |v| *v == 0);
+        assert!(!timed_out);
+        assert_eq!(*guard, 1);
+        drop(guard);
+        notifier.join().expect("notifier");
     }
 }

@@ -43,21 +43,6 @@ fn preset_head(p: Preset) -> Workload {
     p.workload().head(96)
 }
 
-/// CI shards the four presets across a matrix via `CHURN_PRESET_SHARD=<k>`
-/// (mod 2); all four run locally when the variable is unset.
-fn sharded_presets() -> Vec<Preset> {
-    let shard: Option<usize> = std::env::var("CHURN_PRESET_SHARD")
-        .ok()
-        .and_then(|v| v.parse().ok());
-    Preset::all()
-        .iter()
-        .copied()
-        .enumerate()
-        .filter(|(i, _)| shard.is_none_or(|k| i % 2 == k))
-        .map(|(_, p)| p)
-        .collect()
-}
-
 fn member_config(nodes: usize, backend: Backend) -> RtConfig {
     RtConfig {
         nodes,
@@ -76,7 +61,7 @@ fn member_config(nodes: usize, backend: Backend) -> RtConfig {
 #[test]
 fn churn_torture_serves_every_preset_exactly_on_both_backends() {
     let mut stale_total = 0u64;
-    for (i, preset) in sharded_presets().into_iter().enumerate() {
+    for (i, preset) in Preset::all().iter().copied().enumerate() {
         let wl = preset_head(preset);
         let seed = 0xC0DE + i as u64;
         let plan = ChurnPlan::seeded(seed, SLOTS, INITIAL, OPS, EVENTS);

@@ -10,10 +10,14 @@
 //!    ending in `*` are families, not names, and are skipped;
 //! 3. the last segment of an `A::b` path appears as a word in `.rs` source.
 //!
-//! And the whole text, fenced blocks included, by two more:
+//! And the whole text, fenced blocks included, by three more:
 //!
 //! 4. every `--bin NAME` has a `src/bin/NAME.rs`;
-//! 5. every `-p CRATE` names a workspace package.
+//! 5. every `-p CRATE` names a workspace package;
+//! 6. every Cargo feature named — in `--features A,B`, in
+//!    `features = ["A"]`, as an inline `pkg/feature` span, or as an inline
+//!    span followed by the word "feature" — is declared under a
+//!    `[features]` table (a `pkg/feature` under that package's).
 
 use std::fs;
 use std::path::Path;
@@ -49,9 +53,10 @@ fn contains_word(hay: &str, word: &str) -> bool {
     })
 }
 
-/// The text of every inline code span, fenced blocks excluded. Spans may
-/// wrap lines inside a paragraph; a wrap reads as a space.
-fn code_spans(doc: &str) -> Vec<String> {
+/// Every inline code span, fenced blocks excluded, with the first word of
+/// the prose after it (markdown punctuation stripped). Spans may wrap lines
+/// inside a paragraph; a wrap reads as a space.
+fn code_spans(doc: &str) -> Vec<(String, String)> {
     let mut fenced = false;
     let prose: Vec<&str> = doc
         .lines()
@@ -61,12 +66,18 @@ fn code_spans(doc: &str) -> Vec<String> {
             !fence && !fenced
         })
         .collect();
-    prose
-        .join("\n")
-        .split("\n\n")
-        .flat_map(|para| para.split('`').skip(1).step_by(2))
-        .map(|span| span.replace('\n', " "))
-        .collect()
+    let mut out = Vec::new();
+    for para in prose.join("\n").split("\n\n") {
+        let parts: Vec<&str> = para.split('`').collect();
+        for pair in parts[1..].chunks(2) {
+            let next = pair
+                .get(1)
+                .and_then(|after| after.split_whitespace().next());
+            let next = next.unwrap_or("").trim_matches(|c: char| !is_ident(c));
+            out.push((pair[0].replace('\n', " "), next.to_string()));
+        }
+    }
+    out
 }
 
 /// Rule 3's tokens: each `A::b[::c…]` in `span`, as (path, last segment).
@@ -81,7 +92,7 @@ fn colon_paths(span: &str) -> Vec<(&str, &str)> {
         .collect()
 }
 
-/// The word after each `flag` (`--bin`, `-p`), markdown punctuation
+/// The word after each `flag` (`--bin`, `-p`, `--features`), markdown punctuation
 /// around either word ignored.
 fn flag_args<'a>(text: &'a str, flag: &str) -> Vec<&'a str> {
     let bare = |w: &'a str| w.trim_matches(|c: char| !(is_ident(c) || c == '-'));
@@ -93,8 +104,9 @@ fn flag_args<'a>(text: &'a str, flag: &str) -> Vec<&'a str> {
         .collect()
 }
 
-/// The root package and every `crates/*` package, by manifest name.
-fn packages(root: &Path) -> Vec<String> {
+/// The root package and every `crates/*` package: manifest name and the
+/// features its `[features]` table declares.
+fn packages(root: &Path) -> Vec<(String, Vec<String>)> {
     let crates = fs::read_dir(root.join("crates")).unwrap().flatten();
     crates
         .map(|entry| entry.path().join("Cargo.toml"))
@@ -104,9 +116,31 @@ fn packages(root: &Path) -> Vec<String> {
             let name = text
                 .lines()
                 .find_map(|l| l.strip_prefix("name = \"")?.strip_suffix('"'))?;
-            Some(name.to_string())
+            let features = text
+                .lines()
+                .skip_while(|l| l.trim() != "[features]")
+                .skip(1)
+                .take_while(|l| !l.starts_with('['))
+                .filter_map(|l| Some(l.split_once('=')?.0.trim().to_string()))
+                .filter(|f| !f.is_empty() && !f.starts_with('#'))
+                .collect();
+            Some((name.to_string(), features))
         })
         .collect()
+}
+
+/// Every feature named by `--features A,B` or `features = ["A", "B"]`.
+fn named_features(text: &str) -> Vec<&str> {
+    let mut out: Vec<&str> = flag_args(text, "--features")
+        .into_iter()
+        .flat_map(|list| list.split(','))
+        .collect();
+    const TABLE: &str = "features = [";
+    for (i, _) in text.match_indices(TABLE) {
+        let list = text[i + TABLE.len()..].split(']').next().unwrap_or("");
+        out.extend(list.split('"').skip(1).step_by(2));
+    }
+    out
 }
 
 #[test]
@@ -122,6 +156,16 @@ fn every_doc_reference_resolves() {
         .collect();
     let has_file = |suffix: String| files.iter().any(|f| f.ends_with(&suffix));
     let packages = packages(root);
+    let is_package = |name: &str| packages.iter().any(|(p, _)| p == name);
+    // `pkg/feature` must be declared by that package; a bare name by any.
+    let declared = |feature: &str| match feature.split_once('/') {
+        Some((pkg, f)) => packages
+            .iter()
+            .any(|(p, fs)| p == pkg && fs.iter().any(|x| x == f)),
+        None => packages
+            .iter()
+            .any(|(_, fs)| fs.iter().any(|x| x == feature)),
+    };
     let path_char = |c: char| is_ident(c) || "./-".contains(c);
 
     let mut unresolved = Vec::new();
@@ -129,7 +173,14 @@ fn every_doc_reference_resolves() {
         let text = fs::read_to_string(root.join(doc)).unwrap();
         let mut miss =
             |rule: u8, what: &str| unresolved.push(format!("{doc}: rule {rule}: {what}"));
-        for span in code_spans(&text) {
+        for (span, next) in code_spans(&text) {
+            let pkg_feature = span.split_once('/').is_some_and(|(pkg, f)| {
+                is_package(pkg) && f.chars().all(|c| is_ident(c) || c == '-')
+            });
+            if (pkg_feature || matches!(next.as_str(), "feature" | "features")) && !declared(&span)
+            {
+                miss(6, &span);
+            }
             for path in span.split(|c| !path_char(c)).filter(|w| w.ends_with(".rs")) {
                 if !has_file(format!("/{path}")) {
                     miss(1, path);
@@ -153,8 +204,13 @@ fn every_doc_reference_resolves() {
             }
         }
         for pkg in flag_args(&text, "-p") {
-            if !packages.iter().any(|p| p == pkg) {
+            if !is_package(pkg) {
                 miss(5, &format!("-p {pkg}"));
+            }
+        }
+        for feature in named_features(&text) {
+            if !declared(feature) {
+                miss(6, &format!("feature {feature}"));
             }
         }
     }
