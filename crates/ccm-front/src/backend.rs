@@ -137,18 +137,13 @@ impl FrontBackend for CcmBackend {
 
     fn read_range(&self, node: NodeId, file: FileId, start: u64, end: u64) -> Vec<u8> {
         // Only the blocks covering the range are touched — the point of
-        // mapping HTTP ranges onto block reads.
-        let handle = &self.handles[node.index()];
-        let first = (start / BLOCK_SIZE) as u32;
-        let last = (end / BLOCK_SIZE) as u32;
-        let mut out = Vec::with_capacity((end - start + 1) as usize);
-        for b in first..=last {
-            let block = handle.read_block(BlockId::new(file, b));
-            let base = b as u64 * BLOCK_SIZE;
-            let lo = start.saturating_sub(base) as usize;
-            let hi = ((end + 1 - base) as usize).min(block.len());
-            out.extend_from_slice(&block[lo..hi]);
-        }
+        // mapping HTTP ranges onto block reads — then the ends are trimmed.
+        let first = start / BLOCK_SIZE;
+        let blocks = first as u32..(end / BLOCK_SIZE) as u32 + 1;
+        let mut out = self.handles[node.index()].read_blocks(file, blocks);
+        let base = first * BLOCK_SIZE;
+        out.truncate((end + 1 - base) as usize);
+        out.drain(..(start - base) as usize);
         out
     }
 

@@ -59,7 +59,7 @@ use ccm_core::{
 };
 use ccm_front::{CcmBackend, FrontClient, FrontTier, PolicyKind};
 use ccm_load::{BackendChoice, LoadSpec, Target};
-use ccm_net::TcpLan;
+use ccm_net::{NetStats, TcpLan};
 use ccm_obs::Registry;
 use ccm_rt::store::{read_file_direct, BlockStore};
 use ccm_rt::{
@@ -246,12 +246,25 @@ fn main() {
         100.0 * stats.remote_hits as f64 / accesses as f64,
         100.0 * stats.disk_reads as f64 / accesses as f64,
     );
-    println!(
-        "wire: {} connections, {} frames sent, {} frames received, {} teardowns",
-        net.connects, net.frames_sent, net.frames_received, net.teardowns,
-    );
+    println!("{}", wire_line(&net));
     println!("every byte verified against the backing store — cluster OK");
     drop(mw);
+}
+
+/// The `wire:` summary line. Frames per train is the realized coalescing
+/// factor: requests a file read pipelines to one holder and replies a
+/// reactor batches both raise it above 1.
+fn wire_line(net: &NetStats) -> String {
+    format!(
+        "wire: {} connections, {} frames sent in {} trains ({:.2} frames/train), \
+         {} frames received, {} teardowns",
+        net.connects,
+        net.frames_sent,
+        net.trains_sent,
+        net.frames_sent as f64 / net.trains_sent.max(1) as f64,
+        net.frames_received,
+        net.teardowns,
+    )
 }
 
 /// `--replay <preset>` / `--front <policy>`: hand the cluster to
@@ -284,8 +297,9 @@ fn replay_preset(name: &str, nodes: usize, ops: u64, target: Target) {
         spec.warmup_requests,
         spec.measure_requests,
     );
-    let report = ccm_load::run_on(&spec, lan, "tcp");
+    let report = ccm_load::run_on(&spec, lan.clone(), "tcp");
     println!("{}", report.summary());
+    println!("{}", wire_line(&lan.net_stats()));
     println!("{}", report.to_json());
     assert!(report.reconciled, "driver and runtime counters disagree");
     println!("\nevery byte verified against the backing store — replay OK");

@@ -160,6 +160,9 @@ pub struct NetStats {
 struct LinkObs {
     frames_out: Counter,
     bytes_out: Counter,
+    /// Trains written (one vectored-write batch each); `frames_out /
+    /// trains_out` is the link's realized coalescing factor.
+    trains_out: Counter,
     frames_in: Counter,
     bytes_in: Counter,
     dials: Counter,
@@ -212,6 +215,11 @@ impl NetObs {
                     bytes_out: registry.counter(
                         "ccm_net_bytes_out_total",
                         "Wire bytes written (length prefixes included), by direction",
+                        &l,
+                    ),
+                    trains_out: registry.counter(
+                        "ccm_net_trains_out_total",
+                        "Frame trains written (one vectored-write batch each), by direction",
                         &l,
                     ),
                     frames_in: registry.counter(
@@ -507,6 +515,7 @@ fn write_train(
                 let o = shared.obs.pair(src, dst);
                 o.frames_out.add(train.frames());
                 o.bytes_out.add(train.bytes());
+                o.trains_out.inc();
                 return true;
             }
             Ok(false) => {
@@ -1260,6 +1269,7 @@ impl InConn {
                 let out_obs = shared.obs.pair(node, src);
                 out_obs.frames_out.add(frames);
                 out_obs.bytes_out.add(bytes);
+                out_obs.trains_out.inc();
             }
             if self.wtrain.write_some(&mut &self.sock).is_err() {
                 return false;

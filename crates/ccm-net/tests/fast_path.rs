@@ -15,7 +15,10 @@
 //!   store, however many it still holds;
 //! * with **no store attached** everything round-trips through the inbox;
 //! * through a running cluster, a remote read after a `write_block` returns
-//!   what was written.
+//!   what was written;
+//! * a file read puts each holder's remote hits on the wire as one request
+//!   train per 32-block decision chunk, and times each of those blocks
+//!   from the train's issue.
 
 use ccm_core::{BlockId, FileId, NodeId, ReplacementPolicy, BLOCK_SIZE};
 use ccm_net::TcpLan;
@@ -325,4 +328,114 @@ fn a_remote_read_after_a_write_returns_the_written_bytes() {
         }
         mw.shutdown();
     }
+}
+
+/// `frames_out` and `trains_out` on the wire link `src → dst`.
+fn link_out(registry: &Registry, src: u16, dst: u16) -> (u64, u64) {
+    let snap = registry.snapshot();
+    let (s, d) = (src.to_string(), dst.to_string());
+    let labels = [("dst", d.as_str()), ("src", s.as_str())];
+    let count = |name| match snap.find(name, &labels).map(|m| &m.value) {
+        Some(ccm_obs::Value::Counter(v)) => *v,
+        other => panic!("no {name} series for {src}->{dst}: {other:?}"),
+    };
+    (
+        count("ccm_net_frames_out_total"),
+        count("ccm_net_trains_out_total"),
+    )
+}
+
+/// A TCP cluster of `nodes` whose caches hold every file, plus its lan
+/// (for dialing links ahead of a measurement) and store.
+fn tcp_cluster(
+    nodes: usize,
+    sizes: Vec<u64>,
+    registry: &Registry,
+) -> (Middleware, Arc<TcpLan>, Arc<SyntheticStore>) {
+    let catalog = Catalog::new(sizes);
+    let disk = Arc::new(SyntheticStore::new(catalog.clone(), 17));
+    let lan = Arc::new(TcpLan::loopback_obs(nodes, registry).expect("bind loopback"));
+    let mut cfg = cluster_cfg(nodes, registry);
+    cfg.capacity_blocks = 128;
+    let mw = Middleware::start_on(cfg, catalog, disk.clone(), lan.clone());
+    (mw, lan, disk)
+}
+
+/// (v) A file whose remote hits sit on one peer goes out as one request
+/// train on that link; one split across two peers as one train each. Every
+/// block served from a train is timed from the train's issue, so none of
+/// the four samples can be a near-zero serve time.
+#[test]
+fn a_file_read_sends_one_request_train_per_holder() {
+    let registry = Registry::new();
+    let (mw, lan, disk) = tcp_cluster(3, vec![4 * BLOCK_SIZE; 2], &registry);
+    let (one, split) = (FileId(0), FileId(1));
+    mw.handle(NodeId(1)).read_file(one);
+    for (b, holder) in [(0, 1), (1, 1), (2, 2), (3, 2)] {
+        mw.handle(NodeId(holder)).read_block(BlockId::new(split, b));
+    }
+    // Dial both links first, so no Hello rides the measured trains.
+    assert!(lan.ping(NodeId(0), NodeId(1), TIMEOUT));
+    assert!(lan.ping(NodeId(0), NodeId(2), TIMEOUT));
+    let want = |f| ccm_rt::store::read_file_direct(&*disk, mw.catalog(), f);
+
+    let to1 = link_out(&registry, 0, 1);
+    let got = mw.handle(NodeId(0)).read_file(one);
+    assert_eq!(got, want(one));
+    let after = link_out(&registry, 0, 1);
+    assert_eq!(after.0 - to1.0, 4, "four block requests");
+    assert_eq!(after.1 - to1.1, 1, "in one train");
+    #[cfg(not(feature = "obs-off"))]
+    {
+        let remote =
+            mw.obs_snapshot()
+                .histogram_merged_where("ccm_rt_fetch_latency_ns", "class", "remote");
+        assert_eq!(remote.count(), 4, "one sample per remote block");
+        assert!(
+            remote.quantile(0.0) >= 1_000,
+            "a block served from a train waited its round trip, not {} ns",
+            remote.quantile(0.0)
+        );
+    }
+
+    let (to1, to2) = (link_out(&registry, 0, 1), link_out(&registry, 0, 2));
+    let got = mw.handle(NodeId(0)).read_file(split);
+    assert_eq!(got, want(split));
+    let (after1, after2) = (link_out(&registry, 0, 1), link_out(&registry, 0, 2));
+    assert_eq!(
+        (after1.0 - to1.0, after1.1 - to1.1),
+        (2, 1),
+        "node 1's half"
+    );
+    assert_eq!(
+        (after2.0 - to2.0, after2.1 - to2.1),
+        (2, 1),
+        "node 2's half"
+    );
+    assert_eq!(mw.stats().remote_hits, 8);
+    assert_eq!(mw.stats().store_fallbacks, 0);
+    mw.shutdown();
+}
+
+/// (vi) A file longer than one decision chunk (32 blocks) takes one train
+/// per chunk: 70 remote blocks are ⌈70/32⌉ = 3 request trains.
+#[test]
+fn a_file_longer_than_a_chunk_takes_one_train_per_chunk() {
+    let registry = Registry::new();
+    let (mw, lan, disk) = tcp_cluster(2, vec![70 * BLOCK_SIZE - 5], &registry);
+    let file = FileId(0);
+    mw.handle(NodeId(1)).read_file(file);
+    assert!(lan.ping(NodeId(0), NodeId(1), TIMEOUT));
+    let before = link_out(&registry, 0, 1);
+    let got = mw.handle(NodeId(0)).read_file(file);
+    assert_eq!(
+        got,
+        ccm_rt::store::read_file_direct(&*disk, mw.catalog(), file)
+    );
+    let after = link_out(&registry, 0, 1);
+    assert_eq!(after.0 - before.0, 70, "one request per block");
+    assert_eq!(after.1 - before.1, 3, "one train per 32-block chunk");
+    let s = mw.stats();
+    assert_eq!((s.remote_hits, s.store_fallbacks), (70, 0));
+    mw.shutdown();
 }

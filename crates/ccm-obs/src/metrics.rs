@@ -228,14 +228,15 @@ impl Histogram {
 }
 
 /// A started latency measurement; `stop` records the elapsed nanoseconds.
-/// Under `obs-off` no clock is read at all.
+/// Under `obs-off` no clock is read at all. `Copy`, so one start can time
+/// several things that began together.
 #[cfg(not(feature = "obs-off"))]
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct Stopwatch(std::time::Instant);
 
 /// A started latency measurement (`obs-off`: compiled to nothing).
 #[cfg(feature = "obs-off")]
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct Stopwatch;
 
 #[cfg(not(feature = "obs-off"))]

@@ -326,6 +326,29 @@ impl ChaosLan {
         reply_rx.recv_timeout(timeout).ok().flatten()
     }
 
+    /// Request every block in `blocks` from `holder` on behalf of `src`;
+    /// replies come back in request order. Without link faults the batch
+    /// passes through whole to the inner transport's
+    /// [`Transport::fetch_blocks`] — one pipelined train over `TcpLan`.
+    /// Under a fault plan each request goes through the fault model on its
+    /// own, in block order and with its own `timeout`, exactly as a loop of
+    /// [`ChaosLan::fetch_block`] calls would.
+    pub fn fetch_blocks(
+        &self,
+        src: NodeId,
+        holder: NodeId,
+        blocks: &[BlockId],
+        timeout: Duration,
+    ) -> Vec<Option<Arc<[u8]>>> {
+        if self.links.is_empty() {
+            return self.inner.fetch_blocks(src, holder, blocks, timeout);
+        }
+        blocks
+            .iter()
+            .map(|&b| self.fetch_block(src, holder, b, timeout))
+            .collect()
+    }
+
     /// Deliver every held message on every link, in link order. Part of
     /// quiescing the data plane between measurement points.
     pub fn flush(&self) {

@@ -15,7 +15,7 @@
 //! | `ccm_rt_disk_error_fallbacks_total` | counter | `node` |
 //! | `ccm_rt_store_blocks` | gauge | `node` |
 //! | `ccm_rt_directory_blocks` | gauge | — |
-//! | `ccm_rt_fetch_latency_ns` | histogram | `class` |
+//! | `ccm_rt_fetch_latency_ns` | histogram | `class` (timing: see below) |
 //! | `ccm_rt_hint_hits_total` | counter | — |
 //! | `ccm_rt_hint_stale_total` | counter | — |
 //! | `ccm_rt_hint_forward_hops_total` | counter | — |
@@ -52,6 +52,15 @@
 //! eviction forward, join rebalance, or leave handoff whose source bytes
 //! were already gone — so that `reads_total{class="fallback"} +
 //! move_fallbacks == store_fallbacks` holds exactly, even under races.
+//!
+//! `ccm_rt_fetch_latency_ns` is the wait for one block's bytes, not for its
+//! decision (a multi-block read decides a whole chunk under one lock hold).
+//! A block that came over the transport — alone or in a train with the
+//! other remote hits on its holder — is timed from that fetch's issue to
+//! its serve, so a train's later blocks carry the round trip their reader
+//! waited through, not a near-zero serve time. Every other block is timed
+//! over its own serve: the store lookup, disk read or fallback, plus its
+//! eviction and install.
 
 use ccm_core::NodeId;
 use ccm_obs::{Counter, Gauge, Histogram, Registry, TraceRing};

@@ -24,7 +24,7 @@ use crate::write::{WriteConfig, WriteMode, WriteStats};
 use ccm_core::{
     AccessOutcome, AdmissionConfig, AdmissionStats, BlockId, CacheConfig, CacheStats, ClusterCache,
     CopyKind, DirectoryKind, Disposition, EvictionEffect, FileId, HintStats, NodeId, RepairReport,
-    ReplacementPolicy,
+    ReplacementPolicy, BLOCK_SIZE,
 };
 use ccm_disk::{DiskConfig, DiskService, DiskStats};
 use ccm_obs::{Hop, Registry, Snapshot, Stopwatch, TraceRing};
@@ -32,6 +32,7 @@ use simcore::chan::Receiver;
 use simcore::sync::Mutex;
 use simcore::FxHashMap;
 use std::collections::{BTreeSet, VecDeque};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -495,6 +496,42 @@ pub struct Middleware {
 pub struct NodeHandle {
     shared: Arc<Shared>,
     node: NodeId,
+}
+
+/// Most blocks one decision pass of [`NodeHandle::read_blocks`] covers: one
+/// frame train's worth (`ccm-net`'s `MAX_TRAIN_BYTES` of 256 KiB over 8 KB
+/// blocks). It bounds how long a multi-block read holds the decision lock
+/// and how many payloads it has in flight.
+const CHUNK_BLOCKS: usize = 32;
+
+/// One block's protocol decision, taken under the decision lock and
+/// carried out after it is released.
+struct Step {
+    block: BlockId,
+    outcome: AccessOutcome,
+    /// Nodes a stale hint sent the decision to before the right one.
+    trail: Vec<NodeId>,
+    /// Trace-ring request id (0 = untraced).
+    req: u64,
+    /// A remote hit's bytes once fetched; `None` falls back to the store.
+    fetched: Option<Arc<[u8]>>,
+    /// When the fetch that carried the block was issued; `None` if no
+    /// fetch was.
+    issued: Option<Stopwatch>,
+    /// The block's bytes once served ahead of block order (local hits).
+    served: Option<Arc<[u8]>>,
+    /// The decision's eviction, until it is applied.
+    eviction: Option<EvictionEffect>,
+}
+
+impl Step {
+    /// The peer a remote-hit decision fetches from.
+    fn remote_holder(&self) -> Option<NodeId> {
+        match self.outcome {
+            AccessOutcome::RemoteHit { from, .. } => Some(from),
+            _ => None,
+        }
+    }
 }
 
 /// Serve one node's peer traffic until shutdown.
@@ -1231,55 +1268,261 @@ impl NodeHandle {
 
     /// Read one block, also returning its trace-ring request id so the
     /// block-path hops can be pulled from [`Middleware::trace`] afterwards
-    /// (0 means untraced — the `obs-off` build).
+    /// (0 means untraced — the `obs-off` build). The one-block case of
+    /// [`NodeHandle::read_blocks`].
     ///
     /// # Panics
     /// Panics if this handle's node is crashed.
     pub fn read_block_traced(&self, block: BlockId) -> (Arc<[u8]>, u64) {
+        let mut served = None;
+        self.read_run(block.file, block.index..block.index + 1, |data, req| {
+            served = Some((data, req))
+        });
+        served.expect("a one-block run serves its block")
+    }
+
+    /// Read a whole file through the cooperative cache.
+    ///
+    /// # Panics
+    /// Panics if the file is outside the catalog, or if this handle's node
+    /// is crashed.
+    pub fn read_file(&self, file: FileId) -> Vec<u8> {
+        self.read_blocks(file, 0..self.shared.catalog.blocks_of(file))
+    }
+
+    /// Read a whole file, also returning the trace-ring request id of each
+    /// block read (for post-mortem trace dumps; all 0 under `obs-off`).
+    ///
+    /// # Panics
+    /// Panics if the file is outside the catalog, or if this handle's node
+    /// is crashed.
+    pub fn read_file_traced(&self, file: FileId) -> (Vec<u8>, Vec<u64>) {
+        let blocks = self.shared.catalog.blocks_of(file);
+        let mut out = Vec::with_capacity(self.span_bytes(file, 0..blocks));
+        let mut reqs = Vec::with_capacity(blocks as usize);
+        self.read_run(file, 0..blocks, |data, req| {
+            out.extend_from_slice(&data);
+            reqs.push(req);
+        });
+        (out, reqs)
+    }
+
+    /// Read blocks `blocks` of `file` through the cooperative cache and
+    /// return their bytes concatenated — the one multi-block read behind
+    /// [`NodeHandle::read_file`] (the whole range) and the front tier's
+    /// HTTP ranges.
+    ///
+    /// The blocks are decided in chunks of up to 32 (one frame train's
+    /// worth): one hold of the decision lock runs `ClusterCache::access`
+    /// for each block of the chunk in block order, then each live holder's
+    /// remote hits go on the wire as one `Transport::fetch_blocks` train,
+    /// then the blocks are served in block order as one-block reads would
+    /// be — evictions, store installs, counters and trace hops. Local hits
+    /// are served, and evictions that touch none of the chunk's blocks are
+    /// applied, before the trains leave. With a single caller the
+    /// decisions and their effects are those of a per-block
+    /// [`NodeHandle::read_block`] loop.
+    ///
+    /// # Panics
+    /// Panics if the file is outside the catalog, or if this handle's node
+    /// is crashed.
+    pub fn read_blocks(&self, file: FileId, blocks: Range<u32>) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.span_bytes(file, blocks.clone()));
+        self.read_run(file, blocks, |data, _| out.extend_from_slice(&data));
+        out
+    }
+
+    /// Bytes `blocks` of `file` hold.
+    fn span_bytes(&self, file: FileId, blocks: Range<u32>) -> usize {
+        let size = self.shared.catalog.size_of(file);
+        let at = |b: u32| (b as u64 * BLOCK_SIZE).min(size);
+        (at(blocks.end) - at(blocks.start)) as usize
+    }
+
+    /// The read path: decide, fetch and serve `blocks` of `file` chunk by
+    /// chunk, handing each block's bytes and trace-ring request id to
+    /// `serve` in block order.
+    fn read_run(&self, file: FileId, blocks: Range<u32>, mut serve: impl FnMut(Arc<[u8]>, u64)) {
         assert!(
             self.shared.is_alive(self.node),
             "node {:?} is down",
             self.node
         );
+        let mut steps = Vec::with_capacity(blocks.len().min(CHUNK_BLOCKS));
+        let mut next = blocks.start;
+        while next < blocks.end {
+            next = self.decide(file, next..blocks.end, &mut steps);
+            // A local hit moves no bytes, and no other effect of its chunk
+            // changes what it finds, so it is served at once: another
+            // caller gets no more time to evict it first than a one-block
+            // read would give.
+            for step in steps.iter_mut() {
+                if let AccessOutcome::LocalHit { .. } = step.outcome {
+                    step.served = Some(self.serve_step(step));
+                }
+            }
+            self.evict_ahead(&mut steps);
+            self.fetch_remote(&mut steps);
+            for step in steps.iter_mut() {
+                let data = match step.served.take() {
+                    Some(data) => data,
+                    None => self.serve_step(step),
+                };
+                serve(data, step.req);
+            }
+            steps.clear();
+        }
+    }
+
+    /// Decide blocks of `file` from `blocks.start` on under one hold of the
+    /// decision lock, appending a [`Step`] per block to the empty `steps`,
+    /// and return the first block left undecided. A chunk ends after
+    /// [`CHUNK_BLOCKS`] blocks; before a block one of its own decisions
+    /// evicted (read serially, that block's fetch would follow the
+    /// eviction's `Forward` to its new holder, so it must not be put on the
+    /// wire ahead of it); and after a disk read, the slow step, so that no
+    /// block waits behind one between its decision and its install — time
+    /// in which another caller's eviction could take the block first.
+    fn decide(&self, file: FileId, blocks: Range<u32>, steps: &mut Vec<Step>) -> u32 {
+        let obs = &self.shared.obs;
+        let mut next = blocks.start;
+        let (hints, hints_after, adm, adm_after) = {
+            let mut cache = self.shared.cache.lock();
+            let hints = cache.hint_stats();
+            let adm = cache.admission_stats();
+            while next < blocks.end && steps.len() < CHUNK_BLOCKS {
+                let block = BlockId::new(file, next);
+                let evicted_here = steps
+                    .iter()
+                    .any(|s| s.outcome.eviction().is_some_and(|e| e.victim == block));
+                if evicted_here {
+                    break;
+                }
+                let outcome = cache.access(self.node, block);
+                steps.push(Step {
+                    block,
+                    outcome,
+                    trail: cache.take_hint_trail(),
+                    req: 0,
+                    fetched: None,
+                    issued: None,
+                    served: None,
+                    eviction: outcome.eviction(),
+                });
+                next += 1;
+                if let AccessOutcome::DiskRead { .. } = outcome {
+                    break;
+                }
+            }
+            (hints, cache.hint_stats(), adm, cache.admission_stats())
+        };
+        obs.hint_hits.add(hints_after.correct - hints.correct);
+        obs.hint_stale.add(hints_after.stale - hints.stale);
+        obs.hint_forward_hops
+            .add(hints_after.forward_hops - hints.forward_hops);
+        obs.admission_admitted
+            .add(adm_after.admitted - adm.admitted);
+        obs.admission_rejected
+            .add(adm_after.rejected - adm.rejected);
+        obs.admission_ghost_hits
+            .add(adm_after.ghost_hits - adm.ghost_hits);
+        let me = self.node.index() as u16;
+        for step in steps.iter_mut() {
+            step.req = obs.trace.next_req_id();
+            obs.trace.push(
+                step.req,
+                me,
+                Hop::Dispatch {
+                    file: file.0,
+                    block: step.block.index,
+                },
+            );
+            if let Some(from) = step.remote_holder() {
+                obs.trace.push(
+                    step.req,
+                    me,
+                    Hop::PeerFetch {
+                        from: from.index() as u16,
+                    },
+                );
+            }
+        }
+        next
+    }
+
+    /// Apply the chunk's evictions in block order, ahead of its fetches,
+    /// up to the first one whose victim, or the block its `Forward`
+    /// displaces, is a block of the chunk: that one, and every later one,
+    /// waits for its block's serve, so no displacement the chunk decided
+    /// overtakes the chunk's own fetch or install. The rest touch nothing
+    /// the chunk reads, and applied now they give another caller no more
+    /// time to re-acquire a victim before it leaves than a one-block read
+    /// would.
+    fn evict_ahead(&self, steps: &mut [Step]) {
+        let (Some(first), Some(last)) = (steps.first(), steps.last()) else {
+            return;
+        };
+        let (file, blocks) = (first.block.file, first.block.index..=last.block.index);
+        let in_chunk = |b: BlockId| b.file == file && blocks.contains(&b.index);
+        for step in steps.iter_mut() {
+            let Some(e) = step.eviction else {
+                continue;
+            };
+            let displaced = match e.disposition {
+                Disposition::Forwarded { displaced, .. } => displaced.map(|(b, _)| b),
+                _ => None,
+            };
+            if in_chunk(e.victim) || displaced.is_some_and(in_chunk) {
+                return;
+            }
+            self.shared.apply_eviction(self.node, e, step.req);
+            step.eviction = None;
+        }
+    }
+
+    /// Put the chunk's remote fetches on the wire before its remaining
+    /// effects: one train per live holder, its blocks in block order. A
+    /// holder that died since the decision cannot answer, so its blocks
+    /// skip the round trip and its timeout and fall back when served.
+    fn fetch_remote(&self, steps: &mut [Step]) {
+        for i in 0..steps.len() {
+            let Some(from) = steps[i].remote_holder() else {
+                continue;
+            };
+            if steps[i].issued.is_some() || !self.shared.is_alive(from) {
+                continue;
+            }
+            let on_train = |s: &Step| s.remote_holder() == Some(from);
+            let blocks: Vec<BlockId> = steps[i..]
+                .iter()
+                .filter(|s| on_train(s))
+                .map(|s| s.block)
+                .collect();
+            let issued = Some(Stopwatch::start());
+            let replies =
+                self.shared
+                    .chaos
+                    .fetch_blocks(self.node, from, &blocks, self.shared.fetch_timeout);
+            for (s, data) in steps[i..].iter_mut().filter(|s| on_train(s)).zip(replies) {
+                s.fetched = data;
+                s.issued = issued;
+            }
+        }
+    }
+
+    /// Carry out one decided block: replay its wasted hint hops, apply its
+    /// eviction if that did not go ahead, take its bytes (own store, fetch
+    /// reply, or disk), install them, and count and trace the read.
+    /// Returns the bytes.
+    fn serve_step(&self, step: &mut Step) -> Arc<[u8]> {
+        let (block, outcome, req) = (step.block, step.outcome, step.req);
+        let (trail, fetched) = (std::mem::take(&mut step.trail), step.fetched.take());
         let obs = &self.shared.obs;
         let me = self.node.index() as u16;
-        let req = obs.trace.next_req_id();
-        obs.trace.push(
-            req,
-            me,
-            Hop::Dispatch {
-                file: block.file.0,
-                block: block.index,
-            },
-        );
-        let sw = Stopwatch::start();
-        let (outcome, trail, hints_before, hints_after, adm_before, adm_after) = {
-            let mut cache = self.shared.cache.lock();
-            let before = cache.hint_stats();
-            let adm_before = cache.admission_stats();
-            let outcome = cache.access(self.node, block);
-            let after = cache.hint_stats();
-            let adm_after = cache.admission_stats();
-            (
-                outcome,
-                cache.take_hint_trail(),
-                before,
-                after,
-                adm_before,
-                adm_after,
-            )
-        };
-        obs.hint_hits
-            .add(hints_after.correct - hints_before.correct);
-        obs.hint_stale.add(hints_after.stale - hints_before.stale);
-        obs.hint_forward_hops
-            .add(hints_after.forward_hops - hints_before.forward_hops);
-        obs.admission_admitted
-            .add(adm_after.admitted - adm_before.admitted);
-        obs.admission_rejected
-            .add(adm_after.rejected - adm_before.rejected);
-        obs.admission_ghost_hits
-            .add(adm_after.ghost_hits - adm_before.ghost_hits);
+        // A block that came over the transport is timed from the fetch's
+        // issue — the wait its reader saw, train-mates included; every
+        // other block from the start of its own serve.
+        let sw = step.issued.unwrap_or_else(Stopwatch::start);
         // Replay the wasted hint-chain hops as real round trips: each node a
         // stale hint pointed at is asked and answers "not here"; the reply
         // is discarded — the authoritative outcome below already accounts
@@ -1294,8 +1537,7 @@ impl NodeHandle {
             }
         }
         let (data, class) = match outcome {
-            AccessOutcome::LocalHit { kind } => {
-                let _ = kind;
+            AccessOutcome::LocalHit { .. } => {
                 match self.shared.store_get(self.node, block) {
                     Some(data) => {
                         obs.trace.push(req, me, Hop::LocalHit);
@@ -1314,31 +1556,10 @@ impl NodeHandle {
                     }
                 }
             }
-            AccessOutcome::RemoteHit {
-                from,
-                eviction,
-                admitted,
-                ..
-            } => {
-                if let Some(e) = eviction {
+            AccessOutcome::RemoteHit { admitted, .. } => {
+                if let Some(e) = step.eviction.take() {
                     self.shared.apply_eviction(self.node, e, req);
                 }
-                obs.trace.push(
-                    req,
-                    me,
-                    Hop::PeerFetch {
-                        from: from.index() as u16,
-                    },
-                );
-                // A holder that died since the directory decision cannot
-                // answer; skip the round trip and its timeout.
-                let fetched = if self.shared.is_alive(from) {
-                    self.shared
-                        .chaos
-                        .fetch_block(self.node, from, block, self.shared.fetch_timeout)
-                } else {
-                    None
-                };
                 let (data, class) = match fetched {
                     Some(bytes) => {
                         obs.trace.push(
@@ -1372,8 +1593,8 @@ impl NodeHandle {
                 }
                 (data, class)
             }
-            AccessOutcome::DiskRead { eviction, .. } => {
-                if let Some(e) = eviction {
+            AccessOutcome::DiskRead { .. } => {
+                if let Some(e) = step.eviction.take() {
                     self.shared.apply_eviction(self.node, e, req);
                 }
                 obs.trace.push(req, me, Hop::DiskRead);
@@ -1391,33 +1612,7 @@ impl NodeHandle {
                 bytes: data.len() as u64,
             },
         );
-        (data, req)
-    }
-
-    /// Read a whole file through the cooperative cache.
-    ///
-    /// # Panics
-    /// Panics if the file is outside the catalog.
-    pub fn read_file(&self, file: FileId) -> Vec<u8> {
-        self.read_file_traced(file).0
-    }
-
-    /// Read a whole file, also returning the trace-ring request id of each
-    /// block read (for post-mortem trace dumps; all 0 under `obs-off`).
-    ///
-    /// # Panics
-    /// Panics if the file is outside the catalog.
-    pub fn read_file_traced(&self, file: FileId) -> (Vec<u8>, Vec<u64>) {
-        let size = self.shared.catalog.size_of(file) as usize;
-        let blocks = self.shared.catalog.blocks_of(file);
-        let mut out = Vec::with_capacity(size);
-        let mut reqs = Vec::with_capacity(blocks as usize);
-        for b in 0..blocks {
-            let (data, req) = self.read_block_traced(BlockId::new(file, b));
-            out.extend_from_slice(&data);
-            reqs.push(req);
-        }
-        (out, reqs)
+        data
     }
 
     /// Overwrite one whole block through the cooperative cache (the §6

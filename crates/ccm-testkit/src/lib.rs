@@ -26,7 +26,10 @@
 
 #![warn(missing_docs)]
 
-use ccm_core::{CacheStats, DirectoryKind, FileId, HintStats, NodeId, ReplacementPolicy};
+use ccm_core::{
+    AdmissionConfig, AdmissionStats, BlockId, CacheStats, DirectoryKind, FileId, HintStats, NodeId,
+    ReplacementPolicy,
+};
 use ccm_net::TcpLan;
 use ccm_rt::store::read_file_direct;
 use ccm_rt::{
@@ -354,6 +357,141 @@ pub fn drive(
         digest,
         stats: mw.stats(),
     }
+}
+
+/// How [`read_path_outcome`] reads each file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadMode {
+    /// One `NodeHandle::read_file` call: batched decisions and trains.
+    WholeFile,
+    /// A `NodeHandle::read_block` loop over the file's blocks.
+    BlockByBlock,
+}
+
+/// Everything a single caller's read sequence leaves behind that must not
+/// depend on whether files are read whole or block by block.
+#[derive(Debug, PartialEq, Eq)]
+pub struct ReadPathOutcome {
+    /// FNV-1a digest over every delivered byte, in op order.
+    pub digest: u64,
+    /// Protocol counters, store fallbacks included.
+    pub stats: CacheStats,
+    /// `ccm_rt_reads_total` summed over nodes: local, remote, disk,
+    /// fallback.
+    pub reads: [u64; 4],
+    /// `ccm_rt_store_blocks` per node: what the data plane holds, which a
+    /// late or early store install or removal would change.
+    pub store_blocks: Vec<i64>,
+    /// Hint-directory statistics.
+    pub hints: HintStats,
+    /// `ccm_rt_hint_{hits,stale,forward_hops}_total`.
+    pub hint_counters: [u64; 3],
+    /// Replica-admission statistics.
+    pub admission: AdmissionStats,
+    /// `ccm_rt_admission_{admitted,rejected,ghost_hits}_total`.
+    pub admission_counters: [u64; 3],
+}
+
+/// Drive `ops` seeded single-caller reads through a fresh 4-node cluster
+/// on `backend` whose caches are smaller than its larger files (so reads
+/// evict, forward and re-fetch their own blocks, across several 32-block
+/// decision chunks), reading each file as `mode` says and quiescing after
+/// every op. Every read is checked against the backing store.
+///
+/// # Panics
+/// Panics on a corrupted read.
+pub fn read_path_outcome(
+    backend: Backend,
+    directory: DirectoryKind,
+    admission: Option<AdmissionConfig>,
+    mode: ReadMode,
+    ops: u64,
+) -> ReadPathOutcome {
+    let nodes = 4;
+    let block = ccm_core::BLOCK_SIZE;
+    let sizes = vec![
+        70 * block - 100,
+        40 * block,
+        block,
+        3 * block + 7,
+        33 * block,
+        9 * block,
+        200,
+        17 * block + 1,
+        2 * block,
+        5 * block - 1,
+    ];
+    let catalog = Catalog::new(sizes);
+    let store = Arc::new(SyntheticStore::new(catalog.clone(), 29));
+    let cluster = start_member_cluster(
+        backend,
+        RtConfig {
+            nodes,
+            capacity_blocks: 24,
+            fetch_timeout: Duration::from_secs(10),
+            admission,
+            ..RtConfig::default()
+        },
+        catalog.clone(),
+        store.clone(),
+        Membership::all_up(nodes),
+        directory,
+    );
+    let mw = &cluster.mw;
+    let mut rng = Rng::new(31).substream(5);
+    let mut digest = FNV_OFFSET;
+    for op in 0..ops {
+        let node = mw.handle(NodeId(rng.next_below(nodes as u64) as u16));
+        let file = FileId(rng.next_below(catalog.num_files() as u64) as u32);
+        let got = match mode {
+            ReadMode::WholeFile => node.read_file(file),
+            ReadMode::BlockByBlock => (0..catalog.blocks_of(file))
+                .flat_map(|b| node.read_block(BlockId::new(file, b)).to_vec())
+                .collect(),
+        };
+        assert_eq!(
+            got,
+            read_file_direct(&*store, &catalog, file),
+            "{} {mode:?} op {op}: file {file:?} corrupted",
+            backend.name()
+        );
+        fnv1a(&mut digest, &got);
+        mw.quiesce();
+    }
+    mw.check_invariants();
+    let snap = mw.obs_snapshot();
+    let sum = |name: &str| snap.counter_sum(name);
+    let out = ReadPathOutcome {
+        digest,
+        stats: mw.stats(),
+        reads: ["local", "remote", "disk", "fallback"]
+            .map(|class| snap.counter_sum_where("ccm_rt_reads_total", "class", class)),
+        store_blocks: (0..nodes)
+            .map(|n| {
+                match snap
+                    .find("ccm_rt_store_blocks", &[("node", &n.to_string())])
+                    .map(|m| &m.value)
+                {
+                    Some(ccm_obs::Value::Gauge(g)) => *g,
+                    other => panic!("no store gauge for node {n}: {other:?}"),
+                }
+            })
+            .collect(),
+        hints: mw.hint_stats(),
+        hint_counters: [
+            sum("ccm_rt_hint_hits_total"),
+            sum("ccm_rt_hint_stale_total"),
+            sum("ccm_rt_hint_forward_hops_total"),
+        ],
+        admission: mw.admission_stats(),
+        admission_counters: [
+            sum("ccm_rt_admission_admitted_total"),
+            sum("ccm_rt_admission_rejected_total"),
+            sum("ccm_rt_admission_ghost_hits_total"),
+        ],
+    };
+    cluster.shutdown();
+    out
 }
 
 /// One scheduled membership transition in a [`ChurnPlan`].
