@@ -3,18 +3,15 @@
 
 use crate::rate::RateSchedule;
 use crate::{Arrival, ArrivalProcess, NS_PER_SEC};
+use ccm_traces::distributions::exponential;
 use ccm_traces::{FileId, Workload};
 use simcore::Rng;
 use std::sync::Arc;
 
-/// Sample one exponential inter-arrival gap at `rate_rps`, in virtual ns.
-/// Inverse-CDF on the open-interval uniform (safe for `ln`), capped so a
-/// pathological draw can never overflow the virtual clock.
+/// Sample one exponential inter-arrival gap at `rate_rps`, in virtual ns,
+/// capped so a pathological draw can never overflow the virtual clock.
 fn exp_gap_ns(rng: &mut Rng, rate_rps: f64) -> u64 {
-    debug_assert!(rate_rps > 0.0);
-    let u = rng.next_f64_open();
-    let ns = (-u.ln() / rate_rps) * NS_PER_SEC as f64;
-    ns.min(1e18) as u64
+    exponential(rng, NS_PER_SEC as f64 / rate_rps).min(1e18) as u64
 }
 
 /// RNG substream labels, fixed so each stochastic component owns its

@@ -8,7 +8,8 @@
 //!
 //! * sequential reads of one file are *head-contiguous* at the address
 //!   level — including across the file's internal extent boundaries —
-//!   which is exactly what [`crate::SchedQueue`]'s batched policy rewards;
+//!   which is exactly what [`ccm_cluster::SchedQueue`]'s batched policy
+//!   rewards;
 //! * interleaved streams over different files are never contiguous, which
 //!   is the paper's §5 pathology the scheduler exists to fix.
 

@@ -2,22 +2,16 @@
 //!
 //! The simulator's headline scheduling result (§5 of the paper: FIFO disk
 //! service collapses when sequential streams interleave; batching
-//! head-contiguous requests restores it) lives in `ccm_cluster::Disk`. The
-//! threaded runtime, by contrast, used to serve every miss with a
-//! synchronous inline `read_block` call — no queue, no scheduling, no real
-//! file I/O. This crate is the missing layer:
+//! head-contiguous requests restores it) lives in `ccm_cluster::Disk`. This
+//! crate gives the threaded runtime the same queue on real I/O:
 //!
 //! * [`DiskService`] — a per-node asynchronous disk service: bounded
 //!   request queue with backpressure, one worker (one head), the paper's
-//!   batched C-LOOK scheduler ([`SchedPolicy::Batched`], semantically
-//!   matched to `ccm_cluster::DiskScheduler::Batched`), in-flight miss
+//!   batched C-LOOK scheduler (the simulator's own [`ccm_cluster::SchedQueue`]
+//!   under [`ccm_cluster::DiskScheduler::Batched`]), in-flight miss
 //!   coalescing (concurrent requests for one block issue a single physical
 //!   read and share the `Arc<[u8]>`), and sequential readahead for
 //!   detected streams.
-//! * [`SchedQueue`] — the scheduler as a pure data structure. The service
-//!   runs only [`SchedPolicy::Batched`]; [`SchedPolicy::Fifo`] (the
-//!   paper's -Basic strawman) stays as the reference order that
-//!   `tests/parity.rs` checks against the simulator's `Disk`.
 //! * [`FileStore`] — a real file-backed [`BlockStore`]: blocks laid out in
 //!   per-file extent-aligned regions of an actual data file, with correct
 //!   partial tail blocks, reopenable from the same data dir.
@@ -36,12 +30,10 @@
 
 pub mod file_store;
 pub mod layout;
-pub mod sched;
 pub mod service;
 pub mod store;
 
 pub use file_store::FileStore;
 pub use layout::DiskLayout;
-pub use sched::{SchedPolicy, SchedQueue};
 pub use service::{DiskConfig, DiskError, DiskFaults, DiskService, DiskStats};
 pub use store::{read_file_direct, BlockStore, Catalog, MemStore, SyntheticStore};

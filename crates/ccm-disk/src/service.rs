@@ -9,9 +9,10 @@
 //! `queue_cap` demand requests are already pending (the backpressure
 //! seam: callers feel a full disk queue as latency, exactly like a real
 //! device), then enqueues into a [`SchedQueue`] ordered by the paper's
-//! batched C-LOOK rule ([`SchedPolicy::Batched`]). The worker pops in
-//! scheduler order, performs the physical read outside the lock, and
-//! delivers to every waiter.
+//! batched C-LOOK rule ([`DiskScheduler::Batched`]) — the simulator's own
+//! queue, so the two serve identical arrivals in identical order. The
+//! worker pops in scheduler order, performs the physical read outside the
+//! lock, and delivers to every waiter.
 //!
 //! ## Readahead
 //!
@@ -33,8 +34,8 @@
 //! store fallback, the same escape hatch it uses for data-plane races.
 
 use crate::layout::DiskLayout;
-use crate::sched::{SchedPolicy, SchedQueue};
 use crate::store::{BlockStore, Catalog};
+use ccm_cluster::{DiskScheduler, SchedQueue};
 use ccm_core::block::BLOCK_SIZE;
 use ccm_core::BlockId;
 use ccm_obs::{Counter, Gauge, Histogram, Registry, Stopwatch};
@@ -354,7 +355,7 @@ impl DiskService {
         };
         let inner = Arc::new(Inner {
             core: Mutex::new(Core {
-                queue: SchedQueue::new(SchedPolicy::Batched),
+                queue: SchedQueue::new(DiskScheduler::Batched),
                 pending: FxHashMap::default(),
                 by_block: FxHashMap::default(),
                 demand_queued: 0,

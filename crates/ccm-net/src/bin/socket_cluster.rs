@@ -150,10 +150,8 @@ fn main() {
         }
         None => Arc::new(synth),
     };
-    let total_blocks: usize = wl
-        .sizes()
-        .iter()
-        .map(|s| (*s as usize).div_ceil(BLOCK_SIZE as usize))
+    let total_blocks: usize = (0..catalog.num_files())
+        .map(|f| catalog.blocks_of(FileId(f as u32)) as usize)
         .sum();
     // Per-node memory holds ~1/(2·nodes) of the file set: small enough that
     // cooperation (remote hits, eviction forwarding) must carry the load.

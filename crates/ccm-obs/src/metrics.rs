@@ -13,47 +13,18 @@
 //! store-fallback count feeds `CacheStats`), and their cost is exactly the
 //! one relaxed atomic increment the design budgets for the hot path.
 
+use simcore::histogram::{bucket_low, quantile_bucket};
 use simcore::sync::Mutex;
 #[cfg(not(feature = "obs-off"))]
 use std::sync::atomic::AtomicI64;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Sub-buckets per power-of-two octave (same scheme as
-/// `simcore::Histogram`): 16 gives ≤ ~6% relative quantile error.
-const SUBBUCKET_BITS: u32 = 4;
-const SUBBUCKETS: u64 = 1 << SUBBUCKET_BITS;
-
-/// Fixed bucket count. Indices saturate into the last bucket, which with 16
-/// sub-buckets per octave covers values up to ~2^35 ns (≈ 34 s) exactly and
-/// lumps everything larger together.
+/// Fixed bucket count over `simcore::histogram`'s bucket scheme (16
+/// sub-buckets per octave, ≤ ~6% relative quantile error). Indices saturate
+/// into the last bucket, which covers values up to ~2^35 ns (≈ 34 s)
+/// exactly and lumps everything larger together.
 pub const HISTOGRAM_BUCKETS: usize = 512;
-
-/// Fine-bucket index of `value` (monotonic, saturating).
-#[cfg_attr(feature = "obs-off", allow(dead_code))]
-#[inline]
-pub(crate) fn bucket_index(value: u64) -> usize {
-    let idx = if value < SUBBUCKETS {
-        value as usize
-    } else {
-        let octave = 63 - value.leading_zeros() as u64;
-        let sub = (value >> (octave - SUBBUCKET_BITS as u64)) - SUBBUCKETS;
-        ((octave - SUBBUCKET_BITS as u64 + 1) * SUBBUCKETS + sub) as usize
-    };
-    idx.min(HISTOGRAM_BUCKETS - 1)
-}
-
-/// Lower bound of the value range covered by fine bucket `idx`.
-#[inline]
-pub(crate) fn bucket_low(idx: usize) -> u64 {
-    let idx = idx as u64;
-    if idx < SUBBUCKETS {
-        return idx;
-    }
-    let octave = idx / SUBBUCKETS + SUBBUCKET_BITS as u64 - 1;
-    let sub = idx % SUBBUCKETS;
-    (SUBBUCKETS + sub) << (octave - SUBBUCKET_BITS as u64)
-}
 
 /// Smallest value that saturates into the final bucket (diagnostics/tests).
 pub fn saturation_threshold() -> u64 {
@@ -190,7 +161,8 @@ impl Histogram {
     /// Record one value (nanoseconds, by convention).
     #[inline]
     pub fn record(&self, value: u64) {
-        self.0.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
+        let idx = simcore::histogram::bucket_index(value).min(HISTOGRAM_BUCKETS - 1);
+        self.0.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.0.count.fetch_add(1, Ordering::Relaxed);
         self.0.sum.fetch_add(value, Ordering::Relaxed);
     }
@@ -315,16 +287,7 @@ impl HistogramSnapshot {
         if self.count == 0 {
             return 0;
         }
-        let q = q.clamp(0.0, 1.0);
-        let target = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (idx, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return bucket_low(idx);
-            }
-        }
-        bucket_low(HISTOGRAM_BUCKETS - 1)
+        bucket_low(quantile_bucket(&self.buckets, self.count, q).unwrap_or(HISTOGRAM_BUCKETS - 1))
     }
 
     /// Merge another snapshot into this one (e.g. per-node distributions
@@ -702,14 +665,13 @@ mod tests {
     }
 
     #[test]
-    fn bucket_index_is_monotonic_and_saturates() {
-        let mut last = 0;
-        for v in 0..200_000u64 {
-            let i = bucket_index(v);
-            assert!(i >= last);
-            last = i;
-        }
-        assert_eq!(bucket_index(u64::MAX), HISTOGRAM_BUCKETS - 1);
-        assert_eq!(bucket_index(saturation_threshold()), HISTOGRAM_BUCKETS - 1);
+    fn records_saturate_into_the_last_bucket() {
+        let h = Histogram::new();
+        h.record(saturation_threshold() - 1);
+        h.record(saturation_threshold());
+        h.record(u64::MAX);
+        let s = h.snapshot();
+        assert_eq!(s.buckets[HISTOGRAM_BUCKETS - 2], 1);
+        assert_eq!(s.buckets[HISTOGRAM_BUCKETS - 1], 2);
     }
 }

@@ -9,7 +9,8 @@
 //! counted at the next-larger bound, so bucket counts stay conservative
 //! and `+Inf` always equals `_count`.
 
-use crate::metrics::{bucket_low, MetricSnapshot, Snapshot, Value, HISTOGRAM_BUCKETS};
+use crate::metrics::{MetricSnapshot, Snapshot, Value, HISTOGRAM_BUCKETS};
+use simcore::histogram::bucket_low;
 
 /// Upper bounds (nanoseconds) of the exposed histogram buckets. The
 /// in-memory histograms stay fine-grained; this grid is only the wire

@@ -11,7 +11,8 @@
 //! * [`disk`] — the disk model: seek + transfer timing, one metadata seek per
 //!   64 KB extent, and an explicit request queue with FIFO or batching
 //!   (C-LOOK) scheduling — the "-Basic" vs. "scheduled" distinction that
-//!   fixes the paper's stream-interleaving bottleneck.
+//!   fixes the paper's stream-interleaving bottleneck. Its queue,
+//!   [`disk::SchedQueue`], is also the runtime disk service's scheduler.
 //! * [`net`] — NICs, wire latency, and the client-facing router.
 //! * [`layout`] — file→home-node placement and on-disk addresses (striped
 //!   for the middleware, fully replicated for L2S, plus a hot-spot placement
@@ -29,7 +30,7 @@ pub mod net;
 pub mod node;
 
 pub use costs::CostModel;
-pub use disk::{Disk, DiskRequest, DiskScheduler};
+pub use disk::{Disk, DiskRequest, DiskScheduler, SchedQueue};
 pub use dns::RoundRobinDns;
 pub use layout::{FileLayout, Placement};
 pub use net::Network;

@@ -35,8 +35,11 @@ pub struct Histogram {
     max: u64,
 }
 
+/// Bucket holding `value`: exact below 16, then 16 linear sub-buckets per
+/// power-of-two octave. Monotonic in `value`, and unbounded (callers with a
+/// fixed bucket array saturate it themselves).
 #[inline]
-fn bucket_index(value: u64) -> usize {
+pub fn bucket_index(value: u64) -> usize {
     if value < SUBBUCKETS {
         return value as usize;
     }
@@ -47,7 +50,7 @@ fn bucket_index(value: u64) -> usize {
 
 /// Lower bound of the value range covered by bucket `idx`.
 #[inline]
-fn bucket_low(idx: usize) -> u64 {
+pub fn bucket_low(idx: usize) -> u64 {
     let idx = idx as u64;
     if idx < SUBBUCKETS {
         return idx;
@@ -55,6 +58,19 @@ fn bucket_low(idx: usize) -> u64 {
     let octave = idx / SUBBUCKETS + SUBBUCKETS_BITS as u64 - 1;
     let sub = idx % SUBBUCKETS;
     (SUBBUCKETS + sub) << (octave - SUBBUCKETS_BITS as u64)
+}
+
+/// Index of the bucket holding the `q`-quantile's 1-based rank among
+/// `count` samples spread over `buckets` (the rank is never below one), or
+/// `None` when the buckets hold fewer samples than that rank.
+#[inline]
+pub fn quantile_bucket(buckets: &[u64], count: u64, q: f64) -> Option<usize> {
+    let target = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
+    let mut seen = 0;
+    buckets.iter().position(|&c| {
+        seen += c;
+        seen >= target
+    })
 }
 
 impl Default for Histogram {
@@ -122,22 +138,11 @@ impl Histogram {
     }
 
     /// Approximate `q`-quantile (`q` in `[0, 1]`), as the lower bound of the
-    /// bucket containing that rank. Zero when empty.
+    /// bucket containing that rank, clamped to `[min, max]`. Zero when
+    /// empty.
     pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        // Rank of the target observation, 1-based.
-        let target = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (idx, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return bucket_low(idx).max(self.min).min(self.max);
-            }
-        }
-        self.max
+        quantile_bucket(&self.buckets, self.count, q)
+            .map_or(self.max, |idx| bucket_low(idx).max(self.min).min(self.max))
     }
 
     /// Convenience: the approximate median.
@@ -254,8 +259,9 @@ mod tests {
         let mut h = Histogram::new();
         h.record(500);
         h.record(1500);
+        // q = 0 is rank 1: bucket [496, 512) raised to the minimum. q = 1 is
+        // rank 2: 1500's bucket starts at 1472, inside [min, max].
         assert_eq!(h.quantile(0.0), 500);
-        assert_eq!(h.quantile(1.0).max(h.min()), h.quantile(1.0));
-        assert!(h.quantile(1.0) <= h.max());
+        assert_eq!(h.quantile(1.0), 1472);
     }
 }

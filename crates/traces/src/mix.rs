@@ -24,15 +24,7 @@
 //! bench suites pin.
 
 use crate::model::{FileId, RequestSource, Workload};
-
-/// SplitMix64 finalizer: a full-avalanche hash over one `u64`.
-#[inline]
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use simcore::rng::splitmix64;
 
 /// Deterministic write marking over a numbered operation stream.
 ///
@@ -69,8 +61,8 @@ impl WriteMix {
     #[inline]
     pub fn is_write(&self, op: u64) -> bool {
         // 53 uniform mantissa bits → [0, 1).
-        let u = (splitmix64(self.seed ^ op.wrapping_mul(0xA24B_AED4_963E_E407)) >> 11) as f64
-            / (1u64 << 53) as f64;
+        let mut key = self.seed ^ op.wrapping_mul(0xA24B_AED4_963E_E407);
+        let u = (splitmix64(&mut key) >> 11) as f64 / (1u64 << 53) as f64;
         u < self.ratio
     }
 
