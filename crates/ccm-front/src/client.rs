@@ -4,6 +4,7 @@
 //! `Content-Range`/`ETag`).
 
 use ccm_httpd::http::Headers;
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 
@@ -55,6 +56,18 @@ fn read_response(reader: &mut impl BufRead, head_only: bool) -> std::io::Result<
     })
 }
 
+/// The bytes of one request head: request line, `Host`, `extra` in
+/// order, and the blank line.
+fn request_head(method: &str, path: &str, extra: &[(&str, &str)]) -> String {
+    let mut head = format!("{method} {path} HTTP/1.1\r\nHost: front\r\n");
+    for (name, value) in extra {
+        // Formatting into a `String` cannot fail.
+        let _ = write!(head, "{name}: {value}\r\n");
+    }
+    head.push_str("\r\n");
+    head
+}
+
 /// A persistent connection to one front endpoint.
 pub struct FrontClient {
     reader: BufReader<TcpStream>,
@@ -89,20 +102,16 @@ impl FrontClient {
         read_response(&mut self.reader, true)
     }
 
-    /// Write one request head without reading the response — the
-    /// pipelining half. Follow with [`FrontClient::read_pipelined`].
+    /// Write one request head, in one write, without reading the response
+    /// — the pipelining half. Follow with [`FrontClient::read_pipelined`].
     pub fn send(
         &mut self,
         method: &str,
         path: &str,
         extra: &[(&str, &str)],
     ) -> std::io::Result<()> {
-        write!(self.writer, "{method} {path} HTTP/1.1\r\nHost: front\r\n")?;
-        for (name, value) in extra {
-            write!(self.writer, "{name}: {value}\r\n")?;
-        }
-        self.writer.write_all(b"\r\n")?;
-        self.writer.flush()
+        self.writer
+            .write_all(request_head(method, path, extra).as_bytes())
     }
 
     /// Read one response off the wire (responses to pipelined requests
@@ -121,4 +130,25 @@ pub fn get_with(addr: SocketAddr, path: &str, extra: &[(&str, &str)]) -> std::io
 /// One-shot plain `GET`.
 pub fn get(addr: SocketAddr, path: &str) -> std::io::Result<Response> {
     get_with(addr, path, &[])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::request_head;
+
+    #[test]
+    fn request_heads_keep_their_golden_bytes() {
+        assert_eq!(
+            request_head("GET", "/file/7", &[]),
+            "GET /file/7 HTTP/1.1\r\nHost: front\r\n\r\n"
+        );
+        assert_eq!(
+            request_head(
+                "HEAD",
+                "/file/12",
+                &[("Range", "bytes=0-9"), ("Connection", "close")]
+            ),
+            "HEAD /file/12 HTTP/1.1\r\nHost: front\r\nRange: bytes=0-9\r\nConnection: close\r\n\r\n"
+        );
+    }
 }

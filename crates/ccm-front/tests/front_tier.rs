@@ -598,6 +598,34 @@ fn cross_node_reads_cooperate_on_both_lans() {
     }
 }
 
+/// A 129-block (just over 1 MiB) body is far larger than a socket's send
+/// buffer, so the response's one vectored write is resumed many times on
+/// a real socket; every byte must still arrive, alone and as the first of
+/// a pipelined pair.
+#[test]
+fn a_large_body_arrives_byte_exact_on_both_lans() {
+    let catalog = Catalog::new(vec![128 * BLOCK_SIZE + 100]);
+    let store = Arc::new(SyntheticStore::new(catalog.clone(), 11));
+    let truth = read_file_direct(store.as_ref(), &catalog, FileId(0));
+    for lan in Backend::all() {
+        let fx = start_ccm(lan, 2, 256, &catalog, store.clone());
+        let r = get(fx.front.addrs()[0], "/file/0").unwrap();
+        assert_eq!(r.status, 200, "{}", lan.name());
+        assert!(r.body == truth, "{}: large body corrupted", lan.name());
+
+        let mut conn = FrontClient::connect(fx.front.addrs()[1]).unwrap();
+        conn.send("GET", "/file/0", &[]).unwrap();
+        conn.send("GET", "/file/0", &[]).unwrap();
+        for i in 0..2 {
+            let r = conn.read_pipelined().unwrap();
+            assert_eq!(r.status, 200, "{} pipelined {i}", lan.name());
+            assert!(r.body == truth, "{}: pipelined {i} corrupted", lan.name());
+        }
+        drop(conn); // the worker leaves on EOF, not the read timeout
+        fx.shutdown();
+    }
+}
+
 #[test]
 fn concurrent_keep_alive_load_is_exact_on_both_lans() {
     const FILES: u64 = 24;

@@ -7,10 +7,16 @@
 //! prescribes (same semantics as one comma-joined field) — the front
 //! tier needs real header access (`Range`, `If-Range`, multi-valued
 //! fields), not just `Connection`. Robust against malformed input (a bad
-//! request yields a 400, never a panic) and bounded (oversized request
-//! heads are rejected) so listeners can face untrusted bytes.
+//! request yields a 400, never a panic) and bounded (every line is read
+//! against what is left of [`MAX_HEAD_BYTES`], so neither an oversized
+//! head nor one endless line is buffered past it) so listeners can face
+//! untrusted bytes.
+//!
+//! Responses leave in one write: [`write_response_with`] formats the head
+//! into a local buffer and hands head and body to one `write_vectored`,
+//! resuming after a short write.
 
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, IoSlice, Read, Write};
 
 /// Largest accepted request head (request line + headers), bytes.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -105,18 +111,35 @@ pub enum ParseError {
     TooLarge,
 }
 
+/// Read one head line into `line` (cleared first), charging it to
+/// `budget`, the head bytes still allowed. Reading stops one byte past the
+/// budget, so an endless line costs at most `budget + 1` bytes before it
+/// is `TooLarge`, whatever characters it holds: the length is checked on
+/// raw bytes before any UTF-8 decoding. End of input, an I/O error or a
+/// line that is not UTF-8 is `eof`.
+fn read_line_within<'a>(
+    reader: &mut impl BufRead,
+    line: &'a mut Vec<u8>,
+    budget: &mut usize,
+    eof: ParseError,
+) -> Result<&'a str, ParseError> {
+    line.clear();
+    let limit = *budget as u64 + 1;
+    let n = match reader.by_ref().take(limit).read_until(b'\n', line) {
+        Ok(0) | Err(_) => return Err(eof),
+        Ok(n) => n,
+    };
+    *budget = budget.checked_sub(n).ok_or(ParseError::TooLarge)?;
+    std::str::from_utf8(line).map_err(|_| eof)
+}
+
 /// Read and parse one request head from `reader`.
 pub fn read_request(reader: &mut impl BufRead) -> Result<Request, ParseError> {
-    let mut head = String::new();
-    let mut total = 0usize;
+    let mut buf = Vec::new();
+    let mut budget = MAX_HEAD_BYTES;
 
     // Request line.
-    let mut line = String::new();
-    match reader.read_line(&mut line) {
-        Ok(0) => return Err(ParseError::ConnectionClosed),
-        Ok(n) => total += n,
-        Err(_) => return Err(ParseError::ConnectionClosed),
-    }
+    let line = read_line_within(reader, &mut buf, &mut budget, ParseError::ConnectionClosed)?;
     let mut parts = line.split_ascii_whitespace();
     let method = parts.next().ok_or(ParseError::Malformed)?.to_string();
     let path = parts.next().ok_or(ParseError::Malformed)?.to_string();
@@ -132,16 +155,8 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, ParseError> {
     // Headers until the blank line.
     let mut headers = Headers::new();
     loop {
-        head.clear();
-        match reader.read_line(&mut head) {
-            Ok(0) => return Err(ParseError::Malformed), // EOF mid-head
-            Ok(n) => total += n,
-            Err(_) => return Err(ParseError::Malformed),
-        }
-        if total > MAX_HEAD_BYTES {
-            return Err(ParseError::TooLarge);
-        }
-        let h = head.trim_end();
+        // EOF mid-head is malformed.
+        let h = read_line_within(reader, &mut buf, &mut budget, ParseError::Malformed)?.trim_end();
         if h.is_empty() {
             break;
         }
@@ -174,6 +189,10 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, ParseError> {
 /// (`Content-Range`, `ETag`, `Accept-Ranges`, …). Framing is always
 /// `Content-Length`; `head_only` omits the body but keeps its length, as
 /// `HEAD` requires.
+///
+/// The head is formatted into a local buffer and leaves with the body in
+/// one `write_vectored`, so a socket sees one `write(2)` per response
+/// unless the send buffer fills, in which case the rest is resumed.
 #[allow(clippy::too_many_arguments)]
 pub fn write_response_with(
     w: &mut impl Write,
@@ -184,21 +203,36 @@ pub fn write_response_with(
     body: &[u8],
     keep_alive: bool,
     head_only: bool,
-) -> std::io::Result<()> {
+) -> io::Result<()> {
+    let mut head = Vec::with_capacity(256);
     write!(
-        w,
+        head,
         "HTTP/1.1 {status} {reason}\r\nContent-Length: {}\r\nContent-Type: {content_type}\r\nConnection: {}\r\n",
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
     )?;
     for (name, value) in extra_headers {
-        write!(w, "{name}: {value}\r\n")?;
+        write!(head, "{name}: {value}\r\n")?;
     }
-    w.write_all(b"\r\n")?;
-    if !head_only {
-        w.write_all(body)?;
-    }
+    head.extend_from_slice(b"\r\n");
+    let mut bufs = [IoSlice::new(&head), IoSlice::new(body)];
+    let sent = if head_only { 1 } else { 2 };
+    write_all_vectored(w, &mut bufs[..sent])?;
     w.flush()
+}
+
+/// `write_all` over several buffers: one `write_vectored` per attempt,
+/// resumed where a short write stopped, retried on `Interrupted`.
+fn write_all_vectored(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> io::Result<()> {
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Resolve `/file/<id>` to a file id.
@@ -370,6 +404,241 @@ mod tests {
         assert!(text.contains("Content-Range: bytes 2-4/10\r\n"));
         assert!(text.contains("ETag: \"f0-10\"\r\n"));
         assert!(text.ends_with("\r\n\r\nabc"));
+    }
+
+    /// Records every `write`/`write_vectored` call and the bytes it took:
+    /// on a socket with `TCP_NODELAY`, each call is one `write(2)`.
+    #[derive(Default)]
+    struct Counting {
+        calls: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            for buf in bufs {
+                self.bytes.extend_from_slice(buf);
+            }
+            Ok(bufs.iter().map(|b| b.len()).sum())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Takes at most 7 bytes a call and fails every third call with
+    /// `Interrupted`: a socket whose send buffer is nearly full.
+    #[derive(Default)]
+    struct Trickle {
+        calls: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(3) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let mut room = 7;
+            for buf in bufs {
+                let n = buf.len().min(room);
+                self.bytes.extend_from_slice(&buf[..n]);
+                room -= n;
+            }
+            Ok(7 - room)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// One response shape the front tier sends, with the exact head the
+    /// writer produced for it when each header was its own write.
+    struct Golden {
+        name: &'static str,
+        status: u16,
+        reason: &'static str,
+        extra: &'static [(&'static str, &'static str)],
+        body: Vec<u8>,
+        keep_alive: bool,
+        head_only: bool,
+        head: &'static str,
+    }
+
+    impl Golden {
+        fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
+            write_response_with(
+                w,
+                self.status,
+                self.reason,
+                "application/octet-stream",
+                self.extra,
+                &self.body,
+                self.keep_alive,
+                self.head_only,
+            )
+        }
+
+        /// Every byte that must reach the wire.
+        fn wire(&self) -> Vec<u8> {
+            let mut wire = self.head.as_bytes().to_vec();
+            if !self.head_only {
+                wire.extend_from_slice(&self.body);
+            }
+            wire
+        }
+    }
+
+    fn body(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i % 251) as u8).collect()
+    }
+
+    fn goldens() -> Vec<Golden> {
+        vec![
+            Golden {
+                name: "200 with an 8 KiB body",
+                status: 200,
+                reason: "OK",
+                extra: &[("ETag", "\"f7-8192\""), ("Accept-Ranges", "bytes")],
+                body: body(8192),
+                keep_alive: true,
+                head_only: false,
+                head: "HTTP/1.1 200 OK\r\nContent-Length: 8192\r\n\
+                       Content-Type: application/octet-stream\r\nConnection: keep-alive\r\n\
+                       ETag: \"f7-8192\"\r\nAccept-Ranges: bytes\r\n\r\n",
+            },
+            Golden {
+                name: "HEAD",
+                status: 200,
+                reason: "OK",
+                extra: &[("ETag", "\"f7-8192\""), ("Accept-Ranges", "bytes")],
+                body: body(8192),
+                keep_alive: false,
+                head_only: true,
+                head: "HTTP/1.1 200 OK\r\nContent-Length: 8192\r\n\
+                       Content-Type: application/octet-stream\r\nConnection: close\r\n\
+                       ETag: \"f7-8192\"\r\nAccept-Ranges: bytes\r\n\r\n",
+            },
+            Golden {
+                name: "206",
+                status: 206,
+                reason: "Partial Content",
+                extra: &[
+                    ("Content-Range", "bytes 100-8291/20000"),
+                    ("ETag", "\"f7-20000\""),
+                    ("Accept-Ranges", "bytes"),
+                ],
+                body: body(8192),
+                keep_alive: true,
+                head_only: false,
+                head: "HTTP/1.1 206 Partial Content\r\nContent-Length: 8192\r\n\
+                       Content-Type: application/octet-stream\r\nConnection: keep-alive\r\n\
+                       Content-Range: bytes 100-8291/20000\r\nETag: \"f7-20000\"\r\n\
+                       Accept-Ranges: bytes\r\n\r\n",
+            },
+            Golden {
+                name: "empty-body 400",
+                status: 400,
+                reason: "Bad Request",
+                extra: &[],
+                body: Vec::new(),
+                keep_alive: false,
+                head_only: false,
+                head: "HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\
+                       Content-Type: application/octet-stream\r\nConnection: close\r\n\r\n",
+            },
+            Golden {
+                name: "200 with a 64 KiB body",
+                status: 200,
+                reason: "OK",
+                extra: &[],
+                body: body(64 * 1024),
+                keep_alive: true,
+                head_only: false,
+                head: "HTTP/1.1 200 OK\r\nContent-Length: 65536\r\n\
+                       Content-Type: application/octet-stream\r\nConnection: keep-alive\r\n\r\n",
+            },
+        ]
+    }
+
+    #[test]
+    fn each_response_is_one_write_of_the_golden_bytes() {
+        for g in goldens() {
+            let mut w = Counting::default();
+            g.write_to(&mut w).unwrap();
+            assert!(w.bytes == g.wire(), "{}: bytes on the wire changed", g.name);
+            assert_eq!(w.calls, 1, "{}: one write per response", g.name);
+        }
+    }
+
+    #[test]
+    fn short_and_interrupted_writes_resume_to_the_golden_bytes() {
+        for g in goldens() {
+            let mut w = Trickle::default();
+            g.write_to(&mut w).unwrap();
+            assert!(w.bytes == g.wire(), "{}: resumed bytes differ", g.name);
+        }
+    }
+
+    #[test]
+    fn a_writer_that_takes_nothing_is_write_zero() {
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Ok(0)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = goldens()[0].write_to(&mut Full).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+    }
+
+    /// Parse from a bare slice, returning how many bytes the parser took.
+    fn parse_counting(input: &[u8]) -> (Result<Request, ParseError>, usize) {
+        let mut rest = input;
+        let parsed = read_request(&mut rest);
+        (parsed, input.len() - rest.len())
+    }
+
+    #[test]
+    fn an_endless_line_is_too_large_within_the_head_budget() {
+        // ASCII, and two-byte characters at both parities, so the byte
+        // cap lands mid-character in one of them.
+        let endless = [
+            "a".repeat(1 << 20),
+            "é".repeat(1 << 19),
+            format!("a{}", "é".repeat(1 << 19)),
+        ];
+        for line in &endless {
+            for input in [
+                format!("GET /{line}"),
+                format!("GET / HTTP/1.1\r\nX-Endless: {line}"),
+            ] {
+                let (parsed, consumed) = parse_counting(input.as_bytes());
+                assert_eq!(parsed.unwrap_err(), ParseError::TooLarge);
+                assert!(
+                    consumed <= MAX_HEAD_BYTES + 1,
+                    "consumed {consumed} bytes of a {}-byte line",
+                    input.len()
+                );
+            }
+        }
     }
 
     #[test]

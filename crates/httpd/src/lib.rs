@@ -2,9 +2,10 @@
 //!
 //! What every HTTP-speaking layer of the workspace genuinely shares, and
 //! nothing else: request parsing ([`http::read_request`] into
-//! [`http::Request`]/[`http::Headers`], bounded by
-//! [`http::MAX_HEAD_BYTES`]), the response writer
-//! ([`http::write_response_with`]) and the `/file/<id>` route
+//! [`http::Request`]/[`http::Headers`], bounded line by line by
+//! [`http::MAX_HEAD_BYTES`]), the response writer that sends each
+//! response in one write ([`http::write_response_with`]) and the
+//! `/file/<id>` route
 //! ([`http::route_file`]). Std-only, no workspace dependencies.
 //!
 //! The server and the client that speak this codec live in `ccm-front`:
