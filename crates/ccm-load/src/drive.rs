@@ -136,12 +136,10 @@ impl Cluster {
                 obs: Some(registry.clone()),
                 write: spec.write,
                 admission: spec.admission_ghosts.map(AdmissionConfig::new),
+                transport,
                 ..RtConfig::default()
             };
-            let mw = Arc::new(match transport {
-                None => Middleware::start(cfg, catalog.clone(), store.clone()),
-                Some(t) => Middleware::start_on(cfg, catalog.clone(), store.clone(), t),
-            });
+            let mw = Arc::new(Middleware::start(cfg, catalog.clone(), store.clone()));
             (Some(mw.clone()), Arc::new(CcmBackend::new(mw)))
         };
         // The scrape surface is the paper's own configuration: round-robin

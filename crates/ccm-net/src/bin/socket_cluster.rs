@@ -62,9 +62,7 @@ use ccm_load::{BackendChoice, LoadSpec, Target};
 use ccm_net::{NetStats, TcpLan};
 use ccm_obs::Registry;
 use ccm_rt::store::{read_file_direct, BlockStore};
-use ccm_rt::{
-    Catalog, FileStore, MemStore, Membership, Middleware, RtConfig, SyntheticStore, WriteConfig,
-};
+use ccm_rt::{Catalog, FileStore, MemStore, Middleware, RtConfig, SyntheticStore, WriteConfig};
 use ccm_traces::{Preset, SynthConfig};
 use simcore::Rng;
 use std::sync::Arc;
@@ -171,28 +169,24 @@ fn main() {
         policy: ReplacementPolicy::MasterPreserving,
         fetch_timeout: Duration::from_secs(2),
         obs: Some(registry.clone()),
+        transport: Some(lan.clone()),
         ..RtConfig::default()
     };
 
     if write_mix {
-        write_mix_demo(cfg, catalog, lan, &wl, ops);
+        write_mix_demo(cfg, catalog, &wl, ops);
         return;
     }
     if serve {
-        serve_http(cfg, catalog, store, lan, ops);
+        serve_http(cfg, catalog, store, ops);
         return;
     }
     if join {
-        join_demo(cfg, catalog, store, lan, &wl, ops);
+        join_demo(cfg, catalog, store, &wl, ops);
         return;
     }
 
-    let mw = Arc::new(Middleware::start_on(
-        cfg,
-        catalog.clone(),
-        store.clone(),
-        lan.clone(),
-    ));
+    let mw = Arc::new(Middleware::start(cfg, catalog.clone(), store.clone()));
 
     let start = Instant::now();
     let workers: Vec<_> = (0..nodes)
@@ -309,23 +303,17 @@ fn replay_preset(name: &str, nodes: usize, ops: u64, target: Target) {
 /// live — re-mastering a share of the resident blocks onto it — and
 /// serves the rest through all nodes, verifying every byte throughout.
 fn join_demo(
-    cfg: RtConfig,
+    mut cfg: RtConfig,
     catalog: Catalog,
     store: Arc<dyn BlockStore>,
-    lan: Arc<TcpLan>,
     wl: &ccm_traces::Workload,
     ops: u64,
 ) {
     let nodes = cfg.nodes;
     let joiner = NodeId((nodes - 1) as u16);
-    let mw = Middleware::start_member(
-        cfg,
-        catalog.clone(),
-        store.clone(),
-        lan,
-        Membership::with_initial(nodes, nodes - 1),
-        DirectoryKind::Hint,
-    );
+    cfg.members = Some(nodes - 1);
+    cfg.directory = DirectoryKind::Hint;
+    let mw = Middleware::start(cfg, catalog.clone(), store.clone());
     mw.start_heartbeat(Duration::from_millis(50), Duration::from_millis(250), 3);
     println!(
         "\ncluster up: {} of {nodes} slots members, {joiner:?} provisioned cold; \
@@ -380,23 +368,12 @@ fn join_demo(
 /// write spliced in — safe because owners are the only writers of their
 /// files). At the end the dirty set is flushed and every written block is
 /// read back raw from the backing store and verified durable.
-fn write_mix_demo(
-    mut cfg: RtConfig,
-    catalog: Catalog,
-    lan: Arc<TcpLan>,
-    wl: &ccm_traces::Workload,
-    ops: u64,
-) {
+fn write_mix_demo(mut cfg: RtConfig, catalog: Catalog, wl: &ccm_traces::Workload, ops: u64) {
     let nodes = cfg.nodes;
     cfg.write = WriteConfig::back(64);
     cfg.admission = Some(AdmissionConfig::new(256));
     let store = Arc::new(MemStore::new(catalog.clone(), 0xD3110));
-    let mw = Arc::new(Middleware::start_on(
-        cfg,
-        catalog.clone(),
-        store.clone(),
-        lan,
-    ));
+    let mw = Arc::new(Middleware::start(cfg, catalog.clone(), store.clone()));
     println!(
         "\nwrite-back cluster up: dirty budget 64, ghost-LRU admission on; \
          node i owns files f % {nodes} == i"
@@ -499,20 +476,9 @@ fn write_mix_demo(
 
 /// `--serve`: the HTTP front tier over the TCP peer transport. Warms the
 /// cluster with `ops` verified HTTP reads, then serves until killed.
-fn serve_http(
-    cfg: RtConfig,
-    catalog: Catalog,
-    store: Arc<dyn BlockStore>,
-    lan: Arc<TcpLan>,
-    ops: u64,
-) {
+fn serve_http(cfg: RtConfig, catalog: Catalog, store: Arc<dyn BlockStore>, ops: u64) {
     let nodes = cfg.nodes;
-    let mw = Arc::new(Middleware::start_on(
-        cfg,
-        catalog.clone(),
-        store.clone(),
-        lan,
-    ));
+    let mw = Arc::new(Middleware::start(cfg, catalog.clone(), store.clone()));
     // The middleware's registry, so one /metrics page carries every layer.
     let registry = mw.registry().clone();
     let tier = FrontTier::start(

@@ -25,14 +25,15 @@
 //! use ccm_rt::{Middleware, RtConfig};
 //! use std::sync::Arc;
 //!
-//! let cfg = RtConfig {
-//!     nodes: 4,
-//!     ..RtConfig::default()
-//! };
 //! let catalog = ccm_rt::Catalog::new(vec![1 << 20; 16]);
 //! let disk = Arc::new(ccm_rt::SyntheticStore::new(catalog.clone(), 7));
-//! let lan = Arc::new(TcpLan::loopback(cfg.nodes).expect("bind loopback"));
-//! let mw = Middleware::start_on(cfg, catalog, disk, lan);
+//! let lan = Arc::new(TcpLan::loopback(4).expect("bind loopback"));
+//! let cfg = RtConfig {
+//!     nodes: 4,
+//!     transport: Some(lan),
+//!     ..RtConfig::default()
+//! };
+//! let mw = Middleware::start(cfg, catalog, disk);
 //! # drop(mw);
 //! ```
 //!

@@ -590,8 +590,8 @@ fn pump_frames(
 }
 
 /// The socket LAN. Construct with [`TcpLan::loopback`], hand it to
-/// `Middleware::start_on`, and the cluster's peer traffic runs over real
-/// TCP connections.
+/// `Middleware::start` as `RtConfig::transport`, and the cluster's peer
+/// traffic runs over real TCP connections.
 pub struct TcpLan {
     shared: Arc<TcpShared>,
     reactors: Mutex<Vec<JoinHandle<()>>>,
@@ -623,7 +623,7 @@ impl TcpLan {
             let addr = listener.local_addr()?;
             listeners.push(listener);
             // Dummy incarnation: dead until `reconnect` installs a real
-            // inbox (Middleware::start_on does, for every node).
+            // inbox (Middleware::start does, for every member).
             let (tx, _) = unbounded();
             slots.push(NodeSlot {
                 addr,

@@ -194,9 +194,11 @@ fn a_dead_inbox_serves_nothing_from_its_store() {
     }
 }
 
-fn cluster_cfg(nodes: usize, registry: &Registry) -> RtConfig {
+/// A cluster over `lan`, one node per transport slot.
+fn cluster_cfg(lan: Arc<dyn Transport>, registry: &Registry) -> RtConfig {
     RtConfig {
-        nodes,
+        nodes: lan.nodes(),
+        transport: Some(lan),
         capacity_blocks: 32,
         policy: ReplacementPolicy::MasterPreserving,
         fetch_timeout: Duration::from_secs(2),
@@ -216,12 +218,7 @@ fn reads_aimed_at_a_severed_or_crashed_node_degrade_to_the_store() {
             let catalog = Catalog::new(vec![BLOCK_SIZE; 8]);
             let disk = Arc::new(SyntheticStore::new(catalog.clone(), 21));
             let lan = transport(backend, 3, &registry);
-            let mw = Middleware::start_on(
-                cluster_cfg(3, &registry),
-                catalog,
-                disk.clone(),
-                lan.clone(),
-            );
+            let mw = Middleware::start(cluster_cfg(lan.clone(), &registry), catalog, disk.clone());
             let b = BlockId::new(FileId(5), 0);
             let want = ccm_rt::BlockStore::read_block(&*disk, b);
             // Node 1 becomes the master of `b`; a peer read is a remote hit
@@ -301,7 +298,7 @@ fn a_remote_read_after_a_write_returns_the_written_bytes() {
         let catalog = Catalog::new(vec![BLOCK_SIZE * 2; 4]);
         let disk = Arc::new(MemStore::new(catalog.clone(), 9));
         let lan = transport(backend, 3, &registry);
-        let mw = Middleware::start_on(cluster_cfg(3, &registry), catalog, disk, lan);
+        let mw = Middleware::start(cluster_cfg(lan, &registry), catalog, disk);
         let b = BlockId::new(FileId(2), 1);
         for (round, fill) in [0xA1u8, 0xB2, 0xC3].into_iter().enumerate() {
             let writer = NodeId((round % 3) as u16);
@@ -355,9 +352,9 @@ fn tcp_cluster(
     let catalog = Catalog::new(sizes);
     let disk = Arc::new(SyntheticStore::new(catalog.clone(), 17));
     let lan = Arc::new(TcpLan::loopback_obs(nodes, registry).expect("bind loopback"));
-    let mut cfg = cluster_cfg(nodes, registry);
+    let mut cfg = cluster_cfg(lan.clone(), registry);
     cfg.capacity_blocks = 128;
-    let mw = Middleware::start_on(cfg, catalog, disk.clone(), lan.clone());
+    let mw = Middleware::start(cfg, catalog, disk.clone());
     (mw, lan, disk)
 }
 

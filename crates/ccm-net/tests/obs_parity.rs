@@ -64,7 +64,11 @@ fn run_tcp() -> (Snapshot, u64) {
     let store = Arc::new(SyntheticStore::new(catalog.clone(), 7));
     let registry = Registry::new();
     let lan = Arc::new(TcpLan::loopback_obs(2, &registry).expect("bind loopback"));
-    let mw = Middleware::start_on(cfg(&registry), catalog, store, lan);
+    let cfg = RtConfig {
+        transport: Some(lan),
+        ..cfg(&registry)
+    };
+    let mw = Middleware::start(cfg, catalog, store);
     workload(&mw);
     let snap = mw.obs_snapshot();
     let dropped = mw.chaos_stats().dropped;

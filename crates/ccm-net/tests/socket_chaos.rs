@@ -110,9 +110,10 @@ fn concurrent_readers_survive_crashes_over_lossy_tcp() {
         let victims: Vec<NodeId> = plan.crashes.iter().map(|c| c.node).collect();
         let schedule = plan.crashes.clone();
         let lan = Arc::new(TcpLan::loopback(nodes).expect("bind loopback listeners"));
-        let mw = Arc::new(Middleware::start_on(
+        let mw = Arc::new(Middleware::start(
             RtConfig {
                 nodes,
+                transport: Some(lan.clone()),
                 capacity_blocks: 24,
                 policy: ReplacementPolicy::MasterPreserving,
                 fetch_timeout: BACKEND.torture_fetch_timeout(),
@@ -121,7 +122,6 @@ fn concurrent_readers_survive_crashes_over_lossy_tcp() {
             },
             catalog.clone(),
             store.clone(),
-            lan.clone(),
         ));
 
         let readers: Vec<_> = (0..nodes)

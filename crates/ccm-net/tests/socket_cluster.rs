@@ -88,12 +88,11 @@ fn peer_link_reestablishes_after_crash_and_restart() {
     let catalog = Catalog::new(vec![40_000; 12]);
     let store = Arc::new(SyntheticStore::new(catalog.clone(), 13));
     let lan = Arc::new(TcpLan::loopback(nodes).expect("bind loopback listeners"));
-    let mw = Middleware::start_on(
-        cluster_config(nodes),
-        catalog.clone(),
-        store.clone(),
-        lan.clone(),
-    );
+    let cfg = RtConfig {
+        transport: Some(lan.clone()),
+        ..cluster_config(nodes)
+    };
+    let mw = Middleware::start(cfg, catalog.clone(), store.clone());
     let victim = NodeId(1);
     let reader = NodeId(0);
 

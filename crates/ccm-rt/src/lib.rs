@@ -17,10 +17,10 @@
 //! in an eventual disk read", §3), and the runtime resolves it the same way:
 //! fall through to the backing store.
 //!
-//! * [`store`] — the backing "disk": a [`store::BlockStore`] trait plus a
-//!   deterministic synthetic implementation and the file catalog
-//!   (re-exported from `ccm-disk`, which also provides the asynchronous
-//!   [`DiskService`] every node's misses are queued through).
+//! * [`store`] — the backing "disk": `ccm-disk`'s store module, re-exported
+//!   whole — the [`store::BlockStore`] trait, the file catalog, the
+//!   synthetic and writable in-memory stores. `ccm-disk` also provides the
+//!   asynchronous [`DiskService`] every node's misses are queued through.
 //! * [`transport`] — peer messages and the channel LAN.
 //! * [`membership`] — the epoch-versioned member table behind dynamic
 //!   join/leave/crash, signalled through a condvar so joiners and the
@@ -36,9 +36,10 @@
 //! * [`shard`] — lock-sharded block maps: the data-plane stores and the
 //!   write-lock registry striped by block hash so different blocks never
 //!   contend on one mutex.
-//! * [`runtime`] — node service threads, the shared protocol state, node
-//!   crash/restart, and the public [`runtime::Middleware`] /
-//!   [`runtime::NodeHandle`] API.
+//! * [`runtime`] — the one constructor ([`Middleware::start`], configured
+//!   by [`RtConfig`]), node service threads, the shared protocol state, one
+//!   path for every join and one for every departure, and the public
+//!   [`runtime::Middleware`] / [`runtime::NodeHandle`] API.
 
 #![warn(missing_docs)]
 
@@ -47,9 +48,10 @@ pub mod membership;
 pub mod obs;
 pub mod runtime;
 pub mod shard;
-pub mod store;
 pub mod transport;
 pub mod write;
+
+pub use ccm_disk::store;
 
 pub use ccm_disk::{DiskConfig, DiskFaults, DiskService, DiskStats, FileStore};
 pub use fault::{ChaosLan, ChaosStats, CrashEvent, FaultPlan, LinkFaults};

@@ -12,12 +12,14 @@
 //! observed has changed ([`Membership::wait_for_epoch`]) instead of
 //! polling. The epoch is exported as the `ccm_rt_epoch` gauge.
 //!
-//! The table itself is deliberately dumb: transitions are performed by
-//! `Middleware` (join/leave/crash/repair), which pairs each one with the
-//! corresponding cache re-mastering and data-plane work. Failure
-//! *detection* lives in the heartbeat monitor
-//! (`Middleware::start_heartbeat`), which pings service loops through the
-//! `Transport` seam and walks unresponsive members Up → Suspect → Down.
+//! The table itself is deliberately dumb: `Middleware` makes every
+//! transition, on one path for joins (`join_node`, `restart_node`) and one
+//! for departures (`leave_node`, `crash_node`, and the heartbeat monitor
+//! declaring a member dead), each pairing the transition with the cache
+//! re-mastering and data-plane work it needs. Failure *detection* lives in
+//! the heartbeat monitor (`Middleware::start_heartbeat`), which pings
+//! service loops through the `Transport` seam and walks unresponsive
+//! members Up → Suspect → Down.
 
 use ccm_core::NodeId;
 use simcore::sync::{Condvar, Mutex};
@@ -57,28 +59,21 @@ struct Table {
 
 /// Shared, epoch-versioned membership table for a cluster of fixed
 /// capacity. Cheap to clone (an `Arc`); all clones observe the same state.
+/// Only the runtime builds and moves one; everyone else observes it
+/// through `Middleware::membership`.
 #[derive(Clone)]
 pub struct Membership {
     inner: Arc<(Mutex<Table>, Condvar)>,
 }
 
 impl Membership {
-    /// A static cluster: every one of `capacity` slots starts `Up` (the
-    /// compatibility path used by `Middleware::start_on`). Epoch starts
-    /// at 0.
-    ///
-    /// # Panics
-    /// Panics on zero capacity.
-    pub fn all_up(capacity: usize) -> Membership {
-        Membership::with_initial(capacity, capacity)
-    }
-
     /// A cluster provisioned for `capacity` slots of which the first
     /// `initial` start `Up`; the rest are `Provisioned` and may join later.
+    /// Epoch starts at 0.
     ///
     /// # Panics
     /// Panics if `initial` is 0 or exceeds `capacity`.
-    pub fn with_initial(capacity: usize, initial: usize) -> Membership {
+    pub(crate) fn with_initial(capacity: usize, initial: usize) -> Membership {
         assert!(initial > 0, "a cluster needs at least one initial member");
         assert!(initial <= capacity, "more initial members than slots");
         let states = (0..capacity)
@@ -93,11 +88,6 @@ impl Membership {
         Membership {
             inner: Arc::new((Mutex::new(Table { epoch: 0, states }), Condvar::new())),
         }
-    }
-
-    /// Number of provisioned slots (fixed for the cluster's lifetime).
-    pub fn capacity(&self) -> usize {
-        self.inner.0.lock().states.len()
     }
 
     /// The current epoch: bumped once per state transition.
@@ -130,7 +120,7 @@ impl Membership {
     /// Returns the new epoch. No-op transitions (same state) still bump the
     /// epoch — callers transition only on real changes, and a spurious bump
     /// is harmless (waiters re-check state).
-    pub fn transition(&self, node: NodeId, to: MemberState) -> u64 {
+    pub(crate) fn transition(&self, node: NodeId, to: MemberState) -> u64 {
         let (lock, cvar) = &*self.inner;
         let mut t = lock.lock();
         t.states[node.index()] = to;
@@ -157,13 +147,12 @@ mod tests {
     #[test]
     fn initial_states_and_capacity() {
         let m = Membership::with_initial(4, 2);
-        assert_eq!(m.capacity(), 4);
         assert_eq!(m.epoch(), 0);
         assert_eq!(m.state(NodeId(0)), MemberState::Up);
         assert_eq!(m.state(NodeId(1)), MemberState::Up);
         assert_eq!(m.state(NodeId(2)), MemberState::Provisioned);
         assert_eq!(m.members(), vec![NodeId(0), NodeId(1)]);
-        let all = Membership::all_up(3);
+        let all = Membership::with_initial(3, 3);
         assert_eq!(all.members().len(), 3);
     }
 
@@ -179,7 +168,7 @@ mod tests {
 
     #[test]
     fn suspect_still_counts_as_member() {
-        let m = Membership::all_up(2);
+        let m = Membership::with_initial(2, 2);
         m.transition(NodeId(1), MemberState::Suspect);
         assert!(m.is_member(NodeId(1)));
         m.transition(NodeId(1), MemberState::Down);
@@ -188,7 +177,7 @@ mod tests {
 
     #[test]
     fn wait_for_epoch_is_signalled_not_polled() {
-        let m = Membership::all_up(2);
+        let m = Membership::with_initial(2, 2);
         let m2 = m.clone();
         let waiter = std::thread::spawn(move || m2.wait_for_epoch(1, Duration::from_secs(10)));
         // Give the waiter a moment to block, then signal.

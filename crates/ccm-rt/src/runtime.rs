@@ -23,8 +23,8 @@ use crate::transport::{BlockStores, Lan, PeerMsg, Transport};
 use crate::write::{WriteConfig, WriteMode, WriteStats};
 use ccm_core::{
     AccessOutcome, AdmissionConfig, AdmissionStats, BlockId, CacheConfig, CacheStats, ClusterCache,
-    CopyKind, DirectoryKind, Disposition, EvictionEffect, FileId, HintStats, NodeId, RepairReport,
-    ReplacementPolicy, BLOCK_SIZE,
+    CopyKind, Departure, DirectoryKind, Disposition, EvictionEffect, FileId, HintStats, NodeId,
+    RepairReport, ReplacementPolicy, BLOCK_SIZE,
 };
 use ccm_disk::{DiskConfig, DiskService, DiskStats};
 use ccm_obs::{Hop, Registry, Snapshot, Stopwatch, TraceRing};
@@ -55,11 +55,26 @@ impl std::fmt::Display for WriteError {
 
 impl std::error::Error for WriteError {}
 
-/// Runtime configuration.
-#[derive(Debug, Clone)]
+/// Runtime configuration: everything [`Middleware::start`] needs besides
+/// the catalog and the backing store.
+#[derive(Clone)]
 pub struct RtConfig {
-    /// Cluster size (service threads).
+    /// Provisioned node slots: transport endpoints, stores, disk services
+    /// and metrics are sized for this many nodes once, at start.
     pub nodes: usize,
+    /// How many slots start as members: slots `0..members` start `Up` with
+    /// a service thread, and the rest sit provisioned and cold until
+    /// [`Middleware::join_node`] brings them in. `None` (the default) starts
+    /// every slot.
+    pub members: Option<usize>,
+    /// The peer transport: `None` (the default) builds the in-process
+    /// channel [`Lan`]; pass `ccm-net`'s `TcpLan`, or anything else
+    /// implementing [`Transport`], to run the same cluster over it. `faults`
+    /// composes on top of whichever it is.
+    pub transport: Option<Arc<dyn Transport>>,
+    /// How a requester locates a block's master: the paper's perfect
+    /// directory (the default) or per-node hints (§6).
+    pub directory: DirectoryKind,
     /// Per-node cache capacity in 8 KB block frames.
     pub capacity_blocks: usize,
     /// Replacement policy; defaults to the paper's winning variant.
@@ -90,6 +105,9 @@ impl Default for RtConfig {
     fn default() -> RtConfig {
         RtConfig {
             nodes: 4,
+            members: None,
+            transport: None,
+            directory: DirectoryKind::Perfect,
             capacity_blocks: 1024,
             policy: ReplacementPolicy::MasterPreserving,
             fetch_timeout: Duration::from_secs(2),
@@ -168,13 +186,18 @@ struct Shared {
     disks: Vec<DiskService>,
     catalog: Catalog,
     chaos: ChaosLan,
-    /// Liveness flags: cleared first thing on crash so readers stop
-    /// targeting a dying node before its repair completes.
+    /// Liveness flags: set once a node's service thread runs, and cleared
+    /// first thing on every departure so readers stop targeting a leaving
+    /// node before its repair completes. Clearing one is how a departure
+    /// is claimed, so exactly one caller carries each out.
     alive: Vec<AtomicBool>,
+    /// One slot per node: its service thread, `None` while it has none
+    /// (not yet a member, departed, or severed).
+    threads: Mutex<Vec<Option<JoinHandle<()>>>>,
     /// The epoch-versioned member table: which of the provisioned slots
-    /// currently participate in the protocol. Transitions are paired with
-    /// cache re-mastering by `Middleware` (join/leave/crash) and the
-    /// heartbeat monitor (failure detection).
+    /// currently participate in the protocol. Transitions are made only by
+    /// [`Shared::admit`], [`Shared::depart`] and the heartbeat monitor's
+    /// suspicion, each through [`Shared::set_member`].
     membership: Membership,
     fetch_timeout: Duration,
     /// Metric handles and the block-path trace ring. Store fallbacks (reads
@@ -206,9 +229,190 @@ struct Shared {
     lost_writes: Mutex<BTreeSet<BlockId>>,
 }
 
+/// How a member leaves the cluster. [`Shared::depart`] is the one path
+/// for all three.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Exit {
+    /// [`Middleware::leave_node`]: the node persists its dirty blocks and
+    /// hands its masters off, so nothing is lost.
+    Leave,
+    /// [`Middleware::crash_node`]: the node's memory is lost and the
+    /// protocol is repaired around it.
+    Crash,
+    /// The heartbeat monitor declared the node dead: a crash whose service
+    /// thread is unreachable, so it is left for shutdown to reap.
+    Declared,
+}
+
 impl Shared {
     fn lan(&self) -> &dyn Transport {
         self.chaos.inner()
+    }
+
+    /// Start `node`'s service thread on a fresh inbox and mark the node
+    /// alive: the one way a service thread starts, for the initial members
+    /// and on every join.
+    fn start_service(self: &Arc<Self>, node: NodeId) {
+        let inbox = self.lan().reconnect(node);
+        let shared = self.clone();
+        let handle = std::thread::Builder::new()
+            .name(format!("ccm-node-{}", node.index()))
+            .spawn(move || service_loop(shared, node, inbox))
+            .expect("spawn node thread");
+        self.threads.lock()[node.index()] = Some(handle);
+        self.alive[node.index()].store(true, Ordering::Release);
+    }
+
+    /// Stop `node`'s service thread and join it: the one way a service
+    /// thread stops. `None` if the node had no thread. The `Shutdown` is
+    /// control-plane (every transport delivers it locally); once the thread
+    /// exits, its receiver drops and in-flight sends to it fail fast.
+    fn stop_service(&self, node: NodeId) -> Option<std::thread::Result<()>> {
+        self.lan().send(node, node, PeerMsg::Shutdown);
+        let handle = self.threads.lock()[node.index()].take()?;
+        Some(handle.join())
+    }
+
+    /// Move `node` to `state` in the member table and export the new epoch.
+    fn set_member(&self, node: NodeId, state: MemberState) {
+        let epoch = self.membership.transition(node, state);
+        self.obs.epoch.set(epoch as i64);
+    }
+
+    /// Bring `node` into the cluster — the one path every join takes. Its
+    /// service thread starts on a fresh inbox and the protocol revives its
+    /// slot cold. With `rebalance`, a deterministic share of the resident
+    /// masters is re-mastered onto it and their bytes follow, store to
+    /// store (both backends keep node stores in-process; a networked
+    /// deployment would stream them). Then the member table moves it to
+    /// `Up`. Returns how many blocks moved onto it.
+    ///
+    /// # Panics
+    /// Panics if the node is out of range or already up.
+    fn admit(self: &Arc<Self>, node: NodeId, rebalance: bool) -> usize {
+        assert!(node.index() < self.alive.len(), "no such node");
+        assert!(
+            !self.is_alive(node) && !self.membership.is_member(node),
+            "node {node:?} is already up"
+        );
+        self.start_service(node);
+        let moved = {
+            let mut cache = self.cache.lock();
+            cache.revive_node(node);
+            if rebalance {
+                cache.rebalance_on_join(node)
+            } else {
+                Vec::new()
+            }
+        };
+        for &(block, from) in &moved {
+            let dirty_from = self.dirty_owner(block) == Some(from);
+            let data = match self.store_take(from, block) {
+                Some(d) => {
+                    if dirty_from {
+                        // The dirty bytes move with the mastership: the
+                        // joiner now owns the unpersisted image.
+                        if let Some(e) = self.dirty.lock().owners.get_mut(&block) {
+                            e.owner = node;
+                        }
+                    }
+                    d
+                }
+                None => {
+                    // Data-plane race: the old holder's bytes were already
+                    // gone; warm the joiner from disk instead. For a dirty
+                    // block that means the acknowledged write is gone too —
+                    // record the loss rather than silently re-mastering the
+                    // stale persisted image as current.
+                    if dirty_from {
+                        let mut d = self.dirty.lock();
+                        d.owners.remove(&block);
+                        self.obs.wb_dirty_blocks.set(d.owners.len() as i64);
+                        drop(d);
+                        self.mark_lost(block);
+                    }
+                    self.obs.node(from).store_fallbacks.inc();
+                    self.obs.node(from).move_fallbacks.inc();
+                    self.disk_read(node, block)
+                }
+            };
+            self.store_insert(node, block, data);
+        }
+        self.set_member(node, MemberState::Up);
+        moved.len()
+    }
+
+    /// Take `node` out of the cluster — the one path every departure
+    /// takes. `None` if the node was not up: it never joined, or another
+    /// caller took it out first.
+    ///
+    /// Clearing the liveness flag claims the departure, and readers stop
+    /// targeting the node. Its service thread stops next (unless the
+    /// monitor declared it unreachable), so no queued forward lands after
+    /// its store is handed over. A leave persists the node's dirty blocks
+    /// (its store is intact; only the thread has stopped), then hands its
+    /// masters off and ships their bytes before clearing the store, so
+    /// survivors inherit clean copies and nothing is lost. A crash wipes
+    /// the store first, repairs the protocol around the lost memory and
+    /// reconciles the dirty ledger. Last, the member table moves the node
+    /// to `Left` or `Down`.
+    ///
+    /// # Panics
+    /// Panics if the node is out of range, or on a leave of the last live
+    /// node.
+    fn depart(&self, node: NodeId, exit: Exit) -> Option<RepairReport> {
+        assert!(node.index() < self.alive.len(), "no such node");
+        if !self.alive[node.index()].swap(false, Ordering::AcqRel) {
+            return None;
+        }
+        if exit != Exit::Declared {
+            if let Some(joined) = self.stop_service(node) {
+                joined.expect("node thread panicked");
+            }
+        }
+        let report = if exit == Exit::Leave {
+            let dirty: Vec<BlockId> = {
+                let d = self.dirty.lock();
+                d.owners
+                    .iter()
+                    .filter(|&(_, e)| e.owner == node)
+                    .map(|(&b, _)| b)
+                    .collect()
+            };
+            for block in dirty {
+                if self.dirty_owner(block) == Some(node) {
+                    self.flush_block(block);
+                }
+            }
+            let gone = self.cache.lock().depart(node, Departure::Graceful);
+            for &(block, to) in &gone.handed_off {
+                let data = self.store_take(node, block).unwrap_or_else(|| {
+                    self.obs.node(node).store_fallbacks.inc();
+                    self.obs.node(node).move_fallbacks.inc();
+                    self.disk_read(to, block)
+                });
+                self.store_insert(to, block, data);
+            }
+            self.clear_store(node);
+            gone.report
+        } else {
+            self.clear_store(node);
+            let gone = self.cache.lock().depart(node, Departure::Crash);
+            self.recover_dirty_after_crash(node, &gone.promoted);
+            gone.report
+        };
+        let state = if exit == Exit::Leave {
+            MemberState::Left
+        } else {
+            MemberState::Down
+        };
+        self.set_member(node, state);
+        Some(report)
+    }
+
+    fn clear_store(&self, node: NodeId) {
+        self.stores[node.index()].clear();
+        self.obs.node(node).store_blocks.set(0);
     }
 
     fn is_alive(&self, node: NodeId) -> bool {
@@ -483,9 +687,6 @@ impl Shared {
 /// A running middleware cluster.
 pub struct Middleware {
     shared: Arc<Shared>,
-    /// One slot per node; `None` while that node is crashed (or not yet a
-    /// member).
-    threads: Mutex<Vec<Option<JoinHandle<()>>>>,
     /// The heartbeat failure detector, once started: its stop flag and
     /// thread handle (joined on shutdown).
     monitor: Mutex<Option<(Arc<AtomicBool>, JoinHandle<()>)>>,
@@ -603,87 +804,39 @@ fn service_loop(shared: Arc<Shared>, node: NodeId, inbox: Receiver<PeerMsg>) {
 }
 
 impl Middleware {
-    /// Spawn a cluster over the in-process channel LAN: `cfg.nodes` service
-    /// threads over `catalog` backed by `disk`.
+    /// Start a cluster serving `catalog` from `disk` — the one
+    /// constructor. `cfg` names everything else: the transport
+    /// ([`RtConfig::transport`], the channel [`Lan`] by default), which
+    /// slots start as members ([`RtConfig::members`]), the directory, the
+    /// fault plan, the metric registry and the write mode. The middleware
+    /// claims each member's inbox through [`Transport::reconnect`] and runs
+    /// identically over every backend.
+    ///
+    /// The cluster is *provisioned* at `cfg.nodes` slots: transport
+    /// endpoints, stores, disk services and metrics are all sized once,
+    /// here. Each initial member's service thread starts the way a joiner's
+    /// does; the other slots sit cold until [`Middleware::join_node`]
+    /// brings them in.
     ///
     /// # Panics
-    /// Panics on a zero-node or zero-capacity configuration (via
-    /// [`ClusterCache::new`]).
-    pub fn start(cfg: RtConfig, catalog: Catalog, disk: Arc<dyn BlockStore>) -> Middleware {
-        let lan = Arc::new(Lan::with_nodes(cfg.nodes));
-        Middleware::start_on(cfg, catalog, disk, lan)
-    }
-
-    /// Spawn a cluster over an externally built transport — the channel
-    /// [`Lan`], `ccm-net`'s `TcpLan`, or anything else implementing
-    /// [`Transport`]. The middleware claims each node's inbox through
-    /// [`Transport::reconnect`] and runs identically over every backend;
-    /// `cfg.faults` composes on top of whichever transport is given.
-    ///
-    /// Compatibility constructor: every provisioned slot starts as an `Up`
-    /// member and the paper's perfect directory is used, so the cluster
-    /// behaves exactly as it did before dynamic membership existed. Use
-    /// [`Middleware::start_member`] to start with a partial member set or
-    /// the hint-based directory.
-    ///
-    /// # Panics
-    /// Panics if `transport.nodes() != cfg.nodes`, and on a zero-node or
-    /// zero-capacity configuration (via [`ClusterCache::new`]).
-    pub fn start_on(
-        cfg: RtConfig,
-        catalog: Catalog,
-        disk: Arc<dyn BlockStore>,
-        transport: Arc<dyn Transport>,
-    ) -> Middleware {
-        let members = Membership::all_up(cfg.nodes);
-        Middleware::start_member(
-            cfg,
-            catalog,
-            disk,
-            transport,
-            members,
-            DirectoryKind::Perfect,
-        )
-    }
-
-    /// Spawn a cluster with an explicit [`Membership`] table and directory
-    /// choice — the primary constructor. The cluster is *provisioned* at
-    /// `cfg.nodes` slots (transport endpoints, stores, disk services, and
-    /// metrics are all sized once, here), but only slots that are members
-    /// of `membership` get a service thread and participate in the
-    /// protocol; the rest sit cold until [`Middleware::join_node`] brings
-    /// them in.
-    ///
-    /// # Panics
-    /// Panics if `transport.nodes()`, `membership.capacity()`, and
-    /// `cfg.nodes` disagree, and on a zero-node or zero-capacity
+    /// Panics if the transport's size is not `cfg.nodes`, if `cfg.members`
+    /// is 0 or above `cfg.nodes`, and on a zero-node or zero-capacity
     /// configuration (via [`ClusterCache::new`]).
-    pub fn start_member(
-        cfg: RtConfig,
-        catalog: Catalog,
-        disk: Arc<dyn BlockStore>,
-        transport: Arc<dyn Transport>,
-        membership: Membership,
-        directory: DirectoryKind,
-    ) -> Middleware {
+    pub fn start(cfg: RtConfig, catalog: Catalog, disk: Arc<dyn BlockStore>) -> Middleware {
+        let transport = cfg
+            .transport
+            .unwrap_or_else(|| Arc::new(Lan::with_nodes(cfg.nodes)));
         assert_eq!(
             transport.nodes(),
             cfg.nodes,
             "transport size does not match cfg.nodes"
-        );
-        assert_eq!(
-            membership.capacity(),
-            cfg.nodes,
-            "membership capacity does not match cfg.nodes"
         );
         assert_ne!(
             cfg.write.flush_every_ops,
             Some(0),
             "flush_every_ops must be at least 1"
         );
-        let inboxes: Vec<_> = (0..cfg.nodes)
-            .map(|i| transport.reconnect(NodeId(i as u16)))
-            .collect();
+        let membership = Membership::with_initial(cfg.nodes, cfg.members.unwrap_or(cfg.nodes));
         // The transport gets the stores (and only the stores: holding
         // `Shared` would be a cycle that leaks the disk workers) so it can
         // answer a peer fetch hit where the request already is.
@@ -693,12 +846,14 @@ impl Middleware {
         let registry = cfg.obs.unwrap_or_default();
         let chaos = ChaosLan::with_registry(transport, &plan, &registry);
         let mut cache_cfg = CacheConfig::paper(cfg.nodes, cfg.capacity_blocks, cfg.policy);
-        cache_cfg.directory = directory;
+        cache_cfg.directory = cfg.directory;
         cache_cfg.admission = cfg.admission;
         let mut cache = ClusterCache::new(cache_cfg);
+        // A slot that does not start as a member leaves the protocol the
+        // way a leaver does; it holds nothing, so nothing moves.
         for i in 0..cfg.nodes {
             if !membership.is_member(NodeId(i as u16)) {
-                cache.deactivate_slot(NodeId(i as u16));
+                cache.depart(NodeId(i as u16), Departure::Graceful);
             }
         }
         let disks: Vec<DiskService> = (0..cfg.nodes)
@@ -714,7 +869,6 @@ impl Middleware {
             })
             .collect();
         let obs = RtObs::new(registry, cfg.nodes);
-        obs.epoch.set(membership.epoch() as i64);
         let shared = Arc::new(Shared {
             cache: Mutex::new(cache),
             stores,
@@ -722,9 +876,8 @@ impl Middleware {
             disks,
             catalog,
             chaos,
-            alive: (0..cfg.nodes)
-                .map(|i| AtomicBool::new(membership.is_member(NodeId(i as u16))))
-                .collect(),
+            alive: (0..cfg.nodes).map(|_| AtomicBool::new(false)).collect(),
+            threads: Mutex::new((0..cfg.nodes).map(|_| None).collect()),
             membership,
             fetch_timeout: cfg.fetch_timeout,
             obs,
@@ -735,24 +888,31 @@ impl Middleware {
             dirty: Mutex::new(DirtyLedger::default()),
             lost_writes: Mutex::new(BTreeSet::new()),
         });
-        let threads = inboxes
-            .into_iter()
-            .enumerate()
-            .map(|(i, inbox)| {
-                let node = NodeId(i as u16);
-                // Non-members get no thread; dropping their inbox makes
-                // sends to them fail fast until they join.
-                shared
-                    .membership
-                    .is_member(node)
-                    .then(|| spawn_service(&shared, node, inbox))
-            })
-            .collect();
+        // Non-members get no thread: their inboxes stay dead, so sends to
+        // them fail fast until they join.
+        for node in shared.membership.members() {
+            shared.start_service(node);
+        }
         Middleware {
             shared,
-            threads: Mutex::new(threads),
             monitor: Mutex::new(None),
         }
+    }
+
+    /// [`Middleware::start`] over `transport`, which overrides
+    /// `cfg.transport`. Kept for callers that pass the transport as an
+    /// argument; the `benchmark/` package compiles against it.
+    pub fn start_on(
+        cfg: RtConfig,
+        catalog: Catalog,
+        disk: Arc<dyn BlockStore>,
+        transport: Arc<dyn Transport>,
+    ) -> Middleware {
+        let cfg = RtConfig {
+            transport: Some(transport),
+            ..cfg
+        };
+        Middleware::start(cfg, catalog, disk)
     }
 
     /// A client handle bound to `node`.
@@ -822,10 +982,6 @@ impl Middleware {
     pub fn obs_snapshot(&self) -> Snapshot {
         let resident = self.shared.cache.lock().resident_blocks();
         self.shared.obs.directory_blocks.set(resident as i64);
-        self.shared
-            .obs
-            .epoch
-            .set(self.shared.membership.epoch() as i64);
         self.shared.obs.registry.snapshot()
     }
 
@@ -891,150 +1047,73 @@ impl Middleware {
         self.shared.lost_writes.lock().iter().copied().collect()
     }
 
-    /// Bring a provisioned (or previously departed/crashed) slot into the
-    /// cluster: start its service thread cold, re-master a deterministic
-    /// share of the resident blocks onto it, ship their bytes, and bump the
-    /// membership epoch. Returns how many blocks were re-mastered onto the
-    /// joiner.
-    ///
-    /// The byte transfer is out-of-band: blocks move store-to-store in
-    /// sympathy with the re-mastering decision (both backends keep node
-    /// stores in-process; a networked deployment would stream them).
+    /// Bring a provisioned, departed or crashed slot into the cluster: its
+    /// service thread starts cold, a deterministic share of the resident
+    /// masters is re-mastered onto it with their bytes, and the membership
+    /// epoch is bumped. Returns how many blocks were re-mastered onto the
+    /// joiner. [`Middleware::restart_node`] is the same join without the
+    /// share.
     ///
     /// # Panics
-    /// Panics if the node is out of range or already a member.
+    /// Panics if the node is out of range or already up.
     pub fn join_node(&self, node: NodeId) -> usize {
-        assert!(node.index() < self.nodes(), "no such node");
-        assert!(
-            !self.shared.membership.is_member(node),
-            "node {node:?} is already a member"
-        );
-        let inbox = self.shared.lan().reconnect(node);
-        let handle = spawn_service(&self.shared, node, inbox);
-        self.threads.lock()[node.index()] = Some(handle);
-        self.shared.alive[node.index()].store(true, Ordering::Release);
-        let moved = {
-            let mut cache = self.shared.cache.lock();
-            cache.revive_node(node);
-            cache.rebalance_on_join(node)
-        };
-        for &(block, from) in &moved {
-            let dirty_from = self.shared.dirty_owner(block) == Some(from);
-            let data = match self.shared.store_take(from, block) {
-                Some(d) => {
-                    if dirty_from {
-                        // The dirty bytes move with the mastership: the
-                        // joiner now owns the unpersisted image.
-                        if let Some(e) = self.shared.dirty.lock().owners.get_mut(&block) {
-                            e.owner = node;
-                        }
-                    }
-                    d
-                }
-                None => {
-                    // Data-plane race: the old holder's bytes were already
-                    // gone; warm the joiner from disk instead. For a dirty
-                    // block that means the acknowledged write is gone too —
-                    // record the loss rather than silently re-mastering the
-                    // stale persisted image as current.
-                    if dirty_from {
-                        let mut d = self.shared.dirty.lock();
-                        d.owners.remove(&block);
-                        self.shared.obs.wb_dirty_blocks.set(d.owners.len() as i64);
-                        drop(d);
-                        self.shared.mark_lost(block);
-                    }
-                    self.shared.obs.node(from).store_fallbacks.inc();
-                    self.shared.obs.node(from).move_fallbacks.inc();
-                    self.shared.disk_read(node, block)
-                }
-            };
-            self.shared.store_insert(node, block, data);
-        }
-        let epoch = self.shared.membership.transition(node, MemberState::Up);
-        self.shared.obs.epoch.set(epoch as i64);
-        moved.len()
+        self.shared.admit(node, true)
+    }
+
+    /// Restart a departed or crashed `node` with a cold cache and an empty
+    /// inbox: a [`Middleware::join_node`] that takes no share of the
+    /// resident masters.
+    ///
+    /// # Panics
+    /// Panics if the node is out of range or already up.
+    pub fn restart_node(&self, node: NodeId) {
+        self.shared.admit(node, false);
     }
 
     /// Gracefully remove `node` from the cluster: stop its service thread,
-    /// hand its masters to survivors (promoting an existing replica where
-    /// one exists, shipping bytes where not), purge its replicas, and bump
-    /// the membership epoch. Unlike [`Middleware::crash_node`], no block is
-    /// lost and no master degrades to disk-only. Returns how many masters
-    /// were handed off with their bytes.
+    /// persist its dirty blocks, hand its masters to survivors (promoting
+    /// an existing replica where one exists, shipping bytes where not),
+    /// purge its replicas, and bump the membership epoch. Unlike
+    /// [`Middleware::crash_node`], no block is lost and no master degrades
+    /// to disk-only (`lost_masters` is 0).
     ///
     /// # Panics
-    /// Panics if the node is out of range, not an alive member, or the last
-    /// live node.
-    pub fn leave_node(&self, node: NodeId) -> usize {
-        assert!(node.index() < self.nodes(), "no such node");
-        assert!(
-            self.shared.membership.is_member(node),
-            "node {node:?} is not a member"
-        );
-        assert!(
-            self.shared.alive[node.index()].swap(false, Ordering::AcqRel),
-            "node {node:?} is already down"
-        );
-        // Stop the service thread before snapshotting the store so no
-        // queued forward lands after the handoff.
-        self.shared.lan().send(node, node, PeerMsg::Shutdown);
-        let handle = self.threads.lock()[node.index()]
-            .take()
-            .expect("alive node must have a thread");
-        handle.join().expect("node thread panicked");
-        // A graceful leave loses nothing: the leaver's dirty blocks are
-        // persisted (its store is intact — only the thread has stopped)
-        // before its masters are handed off, so survivors inherit clean
-        // copies and the backing store is current.
-        let leaver_dirty: Vec<BlockId> = {
-            let d = self.shared.dirty.lock();
-            d.owners
-                .iter()
-                .filter(|&(_, e)| e.owner == node)
-                .map(|(&b, _)| b)
-                .collect()
-        };
-        for block in leaver_dirty {
-            if self.shared.dirty_owner(block) == Some(node) {
-                self.shared.flush_block(block);
-            }
-        }
-        let moved = self.shared.cache.lock().retire_node(node);
-        for &(block, to) in &moved {
-            let data = match self.shared.store_take(node, block) {
-                Some(d) => d,
-                None => {
-                    self.shared.obs.node(node).store_fallbacks.inc();
-                    self.shared.obs.node(node).move_fallbacks.inc();
-                    self.shared.disk_read(to, block)
-                }
-            };
-            self.shared.store_insert(to, block, data);
-        }
-        self.shared.stores[node.index()].clear();
-        self.shared.obs.node(node).store_blocks.set(0);
-        let epoch = self.shared.membership.transition(node, MemberState::Left);
-        self.shared.obs.epoch.set(epoch as i64);
-        moved.len()
+    /// Panics if the node is out of range, not up, or the last live node.
+    pub fn leave_node(&self, node: NodeId) -> RepairReport {
+        self.shared
+            .depart(node, Exit::Leave)
+            .unwrap_or_else(|| panic!("node {node:?} is already down or never joined"))
+    }
+
+    /// Crash `node`: its service thread stops, its block store is wiped, and
+    /// the protocol directory is repaired — each of its masters is
+    /// re-mastered from a surviving replica or degraded to disk-only, and
+    /// its replicas are purged. Messages queued at the node die with it.
+    /// The same departure as [`Middleware::leave_node`], minus the handoff.
+    ///
+    /// # Panics
+    /// Panics if the node is out of range or not up.
+    pub fn crash_node(&self, node: NodeId) -> RepairReport {
+        self.shared
+            .depart(node, Exit::Crash)
+            .unwrap_or_else(|| panic!("node {node:?} is already down or never joined"))
     }
 
     /// Test aid: silently kill `node`'s service thread *without* repairing
     /// anything — liveness gating, the directory, the membership table, and
     /// its store all stay stale, which is what a power failure looks like
     /// from the outside. Reads degrade to store fallbacks until the
-    /// heartbeat monitor (or an explicit [`Middleware::crash_node`]-style
-    /// repair) notices.
+    /// heartbeat monitor (or an explicit [`Middleware::crash_node`]) takes
+    /// the node out.
     ///
     /// # Panics
     /// Panics if the node is out of range or its thread is already gone.
     pub fn sever_node(&self, node: NodeId) {
         assert!(node.index() < self.nodes(), "no such node");
-        self.shared.lan().send(node, node, PeerMsg::Shutdown);
-        let handle = self.threads.lock()[node.index()]
-            .take()
-            .expect("node thread already gone");
-        handle.join().expect("node thread panicked");
+        self.shared
+            .stop_service(node)
+            .expect("node thread already gone")
+            .expect("node thread panicked");
     }
 
     /// Start the heartbeat failure detector: every `interval` it pings each
@@ -1071,52 +1150,6 @@ impl Middleware {
     /// when comparing runs.
     pub fn audit_quiescent(&self) {
         self.shared.cache.lock().audit_hint_convergence();
-    }
-
-    /// Crash `node`: its service thread stops, its block store is wiped, and
-    /// the protocol directory is repaired — each of its masters is
-    /// re-mastered from a surviving replica or degraded to disk-only, and
-    /// its replicas are purged. Messages queued at the node die with it.
-    ///
-    /// # Panics
-    /// Panics if the node is out of range or already down.
-    pub fn crash_node(&self, node: NodeId) -> RepairReport {
-        assert!(node.index() < self.nodes(), "no such node");
-        assert!(
-            self.shared.alive[node.index()].swap(false, Ordering::AcqRel),
-            "node {node:?} is already down"
-        );
-        // The Shutdown races ahead of the join: once the thread exits, its
-        // receiver drops and in-flight sends to it start failing fast.
-        // (Shutdown is control-plane: every transport delivers it locally.)
-        self.shared.lan().send(node, node, PeerMsg::Shutdown);
-        let handle = self.threads.lock()[node.index()]
-            .take()
-            .expect("alive node must have a thread");
-        handle.join().expect("node thread panicked");
-        self.shared.stores[node.index()].clear();
-        self.shared.obs.node(node).store_blocks.set(0);
-        let (report, moves) = self.shared.cache.lock().fail_node_with_moves(node);
-        self.shared.recover_dirty_after_crash(node, &moves);
-        let epoch = self.shared.membership.transition(node, MemberState::Down);
-        self.shared.obs.epoch.set(epoch as i64);
-        report
-    }
-
-    /// Restart a crashed `node` with a cold cache and an empty inbox.
-    ///
-    /// # Panics
-    /// Panics if the node is out of range or not down.
-    pub fn restart_node(&self, node: NodeId) {
-        assert!(node.index() < self.nodes(), "no such node");
-        assert!(!self.shared.is_alive(node), "node {node:?} is not down");
-        let inbox = self.shared.lan().reconnect(node);
-        let handle = spawn_service(&self.shared, node, inbox);
-        self.threads.lock()[node.index()] = Some(handle);
-        self.shared.cache.lock().revive_node(node);
-        self.shared.alive[node.index()].store(true, Ordering::Release);
-        let epoch = self.shared.membership.transition(node, MemberState::Up);
-        self.shared.obs.epoch.set(epoch as i64);
     }
 
     /// Quiesce the data plane: release every delayed message, then round-trip
@@ -1156,16 +1189,9 @@ impl Middleware {
             }
         }
         for i in 0..self.nodes() {
-            // Sends to already-crashed nodes fail harmlessly.
-            let node = NodeId(i as u16);
-            self.shared.lan().send(node, node, PeerMsg::Shutdown);
-        }
-        for slot in self.threads.lock().iter_mut() {
-            if let Some(t) = slot.take() {
-                let joined = t.join();
-                if strict {
-                    joined.expect("node thread panicked");
-                }
+            // Nodes that are down or severed have no thread to stop.
+            if let (true, Some(joined)) = (strict, self.shared.stop_service(NodeId(i as u16))) {
+                joined.expect("node thread panicked");
             }
         }
     }
@@ -1176,14 +1202,6 @@ impl Drop for Middleware {
         // Best-effort shutdown if the user forgot; ignore already-dead nodes.
         self.stop_threads(false);
     }
-}
-
-fn spawn_service(shared: &Arc<Shared>, node: NodeId, inbox: Receiver<PeerMsg>) -> JoinHandle<()> {
-    let shared = shared.clone();
-    std::thread::Builder::new()
-        .name(format!("ccm-node-{}", node.index()))
-        .spawn(move || service_loop(shared, node, inbox))
-        .expect("spawn node thread")
 }
 
 /// The failure-detector loop behind [`Middleware::start_heartbeat`]: sweep
@@ -1211,35 +1229,18 @@ fn heartbeat_loop(
             if shared.lan().ping(node, node, timeout) {
                 *missed = 0;
                 if shared.membership.state(node) == MemberState::Suspect {
-                    let epoch = shared.membership.transition(node, MemberState::Up);
-                    shared.obs.epoch.set(epoch as i64);
+                    shared.set_member(node, MemberState::Up);
                 }
                 continue;
             }
             *missed += 1;
             if *missed >= max_misses {
-                // Declare it dead and repair around it, exactly like an
-                // explicit crash. The thread is unreachable — there is
-                // nothing to join; its handle (if any) is reaped by
-                // shutdown.
-                shared.alive[i].store(false, Ordering::Release);
-                shared.stores[i].clear();
-                shared.obs.node(node).store_blocks.set(0);
-                let moves = {
-                    let mut cache = shared.cache.lock();
-                    if !cache.is_down(node) {
-                        cache.fail_node_with_moves(node).1
-                    } else {
-                        Vec::new()
-                    }
-                };
-                shared.recover_dirty_after_crash(node, &moves);
-                let epoch = shared.membership.transition(node, MemberState::Down);
-                shared.obs.epoch.set(epoch as i64);
+                // Declare it dead and take it out exactly like an explicit
+                // crash (unless another caller already is).
+                shared.depart(node, Exit::Declared);
                 *missed = 0;
             } else if shared.membership.state(node) == MemberState::Up {
-                let epoch = shared.membership.transition(node, MemberState::Suspect);
-                shared.obs.epoch.set(epoch as i64);
+                shared.set_member(node, MemberState::Suspect);
             }
         }
         // Sleep in small slices so a stop request is honored promptly.
@@ -1978,10 +1979,8 @@ mod tests {
         for f in 0..6u32 {
             mw.handle(NodeId(0)).read_file(FileId(f));
         }
-        // Kill node 0's service thread (simulated crash).
-        mw.shared
-            .lan()
-            .send(NodeId(0), NodeId(0), PeerMsg::Shutdown);
+        // Kill node 0's service thread (a crash nobody has noticed).
+        mw.sever_node(NodeId(0));
         // Node 1 still reads correct data for every file.
         for f in 0..6u32 {
             let got = mw.handle(NodeId(1)).read_file(FileId(f));
@@ -2149,19 +2148,18 @@ mod tests {
     fn join_rebalances_and_leave_hands_off() {
         let cat = catalog(8, 20_000);
         let store = Arc::new(SyntheticStore::new(cat.clone(), 42));
-        let members = Membership::with_initial(4, 3);
-        let mw = Middleware::start_member(
+        let mw = Middleware::start(
             RtConfig {
                 nodes: 4,
+                members: Some(3),
+                directory: DirectoryKind::Hint,
                 capacity_blocks: 64,
                 ..RtConfig::default()
             },
             cat.clone(),
             store.clone(),
-            Arc::new(Lan::with_nodes(4)),
-            members.clone(),
-            DirectoryKind::Hint,
         );
+        let members = mw.membership();
         assert!(!mw.is_alive(NodeId(3)), "non-member starts cold");
         for f in 0..8u32 {
             mw.handle(NodeId(f as u16 % 3)).read_file(FileId(f));
@@ -2180,7 +2178,10 @@ mod tests {
         }
         mw.quiesce();
         let epoch_before_leave = mw.epoch();
-        mw.leave_node(NodeId(1));
+        let masters_held = mw.shared.cache.lock().node(NodeId(1)).num_masters();
+        let report = mw.leave_node(NodeId(1));
+        assert_eq!(report.remastered, masters_held, "every master moves");
+        assert_eq!(report.lost_masters, 0);
         assert!(!members.is_member(NodeId(1)));
         assert!(mw.epoch() > epoch_before_leave);
         mw.audit_quiescent();
@@ -2198,21 +2199,111 @@ mod tests {
         mw.shutdown();
     }
 
+    /// One slot walks through every door — a cold start, a restart, a
+    /// leave, a join, a crash and a restart again — and each transition is
+    /// one epoch bump to the state that door promises.
+    #[test]
+    fn every_way_in_and_out_is_one_transition() {
+        let cat = catalog(6, 20_000);
+        let store = Arc::new(SyntheticStore::new(cat.clone(), 42));
+        let mw = Middleware::start(
+            RtConfig {
+                nodes: 3,
+                members: Some(2),
+                capacity_blocks: 64,
+                ..RtConfig::default()
+            },
+            cat.clone(),
+            store.clone(),
+        );
+        let slot = NodeId(2);
+        let members = mw.membership();
+        assert_eq!(members.state(slot), MemberState::Provisioned);
+        assert!(!mw.is_alive(slot));
+        let read_all = |via: NodeId| {
+            for f in 0..6u32 {
+                let got = mw.handle(via).read_file(FileId(f));
+                assert_eq!(got, read_file_direct(&*store, &cat, FileId(f)));
+            }
+            mw.quiesce();
+        };
+        read_all(NodeId(0));
+        let doors: [(&str, MemberState); 5] = [
+            ("restart", MemberState::Up),
+            ("leave", MemberState::Left),
+            ("join", MemberState::Up),
+            ("crash", MemberState::Down),
+            ("restart", MemberState::Up),
+        ];
+        for (i, (door, state)) in doors.into_iter().enumerate() {
+            match door {
+                "restart" => mw.restart_node(slot),
+                "join" => assert!(mw.join_node(slot) > 0, "the joiner takes a share"),
+                "leave" => assert_eq!(mw.leave_node(slot).lost_masters, 0),
+                _ => drop(mw.crash_node(slot)),
+            }
+            assert_eq!(members.state(slot), state, "after {door}");
+            assert_eq!(mw.epoch(), i as u64 + 1, "{door} is one transition");
+            assert_eq!(mw.is_alive(slot), state == MemberState::Up);
+            mw.check_invariants();
+            read_all(if state == MemberState::Up {
+                slot
+            } else {
+                NodeId(1)
+            });
+        }
+        assert_eq!(mw.stats().node_repairs, 1, "only the crash repairs");
+        mw.shutdown();
+    }
+
+    #[test]
+    #[should_panic(expected = "already up")]
+    fn joining_a_member_panics() {
+        let mw = start(2, 16, 2, 10_000);
+        mw.join_node(NodeId(1));
+    }
+
+    /// Every departure claims the node's liveness flag first, so callers
+    /// racing to take the same node out — a crash and the heartbeat
+    /// monitor, say — carry it out exactly once.
+    #[test]
+    fn racing_departures_take_a_node_out_once() {
+        let mw = start(3, 64, 4, 20_000);
+        for f in 0..4u32 {
+            mw.handle(NodeId(2)).read_file(FileId(f));
+        }
+        mw.quiesce();
+        let exits = [Exit::Crash, Exit::Declared, Exit::Crash, Exit::Declared];
+        let taken = std::thread::scope(|s| {
+            let shared = &mw.shared;
+            let racers = exits.map(|exit| s.spawn(move || shared.depart(NodeId(2), exit)));
+            racers
+                .into_iter()
+                .map(|r| r.join().expect("no racer panics"))
+                .filter(Option::is_some)
+                .count()
+        });
+        assert_eq!(taken, 1, "exactly one racer takes the node out");
+        assert_eq!(mw.stats().node_repairs, 1);
+        assert_eq!(mw.epoch(), 1);
+        assert_eq!(mw.membership().state(NodeId(2)), MemberState::Down);
+        mw.check_invariants();
+        mw.shutdown();
+    }
+
     #[test]
     fn hint_metrics_are_registered_and_move() {
         let cat = catalog(6, 20_000);
         let store = Arc::new(SyntheticStore::new(cat.clone(), 42));
-        let mw = Middleware::start_member(
+        let mw = Middleware::start(
             RtConfig {
                 nodes: 3,
+                directory: DirectoryKind::Hint,
                 capacity_blocks: 8, // tiny: force forwarding → stale hints
                 ..RtConfig::default()
             },
             cat.clone(),
             store,
-            Arc::new(Lan::with_nodes(3)),
-            Membership::all_up(3),
-            DirectoryKind::Hint,
         );
         for round in 0..3 {
             for f in 0..6u32 {

@@ -8,8 +8,9 @@
 //! wire stats). This crate is the single copy, parameterized by
 //! [`Backend`]:
 //!
-//! * [`start_cluster`] — a middleware cluster on either LAN backend, with
-//!   the `TcpLan` handle kept reachable for wire assertions.
+//! * [`start_cluster`] — a middleware cluster on either LAN backend, any
+//!   membership and directory, with the `TcpLan` handle kept reachable for
+//!   wire assertions.
 //! * [`fixture`] — the seeded catalog + synthetic store the chaos suites
 //!   share.
 //! * [`run_torture`] — the fault-injection driver with both oracles
@@ -33,8 +34,8 @@ use ccm_core::{
 use ccm_net::TcpLan;
 use ccm_rt::store::read_file_direct;
 use ccm_rt::{
-    BlockStore, Catalog, ChaosStats, DiskFaults, FaultPlan, Lan, Membership, Middleware, RtConfig,
-    SyntheticStore,
+    BlockStore, Catalog, ChaosStats, DiskFaults, FaultPlan, Membership, Middleware, RtConfig,
+    SyntheticStore, Transport,
 };
 use ccm_traces::Workload;
 use simcore::Rng;
@@ -100,69 +101,28 @@ impl std::ops::Deref for Cluster {
     }
 }
 
-/// Start a cluster on the chosen backend.
+/// Start a cluster on the chosen backend: `cfg` as given (its members and
+/// directory included), over the channel LAN or a fresh loopback `TcpLan`
+/// of `cfg.nodes` slots.
 ///
 /// # Panics
 /// Panics if the TCP backend cannot bind its loopback listeners.
 pub fn start_cluster(
     backend: Backend,
-    cfg: RtConfig,
+    mut cfg: RtConfig,
     catalog: Catalog,
     store: Arc<dyn BlockStore>,
 ) -> Cluster {
-    match backend {
-        Backend::Channel => Cluster {
-            mw: Middleware::start(cfg, catalog, store),
-            lan: None,
-        },
-        Backend::Tcp => {
-            let lan = Arc::new(TcpLan::loopback(cfg.nodes).expect("bind loopback listeners"));
-            Cluster {
-                mw: Middleware::start_on(cfg, catalog, store, lan.clone()),
-                lan: Some(lan),
-            }
-        }
-    }
-}
-
-/// Start a cluster with an explicit membership table and directory choice
-/// (the churn suites' entry point): `cfg.nodes` slots are provisioned on
-/// the chosen backend, slots `>= membership`'s initial member count start
-/// cold, and the hint directory can be selected in place of the paper's
-/// perfect one.
-///
-/// # Panics
-/// Panics if the TCP backend cannot bind its loopback listeners.
-pub fn start_member_cluster(
-    backend: Backend,
-    cfg: RtConfig,
-    catalog: Catalog,
-    store: Arc<dyn BlockStore>,
-    membership: Membership,
-    directory: DirectoryKind,
-) -> Cluster {
-    match backend {
-        Backend::Channel => {
-            let lan = Arc::new(Lan::with_nodes(cfg.nodes));
-            Cluster {
-                mw: Middleware::start_member(cfg, catalog, store, lan, membership, directory),
-                lan: None,
-            }
-        }
-        Backend::Tcp => {
-            let lan = Arc::new(TcpLan::loopback(cfg.nodes).expect("bind loopback listeners"));
-            Cluster {
-                mw: Middleware::start_member(
-                    cfg,
-                    catalog,
-                    store,
-                    lan.clone(),
-                    membership,
-                    directory,
-                ),
-                lan: Some(lan),
-            }
-        }
+    let lan = match backend {
+        Backend::Channel => None,
+        Backend::Tcp => Some(Arc::new(
+            TcpLan::loopback(cfg.nodes).expect("bind loopback listeners"),
+        )),
+    };
+    cfg.transport = lan.clone().map(|l| l as Arc<dyn Transport>);
+    Cluster {
+        mw: Middleware::start(cfg, catalog, store),
+        lan,
     }
 }
 
@@ -423,10 +383,11 @@ pub fn read_path_outcome(
     ];
     let catalog = Catalog::new(sizes);
     let store = Arc::new(SyntheticStore::new(catalog.clone(), 29));
-    let cluster = start_member_cluster(
+    let cluster = start_cluster(
         backend,
         RtConfig {
             nodes,
+            directory,
             capacity_blocks: 24,
             fetch_timeout: Duration::from_secs(10),
             admission,
@@ -434,8 +395,6 @@ pub fn read_path_outcome(
         },
         catalog.clone(),
         store.clone(),
-        Membership::all_up(nodes),
-        directory,
     );
     let mw = &cluster.mw;
     let mut rng = Rng::new(31).substream(5);
@@ -621,10 +580,12 @@ pub fn run_churn_torture(
 ) -> ChurnOutcome {
     let catalog = Catalog::new(wl.sizes().to_vec());
     let store = Arc::new(SyntheticStore::new(catalog.clone(), seed));
-    let cluster = start_member_cluster(
+    let cluster = start_cluster(
         backend,
         RtConfig {
             nodes: plan.slots,
+            members: Some(plan.initial),
+            directory: DirectoryKind::Hint,
             capacity_blocks,
             policy: ReplacementPolicy::MasterPreserving,
             fetch_timeout: backend.torture_fetch_timeout(),
@@ -633,8 +594,6 @@ pub fn run_churn_torture(
         },
         catalog.clone(),
         store.clone(),
-        Membership::with_initial(plan.slots, plan.initial),
-        DirectoryKind::Hint,
     );
     let mw = &cluster.mw;
     let members = mw.membership();

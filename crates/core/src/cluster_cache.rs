@@ -132,17 +132,44 @@ pub enum PrefetchOutcome {
     },
 }
 
-/// What a directory repair after a node failure did; see
-/// [`ClusterCache::fail_node`].
+/// What a node's departure did to its blocks, in counts; see
+/// [`ClusterCache::depart`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairReport {
-    /// Masters of the failed node re-mastered from a surviving replica.
+    /// Masters of the departed node re-mastered: promoted from a surviving
+    /// replica, or (on a graceful leave) handed off to a live peer.
     pub remastered: usize,
-    /// Masters of the failed node lost from cluster memory entirely (no
+    /// Masters of a crashed node lost from cluster memory entirely (no
     /// surviving replica); the blocks degrade to disk-only.
     pub lost_masters: usize,
-    /// Replica copies held by the failed node purged from the holder lists.
+    /// Replica copies held by the departed node purged from the holder
+    /// lists.
     pub replicas_purged: usize,
+}
+
+/// How a node leaves the cluster; see [`ClusterCache::depart`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Departure {
+    /// The node crashed: its memory is lost, and a master with no surviving
+    /// replica degrades to disk-only.
+    Crash,
+    /// The node leaves on purpose: a master with no surviving replica is
+    /// handed off to a live peer, so no block leaves cluster memory.
+    Graceful,
+}
+
+/// What [`ClusterCache::depart`] did with the departed node's masters.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Departed {
+    /// The counts.
+    pub report: RepairReport,
+    /// Masters promoted onto a surviving replica holder, `(block, holder)`,
+    /// in the departed node's iteration order. The holder already has the
+    /// bytes.
+    pub promoted: Vec<(BlockId, NodeId)>,
+    /// Masters handed off on a graceful leave, `(block, peer)`. The bytes
+    /// must follow them.
+    pub handed_off: Vec<(BlockId, NodeId)>,
 }
 
 /// Side effects of making room for one incoming block.
@@ -234,8 +261,8 @@ pub struct ClusterCache {
     /// Forwards each master has survived without being referenced (only
     /// maintained under an N-chance policy; Dahlin's recirculation count).
     recirculation: FxHashMap<BlockId, u32>,
-    /// Nodes currently crashed: excluded from forwarding targets and kept
-    /// empty until [`ClusterCache::revive_node`].
+    /// Nodes currently departed (or never joined): excluded from
+    /// forwarding targets and kept empty until [`ClusterCache::revive_node`].
     down: Vec<bool>,
     /// Wasted hops of the most recent hint-chain resolution (empty under a
     /// perfect directory or after a correct/missing hint). The runtime
@@ -746,98 +773,113 @@ impl ClusterCache {
         std::mem::take(&mut self.hint_trail)
     }
 
-    /// True if `node` is currently crashed.
+    /// True if `node` is currently departed (or never joined).
     pub fn is_down(&self, node: NodeId) -> bool {
         self.down[node.index()]
     }
 
-    /// Mark a pre-provisioned slot as not (yet) a cluster member: it is
-    /// excluded from forwarding like a crashed node, but no repair happens
-    /// and no failure statistics are charged. Used by dynamic membership to
-    /// size the cluster at capacity while starting with a smaller active
-    /// set; [`ClusterCache::revive_node`] activates the slot later.
+    /// Take `node` out of the cluster, the one path for every departure.
+    ///
+    /// Its replicas are purged from the holder lists. Each of its masters
+    /// is re-mastered onto the first surviving replica holder
+    /// (deterministic: lowest node id). A master with no surviving replica
+    /// is, on a [`Departure::Crash`], cleared from the directory — the block
+    /// degrades to disk-only until the next read re-creates a master — and,
+    /// on a [`Departure::Graceful`] leave, handed off with its age to the
+    /// live peer with the most free frames (ties to the lowest id), which
+    /// drops its own oldest block if it is full (never cascading). The node
+    /// ends down and empty, excluded from forwarding until
+    /// [`ClusterCache::revive_node`]. A crash counts one `node_repairs`. A
+    /// cold slot that should not start as a member leaves gracefully too:
+    /// it holds nothing, so nothing moves and no statistic changes.
     ///
     /// # Panics
-    /// Panics if the slot is already down or holds blocks.
-    pub fn deactivate_slot(&mut self, node: NodeId) {
-        let n = node.index();
-        assert!(!self.down[n], "slot {node:?} is already down");
-        assert!(self.nodes[n].is_empty(), "deactivating a non-empty slot");
-        self.down[n] = true;
-    }
-
-    /// Repair the cluster state after `node` crashed, losing its memory.
-    ///
-    /// Every copy the node held vanishes. Its replicas are purged from the
-    /// holder lists. Each of its masters is re-mastered onto the first
-    /// surviving replica holder (deterministic: lowest node id) or, with no
-    /// surviving replica, cleared from the directory — the block degrades to
-    /// disk-only until the next read re-creates a master. Until
-    /// [`ClusterCache::revive_node`], the node is excluded from forwarding
-    /// so no new state accrues at it.
-    ///
-    /// # Panics
-    /// Panics if the node is already down.
-    pub fn fail_node(&mut self, node: NodeId) -> RepairReport {
-        self.fail_node_with_moves(node).0
-    }
-
-    /// Like [`ClusterCache::fail_node`], additionally reporting where each
-    /// of the failed node's masters was re-mastered: `(block, survivor)`
-    /// pairs, in the failed node's iteration order. Write-back recovery uses
-    /// this to find which survivor holds the bytes of a dirty block.
-    pub fn fail_node_with_moves(&mut self, node: NodeId) -> (RepairReport, Vec<(BlockId, NodeId)>) {
+    /// Panics if the node is already down, or on a graceful leave of the
+    /// last live node.
+    pub fn depart(&mut self, node: NodeId, how: Departure) -> Departed {
         let n = node.index();
         assert!(!self.down[n], "node {node:?} is already down");
         self.down[n] = true;
-        let contents: Vec<(BlockId, CopyKind)> = self.nodes[n]
-            .iter()
-            .map(|(block, kind, _)| (block, kind))
-            .collect();
-        let mut report = RepairReport::default();
-        let mut moves = Vec::new();
-        for (block, kind) in contents {
+        assert!(
+            how == Departure::Crash || self.down.iter().any(|&d| !d),
+            "cannot retire the last live node"
+        );
+        let contents: Vec<(BlockId, CopyKind, u64)> = self.nodes[n].iter().collect();
+        let mut out = Departed::default();
+        for (block, kind, age) in contents {
             self.nodes[n].remove(block);
-            match kind {
-                CopyKind::Replica => {
-                    self.holders_remove(block, node);
-                    report.replicas_purged += 1;
-                }
-                CopyKind::Master => {
-                    self.recirculation.remove(&block);
-                    // Down nodes hold nothing (purged when they failed), so
-                    // every listed holder is a live candidate.
-                    let survivor = self
-                        .replica_holders
-                        .get(&block)
-                        .and_then(|v| v.first().copied());
-                    match survivor {
-                        Some(h) => {
-                            let age = self.nodes[h.index()]
-                                .age_of(block)
-                                .expect("holder list out of sync");
-                            self.nodes[h.index()].promote_replica(block, age);
-                            self.holders_remove(block, h);
-                            self.dir_set(block, h);
-                            self.stats.promotions += 1;
-                            report.remastered += 1;
-                            moves.push((block, h));
-                        }
-                        None => {
-                            self.dir_clear(block, node);
-                            report.lost_masters += 1;
-                        }
-                    }
-                }
+            if kind == CopyKind::Replica {
+                self.holders_remove(block, node);
+                out.report.replicas_purged += 1;
+                continue;
+            }
+            self.recirculation.remove(&block);
+            // Down nodes hold nothing (purged when they left), so every
+            // listed holder is a live candidate.
+            let survivor = self
+                .replica_holders
+                .get(&block)
+                .and_then(|v| v.first().copied());
+            if let Some(h) = survivor {
+                let age = self.nodes[h.index()]
+                    .age_of(block)
+                    .expect("holder list out of sync");
+                self.nodes[h.index()].promote_replica(block, age);
+                self.holders_remove(block, h);
+                self.dir_set(block, h);
+                self.stats.promotions += 1;
+                out.report.remastered += 1;
+                out.promoted.push((block, h));
+            } else if how == Departure::Crash {
+                self.dir_clear(block, node);
+                out.report.lost_masters += 1;
+            } else {
+                let peer = self.hand_off(node, block, age);
+                out.report.remastered += 1;
+                out.handed_off.push((block, peer));
             }
         }
-        self.stats.node_repairs += 1;
-        self.stats.remasters += report.remastered as u64;
-        self.stats.lost_masters += report.lost_masters as u64;
-        (report, moves)
+        if how == Departure::Crash {
+            self.stats.node_repairs += 1;
+        }
+        self.stats.remasters += out.report.remastered as u64;
+        self.stats.lost_masters += out.report.lost_masters as u64;
+        out
     }
 
-    /// Rejoin a previously failed node with a cold cache.
+    /// Hand the leaving `from`'s master `block` (of age `age`) to the live
+    /// peer with the most free frames, displacing that peer's oldest block
+    /// if it is full. Returns the peer.
+    fn hand_off(&mut self, from: NodeId, block: BlockId, age: u64) -> NodeId {
+        let peer = self
+            .live_nodes()
+            .into_iter()
+            .max_by_key(|p| {
+                let c = &self.nodes[p.index()];
+                (c.capacity() - c.len(), std::cmp::Reverse(p.index()))
+            })
+            .expect("a live peer exists");
+        let p = peer.index();
+        if self.nodes[p].is_full() {
+            let (d_block, d_kind, _) = self.nodes[p].oldest().expect("full cache non-empty");
+            self.nodes[p].remove(d_block);
+            self.stats.destination_drops += 1;
+            match d_kind {
+                CopyKind::Master => {
+                    self.stats.master_drops += 1;
+                    self.recirculation.remove(&d_block);
+                    self.dir_clear(d_block, peer);
+                }
+                CopyKind::Replica => self.holders_remove(d_block, peer),
+            }
+        }
+        self.nodes[p].insert_forwarded_master(block, age);
+        self.dir_set(block, peer);
+        self.dir_gossip(from, block, peer);
+        peer
+    }
+
+    /// Rejoin a departed (or never joined) node with a cold cache.
     ///
     /// # Panics
     /// Panics if the node is not down.
@@ -916,86 +958,6 @@ impl ClusterCache {
             self.dir_gossip(holder, block, joiner);
             self.stats.remasters += 1;
             moved.push((block, holder));
-        }
-        moved
-    }
-
-    /// Gracefully retire `node` from the cluster (planned leave, as opposed
-    /// to [`ClusterCache::fail_node`]'s crash): its replicas are purged, and
-    /// each of its masters is preserved — promoted onto a surviving replica
-    /// holder when one exists, otherwise handed off (with its age) to the
-    /// live peer with the most free frames, displacing that peer's oldest
-    /// block if it is full (never cascading). The node ends down and empty.
-    /// Returns the handed-off blocks with their new holders so the runtime
-    /// can ship the bytes; promoted masters need no byte movement.
-    ///
-    /// # Panics
-    /// Panics if the node is already down or is the last live node.
-    pub fn retire_node(&mut self, node: NodeId) -> Vec<(BlockId, NodeId)> {
-        let n = node.index();
-        assert!(!self.down[n], "node {node:?} is already down");
-        self.down[n] = true;
-        assert!(
-            self.down.iter().any(|&d| !d),
-            "cannot retire the last live node"
-        );
-        let contents: Vec<(BlockId, CopyKind, u64)> = self.nodes[n].iter().collect();
-        let mut moved = Vec::new();
-        for (block, kind, age) in contents {
-            self.nodes[n].remove(block);
-            match kind {
-                CopyKind::Replica => {
-                    self.holders_remove(block, node);
-                }
-                CopyKind::Master => {
-                    self.recirculation.remove(&block);
-                    let survivor = self
-                        .replica_holders
-                        .get(&block)
-                        .and_then(|v| v.first().copied());
-                    if let Some(h) = survivor {
-                        let age = self.nodes[h.index()]
-                            .age_of(block)
-                            .expect("holder list out of sync");
-                        self.nodes[h.index()].promote_replica(block, age);
-                        self.holders_remove(block, h);
-                        self.dir_set(block, h);
-                        self.stats.promotions += 1;
-                        self.stats.remasters += 1;
-                        continue;
-                    }
-                    // No surviving replica: hand the master off to the live
-                    // peer with the most free room (ties to the lowest id).
-                    let peer = self
-                        .live_nodes()
-                        .into_iter()
-                        .max_by_key(|p| {
-                            let c = &self.nodes[p.index()];
-                            (c.capacity() - c.len(), std::cmp::Reverse(p.index()))
-                        })
-                        .expect("a live peer exists");
-                    let p = peer.index();
-                    if self.nodes[p].is_full() {
-                        let (d_block, d_kind, _) =
-                            self.nodes[p].oldest().expect("full cache non-empty");
-                        self.nodes[p].remove(d_block);
-                        self.stats.destination_drops += 1;
-                        match d_kind {
-                            CopyKind::Master => {
-                                self.stats.master_drops += 1;
-                                self.recirculation.remove(&d_block);
-                                self.dir_clear(d_block, peer);
-                            }
-                            CopyKind::Replica => self.holders_remove(d_block, peer),
-                        }
-                    }
-                    self.nodes[p].insert_forwarded_master(block, age);
-                    self.dir_set(block, peer);
-                    self.dir_gossip(node, block, peer);
-                    self.stats.remasters += 1;
-                    moved.push((block, peer));
-                }
-            }
         }
         moved
     }
@@ -1535,12 +1497,12 @@ mod tests {
     }
 
     #[test]
-    fn fail_node_remasters_from_surviving_replica() {
+    fn crash_remasters_from_surviving_replica() {
         let mut c = cluster(3, 4, ReplacementPolicy::MasterPreserving);
         c.access(NodeId(0), b(1)); // master at 0
         c.access(NodeId(1), b(1)); // replica at 1
         c.access(NodeId(0), b(2)); // master at 0, no replica anywhere
-        let report = c.fail_node(NodeId(0));
+        let report = c.depart(NodeId(0), Departure::Crash).report;
         assert_eq!(report.remastered, 1, "b1 re-mastered at node 1");
         assert_eq!(report.lost_masters, 1, "b2 lost with node 0");
         assert_eq!(report.replicas_purged, 0);
@@ -1563,12 +1525,12 @@ mod tests {
     }
 
     #[test]
-    fn fail_node_purges_its_replicas() {
+    fn crash_purges_its_replicas() {
         let mut c = cluster(3, 4, ReplacementPolicy::MasterPreserving);
         c.access(NodeId(0), b(1)); // master at 0
         c.access(NodeId(1), b(1)); // replica at 1
         c.access(NodeId(2), b(1)); // replica at 2
-        let report = c.fail_node(NodeId(1));
+        let report = c.depart(NodeId(1), Departure::Crash).report;
         assert_eq!(report.replicas_purged, 1);
         assert_eq!(report.remastered, 0);
         assert_eq!(report.lost_masters, 0);
@@ -1584,7 +1546,7 @@ mod tests {
         c.access(NodeId(1), b(9)); // t1: node 1 holds the system's oldest
         c.access(NodeId(0), b(1)); // t2
         c.access(NodeId(0), b(2)); // t3; node 0 full
-        c.fail_node(NodeId(1));
+        c.depart(NodeId(1), Departure::Crash);
         // Without the down-check, b1 (not globally oldest on ages alone)
         // would forward to node 1; it must drop instead.
         let out = c.access(NodeId(0), b(3));
@@ -1599,7 +1561,7 @@ mod tests {
     fn revived_node_rejoins_cold_and_works() {
         let mut c = cluster(2, 4, ReplacementPolicy::MasterPreserving);
         c.access(NodeId(1), b(1));
-        c.fail_node(NodeId(1));
+        c.depart(NodeId(1), Departure::Crash);
         c.revive_node(NodeId(1));
         assert!(!c.is_down(NodeId(1)));
         assert!(c.node(NodeId(1)).is_empty(), "rejoin must be cold");
@@ -1614,14 +1576,14 @@ mod tests {
     #[should_panic(expected = "already down")]
     fn double_fail_panics() {
         let mut c = cluster(2, 4, ReplacementPolicy::MasterPreserving);
-        c.fail_node(NodeId(1));
-        c.fail_node(NodeId(1));
+        c.depart(NodeId(1), Departure::Crash);
+        c.depart(NodeId(1), Departure::Crash);
     }
 
     #[test]
     fn join_rebalances_a_deterministic_share() {
         let mut c = cluster(4, 16, ReplacementPolicy::MasterPreserving);
-        c.deactivate_slot(NodeId(3)); // slot 3 provisioned but not a member
+        c.depart(NodeId(3), Departure::Graceful); // slot 3 not yet a member
         for i in 0..24 {
             c.access(NodeId((i % 3) as u16), b(i));
         }
@@ -1637,7 +1599,7 @@ mod tests {
         c.check_invariants();
         // Re-running the same history yields the same move set.
         let mut c2 = cluster(4, 16, ReplacementPolicy::MasterPreserving);
-        c2.deactivate_slot(NodeId(3));
+        c2.depart(NodeId(3), Departure::Graceful);
         for i in 0..24 {
             c2.access(NodeId((i % 3) as u16), b(i));
         }
@@ -1653,16 +1615,20 @@ mod tests {
         c.access(NodeId(0), b(2)); // replica of b2 at 0
         c.access(NodeId(0), b(3)); // master at 0 (stays put)
         let before = c.resident_masters();
-        let moved = c.retire_node(NodeId(2));
+        let gone = c.depart(NodeId(2), Departure::Graceful);
         assert!(c.is_down(NodeId(2)));
         assert!(c.node(NodeId(2)).is_empty());
         // b2 re-mastered from node 0's replica (no bytes move); b1 handed
         // off to a live peer (bytes must follow).
         assert_eq!(c.master_location(b(2)), Some(NodeId(0)));
-        assert_eq!(moved.len(), 1);
-        assert_eq!(moved[0].0, b(1));
-        assert_eq!(c.master_location(b(1)), Some(moved[0].1));
+        assert_eq!(gone.promoted, vec![(b(2), NodeId(0))]);
+        assert_eq!(gone.handed_off.len(), 1);
+        assert_eq!(gone.handed_off[0].0, b(1));
+        assert_eq!(c.master_location(b(1)), Some(gone.handed_off[0].1));
+        assert_eq!(gone.report.remastered, 2);
+        assert_eq!(gone.report.lost_masters, 0);
         assert_eq!(c.resident_masters(), before, "no master lost on leave");
+        assert_eq!(c.stats().node_repairs, 0, "a leave is not a repair");
         c.check_invariants();
     }
 
@@ -1692,8 +1658,7 @@ mod tests {
         }
         // Churn the membership through the audit as well.
         c.audit_hint_convergence();
-        let moved = c.retire_node(NodeId(4));
-        let _ = moved;
+        c.depart(NodeId(4), Departure::Graceful);
         c.audit_hint_convergence();
         c.revive_node(NodeId(4));
         c.rebalance_on_join(NodeId(4));
@@ -1819,15 +1784,16 @@ mod tests {
     }
 
     #[test]
-    fn fail_node_with_moves_reports_remaster_targets() {
+    fn crash_reports_remaster_targets() {
         let mut c = cluster(3, 8, ReplacementPolicy::MasterPreserving);
         c.access(NodeId(0), b(1)); // master at 0
         c.access(NodeId(1), b(1)); // replica at 1
         c.access(NodeId(0), b(2)); // master at 0, no replica
-        let (report, moves) = c.fail_node_with_moves(NodeId(0));
-        assert_eq!(report.remastered, 1);
-        assert_eq!(report.lost_masters, 1);
-        assert_eq!(moves, vec![(b(1), NodeId(1))]);
+        let gone = c.depart(NodeId(0), Departure::Crash);
+        assert_eq!(gone.report.remastered, 1);
+        assert_eq!(gone.report.lost_masters, 1);
+        assert_eq!(gone.promoted, vec![(b(1), NodeId(1))]);
+        assert!(gone.handed_off.is_empty(), "a crash hands nothing off");
         assert_eq!(c.master_location(b(1)), Some(NodeId(1)));
         c.check_invariants();
     }

@@ -55,8 +55,8 @@ pub mod stats;
 pub use admission::{AdmissionConfig, AdmissionStats};
 pub use block::{BlockId, FileId, NodeId, BLOCK_SIZE};
 pub use cluster_cache::{
-    AccessOutcome, CacheConfig, ClusterCache, Disposition, EvictionEffect, PrefetchOutcome,
-    RepairReport, WriteOutcome,
+    AccessOutcome, CacheConfig, ClusterCache, Departed, Departure, Disposition, EvictionEffect,
+    PrefetchOutcome, RepairReport, WriteOutcome,
 };
 pub use directory::{DirectoryKind, HintLookup, HintResolution, HintStats};
 pub use node_cache::{CopyKind, NodeCache};

@@ -35,7 +35,7 @@ pub struct CacheStats {
     pub writes: u64,
     /// Copies invalidated at other nodes by writes.
     pub invalidations: u64,
-    /// Directory repairs after node failures (`ClusterCache::fail_node`).
+    /// Directory repairs after node crashes (`ClusterCache::depart`).
     pub node_repairs: u64,
     /// Masters of failed nodes re-mastered from a surviving replica.
     pub remasters: u64,

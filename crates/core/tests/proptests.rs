@@ -13,8 +13,8 @@
 
 use ccm_core::lru::LruList;
 use ccm_core::{
-    AccessOutcome, BlockId, CacheConfig, ClusterCache, CopyKind, Disposition, FileId, NodeId,
-    ReplacementPolicy,
+    AccessOutcome, BlockId, CacheConfig, ClusterCache, CopyKind, Departure, Disposition, FileId,
+    NodeId, ReplacementPolicy,
 };
 use proptest::prelude::*;
 
@@ -356,13 +356,15 @@ proptest! {
         cap in 1usize..16,
         policy in policies(),
     ) {
-        // Interleave accesses with node crashes (`fail_node`) and revivals;
-        // after every step the structural invariants must hold: at most one
-        // master per block, the directory exact, down nodes empty and never
-        // named as a master location, and each repair's report accounting
-        // for every master the dead node held.
+        // Interleave accesses with departures (`depart`, crashes and
+        // graceful leaves in turn) and revivals; after every step the
+        // structural invariants must hold: at most one master per block,
+        // the directory exact, down nodes empty and never named as a master
+        // location, and each departure's report accounting for every master
+        // the node held (a graceful leave losing none).
         let mut c = ClusterCache::new(CacheConfig::paper(4, cap, policy));
         let mut down = [false; 4];
+        let mut departures = 0;
         for op in ops {
             match op {
                 ClusterOp::Access(n, b) => {
@@ -374,13 +376,22 @@ proptest! {
                     let up = down.iter().filter(|d| !**d).count();
                     if !down[n as usize] && up > 1 {
                         let masters_before = c.node(NodeId(n)).num_masters();
-                        let report = c.fail_node(NodeId(n));
+                        departures += 1;
+                        let how = if departures % 2 == 1 {
+                            Departure::Crash
+                        } else {
+                            Departure::Graceful
+                        };
+                        let report = c.depart(NodeId(n), how).report;
                         down[n as usize] = true;
                         prop_assert_eq!(
                             report.remastered + report.lost_masters,
                             masters_before,
                             "repair must account for every master the node held"
                         );
+                        if how == Departure::Graceful {
+                            prop_assert_eq!(report.lost_masters, 0, "a leave lost a master");
+                        }
                     }
                 }
                 ClusterOp::Revive(n) => {
@@ -439,7 +450,7 @@ proptest! {
                 ClusterOp::Fail(n) => {
                     let up = down.iter().filter(|d| !**d).count();
                     if !down[n as usize] && up > 1 {
-                        c.fail_node(NodeId(n));
+                        c.depart(NodeId(n), Departure::Crash);
                         down[n as usize] = true;
                     }
                 }

@@ -20,11 +20,11 @@
 //!   severed node over real TCP and repairs the directory around it.
 
 use ccm_testkit::{
-    fnv1a, remap_to_member, run_churn_torture, start_member_cluster, Backend, ChurnPlan, FNV_OFFSET,
+    fnv1a, remap_to_member, run_churn_torture, start_cluster, Backend, ChurnPlan, FNV_OFFSET,
 };
 use coopcache::core::{DirectoryKind, FileId, NodeId, ReplacementPolicy};
 use coopcache::rt::store::read_file_direct;
-use coopcache::rt::{Catalog, MemberState, Membership, RtConfig, SyntheticStore};
+use coopcache::rt::{Catalog, MemberState, RtConfig, SyntheticStore};
 use coopcache::simcore::Rng;
 use coopcache::traces::{Preset, Workload};
 use std::sync::Arc;
@@ -43,9 +43,12 @@ fn preset_head(p: Preset) -> Workload {
     p.workload().head(96)
 }
 
-fn member_config(nodes: usize, backend: Backend) -> RtConfig {
+/// A hint-directory cluster of `nodes` slots, `members` of them up.
+fn member_config(nodes: usize, members: usize, backend: Backend) -> RtConfig {
     RtConfig {
         nodes,
+        members: Some(members),
+        directory: DirectoryKind::Hint,
         capacity_blocks: CAPACITY_BLOCKS,
         policy: ReplacementPolicy::MasterPreserving,
         fetch_timeout: backend.torture_fetch_timeout(),
@@ -162,13 +165,11 @@ fn mid_run_join_at_32_nodes_matches_static_cluster_digest() {
     // invisible to every delivered byte.
     let catalog = Catalog::new(wl.sizes().to_vec());
     let store = Arc::new(SyntheticStore::new(catalog.clone(), seed));
-    let cluster = start_member_cluster(
+    let cluster = start_cluster(
         Backend::Channel,
-        member_config(SLOTS, Backend::Channel),
+        member_config(SLOTS, SLOTS - 1, Backend::Channel),
         catalog.clone(),
         store.clone(),
-        Membership::with_initial(SLOTS, SLOTS - 1),
-        DirectoryKind::Hint,
     );
     let members = cluster.membership();
     let joiner = NodeId((SLOTS - 1) as u16);
@@ -209,13 +210,11 @@ fn heartbeat_detects_silent_failure_over_tcp() {
     let catalog = Catalog::new(wl.sizes().to_vec());
     let store = Arc::new(SyntheticStore::new(catalog.clone(), 9));
     let nodes = 8;
-    let cluster = start_member_cluster(
+    let cluster = start_cluster(
         Backend::Tcp,
-        member_config(nodes, Backend::Tcp),
+        member_config(nodes, nodes, Backend::Tcp),
         catalog.clone(),
         store.clone(),
-        Membership::all_up(nodes),
-        DirectoryKind::Hint,
     );
     // Warm the cluster so the victim owns masters worth repairing.
     let mut rng = Rng::new(9).substream(4);
