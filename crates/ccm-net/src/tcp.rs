@@ -3,10 +3,12 @@
 //! One listener per node on loopback (the per-node address a round-robin
 //! DNS would hand out), one lazily established TCP connection per ordered
 //! node pair, and the [`crate::wire`] codec in between. The in-process
-//! reply channels of [`PeerMsg`] never cross the socket: the sending side
-//! parks each reply sender in a per-connection *pending table* keyed by
-//! request id, and the node's reactor resolves it when the matching
-//! [`WireMsg::BlockReply`] / [`WireMsg::BarrierAck`] comes back.
+//! reply channels of [`PeerMsg`] never cross the socket: each outbound
+//! connection keeps a *pending table*, keyed by request id, of whom each
+//! outstanding reply is owed to — a slot of a train issued through
+//! [`Transport::issue`], or the reply channel of a message handed to
+//! [`Transport::send`] — and whoever reads the socket hands each
+//! [`WireMsg::BlockReply`] / [`WireMsg::BarrierAck`] on as it comes back.
 //!
 //! ## Data plane: group-commit frame trains + one reactor per node
 //!
@@ -23,10 +25,9 @@
 //! backlog: pushers briefly yield instead of growing a train past the cap
 //! while the peer is slow.
 //!
-//! The receive side is one *reactor thread per node*. The reactor owns
-//! the node's nonblocking listener, every inbound connection, and the read
-//! half of every outbound connection the node dialed. Inbound frames are
-//! reassembled incrementally ([`FrameAssembler`]) and then either
+//! The request side is one *reactor thread per node*. The reactor owns the
+//! node's nonblocking listener and every inbound connection. Inbound frames
+//! are reassembled incrementally ([`FrameAssembler`]) and then either
 //!
 //! * **answered by the reactor itself** — a [`WireMsg::BlockRequest`] whose
 //!   block is in the node's attached store
@@ -52,13 +53,45 @@
 //! correlate by request id, so a reactor-served reply overtaking one the
 //! service thread still owes is legal on the wire.
 //!
+//! ## Reply side: the caller reads its own replies
+//!
+//! The read half of an outbound connection is held by one *reader* at a
+//! time, and a reply goes from the socket straight to the thread that
+//! waits for it:
+//!
+//! * **a leading caller** — a caller that issues a train on a connection
+//!   nobody reads takes the read half with it. In [`Pending::wait`] it
+//!   blocks in the readiness wait on that one socket until its replies are
+//!   in or its deadline passes, and any other waiter's reply it reads on
+//!   the way it hands to that waiter. A caller that finds the connection
+//!   read by someone else parks until its replies are handed over. A lone
+//!   remote hit thus wakes two threads — the holder's reactor and the
+//!   requesting caller — with no reactor and channel hand-off in between.
+//!   A caller that issued a train but is waiting on another connection
+//!   (a chunk's trains to several holders all go out before the first
+//!   wait) holds the read half without polling it; a caller that comes to
+//!   wait there takes it over rather than park behind it.
+//! * **the dialing node's reactor** — it gets the read half, through its
+//!   wake pipe, when a leader leaves (done, timed out or dropped) while
+//!   other replies are still owed, and when a reply channel comes in
+//!   through `send` (a ping, a wire barrier, a fetch under a fault plan),
+//!   which nobody waits for inside the transport. It gives it back once
+//!   the pending table is empty.
+//!
+//! **Ownership invariant:** whenever an outbound connection's pending table
+//! is non-empty, exactly one of its leading caller or its node's reactor
+//! has read interest in the socket. An idle or led connection stays in the
+//! reactor's readiness set for hang-up only (`POLLRDHUP`), so a peer's close
+//! is still noticed at once: the reactor reads what the socket still
+//! holds, hands it on, and fails the connection.
+//!
 //! An idle reactor **blocks in `poll(2)`** on its listener, its sockets and
-//! a wake pipe (new `Watch` work, shutdown): kernel readiness wakes it the
-//! moment a peer's bytes arrive, and it costs nothing while there are none.
-//! It waits with a zero timeout only while the service thread owes a reply
-//! it can learn of no other way (the reply channel cannot be polled by the
-//! kernel), and with a deadline while an accepted connection has yet to
-//! say Hello.
+//! a wake pipe (new `Watch` work, a read-half hand-off, shutdown): kernel
+//! readiness wakes it the moment a peer's bytes arrive, and it costs
+//! nothing while there are none. It waits with a zero timeout only while
+//! the service thread owes an inbound connection a reply it can learn of no
+//! other way (the reply channel cannot be polled by the kernel), and with a
+//! deadline while an accepted connection has yet to say Hello.
 //!
 //! ## Connection lifecycle
 //!
@@ -66,11 +99,12 @@
 //!   send. The first frame staged is a [`WireMsg::Hello`] naming the wire
 //!   version and the source node (it coalesces with the first request);
 //!   the accepting reactor rejects mismatched versions.
-//! * **Failure** — a write error, a reactor-side EOF, or a decode error
-//!   tears the connection down: the socket is shut down both ways, every
-//!   pending reply sender is dropped (waiting requesters observe an
-//!   immediate disconnect and fall back to the backing store), and the
-//!   link enters backoff.
+//! * **Failure** — a write error, an EOF or a decode error met by either
+//!   reader, or a peer's hang-up, tears the connection down: the socket is
+//!   shut down both ways, the teardown is counted, and only then is every
+//!   pending reply failed (waiting requesters observe an immediate miss,
+//!   not a timeout, and fall back to the backing store), and the link
+//!   enters backoff.
 //! * **Reconnect** — after a teardown the link refuses sends (fail-fast
 //!   `false`, the disk-fallback path) until a capped exponential backoff
 //!   expires, then the next send dials again.
@@ -84,11 +118,13 @@
 //!
 //! ## Deadlines
 //!
-//! Requests carry no wire-level deadline: the requester's bounded
-//! `recv_timeout` in [`Transport::fetch_block`] *is* the deadline, exactly
-//! as over the channel LAN (`RtConfig::fetch_timeout`). A request whose
-//! connection dies resolves early (disconnect), one whose reply is merely
-//! slow resolves at the deadline; both degrade to the §3 disk read.
+//! Requests carry no wire-level deadline: the timeout a caller passes to
+//! [`Pending::wait`] *is* the deadline, exactly as over the channel LAN
+//! (`RtConfig::fetch_timeout`). A request whose connection dies resolves
+//! early (disconnect), one whose reply is merely slow resolves at the
+//! deadline; both degrade to the §3 disk read. A caller leaving at its
+//! deadline takes its entries out of the pending table, so a reply that
+//! comes later is read and discarded.
 //!
 //! The whole cluster shares one `TcpLan` in one process (every listener
 //! plus every outbound link). The frame protocol carries no process-local
@@ -99,16 +135,18 @@
 //!
 //! [`Transport`]: ccm_rt::Transport
 //! [`Transport::attach_stores`]: ccm_rt::Transport::attach_stores
-//! [`Transport::fetch_block`]: ccm_rt::Transport::fetch_block
+//! [`Transport::issue`]: ccm_rt::Transport::issue
+//! [`Transport::send`]: ccm_rt::Transport::send
 //! [`Transport::reconnect`]: ccm_rt::Transport::reconnect
+//! [`Pending::wait`]: ccm_rt::Pending::wait
 //! [`PeerMsg`]: ccm_rt::PeerMsg
 
 use crate::wire::{FrameAssembler, FrameTrain, WireMsg, WIRE_VERSION};
 use ccm_core::{BlockId, NodeId};
 use ccm_obs::{Counter, Gauge, Registry};
-use ccm_rt::{AttachedStores, BlockStores, PeerMsg, Transport};
+use ccm_rt::{AttachedStores, BlockStores, Completion, PeerMsg, Pending, Transport};
 use simcore::chan::{unbounded, Receiver, Sender, TryRecvError};
-use simcore::sync::{Mutex, RwLock};
+use simcore::sync::{Condvar, Mutex, RwLock};
 use simcore::FxHashMap;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -297,51 +335,152 @@ impl NetObs {
     }
 }
 
-/// What a reply correlates back to.
-enum Pending {
+/// A reply channel that came in with a [`PeerMsg`] through
+/// [`Transport::send`].
+enum ReplyTx {
     Block(Sender<Option<Arc<[u8]>>>),
-    Barrier(Sender<()>),
+    Ack(Sender<()>),
 }
 
-/// The per-connection table of outstanding requests. Once the connection
-/// fails its table is *closed*; a sender that loses the race and tries to
-/// register afterwards is refused, so no entry can ever be orphaned to
-/// sit out its full timeout.
-#[derive(Default)]
-struct PendingMap {
-    closed: AtomicBool,
-    map: Mutex<FxHashMap<u64, Pending>>,
+/// A reply read off an outbound connection.
+enum Reply {
+    Block(Option<Arc<[u8]>>),
+    Ack,
 }
 
-impl PendingMap {
-    /// Register an outstanding request; false if the connection already
-    /// failed (the caller must treat the send as failed).
-    fn insert(&self, req_id: u64, p: Pending) -> bool {
-        let mut m = self.map.lock();
-        if self.closed.load(Ordering::Acquire) {
-            return false;
+/// Whom a reply is owed to.
+enum Owed {
+    /// A `send` caller, on its own reply channel.
+    Channel(ReplyTx),
+    /// Slot `.1` of an issued train's [`Waiter`].
+    Slot(Arc<Waiter>, usize),
+}
+
+impl Owed {
+    /// Hand `reply` to whoever it is owed to.
+    fn deliver(self, reply: Reply) {
+        match (self, reply) {
+            (Owed::Slot(waiter, i), Reply::Block(data)) => waiter.resolve(i, data),
+            (Owed::Slot(waiter, i), Reply::Ack) => waiter.resolve(i, Some(Arc::from(&[][..]))),
+            // The requester may have timed out.
+            (Owed::Channel(ReplyTx::Block(tx)), Reply::Block(data)) => {
+                let _ = tx.send(data);
+            }
+            (Owed::Channel(ReplyTx::Ack(tx)), Reply::Ack) => {
+                let _ = tx.send(());
+            }
+            // A reply of the wrong kind: the requester sees a disconnect.
+            (Owed::Channel(_), _) => {}
         }
-        m.insert(req_id, p);
-        true
     }
+}
 
-    fn remove(&self, req_id: u64) -> Option<Pending> {
-        self.map.lock().remove(&req_id)
-    }
+/// Who holds the read half of an outbound connection.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Reader {
+    /// Nobody: no reply is owed.
+    Idle,
+    /// A caller with replies of its own owed, named by its [`Waiter`]'s
+    /// address; `polling` while it is inside its wait on this socket.
+    Caller { waiter: usize, polling: bool },
+    /// The dialing node's reactor.
+    Reactor,
+}
 
-    /// Refuse future registrations and drop every waiter (each observes an
-    /// immediate disconnect rather than a timeout). Returns how many
-    /// waiters were dropped so the caller can settle the pending gauge.
-    fn close(&self) -> usize {
-        let mut m = self.map.lock();
-        self.closed.store(true, Ordering::Release);
-        let dropped = m.len();
-        m.clear();
+/// The receive side of an outbound connection: the pending table of
+/// outstanding requests, keyed by request id, and who reads their replies.
+/// Whenever the table is non-empty exactly one reader holds the read half
+/// (see the module docs).
+struct Rx {
+    pending: FxHashMap<u64, Owed>,
+    reader: Reader,
+    /// The connection failed: nothing more may register, so no entry can
+    /// be orphaned to sit out its full timeout.
+    closed: bool,
+}
+
+impl Rx {
+    /// Refuse future registrations and fail every owed reply (each waiter
+    /// observes an immediate disconnect rather than a timeout). Returns how
+    /// many were dropped so the caller can settle the pending gauge.
+    fn close(&mut self) -> usize {
+        self.closed = true;
+        let dropped = self.pending.len();
+        for (_, owed) in self.pending.drain() {
+            if let Owed::Slot(waiter, _) = owed {
+                waiter.fail();
+            }
+        }
         dropped
     }
 }
 
-type PendingTable = Arc<PendingMap>;
+/// Where one issued train's replies land, and where its caller parks while
+/// another reader reads them. Its lock is only ever taken inside (or
+/// without) the connection's `rx` lock, never around it.
+struct Waiter {
+    slots: Mutex<Slots>,
+    ready: Condvar,
+}
+
+struct Slots {
+    /// In request order.
+    replies: Vec<Option<Arc<[u8]>>>,
+    /// Replies not in yet.
+    owed: usize,
+    /// The connection failed: the rest will never come.
+    failed: bool,
+    /// The caller is asleep on `ready`.
+    parked: bool,
+}
+
+impl Waiter {
+    fn new(n: usize) -> Waiter {
+        Waiter {
+            slots: Mutex::new(Slots {
+                replies: vec![None; n],
+                owed: n,
+                failed: false,
+                parked: false,
+            }),
+            ready: Condvar::new(),
+        }
+    }
+
+    fn resolve(&self, i: usize, reply: Option<Arc<[u8]>>) {
+        let mut s = self.slots.lock();
+        s.replies[i] = reply;
+        s.owed -= 1;
+        if s.owed == 0 && s.parked {
+            self.ready.notify_one();
+        }
+    }
+
+    fn fail(&self) {
+        let mut s = self.slots.lock();
+        s.failed = true;
+        if s.parked {
+            self.ready.notify_one();
+        }
+    }
+
+    /// Every reply is in, or none more can come.
+    fn done(&self) -> bool {
+        let s = self.slots.lock();
+        s.owed == 0 || s.failed
+    }
+
+    /// Sleep until done, or until `deadline`.
+    fn park(&self, deadline: Instant) {
+        let left = deadline.saturating_duration_since(Instant::now());
+        let mut s = self.slots.lock();
+        s.parked = true;
+        let (mut s, _) = self
+            .ready
+            .wait_timeout_while(s, left, |s| s.owed > 0 && !s.failed);
+        s.parked = false;
+    }
+}
 
 /// The staged frames of one connection, plus the group-commit state.
 struct Outbox {
@@ -353,24 +492,42 @@ struct Outbox {
 }
 
 /// An established outbound connection. The socket is nonblocking; the
-/// dialing side writes trains through `outbox`, the dialer's reactor reads
-/// replies from the same socket.
+/// dialing side writes trains through `outbox`, and whoever holds the read
+/// half (`rx.reader`) reads replies from the same socket.
 struct Conn {
     sock: TcpStream,
-    pending: PendingTable,
     outbox: Mutex<Outbox>,
+    rx: Mutex<Rx>,
+    /// Reassembles reply frames. Locked for one read pass by the reader,
+    /// or by the reactor noticing a hang-up; taken before `rx`.
+    asm: Mutex<FrameAssembler>,
 }
 
 impl Conn {
     fn new(sock: TcpStream) -> Conn {
         Conn {
             sock,
-            pending: Arc::new(PendingMap::default()),
             outbox: Mutex::new(Outbox {
                 train: FrameTrain::new(),
                 writing: false,
                 dead: false,
             }),
+            rx: Mutex::new(Rx {
+                pending: FxHashMap::default(),
+                reader: Reader::Idle,
+                closed: false,
+            }),
+            asm: Mutex::new(FrameAssembler::new()),
+        }
+    }
+
+    /// What the dialing node's reactor waits for on this socket: replies
+    /// while it holds the read half, else only the peer hanging up.
+    fn reactor_interest(&self) -> i16 {
+        if self.rx.lock().reader == Reader::Reactor {
+            POLLIN
+        } else {
+            POLLRDHUP
         }
     }
 
@@ -404,10 +561,11 @@ struct NodeSlot {
     inbox: RwLock<Sender<PeerMsg>>,
 }
 
-/// Work handed to a node's reactor thread: watch the read half of an
-/// outbound connection this node dialed and demux replies into its pending
-/// table. (Frames need no hand-off — the kernel wakes the reactor when a
-/// peer's bytes reach one of its sockets.)
+/// Work handed to a node's reactor thread: watch an outbound connection
+/// this node dialed — for a hang-up while a caller or nobody reads it, and
+/// for replies while the reactor holds its read half. (Frames need no
+/// hand-off — the kernel wakes the reactor when a peer's bytes reach one of
+/// its sockets.)
 struct Watch {
     dst: NodeId,
     conn: Arc<Conn>,
@@ -450,14 +608,11 @@ impl TcpShared {
     }
 
     /// Tear an established connection down and arm the backoff. No-op if
-    /// `pending` is not the link's current connection (a stale notice from
-    /// an old connection must not kill its successor).
-    fn teardown(&self, src: NodeId, dst: NodeId, pending: &PendingTable) {
+    /// `conn` is not the link's current connection (a stale notice from an
+    /// old connection must not kill its successor).
+    fn teardown(&self, src: NodeId, dst: NodeId, conn: &Arc<Conn>) {
         let mut link = self.link(src, dst).lock();
-        let is_current = link
-            .conn
-            .as_ref()
-            .is_some_and(|c| Arc::ptr_eq(&c.pending, pending));
+        let is_current = link.conn.as_ref().is_some_and(|c| Arc::ptr_eq(c, conn));
         if is_current {
             if let Some(conn) = link.conn.take() {
                 conn.kill(); // the reactor sees the shutdown and unwatches
@@ -480,8 +635,8 @@ fn conn_failed(shared: &TcpShared, src: NodeId, dst: NodeId, conn: &Arc<Conn>) {
     // Count the teardown *before* failing the waiters: a fetch that wakes
     // on the degrade path must already find its cause in the wire
     // counters.
-    shared.teardown(src, dst, &conn.pending);
-    let dropped = conn.pending.close();
+    shared.teardown(src, dst, conn);
+    let dropped = conn.rx.lock().close();
     if dropped > 0 {
         shared
             .obs
@@ -748,7 +903,7 @@ impl TcpLan {
             version: WIRE_VERSION,
             node: src,
         });
-        // Hand the read half to our reactor for reply demux.
+        // Our reactor watches every connection we dial.
         if self.shared.reactor_tx[src.index()]
             .send(Watch {
                 dst,
@@ -769,8 +924,8 @@ impl TcpLan {
         Some(conn)
     }
 
-    /// Encode `msg` as a frame, register a pending-table entry for
-    /// reply-bearing messages, and stage it on the link's group-commit
+    /// Encode `msg` as a frame, register its reply channel on the pending
+    /// table if it expects a reply, and stage it on the link's group-commit
     /// outbox. Returns false (after teardown) on any failure.
     fn send_wire(&self, src: NodeId, dst: NodeId, msg: PeerMsg) -> bool {
         let obs = self.shared.obs.pair(src, dst);
@@ -780,65 +935,129 @@ impl TcpLan {
             return false;
         };
         drop(link);
-        // Register reply correlation before the frame can hit the wire; a
-        // closed table means the connection died under us.
-        let correlate = |pending: Pending| -> Option<u64> {
-            let req_id = self.shared.next_req.fetch_add(1, Ordering::Relaxed);
-            if !conn.pending.insert(req_id, pending) {
-                return None;
+        let req_id = || self.shared.next_req.fetch_add(1, Ordering::Relaxed);
+        let (frame, reply) = match msg {
+            PeerMsg::BlockRequest { block, reply } => {
+                let req_id = req_id();
+                (
+                    WireMsg::BlockRequest { req_id, block },
+                    Some((req_id, ReplyTx::Block(reply))),
+                )
             }
-            obs.pending_replies.adjust(1);
-            Some(req_id)
-        };
-        let frame = match msg {
-            PeerMsg::BlockRequest { block, reply } => match correlate(Pending::Block(reply)) {
-                Some(req_id) => WireMsg::BlockRequest { req_id, block },
-                None => {
-                    obs.degrades.inc();
-                    conn_failed(&self.shared, src, dst, &conn);
-                    return false;
-                }
-            },
             PeerMsg::Forward {
                 block,
                 data,
                 displace,
-            } => WireMsg::Forward {
-                block,
-                data,
-                displace,
-            },
-            PeerMsg::Invalidate { block } => WireMsg::Invalidate { block },
+            } => (
+                WireMsg::Forward {
+                    block,
+                    data,
+                    displace,
+                },
+                None,
+            ),
+            PeerMsg::Invalidate { block } => (WireMsg::Invalidate { block }, None),
             PeerMsg::WriteInvalidate { block, version } => {
-                WireMsg::WriteInvalidate { block, version }
+                (WireMsg::WriteInvalidate { block, version }, None)
             }
-            PeerMsg::Barrier { reply } => match correlate(Pending::Barrier(reply)) {
-                Some(req_id) => WireMsg::Barrier { req_id },
-                None => {
-                    obs.degrades.inc();
-                    conn_failed(&self.shared, src, dst, &conn);
-                    return false;
-                }
-            },
+            PeerMsg::Barrier { reply } => {
+                let req_id = req_id();
+                (
+                    WireMsg::Barrier { req_id },
+                    Some((req_id, ReplyTx::Ack(reply))),
+                )
+            }
             // A pong correlates exactly like a barrier ack: unit reply.
-            PeerMsg::Ping { reply } => match correlate(Pending::Barrier(reply)) {
-                Some(req_id) => WireMsg::Ping { req_id },
-                None => {
-                    obs.degrades.inc();
-                    conn_failed(&self.shared, src, dst, &conn);
-                    return false;
-                }
-            },
+            PeerMsg::Ping { reply } => {
+                let req_id = req_id();
+                (
+                    WireMsg::Ping { req_id },
+                    Some((req_id, ReplyTx::Ack(reply))),
+                )
+            }
             // Control-plane; `send` routes it locally before we get here.
             PeerMsg::Shutdown => unreachable!("Shutdown never crosses the wire"),
         };
-        if pump(&self.shared, src, dst, &conn, &frame) {
-            true
-        } else {
+        // Register the reply before the frame can hit the wire. Nobody
+        // waits for a reply channel inside the transport, so the reactor
+        // reads it unless a caller is reading the socket already.
+        let mut wake = false;
+        if let Some((req_id, tx)) = reply {
+            let mut rx = conn.rx.lock();
+            if rx.closed {
+                drop(rx);
+                obs.degrades.inc();
+                return false; // the connection died under us
+            }
+            rx.pending.insert(req_id, Owed::Channel(tx));
+            if !matches!(
+                rx.reader,
+                Reader::Reactor | Reader::Caller { polling: true, .. }
+            ) {
+                rx.reader = Reader::Reactor;
+                wake = true;
+            }
+            drop(rx);
+            obs.pending_replies.adjust(1);
+        }
+        let sent = pump(&self.shared, src, dst, &conn, &frame);
+        if wake {
+            self.shared.wake(src);
+        }
+        if !sent {
             // The pending entry (if any) died with the connection's table.
             obs.degrades.inc();
-            false
         }
+        sent
+    }
+
+    /// Register one [`Waiter`] slot per frame on `conn` (the link
+    /// `src → dst`), then put the frames on the wire as one train;
+    /// `frame(i, req_id)` builds the `i`th. The caller takes the read half
+    /// if nobody holds it. `None` if the connection failed before the train
+    /// went out: its in-flight frames died with it.
+    fn train(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        conn: Arc<Conn>,
+        n: usize,
+        frame: impl Fn(usize, u64) -> WireMsg,
+    ) -> Option<TcpWait> {
+        let waiter = Arc::new(Waiter::new(n));
+        let first = self.shared.next_req.fetch_add(n as u64, Ordering::Relaxed);
+        {
+            let mut rx = conn.rx.lock();
+            if rx.closed {
+                return None;
+            }
+            for i in 0..n {
+                rx.pending
+                    .insert(first + i as u64, Owed::Slot(waiter.clone(), i));
+            }
+            if rx.reader == Reader::Idle {
+                rx.reader = Reader::Caller {
+                    waiter: Arc::as_ptr(&waiter) as usize,
+                    polling: false,
+                };
+            }
+        }
+        self.shared
+            .obs
+            .pair(src, dst)
+            .pending_replies
+            .adjust(n as i64);
+        let frames: Vec<WireMsg> = (0..n).map(|i| frame(i, first + i as u64)).collect();
+        let wait = TcpWait {
+            shared: self.shared.clone(),
+            conn,
+            src,
+            dst,
+            waiter,
+            first,
+        };
+        // On failure the dropped wait leaves the (closed) table.
+        pump_frames(&self.shared, src, dst, &wait.conn, &frames).then_some(wait)
     }
 }
 
@@ -857,70 +1076,35 @@ impl Transport for TcpLan {
         self.send_wire(src, dst, msg)
     }
 
-    /// Pipelined fetch: every request in the batch goes into flight before
-    /// the first reply is awaited. The requests stage as one frame train
-    /// (one vectored write when the link is quiet), the peer's reactor
-    /// answers them back to back (from its store, or through its service
-    /// thread) and batches the replies into reply trains — so the per-trip
-    /// wakeup chain is paid once per batch instead of once per block.
-    fn fetch_blocks(
-        &self,
-        src: NodeId,
-        holder: NodeId,
-        blocks: &[BlockId],
-        timeout: Duration,
-    ) -> Vec<Option<Arc<[u8]>>> {
-        if src == holder || blocks.len() < 2 {
-            // Local fetches never touch the wire; a single fetch gains
-            // nothing from the batch plumbing.
-            let deadline = Instant::now() + timeout;
-            return blocks
-                .iter()
-                .map(|&b| {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    self.fetch_block(src, holder, b, left)
-                })
-                .collect();
+    /// Pipelined fetch: the requests go out as one frame train (one
+    /// vectored write when the link is quiet), the peer's reactor answers
+    /// them back to back (from its store, or through its service thread)
+    /// and batches the replies into reply trains, and the waiting caller
+    /// reads them off the socket itself when nobody else is (module docs).
+    fn issue(&self, src: NodeId, holder: NodeId, blocks: &[BlockId]) -> Pending {
+        if src == holder || blocks.is_empty() {
+            // Local fetches never touch the wire.
+            return Pending::via_send(self, src, holder, blocks);
         }
-        let obs = self.shared.obs.pair(src, holder);
-        let mut link = self.shared.link(src, holder).lock();
-        let Some(conn) = self.ensure_conn(&mut link, src, holder) else {
-            obs.degrades.inc();
-            return vec![None; blocks.len()];
+        let conn = {
+            let mut link = self.shared.link(src, holder).lock();
+            self.ensure_conn(&mut link, src, holder)
         };
-        drop(link);
-        let mut frames = Vec::with_capacity(blocks.len());
-        let mut rxs = Vec::with_capacity(blocks.len());
-        let mut died = false;
-        for &block in blocks {
-            let (tx, rx) = unbounded();
-            let req_id = self.shared.next_req.fetch_add(1, Ordering::Relaxed);
-            if !conn.pending.insert(req_id, Pending::Block(tx)) {
-                died = true; // connection failed mid-registration
-                break;
-            }
-            obs.pending_replies.adjust(1);
-            frames.push(WireMsg::BlockRequest { req_id, block });
-            rxs.push(rx);
-        }
-        if died {
-            obs.degrades.inc();
-            conn_failed(&self.shared, src, holder, &conn);
-        } else if !pump_frames(&self.shared, src, holder, &conn, &frames) {
-            // The registered entries died with the connection's pending
-            // table; their receivers resolve as immediate disconnects.
-            obs.degrades.inc();
-        }
-        let deadline = Instant::now() + timeout;
-        let mut out: Vec<Option<Arc<[u8]>>> = rxs
-            .into_iter()
-            .map(|rx| {
-                let left = deadline.saturating_duration_since(Instant::now());
-                rx.recv_timeout(left).ok().flatten()
+        let wait = conn.and_then(|conn| {
+            self.train(src, holder, conn, blocks.len(), |i, req_id| {
+                WireMsg::BlockRequest {
+                    req_id,
+                    block: blocks[i],
+                }
             })
-            .collect();
-        out.resize(blocks.len(), None);
-        out
+        });
+        match wait {
+            Some(wait) => Pending::wire(Box::new(wait)),
+            None => {
+                self.shared.obs.pair(src, holder).degrades.inc();
+                Pending::ready(vec![None; blocks.len()])
+            }
+        }
     }
 
     fn reconnect(&self, node: NodeId) -> Receiver<PeerMsg> {
@@ -957,48 +1141,35 @@ impl Transport for TcpLan {
 
     fn barrier(&self, node: NodeId, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        // One wire barrier per live inbound connection: each ack proves
-        // that connection's earlier frames were demuxed and processed. The
-        // local barrier covers locally delivered messages and makes the
-        // whole call fail when the node is down.
+        // One wire barrier per live inbound connection: each ack proves that
+        // connection's earlier frames were demuxed and processed. The local
+        // barrier covers locally delivered messages and makes the whole
+        // call fail when the node is down.
         let mut acks = Vec::new();
         for src in 0..self.shared.slots.len() {
             let src = NodeId(src as u16);
             if src == node {
                 continue;
             }
-            let conn = {
-                let link = self.shared.link(src, node).lock();
-                match &link.conn {
-                    Some(conn) => conn.clone(),
-                    None => continue, // never connected or torn down
-                }
+            let conn = match &self.shared.link(src, node).lock().conn {
+                Some(conn) => conn.clone(),
+                None => continue, // never connected or torn down
             };
-            let req_id = self.shared.next_req.fetch_add(1, Ordering::Relaxed);
-            let (tx, rx) = unbounded();
-            if !conn.pending.insert(req_id, Pending::Barrier(tx)) {
-                continue; // connection just died; its frames died with it
+            // A link that dies before its barrier goes out lost its earlier
+            // frames with it: there is nothing left to wait for.
+            if let Some(wait) =
+                self.train(src, node, conn, 1, |_, req_id| WireMsg::Barrier { req_id })
+            {
+                acks.push(Pending::wire(Box::new(wait)));
             }
-            let obs = self.shared.obs.pair(src, node);
-            obs.pending_replies.adjust(1);
-            if pump(&self.shared, src, node, &conn, &WireMsg::Barrier { req_id }) {
-                acks.push(rx);
-            }
-            // On failure the link died: its in-flight frames are lost with
-            // it, so there is nothing left to wait for.
         }
-        let (tx, rx) = unbounded();
-        if !self
-            .shared
-            .local_deliver(node, PeerMsg::Barrier { reply: tx })
-        {
+        let (reply, rx) = unbounded();
+        if !self.shared.local_deliver(node, PeerMsg::Barrier { reply }) {
             return false;
         }
-        acks.push(rx);
-        acks.into_iter().all(|rx| {
-            let left = deadline.saturating_duration_since(Instant::now());
-            rx.recv_timeout(left).is_ok()
-        })
+        acks.push(Pending::ack(rx));
+        acks.into_iter()
+            .all(|ack| ack.acked(deadline.saturating_duration_since(Instant::now())))
     }
 }
 
@@ -1006,10 +1177,12 @@ impl Drop for TcpLan {
     fn drop(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
         // Killing every outbound connection unblocks stuck writers and
-        // lets each reactor observe the teardown.
+        // leading callers; failing its table releases callers parked on
+        // a reactor that is about to stop.
         for link in &self.shared.links {
             if let Some(conn) = link.lock().conn.take() {
                 conn.kill();
+                conn.rx.lock().close();
             }
         }
         // A reactor with nothing to do sleeps in the kernel with no
@@ -1285,69 +1458,171 @@ impl Drop for InConn {
     }
 }
 
-/// The read half of an outbound connection a node dialed: replies come
-/// back here and resolve the pending table.
-struct OutWatch {
-    dst: NodeId,
-    conn: Arc<Conn>,
-    asm: FrameAssembler,
+/// One read pass over an outbound connection `node → dst`: read what the
+/// socket has, bounded for fairness, and hand each reply to whoever it is
+/// owed to. Run by the holder of the read half, and by the reactor when
+/// the peer hangs up. Returns false when the connection failed (already
+/// cleaned up).
+fn read_replies(shared: &TcpShared, node: NodeId, dst: NodeId, conn: &Arc<Conn>) -> bool {
+    let mut asm = conn.asm.lock();
+    let mut ok = true;
+    for _ in 0..READS_PER_PASS {
+        match asm.read_from(&mut &conn.sock, READ_CHUNK) {
+            Ok(0) => {
+                ok = false; // EOF: the peer is gone
+                break;
+            }
+            Ok(n) if n < READ_CHUNK => break,
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => {
+                ok = false;
+                break;
+            }
+        }
+    }
+    // Replies travel `dst → node`; the pending gauge lives on the link as
+    // dialed, `node → dst`. Frames read before an EOF are still delivered.
+    let in_obs = shared.obs.pair(dst, node);
+    let link_obs = shared.obs.pair(node, dst);
+    let mut rx = conn.rx.lock();
+    loop {
+        let (req_id, reply, n) = match asm.next_frame() {
+            Ok(Some((WireMsg::BlockReply { req_id, data }, n))) => (req_id, Reply::Block(data), n),
+            Ok(Some((WireMsg::BarrierAck { req_id } | WireMsg::Pong { req_id }, n))) => {
+                (req_id, Reply::Ack, n)
+            }
+            Ok(None) => break,
+            // Only replies travel dst → node; anything else is protocol
+            // corruption.
+            Ok(Some(_)) | Err(_) => {
+                ok = false;
+                break;
+            }
+        };
+        shared.frames_received.fetch_add(1, Ordering::Relaxed);
+        in_obs.frames_in.inc();
+        in_obs.bytes_in.add(n);
+        // No entry: its waiter left (timed out or dropped) — discard.
+        if let Some(owed) = rx.pending.remove(&req_id) {
+            link_obs.pending_replies.adjust(-1);
+            owed.deliver(reply);
+        }
+    }
+    if rx.reader == Reader::Reactor && rx.pending.is_empty() {
+        rx.reader = Reader::Idle; // nothing owed: back to hang-up interest
+    }
+    drop(rx);
+    drop(asm);
+    if !ok {
+        conn_failed(shared, node, dst, conn);
+    }
+    ok
 }
 
-impl OutWatch {
-    /// One nonblocking read + demux pass over a socket that reported
-    /// ready. Returns false when the connection failed (already cleaned up).
-    fn poll(&mut self, shared: &TcpShared, node: NodeId) -> bool {
-        for _ in 0..READS_PER_PASS {
-            match self.asm.read_from(&mut &self.conn.sock, READ_CHUNK) {
-                Ok(0) => {
-                    conn_failed(shared, node, self.dst, &self.conn);
-                    return false;
+/// One train issued on the outbound connection `src → dst`, until it is
+/// waited for or dropped.
+struct TcpWait {
+    shared: Arc<TcpShared>,
+    conn: Arc<Conn>,
+    src: NodeId,
+    dst: NodeId,
+    waiter: Arc<Waiter>,
+    /// The train's request ids are `first..first + n`, slot by slot.
+    first: u64,
+}
+
+impl TcpWait {
+    /// How [`Reader::Caller`] names this caller.
+    fn id(&self) -> usize {
+        Arc::as_ptr(&self.waiter) as usize
+    }
+
+    /// Take the read half if it is free — idle, or held by a caller that is
+    /// not polling it (one that issued a train and is waiting elsewhere).
+    /// True if this caller now reads the socket.
+    fn lead(&self) -> bool {
+        let mut rx = self.conn.rx.lock();
+        let free = !rx.closed
+            && match rx.reader {
+                Reader::Idle => true,
+                Reader::Caller { waiter, polling } => waiter == self.id() || !polling,
+                Reader::Reactor => false,
+            };
+        if free {
+            rx.reader = Reader::Caller {
+                waiter: self.id(),
+                polling: true,
+            };
+        }
+        free
+    }
+
+    /// Wait until every reply is in, the connection fails, or `timeout`
+    /// passes: as the reader, blocked on this one socket, handing others'
+    /// replies on as they come; else asleep until the reader hands over
+    /// ours.
+    fn complete(&self, timeout: Duration) {
+        let deadline = Instant::now() + timeout;
+        while !self.waiter.done() {
+            let now = Instant::now();
+            if now >= deadline {
+                return;
+            }
+            if self.lead() {
+                let mut fd = [PollFd::new(&self.conn.sock, POLLIN)];
+                if wait_ready(&mut fd, Some(deadline - now)) > 0 {
+                    read_replies(&self.shared, self.src, self.dst, &self.conn);
                 }
-                Ok(n) if n < READ_CHUNK => break,
-                Ok(_) => {}
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    conn_failed(shared, node, self.dst, &self.conn);
-                    return false;
-                }
+            } else {
+                self.waiter.park(deadline);
             }
         }
-        // Replies travel `dst → node`; the pending gauge lives on the
-        // link as dialed, `node → dst`.
-        let in_obs = shared.obs.pair(self.dst, node);
-        let link_obs = shared.obs.pair(node, self.dst);
-        loop {
-            match self.asm.next_frame() {
-                Ok(Some((WireMsg::BlockReply { req_id, data }, n))) => {
-                    shared.frames_received.fetch_add(1, Ordering::Relaxed);
-                    in_obs.frames_in.inc();
-                    in_obs.bytes_in.add(n);
-                    if let Some(Pending::Block(tx)) = self.conn.pending.remove(req_id) {
-                        link_obs.pending_replies.adjust(-1);
-                        let _ = tx.send(data); // requester may have timed out
-                    }
-                }
-                Ok(Some((WireMsg::BarrierAck { req_id }, n)))
-                | Ok(Some((WireMsg::Pong { req_id }, n))) => {
-                    shared.frames_received.fetch_add(1, Ordering::Relaxed);
-                    in_obs.frames_in.inc();
-                    in_obs.bytes_in.add(n);
-                    if let Some(Pending::Barrier(tx)) = self.conn.pending.remove(req_id) {
-                        link_obs.pending_replies.adjust(-1);
-                        let _ = tx.send(());
-                    }
-                }
-                Ok(None) => break,
-                // Only replies travel dst → node; anything else is
-                // protocol corruption.
-                Ok(Some(_)) | Err(_) => {
-                    conn_failed(shared, node, self.dst, &self.conn);
-                    return false;
+    }
+}
+
+impl Completion for TcpWait {
+    fn wait(self: Box<Self>, timeout: Duration) -> Vec<Option<Arc<[u8]>>> {
+        self.complete(timeout);
+        let waiter = self.waiter.clone();
+        drop(self); // leave first: nothing can resolve a slot after that
+        let replies = std::mem::take(&mut waiter.slots.lock().replies);
+        replies
+    }
+}
+
+impl Drop for TcpWait {
+    /// Leave the connection: give up the replies still owed (one that comes
+    /// later is discarded), and pass the read half on if this caller holds
+    /// it — to the reactor while others' replies are owed, else back to
+    /// idle.
+    fn drop(&mut self) {
+        let (n, settled) = {
+            let s = self.waiter.slots.lock();
+            (s.replies.len() as u64, s.owed == 0 || s.failed)
+        };
+        let mut given_up = 0;
+        let mut wake = false;
+        {
+            let mut rx = self.conn.rx.lock();
+            if !settled {
+                for req_id in self.first..self.first + n {
+                    given_up += i64::from(rx.pending.remove(&req_id).is_some());
                 }
             }
+            if matches!(rx.reader, Reader::Caller { waiter, .. } if waiter == self.id()) {
+                wake = !rx.pending.is_empty();
+                rx.reader = if wake { Reader::Reactor } else { Reader::Idle };
+            }
         }
-        true
+        if given_up > 0 {
+            let o = self.shared.obs.pair(self.src, self.dst);
+            o.pending_replies.adjust(-given_up);
+        }
+        if wake {
+            self.shared.wake(self.src);
+        }
     }
 }
 
@@ -1361,6 +1636,12 @@ struct PollFd {
 
 const POLLIN: i16 = 0x001;
 const POLLOUT: i16 = 0x004;
+/// The peer shut its write half (Linux); elsewhere only `POLLHUP`, which
+/// is always reported, tells of a closed peer.
+#[cfg(any(target_os = "linux", target_os = "android"))]
+const POLLRDHUP: i16 = 0x2000;
+#[cfg(not(any(target_os = "linux", target_os = "android")))]
+const POLLRDHUP: i16 = 0;
 
 impl PollFd {
     fn new(fd: &impl AsRawFd, events: i16) -> PollFd {
@@ -1379,9 +1660,9 @@ impl PollFd {
 
 /// Block until one of `fds` is ready or `timeout` passes (`None`: no
 /// timeout), filling in each `revents`; returns how many are ready. The
-/// reactor's only blocking call, and the workspace's only `unsafe`: std has
-/// no readiness wait and the build has no registry, but std already links
-/// the platform's libc.
+/// only blocking call of the reactor and of a caller reading its replies,
+/// and the workspace's only `unsafe`: std has no readiness wait and the
+/// build has no registry, but std already links the platform's libc.
 fn wait_ready(fds: &mut [PollFd], timeout: Option<Duration>) -> usize {
     #[cfg(any(target_os = "linux", target_os = "android"))]
     type NFds = std::ffi::c_ulong;
@@ -1412,8 +1693,9 @@ fn wait_ready(fds: &mut [PollFd], timeout: Option<Duration>) -> usize {
 
 /// The per-node event loop: accepts inbound connections, answers their
 /// block requests from the node's store or demuxes their frames to the
-/// service inbox, batches and writes their replies, and resolves replies
-/// arriving on connections this node dialed. Every socket is nonblocking;
+/// service inbox, batches and writes their replies, and reads the replies
+/// on connections this node dialed while it holds their read half (the
+/// rest it watches for a hang-up). Every socket is nonblocking;
 /// the one place the loop blocks is [`wait_ready`], where a reactor with
 /// nothing to do sleeps in the kernel until a socket, the listener or the
 /// wake pipe has something for it.
@@ -1425,13 +1707,16 @@ fn reactor_loop(
     mut woken: UnixStream,
 ) {
     let mut inbound: Vec<InConn> = Vec::new();
-    let mut outbound: Vec<OutWatch> = Vec::new();
+    let mut outbound: Vec<Watch> = Vec::new();
     let mut fds: Vec<PollFd> = Vec::new();
     let obs = &shared.obs.reactors[node.index()];
-    loop {
+    // Checked before every wait: the wake-up that announces `stop` may have
+    // been drained by the pass that ran while it was set.
+    while !shared.stop.load(Ordering::Acquire) {
         // Interest set, in this order: listener, wake pipe, inbound
         // connections (writability too while a reply train is stuck behind
-        // a full socket), watched outbound connections.
+        // a full socket), watched outbound connections (replies only while
+        // this reactor holds the read half).
         fds.clear();
         fds.push(PollFd::new(&listener, POLLIN));
         fds.push(PollFd::new(&woken, POLLIN));
@@ -1439,7 +1724,11 @@ fn reactor_loop(
             let flush = if c.wtrain.is_empty() { 0 } else { POLLOUT };
             PollFd::new(&c.sock, POLLIN | flush)
         }));
-        fds.extend(outbound.iter().map(|w| PollFd::new(&w.conn.sock, POLLIN)));
+        fds.extend(
+            outbound
+                .iter()
+                .map(|w| PollFd::new(&w.conn.sock, w.conn.reactor_interest())),
+        );
         // How long to sleep: not at all while the service thread owes a
         // reply (see `InConn::owed`); until the nearest Hello deadline
         // while a connection is still anonymous; else until woken.
@@ -1456,16 +1745,15 @@ fn reactor_loop(
         };
         let n_ready = wait_ready(&mut fds, timeout);
         obs.wakeups.inc();
-        if shared.stop.load(Ordering::Acquire) {
-            break; // InConn/Conn drops close every socket
-        }
         let mut ready = fds.iter().map(PollFd::ready);
         let accept = ready.next().expect("listener entry");
         let mailbox = ready.next().expect("wake pipe entry");
         // Serve what is ready. Connections adopted below were not in this
         // wait; the next one reports them at once if they have bytes.
         inbound.retain_mut(|c| c.poll(&shared, node, ready.next().expect("inbound entry")));
-        outbound.retain_mut(|w| !ready.next().expect("outbound entry") || w.poll(&shared, node));
+        outbound.retain(|w| {
+            !ready.next().expect("outbound entry") || read_replies(&shared, node, w.dst, &w.conn)
+        });
         if owed && n_ready == 0 {
             // Nothing but the service thread can make progress: let it run.
             std::thread::yield_now();
@@ -1475,12 +1763,8 @@ fn reactor_loop(
             // after this point finds the pipe readable again.
             let mut sink = [0u8; 64];
             while matches!(woken.read(&mut sink), Ok(n) if n > 0) {}
-            while let Ok(Watch { dst, conn }) = cmds.try_recv() {
-                outbound.push(OutWatch {
-                    dst,
-                    conn,
-                    asm: FrameAssembler::new(),
-                });
+            while let Ok(watch) = cmds.try_recv() {
+                outbound.push(watch);
             }
         }
         if accept {

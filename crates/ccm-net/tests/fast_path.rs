@@ -19,6 +19,12 @@
 //! * a file read puts each holder's remote hits on the wire as one request
 //!   train per 32-block decision chunk, and times each of those blocks
 //!   from the train's issue.
+//!
+//! Over TCP the caller waiting for a train reads its replies off the
+//! socket itself, and hands the read half on when it leaves. The last
+//! tests pin those hand-offs: a follower is still answered after its
+//! leader left, a leader cut off mid-wait or timed out leaves promptly and
+//! leaves nothing behind, and so does a `Pending` dropped unwaited.
 
 use ccm_core::{BlockId, FileId, NodeId, ReplacementPolicy, BLOCK_SIZE};
 use ccm_net::TcpLan;
@@ -28,9 +34,9 @@ use ccm_rt::{
     Transport,
 };
 use ccm_testkit::Backend;
-use simcore::chan::{unbounded, Receiver, RecvTimeoutError};
+use simcore::chan::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const TIMEOUT: Duration = Duration::from_secs(5);
 
@@ -435,4 +441,266 @@ fn a_file_longer_than_a_chunk_takes_one_train_per_chunk() {
     let s = mw.stats();
     assert_eq!((s.remote_hits, s.store_fallbacks), (70, 0));
     mw.shutdown();
+}
+
+/// A 2-node TCP link `0 → 1` whose holder's store has block 0 and whose
+/// holder's service thread stays held behind a gate until the returned
+/// sender sends (or drops). The link is dialed, by a store hit the
+/// holder's reactor answers.
+struct GatedLink {
+    registry: Registry,
+    lan: Arc<TcpLan>,
+    stores: BlockStores,
+    open_gate: Sender<()>,
+    service: std::thread::JoinHandle<()>,
+    _rx0: Receiver<PeerMsg>,
+}
+
+fn gated_link() -> GatedLink {
+    let registry = Registry::new();
+    let lan = Arc::new(TcpLan::loopback_obs(2, &registry).expect("bind loopback"));
+    let _rx0 = lan.reconnect(NodeId(0));
+    let rx1 = lan.reconnect(NodeId(1));
+    let stores = stores(2);
+    stores[1].insert(block(0), bytes(0xA0));
+    lan.attach_stores(stores.clone());
+    let (open_gate, gate) = unbounded();
+    let service = gated_service(rx1, stores.clone(), NodeId(1), gate);
+    let got = lan.fetch_block(NodeId(0), NodeId(1), block(0), TIMEOUT);
+    assert_eq!(got.as_deref(), Some(&bytes(0xA0)[..]));
+    GatedLink {
+        registry,
+        lan,
+        stores,
+        open_gate,
+        service,
+        _rx0,
+    }
+}
+
+impl GatedLink {
+    /// Replies owed on the link `0 → 1`.
+    fn pending(&self) -> i64 {
+        let snap = self.registry.snapshot();
+        match snap
+            .find("ccm_net_pending_replies", &[("dst", "1"), ("src", "0")])
+            .map(|m| &m.value)
+        {
+            Some(ccm_obs::Value::Gauge(v)) => *v,
+            other => panic!("no pending gauge for 0->1: {other:?}"),
+        }
+    }
+
+    fn requester_wakeups(&self) -> u64 {
+        self.registry
+            .snapshot()
+            .counter_sum_where("ccm_net_reactor_wakeups_total", "node", "0")
+    }
+
+    fn finish(self) {
+        let _ = self.open_gate.send(());
+        assert!(self.lan.send(NodeId(1), NodeId(1), PeerMsg::Shutdown));
+        self.service.join().unwrap();
+    }
+}
+
+/// (a) Two callers share the link: the first (the leader) asks for a store
+/// hit, the second (its follower) for a block whose bytes sit in a
+/// `Forward` queued at the gated service thread, so its reply can only
+/// come once the gate opens. The leader leaves with the follower's reply
+/// still owed; the read half goes to the requesting node's reactor, and
+/// the follower's reply arrives within 50 ms of the gate opening, not at
+/// its 5 s timeout.
+#[test]
+fn a_follower_is_answered_after_its_leader_leaves() {
+    let link = gated_link();
+    let lan = &link.lan;
+    assert!(lan.send(
+        NodeId(0),
+        NodeId(1),
+        PeerMsg::Forward {
+            block: block(1),
+            data: bytes(0xB1),
+            displace: None,
+        },
+    ));
+    let leader = lan.issue(NodeId(0), NodeId(1), &[block(0)]);
+    let follower = lan.issue(NodeId(0), NodeId(1), &[block(1)]);
+    assert_eq!(link.pending(), 2);
+    let woke = link.requester_wakeups();
+    assert_eq!(leader.wait(TIMEOUT), vec![Some(bytes(0xA0))]);
+    assert_eq!(link.pending(), 1, "the follower's reply is still owed");
+
+    let opener = std::thread::spawn({
+        let open_gate = link.open_gate.clone();
+        move || {
+            std::thread::sleep(Duration::from_millis(30));
+            let opened = Instant::now();
+            open_gate.send(()).expect("service waits at the gate");
+            opened
+        }
+    });
+    let got = follower.wait(TIMEOUT);
+    let answered = Instant::now();
+    let opened = opener.join().unwrap();
+    assert_eq!(got, vec![Some(bytes(0xB1))]);
+    assert!(
+        answered - opened < Duration::from_millis(50),
+        "the follower waited {:?} after the gate opened",
+        answered - opened
+    );
+    assert!(
+        link.requester_wakeups() > woke,
+        "the reactor took the read half over and read the reply"
+    );
+    assert_eq!(link.pending(), 0);
+    link.finish();
+}
+
+/// (b) A leader whose holder is cut off mid-wait — the holder restarts,
+/// which severs every connection to and from it — returns `None` at once
+/// rather than at its deadline, and the teardown is already counted when
+/// it does: a fetch that degrades finds its cause in the wire counters.
+#[test]
+fn a_leader_cut_off_mid_wait_returns_with_the_teardown_counted() {
+    let link = gated_link();
+    let lan = link.lan.clone();
+    let restart = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(50));
+        lan.reconnect(NodeId(1))
+    });
+    let t = Instant::now();
+    // Block 2 is a store miss: it waits at the gated service thread.
+    let got = link
+        .lan
+        .fetch_block(NodeId(0), NodeId(1), block(2), TIMEOUT);
+    let took = t.elapsed();
+    let teardowns = link.lan.net_stats().teardowns;
+    let counted = link
+        .registry
+        .snapshot()
+        .counter_sum("ccm_net_teardowns_total");
+    assert_eq!(got, None);
+    assert!(took < Duration::from_secs(1), "the leader waited {took:?}");
+    assert_eq!((teardowns, counted), (1, 1), "teardown not yet counted");
+    assert_eq!(link.pending(), 0);
+    let _rx1 = restart.join().unwrap();
+    let _ = link.open_gate.send(());
+    link.service.join().unwrap();
+}
+
+/// (c) A leader that times out gives the connection back: its entry is
+/// gone at once, the reply that comes late is read and discarded by the
+/// next reader, and the next fetch on the link succeeds.
+#[test]
+fn a_leader_that_times_out_gives_the_link_back() {
+    let link = gated_link();
+    let lan = &link.lan;
+    let t = Instant::now();
+    let got = lan.fetch_block(NodeId(0), NodeId(1), block(3), Duration::from_millis(50));
+    assert_eq!(got, None);
+    assert!(t.elapsed() >= Duration::from_millis(50));
+    assert_eq!(link.pending(), 0, "the timed-out entry is gone");
+    // The late reply: the store gets block 3 before the gate opens, so it
+    // comes back with bytes — and nobody may take them for a newer fetch.
+    link.stores[1].insert(block(3), bytes(0xC3));
+    link.open_gate.send(()).expect("service waits at the gate");
+    assert!(lan.barrier(NodeId(1), TIMEOUT), "the late reply went out");
+    assert_eq!(link.pending(), 0);
+    for _ in 0..2 {
+        let got = lan.fetch_block(NodeId(0), NodeId(1), block(0), TIMEOUT);
+        assert_eq!(got.as_deref(), Some(&bytes(0xA0)[..]));
+    }
+    let got = lan.fetch_block(NodeId(0), NodeId(1), block(3), TIMEOUT);
+    assert_eq!(got.as_deref(), Some(&bytes(0xC3)[..]));
+    assert_eq!(link.pending(), 0);
+    link.finish();
+}
+
+/// (d) A `Pending` dropped without a wait leaves no entry parked and hands
+/// nothing to the reactor; the replies that still come are discarded.
+#[test]
+fn a_pending_dropped_unwaited_leaves_nothing_parked() {
+    let link = gated_link();
+    let lan = &link.lan;
+    let woke = link.requester_wakeups();
+    let pending = lan.issue(NodeId(0), NodeId(1), &[block(4), block(0)]);
+    assert_eq!(link.pending(), 2);
+    drop(pending);
+    assert_eq!(link.pending(), 0, "a dropped Pending left entries parked");
+    assert_eq!(
+        link.requester_wakeups(),
+        woke,
+        "nothing was owed, so nothing went to the reactor"
+    );
+    link.open_gate.send(()).expect("service waits at the gate");
+    let got = lan.fetch_blocks(NodeId(0), NodeId(1), &[block(0), block(4)], TIMEOUT);
+    assert_eq!(got, vec![Some(bytes(0xA0)), None]);
+    assert_eq!(link.pending(), 0);
+    link.finish();
+}
+
+/// A follower parked on the reactor is not left behind when the transport
+/// goes away: dropping it fails what the stopping reactor can no longer
+/// read, and the follower returns `None` at once instead of at its timeout.
+#[test]
+fn dropping_the_transport_releases_a_parked_follower() {
+    let GatedLink {
+        lan,
+        open_gate,
+        service,
+        ..
+    } = gated_link();
+    let leader = lan.issue(NodeId(0), NodeId(1), &[block(0)]);
+    // Block 5 is a store miss: it waits at the gated service thread.
+    let follower = lan.issue(NodeId(0), NodeId(1), &[block(5)]);
+    assert_eq!(leader.wait(TIMEOUT), vec![Some(bytes(0xA0))]);
+    let t = Instant::now();
+    let waiting = std::thread::spawn(move || follower.wait(TIMEOUT));
+    std::thread::sleep(Duration::from_millis(30));
+    drop(lan);
+    assert_eq!(waiting.join().unwrap(), vec![None]);
+    assert!(
+        t.elapsed() < Duration::from_secs(1),
+        "the follower waited {:?}",
+        t.elapsed()
+    );
+    let _ = open_gate.send(());
+    service.join().unwrap();
+}
+
+/// Many callers on one link take turns as its reader — leading, following,
+/// taking over a leader that waits elsewhere — and every one of them gets
+/// its own bytes.
+#[test]
+fn callers_sharing_a_link_each_get_their_own_replies() {
+    let link = gated_link();
+    for i in 0..32 {
+        link.stores[1].insert(block(i), bytes(i as u8));
+    }
+    link.open_gate.send(()).expect("service waits at the gate");
+    let callers: Vec<_> = (0..4u32)
+        .map(|c| {
+            let lan = link.lan.clone();
+            std::thread::spawn(move || {
+                for round in 0..200u32 {
+                    let first = (c * 7 + round) % 28;
+                    let blocks: Vec<BlockId> = (first..first + 1 + round % 4).map(block).collect();
+                    // Two trains in flight at once, waited in reverse.
+                    let a = lan.issue(NodeId(0), NodeId(1), &blocks[..1]);
+                    let b = lan.issue(NodeId(0), NodeId(1), &blocks[1..]);
+                    let got_b = b.wait(TIMEOUT);
+                    let got_a = a.wait(TIMEOUT);
+                    for (b, data) in blocks.iter().zip(got_a.iter().chain(&got_b)) {
+                        assert_eq!(data.as_deref(), Some(&bytes(b.index as u8)[..]));
+                    }
+                }
+            })
+        })
+        .collect();
+    for c in callers {
+        c.join().expect("a caller got wrong bytes");
+    }
+    assert_eq!(link.pending(), 0);
+    link.finish();
 }

@@ -9,7 +9,9 @@
 //!   deadline although nothing else wakes the reactor, a fetch after a long
 //!   silence is prompt (no lost wake-up), and a train bigger than the
 //!   socket buffer drains in both directions, because a blocked reactor is
-//!   woken by the bytes themselves.
+//!   woken by the bytes themselves;
+//! * **not needed** — a fetch's replies are read by the caller waiting for
+//!   them, so the requesting node's reactor sleeps through it.
 
 use ccm_core::{BlockId, FileId, NodeId, BLOCK_SIZE};
 use ccm_net::TcpLan;
@@ -199,6 +201,48 @@ fn a_fetch_after_silence_is_prompt() {
             .counter_sum("ccm_net_reactor_served_total"),
         3,
         "the store hits never reached the service thread"
+    );
+    stop(&lan, services);
+}
+
+/// The caller reads its own replies: on a warm, quiet 2-node mesh one
+/// `fetch_block` and one 4-block `fetch_blocks`, both served from the
+/// holder's store, come back without one wake-up of the *requesting*
+/// node's reactor. Only the holder's reactor, which serves them, and the
+/// caller itself wake; a reply that went through the requester's reactor
+/// and a channel hand-off would count at least one per reply train.
+#[test]
+fn a_fetch_leaves_the_requesting_reactor_asleep() {
+    let registry = Registry::new();
+    let lan = TcpLan::loopback_obs(2, &registry).expect("bind loopback");
+    let services = dialled_mesh(&lan, 2);
+    let stores: BlockStores = (0..2).map(|_| ShardedMap::new()).collect();
+    for i in 0..4 {
+        stores[1].insert(block(i), payload(i));
+    }
+    lan.attach_stores(stores);
+    std::thread::sleep(Duration::from_millis(50)); // let the last pongs land
+    let before = wakeups(&registry, 0);
+
+    let got = lan.fetch_block(NodeId(0), NodeId(1), block(0), TIMEOUT);
+    assert_eq!(got.as_deref(), Some(&payload(0)[..]));
+    let blocks: Vec<BlockId> = (0..4).map(block).collect();
+    let got = lan.fetch_blocks(NodeId(0), NodeId(1), &blocks, TIMEOUT);
+    for (b, data) in blocks.iter().zip(&got) {
+        assert_eq!(data.as_deref(), Some(&payload(b.index)[..]));
+    }
+
+    assert_eq!(
+        wakeups(&registry, 0) - before,
+        0,
+        "the requesting node's reactor woke for replies its caller reads"
+    );
+    assert_eq!(
+        registry
+            .snapshot()
+            .counter_sum("ccm_net_reactor_served_total"),
+        5,
+        "every block was a store hit at the holder's reactor"
     );
     stop(&lan, services);
 }

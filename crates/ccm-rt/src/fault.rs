@@ -30,7 +30,7 @@
 //! on the same link, then delivered after them — reordering expressed in
 //! message counts rather than time, which keeps it deterministic.
 
-use crate::transport::{PeerMsg, Transport};
+use crate::transport::{PeerMsg, Pending, Transport};
 use ccm_core::{BlockId, NodeId};
 use ccm_disk::DiskFaults;
 use ccm_obs::{Counter, Registry};
@@ -326,27 +326,30 @@ impl ChaosLan {
         reply_rx.recv_timeout(timeout).ok().flatten()
     }
 
-    /// Request every block in `blocks` from `holder` on behalf of `src`;
-    /// replies come back in request order. Without link faults the batch
-    /// passes through whole to the inner transport's
-    /// [`Transport::fetch_blocks`] — one pipelined train over `TcpLan`.
+    /// Put the fetches of `blocks` from `holder` in flight on behalf of
+    /// `src` — see [`Transport::issue`]. Without link faults the train passes
+    /// whole to the inner transport (one pipelined train over `TcpLan`).
     /// Under a fault plan each request goes through the fault model on its
-    /// own, in block order and with its own `timeout`, exactly as a loop of
-    /// [`ChaosLan::fetch_block`] calls would.
-    pub fn fetch_blocks(
+    /// own, in block order, and is answered or waited out (`timeout` each)
+    /// before the next is sent, exactly as a loop of
+    /// [`ChaosLan::fetch_block`] calls would: the train completes here and
+    /// the `Pending` comes back ready.
+    pub fn issue(
         &self,
         src: NodeId,
         holder: NodeId,
         blocks: &[BlockId],
         timeout: Duration,
-    ) -> Vec<Option<Arc<[u8]>>> {
+    ) -> Pending {
         if self.links.is_empty() {
-            return self.inner.fetch_blocks(src, holder, blocks, timeout);
+            return self.inner.issue(src, holder, blocks);
         }
-        blocks
-            .iter()
-            .map(|&b| self.fetch_block(src, holder, b, timeout))
-            .collect()
+        Pending::ready(
+            blocks
+                .iter()
+                .map(|&b| self.fetch_block(src, holder, b, timeout))
+                .collect(),
+        )
     }
 
     /// Deliver every held message on every link, in link order. Part of

@@ -19,7 +19,7 @@ use crate::membership::{MemberState, Membership};
 use crate::obs::{ReadClass, RtObs};
 use crate::shard::ShardedMap;
 use crate::store::{BlockStore, Catalog};
-use crate::transport::{BlockStores, Lan, PeerMsg, Transport};
+use crate::transport::{BlockStores, Lan, PeerMsg, Pending, Transport};
 use crate::write::{WriteConfig, WriteMode, WriteStats};
 use ccm_core::{
     AccessOutcome, AdmissionConfig, AdmissionStats, BlockId, CacheConfig, CacheStats, ClusterCache,
@@ -719,6 +719,9 @@ struct Step {
     /// When the fetch that carried the block was issued; `None` if no
     /// fetch was.
     issued: Option<Stopwatch>,
+    /// The train issued to this block's holder, on the first block it
+    /// carries, until it is waited for.
+    train: Option<Pending>,
     /// The block's bytes once served ahead of block order (local hits).
     served: Option<Arc<[u8]>>,
     /// The decision's eviction, until it is applied.
@@ -1316,9 +1319,10 @@ impl NodeHandle {
     /// The blocks are decided in chunks of up to 32 (one frame train's
     /// worth): one hold of the decision lock runs `ClusterCache::access`
     /// for each block of the chunk in block order, then each live holder's
-    /// remote hits go on the wire as one `Transport::fetch_blocks` train,
-    /// then the blocks are served in block order as one-block reads would
-    /// be — evictions, store installs, counters and trace hops. Local hits
+    /// remote hits go on the wire as one `Transport::issue` train — every
+    /// holder's train before the first is waited for — then the blocks are
+    /// served in block order as one-block reads would be — evictions,
+    /// store installs, counters and trace hops. Local hits
     /// are served, and evictions that touch none of the chunk's blocks are
     /// applied, before the trains leave. With a single caller the
     /// decisions and their effects are those of a per-block
@@ -1407,6 +1411,7 @@ impl NodeHandle {
                     req: 0,
                     fetched: None,
                     issued: None,
+                    train: None,
                     served: None,
                     eviction: outcome.eviction(),
                 });
@@ -1482,10 +1487,13 @@ impl NodeHandle {
     }
 
     /// Put the chunk's remote fetches on the wire before its remaining
-    /// effects: one train per live holder, its blocks in block order. A
-    /// holder that died since the decision cannot answer, so its blocks
-    /// skip the round trip and its timeout and fall back when served.
+    /// effects: one train per live holder, its blocks in block order, and
+    /// every train issued before the first is waited for, so the holders
+    /// answer at the same time. A holder that died since the decision
+    /// cannot answer, so its blocks skip the round trip and its timeout and
+    /// fall back when served.
     fn fetch_remote(&self, steps: &mut [Step]) {
+        let timeout = self.shared.fetch_timeout;
         for i in 0..steps.len() {
             let Some(from) = steps[i].remote_holder() else {
                 continue;
@@ -1500,13 +1508,23 @@ impl NodeHandle {
                 .map(|s| s.block)
                 .collect();
             let issued = Some(Stopwatch::start());
-            let replies =
-                self.shared
-                    .chaos
-                    .fetch_blocks(self.node, from, &blocks, self.shared.fetch_timeout);
-            for (s, data) in steps[i..].iter_mut().filter(|s| on_train(s)).zip(replies) {
-                s.fetched = data;
+            steps[i].train = Some(self.shared.chaos.issue(self.node, from, &blocks, timeout));
+            for s in steps[i..].iter_mut().filter(|s| on_train(s)) {
                 s.issued = issued;
+            }
+        }
+        for i in 0..steps.len() {
+            let Some(train) = steps[i].train.take() else {
+                continue;
+            };
+            let from = steps[i].remote_holder();
+            let replies = train.wait(timeout);
+            for (s, data) in steps[i..]
+                .iter_mut()
+                .filter(|s| s.remote_holder() == from)
+                .zip(replies)
+            {
+                s.fetched = data;
             }
         }
     }

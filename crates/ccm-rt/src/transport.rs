@@ -11,9 +11,17 @@
 //! In the channel backend each node owns an unbounded receiver; any thread
 //! holding a [`Lan`] can address any node. Data-plane replies travel on
 //! per-request one-shot channels, as a real RPC layer would multiplex them.
-//! (A socket backend cannot ship a channel sender across the wire; it keeps
-//! the same in-process reply channels node-local and correlates the wire
-//! halves by request id — see `ccm-net`.)
+//! (A socket backend cannot ship a channel sender across the wire; it
+//! correlates replies by request id and completes them its own way — see
+//! `ccm-net`.)
+//!
+//! ## Issue now, wait later
+//!
+//! A peer fetch is two calls: [`Transport::issue`] puts a train of block
+//! requests in flight and returns a [`Pending`] at once, and
+//! [`Pending::wait`] collects the replies. A caller can therefore put every
+//! holder's train on the wire before it waits for any of them, and every
+//! wait — a fetch, a barrier, a ping — completes in one place.
 //!
 //! The sender fabric is reconnectable: when a node crashes its service
 //! thread exits and drops the receiver, making every in-flight send to it
@@ -48,7 +56,7 @@ use ccm_core::{BlockId, NodeId};
 use simcore::chan::{unbounded, Receiver, Sender};
 use simcore::sync::RwLock;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A message between cluster nodes.
 ///
@@ -146,6 +154,114 @@ impl AttachedStores {
     }
 }
 
+/// Peer fetches in flight: what [`Transport::issue`] returns, and the one
+/// place a caller waits for their replies ([`Pending::wait`]).
+///
+/// Dropping a `Pending` without waiting abandons its replies: the backend
+/// releases whatever it keeps for them, and replies that still arrive are
+/// discarded.
+#[must_use = "the replies are only collected by `Pending::wait`"]
+pub struct Pending(Owed);
+
+/// Where a block reply comes in on an in-process channel.
+type ReplyRx = Receiver<Option<Arc<[u8]>>>;
+
+enum Owed {
+    /// Replies in request order; those still owed come on in-process reply
+    /// channels, each with its index.
+    Channels {
+        replies: Vec<Option<Arc<[u8]>>>,
+        channels: Vec<(usize, ReplyRx)>,
+    },
+    /// One ack owed on an in-process channel (a barrier or a ping).
+    Ack(Receiver<()>),
+    /// Replies a wire backend completes its own way.
+    Wire(Box<dyn Completion>),
+}
+
+/// How a wire backend completes the fetches it issued: see
+/// [`Pending::wire`].
+pub trait Completion: Send {
+    /// Block until every reply is in or `timeout` passes. Returns the
+    /// replies in request order, `None` for each one that did not come.
+    fn wait(self: Box<Self>, timeout: Duration) -> Vec<Option<Arc<[u8]>>>;
+}
+
+impl Pending {
+    /// Replies already in hand (or known lost, as `None`).
+    pub fn ready(replies: Vec<Option<Arc<[u8]>>>) -> Pending {
+        Pending(Owed::Channels {
+            replies,
+            channels: Vec::new(),
+        })
+    }
+
+    /// An ack owed on `rx`: [`Pending::acked`] is true once it comes.
+    pub fn ack(rx: Receiver<()>) -> Pending {
+        Pending(Owed::Ack(rx))
+    }
+
+    /// Replies a wire backend owes and completes itself.
+    pub fn wire(completion: Box<dyn Completion>) -> Pending {
+        Pending(Owed::Wire(completion))
+    }
+
+    /// The default [`Transport::issue`]: one [`PeerMsg::BlockRequest`] per
+    /// block through `transport.send`, each with its own reply channel, all
+    /// sent before the first is waited for. A refused send reads as `None`.
+    pub fn via_send<T: Transport + ?Sized>(
+        transport: &T,
+        src: NodeId,
+        holder: NodeId,
+        blocks: &[BlockId],
+    ) -> Pending {
+        let mut channels = Vec::with_capacity(blocks.len());
+        for (i, &block) in blocks.iter().enumerate() {
+            let (reply, rx) = unbounded();
+            if transport.send(src, holder, PeerMsg::BlockRequest { block, reply }) {
+                channels.push((i, rx));
+            }
+        }
+        Pending(Owed::Channels {
+            replies: vec![None; blocks.len()],
+            channels,
+        })
+    }
+
+    /// Wait at most `timeout` for every reply. Returns them in request
+    /// order; `None` for a block means the holder no longer caches it, is
+    /// unreachable, or did not answer in time (an ack reads as `Some` of an
+    /// empty buffer).
+    pub fn wait(self, timeout: Duration) -> Vec<Option<Arc<[u8]>>> {
+        match self.0 {
+            Owed::Channels {
+                mut replies,
+                channels,
+            } => {
+                let deadline = Instant::now() + timeout;
+                for (i, rx) in channels {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    replies[i] = rx.recv_timeout(left).ok().flatten();
+                }
+                replies
+            }
+            Owed::Ack(rx) => {
+                let acked = rx.recv_timeout(timeout).is_ok();
+                vec![acked.then(|| Arc::from(&[][..]))]
+            }
+            Owed::Wire(completion) => completion.wait(timeout),
+        }
+    }
+
+    /// Wait at most `timeout`; true if every reply came.
+    pub fn acked(self, timeout: Duration) -> bool {
+        match self.0 {
+            Owed::Ack(rx) => rx.recv_timeout(timeout).is_ok(),
+            _ => self.wait(timeout).iter().all(Option::is_some),
+        }
+    }
+}
+
 /// What the middleware needs from a peer transport.
 ///
 /// Implementations deliver [`PeerMsg`]s into per-node inboxes; the
@@ -163,6 +279,11 @@ impl AttachedStores {
 /// * `reconnect` starts a fresh inbox incarnation for `node`, both at
 ///   startup and after a crash; messages addressed to the previous
 ///   incarnation must never reach the new one.
+/// * `issue` returns without waiting; everything a fetch waits for is
+///   waited for in [`Pending::wait`], against the deadline its caller
+///   passes there. The requests carry no deadline of their own: a reply
+///   that comes after its waiter left is discarded, and a `Pending`
+///   dropped unwaited leaves nothing parked behind it.
 pub trait Transport: Send + Sync + 'static {
     /// Number of nodes attached.
     fn nodes(&self) -> usize;
@@ -181,11 +302,26 @@ pub trait Transport: Send + Sync + 'static {
     /// default ignores them: every request goes through the inbox.
     fn attach_stores(&self, _stores: BlockStores) {}
 
-    /// Request `block` from `holder` on behalf of `src`, waiting at most
-    /// `timeout`. `None` means the holder no longer caches the block, is
-    /// unreachable, or the reply did not arrive in time; callers fall back
-    /// to the backing store either way (the §3 "eventual disk read" escape
-    /// hatch).
+    /// Put a train of fetches in flight: request every block in `blocks`
+    /// from `holder` on behalf of `src`, and return at once. The replies
+    /// are collected by [`Pending::wait`], in request order against one
+    /// deadline; a block that comes back `None` — the holder no longer
+    /// caches it, is unreachable, or did not answer in time — falls back to
+    /// the backing store (the §3 "eventual disk read" escape hatch).
+    ///
+    /// A caller may issue several trains before it waits for any, so trains
+    /// to different holders overlap. The default is [`Pending::via_send`]:
+    /// one [`PeerMsg::BlockRequest`] per block through `send`. A backend
+    /// overrides it to answer where the request already is (the channel
+    /// [`Lan`] serves store hits on the calling thread) or to put the train
+    /// on the wire as one batch and complete it without a hand-off
+    /// (`ccm-net`'s `TcpLan`).
+    fn issue(&self, src: NodeId, holder: NodeId, blocks: &[BlockId]) -> Pending {
+        Pending::via_send(self, src, holder, blocks)
+    }
+
+    /// Fetch one block: [`Transport::issue`] one request and wait at most
+    /// `timeout` for it.
     fn fetch_block(
         &self,
         src: NodeId,
@@ -193,31 +329,14 @@ pub trait Transport: Send + Sync + 'static {
         block: BlockId,
         timeout: Duration,
     ) -> Option<Arc<[u8]>> {
-        let (reply_tx, reply_rx) = unbounded();
-        if !self.send(
-            src,
-            holder,
-            PeerMsg::BlockRequest {
-                block,
-                reply: reply_tx,
-            },
-        ) {
-            return None;
-        }
-        reply_rx.recv_timeout(timeout).ok().flatten()
+        self.issue(src, holder, std::slice::from_ref(&block))
+            .wait(timeout)
+            .pop()
+            .flatten()
     }
 
-    /// Vectored [`Transport::fetch_block`]: request every block in
-    /// `blocks` from `holder` on behalf of `src`, against one shared
-    /// deadline, and return the replies in request order (`None` per block
-    /// on miss, loss, or timeout — each such block falls back to the
-    /// backing store exactly as a serial fetch would).
-    ///
-    /// The default issues the requests serially, one round trip each — the
-    /// channel backend's behavior. A wire backend should override it to
-    /// *pipeline*: put all the requests in flight at once so their frames
-    /// and replies coalesce into batched writes, amortizing the per-trip
-    /// wakeup chain across the batch.
+    /// Fetch a train of blocks: [`Transport::issue`] them and wait at most
+    /// `timeout` for the replies, in request order.
     fn fetch_blocks(
         &self,
         src: NodeId,
@@ -225,25 +344,15 @@ pub trait Transport: Send + Sync + 'static {
         blocks: &[BlockId],
         timeout: Duration,
     ) -> Vec<Option<Arc<[u8]>>> {
-        let deadline = std::time::Instant::now() + timeout;
-        blocks
-            .iter()
-            .map(|&b| {
-                let left = deadline.saturating_duration_since(std::time::Instant::now());
-                self.fetch_block(src, holder, b, left)
-            })
-            .collect()
+        self.issue(src, holder, blocks).wait(timeout)
     }
 
     /// Quiesce `node`: ack once every message previously handed to the
     /// fabric for `node` has been processed by its service thread. False if
     /// the node is dead or the ack timed out.
     fn barrier(&self, node: NodeId, timeout: Duration) -> bool {
-        let (reply_tx, reply_rx) = unbounded();
-        if !self.send(node, node, PeerMsg::Barrier { reply: reply_tx }) {
-            return false;
-        }
-        reply_rx.recv_timeout(timeout).is_ok()
+        let (reply, rx) = unbounded();
+        self.send(node, node, PeerMsg::Barrier { reply }) && Pending::ack(rx).acked(timeout)
     }
 
     /// Heartbeat `dst` on behalf of `src`: true once the destination's
@@ -251,11 +360,8 @@ pub trait Transport: Send + Sync + 'static {
     /// False — a missed heartbeat — if the send was refused, the thread is
     /// gone, or the pong did not arrive in time.
     fn ping(&self, src: NodeId, dst: NodeId, timeout: Duration) -> bool {
-        let (reply_tx, reply_rx) = unbounded();
-        if !self.send(src, dst, PeerMsg::Ping { reply: reply_tx }) {
-            return false;
-        }
-        reply_rx.recv_timeout(timeout).is_ok()
+        let (reply, rx) = unbounded();
+        self.send(src, dst, PeerMsg::Ping { reply }) && Pending::ack(rx).acked(timeout)
     }
 }
 
@@ -320,47 +426,23 @@ impl Lan {
         rx
     }
 
-    /// Request `block` from `holder` and wait up to `timeout` for the reply.
-    /// With the stores attached, a block the live holder's store has is
-    /// returned on the calling thread without waking the holder's service
-    /// thread; a store miss goes through its inbox (module docs).
-    ///
-    /// `None` means the holder no longer caches the block, its thread is
-    /// gone, or the reply did not arrive in time; callers fall back to the
-    /// backing store either way (the §3 "eventual disk read" escape hatch).
+    /// Request `block` from `holder` and wait up to `timeout` for the reply:
+    /// [`Transport::fetch_block`] over the channel fabric (see
+    /// [`Transport::issue`] for how `Lan` answers it).
     pub fn fetch_block(
         &self,
         holder: NodeId,
         block: BlockId,
         timeout: Duration,
     ) -> Option<Arc<[u8]>> {
-        let inbox = &self.fabric.peers[holder.index()];
-        let hit = self.fabric.stores.hit(holder, &inbox.read(), block);
-        if hit.is_some() {
-            return hit;
-        }
-        let (reply_tx, reply_rx) = unbounded();
-        if !self.send(
-            holder,
-            PeerMsg::BlockRequest {
-                block,
-                reply: reply_tx,
-            },
-        ) {
-            return None;
-        }
-        reply_rx.recv_timeout(timeout).ok().flatten()
+        Transport::fetch_block(self, holder, holder, block, timeout)
     }
 
     /// Send a [`PeerMsg::Barrier`] to `node` and wait up to `timeout` for
     /// the ack. True once every message enqueued before the barrier has been
     /// processed; false if the node is dead or the ack timed out.
     pub fn barrier(&self, node: NodeId, timeout: Duration) -> bool {
-        let (reply_tx, reply_rx) = unbounded();
-        if !self.send(node, PeerMsg::Barrier { reply: reply_tx }) {
-            return false;
-        }
-        reply_rx.recv_timeout(timeout).is_ok()
+        Transport::barrier(self, node, timeout)
     }
 }
 
@@ -383,18 +465,25 @@ impl Transport for Lan {
         self.fabric.stores.attach(stores);
     }
 
-    fn fetch_block(
-        &self,
-        _src: NodeId,
-        holder: NodeId,
-        block: BlockId,
-        timeout: Duration,
-    ) -> Option<Arc<[u8]>> {
-        Lan::fetch_block(self, holder, block, timeout)
-    }
-
-    fn barrier(&self, node: NodeId, timeout: Duration) -> bool {
-        Lan::barrier(self, node, timeout)
+    /// With the stores attached, a block the live holder's store has is
+    /// answered here, on the calling thread, without waking the holder's
+    /// service thread; a store miss goes through its inbox (module docs)
+    /// and is waited for in [`Pending::wait`].
+    fn issue(&self, _src: NodeId, holder: NodeId, blocks: &[BlockId]) -> Pending {
+        let inbox = &self.fabric.peers[holder.index()];
+        let mut replies = Vec::with_capacity(blocks.len());
+        let mut channels = Vec::new();
+        for (i, &block) in blocks.iter().enumerate() {
+            let hit = self.fabric.stores.hit(holder, &inbox.read(), block);
+            if hit.is_none() {
+                let (reply, rx) = unbounded();
+                if self.send(holder, PeerMsg::BlockRequest { block, reply }) {
+                    channels.push((i, rx));
+                }
+            }
+            replies.push(hit);
+        }
+        Pending(Owed::Channels { replies, channels })
     }
 }
 
@@ -483,6 +572,48 @@ mod tests {
         // A dead inbox: the store still holds the block; nothing is served.
         drop(inboxes);
         assert_eq!(lan.fetch_block(NodeId(1), b(4), TIMEOUT), None);
+    }
+
+    /// `issue` + `wait` answers as the one-block fetches do, in request
+    /// order: a store hit on the calling thread, a miss through the inbox
+    /// (answered, or `None` at the deadline), and nothing from a dead inbox.
+    #[test]
+    fn issue_then_wait_answers_hits_misses_and_dead_inboxes() {
+        let bytes = |v: u8| Some(Arc::<[u8]>::from(&[v][..]));
+        let (lan, mut inboxes) = Lan::new(3);
+        let stores: BlockStores = (0..3).map(|_| ShardedMap::new()).collect();
+        stores[1].insert(b(4), vec![4].into());
+        stores[2].insert(b(6), vec![6].into());
+        Transport::attach_stores(&lan, stores);
+
+        let pending = lan.issue(NodeId(0), NodeId(1), &[b(4), b(5)]);
+        assert_eq!(inboxes[1].len(), 1, "only the miss reached the inbox");
+        let server = std::thread::spawn({
+            let inbox = inboxes[1].clone();
+            move || match inbox.recv().unwrap() {
+                PeerMsg::BlockRequest { block, reply } => {
+                    assert_eq!(block, b(5));
+                    reply.send(Some(vec![5].into())).unwrap();
+                }
+                _ => panic!("wrong message"),
+            }
+        });
+        assert_eq!(pending.wait(TIMEOUT), vec![bytes(4), bytes(5)]);
+        server.join().unwrap();
+
+        // Nobody answers the miss now: it reads as `None` at the deadline,
+        // and the hit behind it is still served.
+        let got = lan
+            .issue(NodeId(0), NodeId(1), &[b(5), b(4)])
+            .wait(Duration::from_millis(20));
+        assert_eq!(got, vec![None, bytes(4)]);
+
+        // A dead inbox serves nothing, and nothing is left to wait for.
+        drop(inboxes.remove(2));
+        let t = Instant::now();
+        let got = lan.issue(NodeId(0), NodeId(2), &[b(6), b(7)]).wait(TIMEOUT);
+        assert_eq!(got, vec![None, None]);
+        assert!(t.elapsed() < TIMEOUT / 2, "a dead inbox was waited out");
     }
 
     #[test]
