@@ -33,15 +33,22 @@
 //!   block is in the node's attached store
 //!   ([`Transport::attach_stores`]) is a lock-sharded map lookup, so the
 //!   reactor pushes the [`WireMsg::BlockReply`] onto the connection's reply
-//!   train in the same pass, with no other thread involved; or
+//!   outbox in the same pass, with no other thread involved; or
 //! * **forwarded to the service inbox** — everything that mutates the node
 //!   (`Forward`, `Invalidate`, `WriteInvalidate`), everything that must
 //!   observe the inbox order (`Barrier`, `Ping`), and every `BlockRequest`
 //!   the reactor cannot answer: a store *miss*, no store attached, or a
-//!   dead inbox incarnation. Requests that need replies park a
-//!   per-connection FIFO of reply receivers which the reactor harvests
-//!   without blocking, so many requests stream down one connection
-//!   *pipelined* and their replies batch into a reply train.
+//!   dead inbox incarnation. A request that needs a reply carries a
+//!   [`ReplySink`] bound to its connection and request id, through which
+//!   the service thread writes the reply itself; the reactor waits for
+//!   none, so many requests stream down one connection *pipelined*.
+//!
+//! Both write through the connection's one reply outbox, a group commit
+//! like the request side's: whoever stages a reply while nobody writes
+//! becomes the writer. A writer writes only what the socket accepts without
+//! blocking and hands a remainder to the reactor, which finishes it when
+//! the socket turns writable. A sink dropped unsent answers anyway: a fetch
+//! with an explicit miss, an ack by tearing the connection down.
 //!
 //! The miss fall-through is what keeps ordering: a `Forward{X}` still
 //! queued in the inbox followed by a `BlockRequest{X}` on the same
@@ -74,9 +81,9 @@
 //! * **the dialing node's reactor** — it gets the read half, through its
 //!   wake pipe, when a leader leaves (done, timed out or dropped) while
 //!   other replies are still owed, and when a reply channel comes in
-//!   through `send` (a ping, a wire barrier, a fetch under a fault plan),
-//!   which nobody waits for inside the transport. It gives it back once
-//!   the pending table is empty.
+//!   through `send` (a fetch under a fault plan; pings and wire barriers go
+//!   out as trains waited for like a fetch), which nobody waits for inside
+//!   the transport. It gives it back once the pending table is empty.
 //!
 //! **Ownership invariant:** whenever an outbound connection's pending table
 //! is non-empty, exactly one of its leading caller or its node's reactor
@@ -86,12 +93,10 @@
 //! holds, hands it on, and fails the connection.
 //!
 //! An idle reactor **blocks in `poll(2)`** on its listener, its sockets and
-//! a wake pipe (new `Watch` work, a read-half hand-off, shutdown): kernel
-//! readiness wakes it the moment a peer's bytes arrive, and it costs
-//! nothing while there are none. It waits with a zero timeout only while
-//! the service thread owes an inbound connection a reply it can learn of no
-//! other way (the reply channel cannot be polled by the kernel), and with a
-//! deadline while an accepted connection has yet to say Hello.
+//! a wake pipe (new `Watch` work, a read-half hand-off, a reply remainder,
+//! shutdown): kernel readiness wakes it the moment a peer's bytes arrive,
+//! and it costs nothing while there are none. It waits with a deadline only
+//! while an accepted connection has yet to say Hello.
 //!
 //! ## Connection lifecycle
 //!
@@ -140,15 +145,17 @@
 //! [`Transport::reconnect`]: ccm_rt::Transport::reconnect
 //! [`Pending::wait`]: ccm_rt::Pending::wait
 //! [`PeerMsg`]: ccm_rt::PeerMsg
+//! [`ReplySink`]: ccm_rt::ReplySink
 
 use crate::wire::{FrameAssembler, FrameTrain, WireMsg, WIRE_VERSION};
 use ccm_core::{BlockId, NodeId};
 use ccm_obs::{Counter, Gauge, Registry};
-use ccm_rt::{AttachedStores, BlockStores, Completion, PeerMsg, Pending, Transport};
-use simcore::chan::{unbounded, Receiver, Sender, TryRecvError};
+use ccm_rt::{
+    AttachedStores, BlockStores, Completion, PeerMsg, Pending, ReplySink, ReplyTo, Transport,
+};
+use simcore::chan::{unbounded, Receiver, Sender};
 use simcore::sync::{Condvar, Mutex, RwLock};
 use simcore::FxHashMap;
-use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
@@ -179,8 +186,8 @@ pub struct NetStats {
     pub connect_failures: u64,
     /// Established connections torn down (error, EOF, or node restart).
     pub teardowns: u64,
-    /// Frames written (requests, forwards, invalidates, barriers, hellos,
-    /// and the replies written by reactors).
+    /// Frames written (requests, forwards, invalidates, barriers, pings,
+    /// hellos, and replies).
     pub frames_sent: u64,
     /// Frames delivered to service inboxes or pending tables.
     pub frames_received: u64,
@@ -335,42 +342,23 @@ impl NetObs {
     }
 }
 
-/// A reply channel that came in with a [`PeerMsg`] through
-/// [`Transport::send`].
-enum ReplyTx {
-    Block(Sender<Option<Arc<[u8]>>>),
-    Ack(Sender<()>),
-}
-
-/// A reply read off an outbound connection.
-enum Reply {
-    Block(Option<Arc<[u8]>>),
-    Ack,
-}
-
 /// Whom a reply is owed to.
 enum Owed {
-    /// A `send` caller, on its own reply channel.
-    Channel(ReplyTx),
+    /// A `send` caller, on the reply its [`PeerMsg`] came with.
+    Channel(ReplyTo<Option<Arc<[u8]>>>),
     /// Slot `.1` of an issued train's [`Waiter`].
     Slot(Arc<Waiter>, usize),
 }
 
 impl Owed {
     /// Hand `reply` to whoever it is owed to.
-    fn deliver(self, reply: Reply) {
-        match (self, reply) {
-            (Owed::Slot(waiter, i), Reply::Block(data)) => waiter.resolve(i, data),
-            (Owed::Slot(waiter, i), Reply::Ack) => waiter.resolve(i, Some(Arc::from(&[][..]))),
+    fn deliver(self, reply: Option<Arc<[u8]>>) {
+        match self {
+            Owed::Slot(waiter, i) => waiter.resolve(i, reply),
             // The requester may have timed out.
-            (Owed::Channel(ReplyTx::Block(tx)), Reply::Block(data)) => {
-                let _ = tx.send(data);
+            Owed::Channel(tx) => {
+                let _ = tx.send(reply);
             }
-            (Owed::Channel(ReplyTx::Ack(tx)), Reply::Ack) => {
-                let _ = tx.send(());
-            }
-            // A reply of the wrong kind: the requester sees a disconnect.
-            (Owed::Channel(_), _) => {}
         }
     }
 }
@@ -483,6 +471,7 @@ impl Waiter {
 }
 
 /// The staged frames of one connection, plus the group-commit state.
+#[derive(Default)]
 struct Outbox {
     train: FrameTrain,
     /// A thread is currently flushing; pushers just stage and return.
@@ -507,11 +496,7 @@ impl Conn {
     fn new(sock: TcpStream) -> Conn {
         Conn {
             sock,
-            outbox: Mutex::new(Outbox {
-                train: FrameTrain::new(),
-                writing: false,
-                dead: false,
-            }),
+            outbox: Mutex::default(),
             rx: Mutex::new(Rx {
                 pending: FxHashMap::default(),
                 reader: Reader::Idle,
@@ -583,12 +568,6 @@ struct TcpShared {
     stores: AttachedStores,
     next_req: AtomicU64,
     stop: AtomicBool,
-    connects: AtomicU64,
-    connect_failures: AtomicU64,
-    teardowns: AtomicU64,
-    frames_sent: AtomicU64,
-    frames_received: AtomicU64,
-    trains_sent: AtomicU64,
     obs: NetObs,
 }
 
@@ -622,7 +601,6 @@ impl TcpShared {
             o.teardowns.inc();
             o.backoff_ms.set(link.backoff.as_millis() as i64);
             link.backoff = (link.backoff * 2).min(MAX_BACKOFF);
-            self.teardowns.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -646,13 +624,25 @@ fn conn_failed(shared: &TcpShared, src: NodeId, dst: NodeId, conn: &Arc<Conn>) {
     }
 }
 
-/// Flush one detached train, retrying through `WouldBlock`. A full socket
-/// drains without our help: the peer's reactor has this connection in its
-/// readiness set whenever it waits, wakes as soon as bytes sit in the
-/// receive buffer, and never blocks on anything but that wait (it hands
-/// frames to an unbounded inbox and flushes its own replies nonblocking),
-/// so the loop terminates unless the connection dies. Counts wire metrics
-/// only once the whole train is on the wire.
+/// Count `train`, written on the link `src → dst`, in the wire metrics.
+fn count_train(shared: &TcpShared, src: NodeId, dst: NodeId, train: &FrameTrain) {
+    let o = shared.obs.pair(src, dst);
+    o.frames_out.add(train.frames());
+    o.bytes_out.add(train.bytes());
+    o.trains_out.inc();
+}
+
+/// How long a writer sleeps on a full socket between checks for its death.
+const FULL_SOCKET_RECHECK: Duration = Duration::from_millis(100);
+
+/// Flush one detached train, sleeping in [`wait_ready`] for `POLLOUT` while
+/// the socket is full. A full socket drains without our help: the peer's
+/// reactor has this connection in its readiness set whenever it waits,
+/// wakes as soon as bytes sit in the receive buffer, and never blocks on
+/// anything but that wait (it hands frames to an unbounded inbox, and no
+/// writer of replies waits on a full socket), so the loop terminates unless
+/// the connection dies. Counts wire metrics only once the whole train is on
+/// the wire.
 fn write_train(
     shared: &TcpShared,
     src: NodeId,
@@ -663,31 +653,19 @@ fn write_train(
     loop {
         match train.write_some(&mut &conn.sock) {
             Ok(true) => {
-                shared
-                    .frames_sent
-                    .fetch_add(train.frames(), Ordering::Relaxed);
-                shared.trains_sent.fetch_add(1, Ordering::Relaxed);
-                let o = shared.obs.pair(src, dst);
-                o.frames_out.add(train.frames());
-                o.bytes_out.add(train.bytes());
-                o.trains_out.inc();
+                count_train(shared, src, dst, train);
                 return true;
             }
             Ok(false) => {
                 if conn.outbox.lock().dead {
                     return false;
                 }
-                std::thread::yield_now();
+                let mut fd = [PollFd::new(&conn.sock, POLLOUT)];
+                wait_ready(&mut fd, Some(FULL_SOCKET_RECHECK));
             }
             Err(_) => return false,
         }
     }
-}
-
-/// Stage `frame` on the connection's outbox and make sure somebody
-/// flushes it — see [`pump_frames`].
-fn pump(shared: &TcpShared, src: NodeId, dst: NodeId, conn: &Arc<Conn>, frame: &WireMsg) -> bool {
-    pump_frames(shared, src, dst, conn, std::slice::from_ref(frame))
 }
 
 /// Stage `frames` on the connection's outbox as one unit and make sure
@@ -813,12 +791,6 @@ impl TcpLan {
             stores: AttachedStores::default(),
             next_req: AtomicU64::new(1),
             stop: AtomicBool::new(false),
-            connects: AtomicU64::new(0),
-            connect_failures: AtomicU64::new(0),
-            teardowns: AtomicU64::new(0),
-            frames_sent: AtomicU64::new(0),
-            frames_received: AtomicU64::new(0),
-            trains_sent: AtomicU64::new(0),
             obs: NetObs::new(registry, nodes),
         });
         let reactors = listeners
@@ -847,17 +819,19 @@ impl TcpLan {
         self.shared.slots[node.index()].addr
     }
 
-    /// Connection and frame counters so far.
+    /// The per-link wire metrics summed over every link (a dial in progress
+    /// counts as a connect).
     pub fn net_stats(&self) -> NetStats {
-        let s = &self.shared;
-        NetStats {
-            connects: s.connects.load(Ordering::Relaxed),
-            connect_failures: s.connect_failures.load(Ordering::Relaxed),
-            teardowns: s.teardowns.load(Ordering::Relaxed),
-            frames_sent: s.frames_sent.load(Ordering::Relaxed),
-            frames_received: s.frames_received.load(Ordering::Relaxed),
-            trains_sent: s.trains_sent.load(Ordering::Relaxed),
+        let mut n = NetStats::default();
+        for o in self.shared.obs.links.iter().flatten() {
+            n.connects += o.dials.get() - o.dial_failures.get();
+            n.connect_failures += o.dial_failures.get();
+            n.teardowns += o.teardowns.get();
+            n.frames_sent += o.frames_out.get();
+            n.frames_received += o.frames_in.get();
+            n.trains_sent += o.trains_out.get();
         }
+        n
     }
 
     /// Ensure `src → dst` has a live connection, dialing if allowed.
@@ -878,7 +852,6 @@ impl TcpLan {
         let obs = self.shared.obs.pair(src, dst);
         obs.dials.inc();
         let fail = |link: &mut Link| {
-            self.shared.connect_failures.fetch_add(1, Ordering::Relaxed);
             obs.dial_failures.inc();
             obs.backoff_ms.set(link.backoff.as_millis() as i64);
             link.retry_at = Some(Instant::now() + link.backoff);
@@ -898,7 +871,8 @@ impl TcpLan {
         };
         let conn = Arc::new(Conn::new(sock));
         // The Hello is staged, not written: it coalesces into the same
-        // train as the first request, and `pump` flushes them together.
+        // train as the first request, and `pump_frames` flushes them
+        // together.
         conn.outbox.lock().train.push(&WireMsg::Hello {
             version: WIRE_VERSION,
             node: src,
@@ -916,7 +890,6 @@ impl TcpLan {
             return None;
         }
         self.shared.wake(src);
-        self.shared.connects.fetch_add(1, Ordering::Relaxed);
         obs.backoff_ms.set(0);
         link.conn = Some(conn.clone());
         link.backoff = INITIAL_BACKOFF;
@@ -926,7 +899,9 @@ impl TcpLan {
 
     /// Encode `msg` as a frame, register its reply channel on the pending
     /// table if it expects a reply, and stage it on the link's group-commit
-    /// outbox. Returns false (after teardown) on any failure.
+    /// outbox. Returns false (after teardown) on any failure, and for a
+    /// barrier or ping, which only [`TcpLan::barrier`] and [`TcpLan::ping`]
+    /// put on the wire.
     fn send_wire(&self, src: NodeId, dst: NodeId, msg: PeerMsg) -> bool {
         let obs = self.shared.obs.pair(src, dst);
         let mut link = self.shared.link(src, dst).lock();
@@ -935,15 +910,12 @@ impl TcpLan {
             return false;
         };
         drop(link);
-        let req_id = || self.shared.next_req.fetch_add(1, Ordering::Relaxed);
+        let req_id = self.shared.next_req.fetch_add(1, Ordering::Relaxed);
         let (frame, reply) = match msg {
-            PeerMsg::BlockRequest { block, reply } => {
-                let req_id = req_id();
-                (
-                    WireMsg::BlockRequest { req_id, block },
-                    Some((req_id, ReplyTx::Block(reply))),
-                )
-            }
+            PeerMsg::BlockRequest { block, reply } => (
+                WireMsg::BlockRequest { req_id, block },
+                Some(Owed::Channel(reply)),
+            ),
             PeerMsg::Forward {
                 block,
                 data,
@@ -960,20 +932,11 @@ impl TcpLan {
             PeerMsg::WriteInvalidate { block, version } => {
                 (WireMsg::WriteInvalidate { block, version }, None)
             }
-            PeerMsg::Barrier { reply } => {
-                let req_id = req_id();
-                (
-                    WireMsg::Barrier { req_id },
-                    Some((req_id, ReplyTx::Ack(reply))),
-                )
-            }
-            // A pong correlates exactly like a barrier ack: unit reply.
-            PeerMsg::Ping { reply } => {
-                let req_id = req_id();
-                (
-                    WireMsg::Ping { req_id },
-                    Some((req_id, ReplyTx::Ack(reply))),
-                )
+            // Wire barriers and pings go out only as trains their callers
+            // wait for (`TcpLan::barrier`, `TcpLan::ping`): refused here.
+            PeerMsg::Barrier { .. } | PeerMsg::Ping { .. } => {
+                obs.degrades.inc();
+                return false;
             }
             // Control-plane; `send` routes it locally before we get here.
             PeerMsg::Shutdown => unreachable!("Shutdown never crosses the wire"),
@@ -982,14 +945,14 @@ impl TcpLan {
         // waits for a reply channel inside the transport, so the reactor
         // reads it unless a caller is reading the socket already.
         let mut wake = false;
-        if let Some((req_id, tx)) = reply {
+        if let Some(owed) = reply {
             let mut rx = conn.rx.lock();
             if rx.closed {
                 drop(rx);
                 obs.degrades.inc();
                 return false; // the connection died under us
             }
-            rx.pending.insert(req_id, Owed::Channel(tx));
+            rx.pending.insert(req_id, owed);
             if !matches!(
                 rx.reader,
                 Reader::Reactor | Reader::Caller { polling: true, .. }
@@ -1000,7 +963,7 @@ impl TcpLan {
             drop(rx);
             obs.pending_replies.adjust(1);
         }
-        let sent = pump(&self.shared, src, dst, &conn, &frame);
+        let sent = pump_frames(&self.shared, src, dst, &conn, &[frame]);
         if wake {
             self.shared.wake(src);
         }
@@ -1059,6 +1022,24 @@ impl TcpLan {
         // On failure the dropped wait leaves the (closed) table.
         pump_frames(&self.shared, src, dst, &wait.conn, &frames).then_some(wait)
     }
+
+    /// [`TcpLan::train`] on the link `src → dst`, dialing it if need be. A
+    /// link in backoff or a connection that fails counts a degrade.
+    fn dial_train(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        n: usize,
+        frame: impl Fn(usize, u64) -> WireMsg,
+    ) -> Option<Pending> {
+        // The link lock is held for the dial only.
+        let conn = self.ensure_conn(&mut self.shared.link(src, dst).lock(), src, dst);
+        let wait = conn.and_then(|conn| self.train(src, dst, conn, n, frame));
+        if wait.is_none() {
+            self.shared.obs.pair(src, dst).degrades.inc();
+        }
+        Some(Pending::wire(Box::new(wait?)))
+    }
 }
 
 impl Transport for TcpLan {
@@ -1077,34 +1058,22 @@ impl Transport for TcpLan {
     }
 
     /// Pipelined fetch: the requests go out as one frame train (one
-    /// vectored write when the link is quiet), the peer's reactor answers
-    /// them back to back (from its store, or through its service thread)
-    /// and batches the replies into reply trains, and the waiting caller
-    /// reads them off the socket itself when nobody else is (module docs).
+    /// vectored write when the link is quiet), the peer answers them back to
+    /// back (its reactor from its store, its service thread the rest) and
+    /// batches the replies into reply trains, and the waiting caller reads
+    /// them off the socket itself when nobody else is (module docs).
     fn issue(&self, src: NodeId, holder: NodeId, blocks: &[BlockId]) -> Pending {
         if src == holder || blocks.is_empty() {
             // Local fetches never touch the wire.
             return Pending::via_send(self, src, holder, blocks);
         }
-        let conn = {
-            let mut link = self.shared.link(src, holder).lock();
-            self.ensure_conn(&mut link, src, holder)
-        };
-        let wait = conn.and_then(|conn| {
-            self.train(src, holder, conn, blocks.len(), |i, req_id| {
-                WireMsg::BlockRequest {
-                    req_id,
-                    block: blocks[i],
-                }
-            })
-        });
-        match wait {
-            Some(wait) => Pending::wire(Box::new(wait)),
-            None => {
-                self.shared.obs.pair(src, holder).degrades.inc();
-                Pending::ready(vec![None; blocks.len()])
+        self.dial_train(src, holder, blocks.len(), |i, req_id| {
+            WireMsg::BlockRequest {
+                req_id,
+                block: blocks[i],
             }
-        }
+        })
+        .unwrap_or_else(|| Pending::ready(vec![None; blocks.len()]))
     }
 
     fn reconnect(&self, node: NodeId) -> Receiver<PeerMsg> {
@@ -1122,7 +1091,6 @@ impl Transport for TcpLan {
                 let pair = self.shared.obs.pair(NodeId(src as u16), NodeId(dst as u16));
                 if let Some(conn) = link.conn.take() {
                     conn.kill();
-                    self.shared.teardowns.fetch_add(1, Ordering::Relaxed);
                     pair.teardowns.inc();
                 }
                 link.backoff = INITIAL_BACKOFF;
@@ -1163,13 +1131,26 @@ impl Transport for TcpLan {
                 acks.push(Pending::wire(Box::new(wait)));
             }
         }
-        let (reply, rx) = unbounded();
+        let (reply, rx) = ReplyTo::channel();
         if !self.shared.local_deliver(node, PeerMsg::Barrier { reply }) {
             return false;
         }
         acks.push(Pending::ack(rx));
         acks.into_iter()
             .all(|ack| ack.acked(deadline.saturating_duration_since(Instant::now())))
+    }
+
+    /// A remote ping is a one-frame train, waited for like a fetch: the
+    /// caller reads its own pong. (The runtime's heartbeat pings a node's
+    /// own service thread, which never touches the wire.)
+    fn ping(&self, src: NodeId, dst: NodeId, timeout: Duration) -> bool {
+        if src == dst {
+            let (reply, rx) = ReplyTo::channel();
+            return self.shared.local_deliver(dst, PeerMsg::Ping { reply })
+                && Pending::ack(rx).acked(timeout);
+        }
+        self.dial_train(src, dst, 1, |_, req_id| WireMsg::Ping { req_id })
+            .is_some_and(|pong| pong.acked(timeout))
     }
 }
 
@@ -1203,78 +1184,181 @@ const READS_PER_PASS: usize = 8;
 /// Bytes per read call into a connection's assembler.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// A reply the reactor owes an inbound connection, in request order.
-enum ReplyWait {
-    Block {
-        req_id: u64,
-        rx: Receiver<Option<Arc<[u8]>>>,
-    },
-    Ack {
-        req_id: u64,
-        pong: bool,
-        rx: Receiver<()>,
-    },
+/// The reply side of an inbound connection to `node`: its socket and reply
+/// outbox, shared by the reactor reading the connection and every [`Answer`]
+/// the node's service thread holds for it.
+struct Replies {
+    shared: Arc<TcpShared>,
+    node: NodeId,
+    sock: TcpStream,
+    outbox: Mutex<Outbox>,
+    /// A train the socket took only part of — non-empty only while
+    /// `outbox.writing`, as the reactor's turn to finish it on writability.
+    rest: Mutex<FrameTrain>,
+}
+
+impl Replies {
+    /// Stage `frame` behind the replies already staged.
+    fn stage(&self, frame: &WireMsg) {
+        let mut ob = self.outbox.lock();
+        if !ob.dead {
+            ob.train.push(frame);
+        }
+    }
+
+    /// Put the staged replies on the link `node → src`, unless a writer is
+    /// at it already: the caller becomes the writer (group commit). True if
+    /// the socket left a remainder for the reactor to finish.
+    fn flush(&self, src: NodeId) -> bool {
+        let mut ob = self.outbox.lock();
+        if ob.writing || ob.dead || ob.train.is_empty() {
+            return false;
+        }
+        ob.writing = true;
+        drop(ob);
+        self.write(src, FrameTrain::new())
+    }
+
+    /// The reactor's turn on writability: finish the remainder, if any.
+    fn resume(&self, src: NodeId) {
+        let rest = std::mem::take(&mut *self.rest.lock());
+        if !rest.is_empty() {
+            // Still full: the next wait asks for writability again.
+            self.write(src, rest);
+        }
+    }
+
+    /// As the writer: write `train`, then each train staged meanwhile, as
+    /// far as the socket takes them without blocking — until the outbox is
+    /// empty (the turn is given back) or the socket is full (the remainder
+    /// goes to `rest`: true). Frames count when their train is taken: the
+    /// requester may read the counters once it has the reply.
+    fn write(&self, src: NodeId, mut train: FrameTrain) -> bool {
+        loop {
+            match train.write_some(&mut &self.sock) {
+                Ok(true) => {}
+                Ok(false) => {
+                    *self.rest.lock() = train;
+                    return true;
+                }
+                Err(_) => {
+                    self.kill();
+                    return false;
+                }
+            }
+            let mut ob = self.outbox.lock();
+            if ob.dead || ob.train.is_empty() {
+                ob.writing = false;
+                return false;
+            }
+            train = ob.train.take();
+            drop(ob);
+            count_train(&self.shared, self.node, src, &train);
+        }
+    }
+
+    /// Tear the connection down: the reactor reads its end and drops it,
+    /// and the requester sees the hang-up.
+    fn kill(&self) {
+        self.outbox.lock().dead = true;
+        let _ = self.sock.shutdown(Shutdown::Both);
+    }
+}
+
+/// How an [`Answer`] frames its reply to request `.0` (`None`: dropped
+/// unsent); no frame at all tears the connection down.
+type Framing<T> = fn(u64, Option<T>) -> Option<WireMsg>;
+
+/// The answer the node's service thread owes one request of an inbound
+/// connection; the first one sent wins. Dropped unsent it answers anyway —
+/// a fetch with the explicit miss, an ack (the wire has no "no") by tearing
+/// the connection down — so no requester waits out its deadline for it.
+struct Answer<T> {
+    replies: Arc<Replies>,
+    src: NodeId,
+    req_id: u64,
+    framing: Framing<T>,
+    sent: AtomicBool,
+}
+
+impl<T> Answer<T> {
+    fn answer(&self, reply: Option<T>) {
+        // A once-flag; the reply itself goes out under the outbox lock.
+        if self.sent.swap(true, Ordering::Relaxed) {
+            return;
+        }
+        match (self.framing)(self.req_id, reply) {
+            Some(frame) => {
+                self.replies.stage(&frame);
+                if self.replies.flush(self.src) {
+                    // The reactor asks for writability once woken.
+                    self.replies.shared.wake(self.replies.node);
+                }
+            }
+            None => self.replies.kill(),
+        }
+    }
+}
+
+impl<T> ReplySink<T> for Answer<T> {
+    fn send(&self, reply: T) {
+        self.answer(Some(reply));
+    }
+}
+
+impl<T> Drop for Answer<T> {
+    fn drop(&mut self) {
+        self.answer(None);
+    }
 }
 
 /// One accepted (inbound) connection being served by a reactor.
 struct InConn {
-    sock: TcpStream,
+    /// The socket, read here, and the reply outbox.
+    replies: Arc<Replies>,
     asm: FrameAssembler,
     /// Peer node, known after a valid Hello.
     src: Option<NodeId>,
     /// Inbox incarnation pinned at Hello time.
     inbox: Option<Sender<PeerMsg>>,
-    /// Replies owed, FIFO: the service thread answers its inbox in order,
-    /// so only the front can become ready next — harvesting the front
-    /// preserves the exact reply order of the old one-thread-per-conn
-    /// demux while letting many requests stream in pipelined.
-    waits: VecDeque<ReplyWait>,
-    /// Outgoing reply train (persistent; partial flushes resume).
-    wtrain: FrameTrain,
-    /// Portions of `wtrain`'s running totals already credited to metrics.
-    counted_frames: u64,
-    counted_bytes: u64,
     deadline: Instant,
 }
 
 impl InConn {
-    fn new(sock: TcpStream) -> InConn {
+    fn new(shared: &Arc<TcpShared>, node: NodeId, sock: TcpStream) -> InConn {
         InConn {
-            sock,
+            replies: Arc::new(Replies {
+                shared: shared.clone(),
+                node,
+                sock,
+                outbox: Mutex::default(),
+                rest: Mutex::default(),
+            }),
             asm: FrameAssembler::new(),
             src: None,
             inbox: None,
-            waits: VecDeque::new(),
-            wtrain: FrameTrain::new(),
-            counted_frames: 0,
-            counted_bytes: 0,
             deadline: Instant::now() + HELLO_DEADLINE,
         }
     }
 
-    /// True while the service thread owes this connection a reply. Its
-    /// completion arrives on an in-process channel the kernel cannot
-    /// signal, so the reactor must keep looking.
-    fn owed(&self) -> bool {
-        !self.waits.is_empty()
+    /// The reply to request `req_id` from `src`, framed by `framing`.
+    fn reply<T: 'static>(&self, src: NodeId, req_id: u64, framing: Framing<T>) -> ReplyTo<T> {
+        ReplyTo::Wire(Arc::new(Answer {
+            replies: self.replies.clone(),
+            src,
+            req_id,
+            framing,
+            sent: AtomicBool::new(false),
+        }))
     }
 
-    /// One nonblocking pass: read (if the socket reported `ready`), demux,
-    /// harvest replies, flush. Returns false when the connection must be
-    /// dropped.
-    fn poll(&mut self, shared: &TcpShared, node: NodeId, ready: bool) -> bool {
-        // Read whatever the socket has, bounded for fairness, straight
-        // into the assembler (one copy from the kernel).
-        let reads = if ready { READS_PER_PASS } else { 0 };
-        for _ in 0..reads {
-            match self.asm.read_from(&mut &self.sock, READ_CHUNK) {
-                Ok(0) => return false, // EOF: peer is gone
-                Ok(n) if n < READ_CHUNK => break,
-                Ok(_) => {}
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
+    /// One nonblocking pass: read and resume a reply remainder (if the
+    /// socket reported `ready`), demux, write the replies staged. Returns
+    /// false when the connection must be dropped.
+    fn poll(&mut self, ready: bool) -> bool {
+        let (shared, node) = (&*self.replies.shared, self.replies.node);
+        if ready && !read_pass(&mut self.asm, &self.replies.sock) {
+            return false; // EOF (the peer is gone) or a socket error
         }
         // Demux complete frames.
         loop {
@@ -1291,7 +1375,6 @@ impl InConn {
                             && src.index() < shared.slots.len()
                             && src != node =>
                     {
-                        shared.frames_received.fetch_add(1, Ordering::Relaxed);
                         let in_obs = shared.obs.pair(src, node);
                         in_obs.frames_in.inc();
                         in_obs.bytes_in.add(nbytes);
@@ -1305,148 +1388,75 @@ impl InConn {
                     _ => return false, // wrong protocol/version/self-dial
                 }
             };
-            shared.frames_received.fetch_add(1, Ordering::Relaxed);
             let in_obs = shared.obs.pair(src, node);
             in_obs.frames_in.inc();
             in_obs.bytes_in.add(nbytes);
             let inbox = self.inbox.as_ref().expect("inbox pinned with src");
-            let delivered = match frame {
+            let msg = match frame {
                 WireMsg::BlockRequest { req_id, block } => {
+                    // Answered where the request already is. A miss is
+                    // never answered here: it must queue behind any
+                    // Forward of the block still in the inbox.
                     if let Some(data) = shared.stores.hit(node, inbox, block) {
-                        // Answered where the request already is. A miss is
-                        // never answered here: it must queue behind any
-                        // Forward of the block still in the inbox.
-                        self.wtrain.push(&WireMsg::BlockReply {
-                            req_id,
-                            data: Some(data),
-                        });
+                        let data = Some(data);
+                        self.replies.stage(&WireMsg::BlockReply { req_id, data });
                         shared.obs.reactors[node.index()].served.inc();
-                        true
-                    } else {
-                        let (tx, rx) = unbounded();
-                        let ok = inbox
-                            .send(PeerMsg::BlockRequest { block, reply: tx })
-                            .is_ok();
-                        if ok {
-                            self.waits.push_back(ReplyWait::Block { req_id, rx });
-                        }
-                        ok
+                        continue;
                     }
+                    let reply = self.reply(src, req_id, |req_id, data| {
+                        let data = data.flatten(); // dropped unsent: a miss
+                        Some(WireMsg::BlockReply { req_id, data })
+                    });
+                    PeerMsg::BlockRequest { block, reply }
                 }
                 WireMsg::Forward {
                     block,
                     data,
                     displace,
-                } => inbox
-                    .send(PeerMsg::Forward {
-                        block,
-                        data,
-                        displace,
-                    })
-                    .is_ok(),
-                WireMsg::Invalidate { block } => inbox.send(PeerMsg::Invalidate { block }).is_ok(),
-                WireMsg::WriteInvalidate { block, version } => inbox
-                    .send(PeerMsg::WriteInvalidate { block, version })
-                    .is_ok(),
-                WireMsg::Barrier { req_id } => {
-                    let (tx, rx) = unbounded();
-                    let ok = inbox.send(PeerMsg::Barrier { reply: tx }).is_ok();
-                    if ok {
-                        self.waits.push_back(ReplyWait::Ack {
-                            req_id,
-                            pong: false,
-                            rx,
-                        });
-                    }
-                    ok
+                } => PeerMsg::Forward {
+                    block,
+                    data,
+                    displace,
+                },
+                WireMsg::Invalidate { block } => PeerMsg::Invalidate { block },
+                WireMsg::WriteInvalidate { block, version } => {
+                    PeerMsg::WriteInvalidate { block, version }
                 }
-                WireMsg::Ping { req_id } => {
-                    let (tx, rx) = unbounded();
-                    let ok = inbox.send(PeerMsg::Ping { reply: tx }).is_ok();
-                    if ok {
-                        self.waits.push_back(ReplyWait::Ack {
-                            req_id,
-                            pong: true,
-                            rx,
-                        });
-                    }
-                    ok
-                }
+                WireMsg::Barrier { req_id } => PeerMsg::Barrier {
+                    reply: self.reply(src, req_id, |req_id, ack| {
+                        ack.map(|()| WireMsg::BarrierAck { req_id })
+                    }),
+                },
+                WireMsg::Ping { req_id } => PeerMsg::Ping {
+                    reply: self.reply(src, req_id, |req_id, ack| {
+                        ack.map(|()| WireMsg::Pong { req_id })
+                    }),
+                },
                 // Requests travel src → dst only; a reply or second Hello
                 // on an inbound connection is protocol corruption.
                 WireMsg::Hello { .. }
                 | WireMsg::BlockReply { .. }
                 | WireMsg::BarrierAck { .. }
-                | WireMsg::Pong { .. } => false,
+                | WireMsg::Pong { .. } => return false,
             };
-            if !delivered {
-                return false; // dead incarnation or corruption: kill conn
+            if let Err(refused) = inbox.send(msg) {
+                // A dead incarnation: go down before the refused request's
+                // reply answers, so the requester sees a teardown, not a miss.
+                self.replies.kill();
+                drop(refused);
+                return false;
             }
         }
         if self.src.is_none() && Instant::now() >= self.deadline {
             return false; // silent connection never said Hello
         }
-        // Harvest ready replies, in request order, into the reply train.
-        while let Some(front) = self.waits.front() {
-            match front {
-                ReplyWait::Block { req_id, rx } => match rx.try_recv() {
-                    Ok(data) => {
-                        self.wtrain.push(&WireMsg::BlockReply {
-                            req_id: *req_id,
-                            data,
-                        });
-                        self.waits.pop_front();
-                    }
-                    // Node crashed before answering: the requester sees an
-                    // explicit miss immediately, not a timeout.
-                    Err(TryRecvError::Disconnected) => {
-                        self.wtrain.push(&WireMsg::BlockReply {
-                            req_id: *req_id,
-                            data: None,
-                        });
-                        self.waits.pop_front();
-                    }
-                    Err(TryRecvError::Empty) => break,
-                },
-                ReplyWait::Ack { req_id, pong, rx } => match rx.try_recv() {
-                    Ok(()) => {
-                        let frame = if *pong {
-                            WireMsg::Pong { req_id: *req_id }
-                        } else {
-                            WireMsg::BarrierAck { req_id: *req_id }
-                        };
-                        self.wtrain.push(&frame);
-                        self.waits.pop_front();
-                    }
-                    // Node died mid-barrier/ping: no ack, let the
-                    // requester time out (matches the channel backend).
-                    Err(TryRecvError::Disconnected) => return false,
-                    Err(TryRecvError::Empty) => break,
-                },
+        if let Some(src) = self.src {
+            if ready {
+                self.replies.resume(src);
             }
-        }
-        // Flush the reply train as far as the socket allows. Frames count
-        // as sent when their train is handed to the socket, not after: the
-        // requester can have the reply — and read the counters — before
-        // this thread runs again. A full socket keeps the rest; the reactor
-        // asks for writability while the train is non-empty and resumes.
-        if !self.wtrain.is_empty() {
-            let frames = self.wtrain.frames() - self.counted_frames;
-            if frames > 0 {
-                let src = self.src.expect("replies only exist post-hello");
-                let bytes = self.wtrain.bytes() - self.counted_bytes;
-                self.counted_frames = self.wtrain.frames();
-                self.counted_bytes = self.wtrain.bytes();
-                shared.frames_sent.fetch_add(frames, Ordering::Relaxed);
-                shared.trains_sent.fetch_add(1, Ordering::Relaxed);
-                let out_obs = shared.obs.pair(node, src);
-                out_obs.frames_out.add(frames);
-                out_obs.bytes_out.add(bytes);
-                out_obs.trains_out.inc();
-            }
-            if self.wtrain.write_some(&mut &self.sock).is_err() {
-                return false;
-            }
+            // A remainder left here needs no wake-up: the reactor's next
+            // wait asks for writability.
+            self.replies.flush(src);
         }
         true
     }
@@ -1454,8 +1464,24 @@ impl InConn {
 
 impl Drop for InConn {
     fn drop(&mut self) {
-        let _ = self.sock.shutdown(Shutdown::Both);
+        self.replies.kill();
     }
+}
+
+/// Read what `sock` has into `asm`, bounded for fairness, straight into the
+/// assembler (one copy from the kernel). False at EOF or on a socket error.
+fn read_pass(asm: &mut FrameAssembler, mut sock: &TcpStream) -> bool {
+    for _ in 0..READS_PER_PASS {
+        match asm.read_from(&mut sock, READ_CHUNK) {
+            Ok(0) => return false,
+            Ok(n) if n < READ_CHUNK => break,
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return false,
+        }
+    }
+    true
 }
 
 /// One read pass over an outbound connection `node → dst`: read what the
@@ -1465,23 +1491,7 @@ impl Drop for InConn {
 /// cleaned up).
 fn read_replies(shared: &TcpShared, node: NodeId, dst: NodeId, conn: &Arc<Conn>) -> bool {
     let mut asm = conn.asm.lock();
-    let mut ok = true;
-    for _ in 0..READS_PER_PASS {
-        match asm.read_from(&mut &conn.sock, READ_CHUNK) {
-            Ok(0) => {
-                ok = false; // EOF: the peer is gone
-                break;
-            }
-            Ok(n) if n < READ_CHUNK => break,
-            Ok(_) => {}
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => {
-                ok = false;
-                break;
-            }
-        }
-    }
+    let mut ok = read_pass(&mut asm, &conn.sock);
     // Replies travel `dst → node`; the pending gauge lives on the link as
     // dialed, `node → dst`. Frames read before an EOF are still delivered.
     let in_obs = shared.obs.pair(dst, node);
@@ -1489,9 +1499,10 @@ fn read_replies(shared: &TcpShared, node: NodeId, dst: NodeId, conn: &Arc<Conn>)
     let mut rx = conn.rx.lock();
     loop {
         let (req_id, reply, n) = match asm.next_frame() {
-            Ok(Some((WireMsg::BlockReply { req_id, data }, n))) => (req_id, Reply::Block(data), n),
+            Ok(Some((WireMsg::BlockReply { req_id, data }, n))) => (req_id, data, n),
+            // An ack fills its slot with an empty block.
             Ok(Some((WireMsg::BarrierAck { req_id } | WireMsg::Pong { req_id }, n))) => {
-                (req_id, Reply::Ack, n)
+                (req_id, Some(Arc::from(&[][..])), n)
             }
             Ok(None) => break,
             // Only replies travel dst → node; anything else is protocol
@@ -1501,7 +1512,6 @@ fn read_replies(shared: &TcpShared, node: NodeId, dst: NodeId, conn: &Arc<Conn>)
                 break;
             }
         };
-        shared.frames_received.fetch_add(1, Ordering::Relaxed);
         in_obs.frames_in.inc();
         in_obs.bytes_in.add(n);
         // No entry: its waiter left (timed out or dropped) — discard.
@@ -1693,12 +1703,12 @@ fn wait_ready(fds: &mut [PollFd], timeout: Option<Duration>) -> usize {
 
 /// The per-node event loop: accepts inbound connections, answers their
 /// block requests from the node's store or demuxes their frames to the
-/// service inbox, batches and writes their replies, and reads the replies
-/// on connections this node dialed while it holds their read half (the
-/// rest it watches for a hang-up). Every socket is nonblocking;
-/// the one place the loop blocks is [`wait_ready`], where a reactor with
-/// nothing to do sleeps in the kernel until a socket, the listener or the
-/// wake pipe has something for it.
+/// service inbox, writes the replies it answers and finishes the remainders
+/// other writers leave, and reads the replies on connections this node
+/// dialed while it holds their read half (the rest it watches for a
+/// hang-up). Every socket is nonblocking; the one place the loop blocks is
+/// [`wait_ready`], where a reactor with nothing to do sleeps in the kernel
+/// until a socket, the listener or the wake pipe has something for it.
 fn reactor_loop(
     shared: Arc<TcpShared>,
     node: NodeId,
@@ -1714,50 +1724,42 @@ fn reactor_loop(
     // been drained by the pass that ran while it was set.
     while !shared.stop.load(Ordering::Acquire) {
         // Interest set, in this order: listener, wake pipe, inbound
-        // connections (writability too while a reply train is stuck behind
-        // a full socket), watched outbound connections (replies only while
-        // this reactor holds the read half).
+        // connections (and room for a reply remainder), watched outbound
+        // connections (replies only while this reactor holds the read half).
         fds.clear();
         fds.push(PollFd::new(&listener, POLLIN));
         fds.push(PollFd::new(&woken, POLLIN));
         fds.extend(inbound.iter().map(|c| {
-            let flush = if c.wtrain.is_empty() { 0 } else { POLLOUT };
-            PollFd::new(&c.sock, POLLIN | flush)
+            let remainder = !c.replies.rest.lock().is_empty();
+            PollFd::new(
+                &c.replies.sock,
+                POLLIN | if remainder { POLLOUT } else { 0 },
+            )
         }));
         fds.extend(
             outbound
                 .iter()
                 .map(|w| PollFd::new(&w.conn.sock, w.conn.reactor_interest())),
         );
-        // How long to sleep: not at all while the service thread owes a
-        // reply (see `InConn::owed`); until the nearest Hello deadline
-        // while a connection is still anonymous; else until woken.
-        let owed = inbound.iter().any(InConn::owed);
-        let timeout = if owed {
-            Some(Duration::ZERO)
-        } else {
-            let now = Instant::now();
-            inbound
-                .iter()
-                .filter(|c| c.src.is_none())
-                .map(|c| c.deadline.saturating_duration_since(now))
-                .min()
-        };
-        let n_ready = wait_ready(&mut fds, timeout);
+        // How long to sleep: until the nearest Hello deadline while a
+        // connection is still anonymous; else until woken.
+        let now = Instant::now();
+        let timeout = inbound
+            .iter()
+            .filter(|c| c.src.is_none())
+            .map(|c| c.deadline.saturating_duration_since(now))
+            .min();
+        wait_ready(&mut fds, timeout);
         obs.wakeups.inc();
         let mut ready = fds.iter().map(PollFd::ready);
         let accept = ready.next().expect("listener entry");
         let mailbox = ready.next().expect("wake pipe entry");
         // Serve what is ready. Connections adopted below were not in this
         // wait; the next one reports them at once if they have bytes.
-        inbound.retain_mut(|c| c.poll(&shared, node, ready.next().expect("inbound entry")));
+        inbound.retain_mut(|c| c.poll(ready.next().expect("inbound entry")));
         outbound.retain(|w| {
             !ready.next().expect("outbound entry") || read_replies(&shared, node, w.dst, &w.conn)
         });
-        if owed && n_ready == 0 {
-            // Nothing but the service thread can make progress: let it run.
-            std::thread::yield_now();
-        }
         if mailbox {
             // Drain the wake bytes before the mailbox, so a wake-up sent
             // after this point finds the pipe readable again.
@@ -1773,7 +1775,7 @@ fn reactor_loop(
                     Ok((sock, _)) => {
                         let _ = sock.set_nodelay(true);
                         let _ = sock.set_nonblocking(true);
-                        inbound.push(InConn::new(sock));
+                        inbound.push(InConn::new(&shared, node, sock));
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == ErrorKind::Interrupted => {}

@@ -249,8 +249,8 @@ fn peer_death_mid_train_fails_pending_replies_fast() {
         "pending replies must fail fast on teardown, not wait out the \
          10s deadline (took {elapsed:?})"
     );
-    // The connection survives — the reactor answered the orphaned
-    // requests with explicit misses. The *next* delivery attempt hits the
+    // The connection survives — the orphaned requests' reply sinks answered
+    // them with explicit misses. The *next* delivery attempt hits the
     // dead inbox, and that is when the teardown is detected and counted.
     let t0 = Instant::now();
     let got = lan.fetch_block(

@@ -14,6 +14,8 @@
 //!   (severed, crashed) or was never started serves no bytes from its
 //!   store, however many it still holds;
 //! * with **no store attached** everything round-trips through the inbox;
+//! * a reply the service thread **drops unsent** still answers at once: a
+//!   fetch reads `None`, a barrier or a ping `false`;
 //! * through a running cluster, a remote read after a `write_block` returns
 //!   what was written;
 //! * a file read puts each holder's remote hits on the wire as one request
@@ -292,6 +294,56 @@ fn a_transport_without_stores_round_trips_through_the_inbox() {
         assert_eq!(reactor_served(&registry), 0, "there is no store to serve");
         assert!(lan.send(NodeId(1), NodeId(1), PeerMsg::Shutdown));
         service.join().unwrap();
+    }
+}
+
+/// A service thread that drops a request's reply unsent — as a crashing
+/// node's does — leaves no requester waiting out its timeout: a fetch
+/// reads `None`, a barrier and a ping read `false`, all at once. Over the
+/// channel `Lan` the reply channel disconnects; over `TcpLan` the reply
+/// sink's `Drop` writes the explicit miss, or for an ack tears the
+/// connection down.
+#[test]
+fn a_reply_dropped_unsent_answers_at_once() {
+    for backend in Backend::all() {
+        for op in ["fetch", "barrier", "ping"] {
+            let registry = Registry::new();
+            let lan = transport(backend, 2, &registry);
+            let _rx0 = lan.reconnect(NodeId(0));
+            let rx1 = lan.reconnect(NodeId(1));
+            // Drops every message, and each request's reply with it.
+            let service = std::thread::spawn(move || {
+                for msg in rx1.iter() {
+                    if matches!(msg, PeerMsg::Shutdown) {
+                        break;
+                    }
+                }
+            });
+            // Dial the link first, so a barrier has a wire half.
+            let dial = PeerMsg::Invalidate { block: block(0) };
+            assert!(lan.send(NodeId(0), NodeId(1), dial));
+            let t = Instant::now();
+            let answered = match op {
+                "fetch" => lan
+                    .fetch_block(NodeId(0), NodeId(1), block(1), TIMEOUT)
+                    .is_some(),
+                "barrier" => lan.barrier(NodeId(1), TIMEOUT),
+                _ => lan.ping(NodeId(0), NodeId(1), TIMEOUT),
+            };
+            let took = t.elapsed();
+            assert!(
+                !answered,
+                "{} {op}: a dropped reply answered",
+                backend.name()
+            );
+            assert!(
+                took < Duration::from_secs(1),
+                "{} {op}: the dropped reply was waited out ({took:?})",
+                backend.name()
+            );
+            assert!(lan.send(NodeId(1), NodeId(1), PeerMsg::Shutdown));
+            service.join().unwrap();
+        }
     }
 }
 

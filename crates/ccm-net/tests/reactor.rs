@@ -11,7 +11,9 @@
 //!   socket buffer drains in both directions, because a blocked reactor is
 //!   woken by the bytes themselves;
 //! * **not needed** — a fetch's replies are read by the caller waiting for
-//!   them, so the requesting node's reactor sleeps through it.
+//!   them, so the requesting node's reactor sleeps through it; and the
+//!   holder's service thread writes its own answers, so the holder's
+//!   reactor wakes once per request and never for the reply.
 
 use ccm_core::{BlockId, FileId, NodeId, BLOCK_SIZE};
 use ccm_net::TcpLan;
@@ -247,14 +249,62 @@ fn a_fetch_leaves_the_requesting_reactor_asleep() {
     stop(&lan, services);
 }
 
+/// The holder's service thread writes its own replies. On a warm 2-node
+/// mesh, each of a batch of store-miss fetches, wire barriers and pings
+/// wakes the holder's reactor exactly once, for the request frame, and the
+/// requesting node's reactor not at all: the caller reads its own reply. A
+/// reactor that had to learn of the service thread's answer itself would
+/// wake again for it, and one that polled for it, many times.
+#[test]
+fn a_service_thread_answer_wakes_the_holders_reactor_once() {
+    const N: u64 = 100;
+    let registry = Registry::new();
+    let lan = TcpLan::loopback_obs(2, &registry).expect("bind loopback");
+    let services = dialled_mesh(&lan, 2);
+    // Stores attached but empty: every fetch is a store miss.
+    lan.attach_stores((0..2).map(|_| ShardedMap::new()).collect());
+    std::thread::sleep(Duration::from_millis(50)); // let the last pongs land
+    let fetch = |i: u64| {
+        let got = lan.fetch_block(NodeId(0), NodeId(1), block(i as u32), TIMEOUT);
+        got.as_deref() == Some(&payload(i as u32)[..])
+    };
+    let barrier = |_| lan.barrier(NodeId(1), TIMEOUT);
+    let ping = |_| lan.ping(NodeId(0), NodeId(1), TIMEOUT);
+    let kinds: [(&str, &dyn Fn(u64) -> bool); 3] =
+        [("fetch", &fetch), ("barrier", &barrier), ("ping", &ping)];
+    for (kind, op) in kinds {
+        let before = [wakeups(&registry, 0), wakeups(&registry, 1)];
+        for i in 0..N {
+            assert!(op(i), "{kind} {i} was not answered");
+        }
+        let woke = [
+            wakeups(&registry, 0) - before[0],
+            wakeups(&registry, 1) - before[1],
+        ];
+        assert_eq!(
+            woke,
+            [0, N],
+            "{kind}: reactor wake-ups [requester, holder] over {N} operations"
+        );
+    }
+    assert_eq!(
+        registry
+            .snapshot()
+            .counter_sum("ccm_net_reactor_served_total"),
+        0,
+        "every fetch went through the service thread"
+    );
+    stop(&lan, services);
+}
+
 /// More bytes than a socket buffer holds, in both directions, against a
-/// peer whose service thread is held behind a gate. Request side: writers
-/// busy-wait on a full socket (`write_train`), which only terminates
-/// because the peer's reactor — blocked in its readiness wait — is woken by
-/// the bytes and drains them into the (unbounded) inbox whatever the
-/// service thread is doing. Reply side: 64 blocks (512 KiB) come back as
-/// one reply train that the reactor flushes piecemeal, resuming on
-/// writability.
+/// peer whose service thread is held behind a gate. Request side: a writer
+/// that finds the socket full sleeps until it has room (`write_train`),
+/// which only ends because the peer's reactor — blocked in its readiness
+/// wait — is woken by the bytes and drains them into the (unbounded) inbox
+/// whatever the service thread is doing. Reply side: 64 blocks (512 KiB)
+/// come back, written by the service thread as far as the socket takes
+/// them, while the caller reads them.
 #[test]
 fn trains_larger_than_the_socket_buffer_drain_both_ways() {
     let lan = Arc::new(TcpLan::loopback(2).expect("bind loopback"));
@@ -313,4 +363,27 @@ fn trains_larger_than_the_socket_buffer_drain_both_ways() {
             "writer {w}'s forwards were reordered"
         );
     }
+}
+
+/// Replies nobody reads for a while: 1024 blocks (8 MiB) answered by the
+/// service thread while the caller that issued them has not started to
+/// wait. No writer blocks on the full socket — the service thread hands
+/// what it does not take to the holder's reactor, which finishes it when
+/// the caller's reads make room — and every block arrives intact.
+#[test]
+fn a_reply_remainder_is_finished_by_the_reactor() {
+    let lan = TcpLan::loopback(2).expect("bind loopback");
+    let _rx0 = lan.reconnect(NodeId(0));
+    let (open_gate, gate) = unbounded();
+    let service = serve(lan.reconnect(NodeId(1)), Some(gate));
+    let blocks: Vec<BlockId> = (0..1024).map(block).collect();
+    let pending = lan.issue(NodeId(0), NodeId(1), &blocks);
+    open_gate.send(()).expect("service waits at the gate");
+    std::thread::sleep(Duration::from_millis(100)); // nobody reads meanwhile
+    let got = pending.wait(TIMEOUT);
+    for (b, data) in blocks.iter().zip(&got) {
+        assert_eq!(data.as_deref(), Some(&payload(b.index)[..]));
+    }
+    assert!(lan.send(NodeId(1), NodeId(1), PeerMsg::Shutdown));
+    service.join().unwrap();
 }

@@ -11,7 +11,7 @@
 use ccm_core::{BlockId, FileId, NodeId, ReplacementPolicy};
 use ccm_net::TcpLan;
 use ccm_rt::store::read_file_direct;
-use ccm_rt::{Catalog, Middleware, RtConfig, SyntheticStore, Transport};
+use ccm_rt::{Catalog, Middleware, ReplyTo, RtConfig, SyntheticStore, Transport};
 use ccm_testkit::{acceptance_workload, drive, start_cluster, Backend};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -263,4 +263,42 @@ fn wire_ping_round_trips_and_detects_death() {
         "dead-peer ping should disconnect early, took {:?}",
         start.elapsed()
     );
+}
+
+/// A remote barrier or ping goes on the wire only through
+/// `Transport::barrier` and `Transport::ping`, whose callers read their own
+/// acks. Handed to `send` instead, it is refused at once: the reply is
+/// dropped unsent and the link stays up.
+#[test]
+fn a_remote_barrier_or_ping_through_send_is_refused() {
+    let lan = TcpLan::loopback(2).expect("bind loopback listeners");
+    let _rx0 = lan.reconnect(NodeId(0));
+    let rx1 = lan.reconnect(NodeId(1));
+    let service = std::thread::spawn(move || {
+        while let Ok(msg) = rx1.recv() {
+            match msg {
+                ccm_rt::PeerMsg::Ping { reply } | ccm_rt::PeerMsg::Barrier { reply } => {
+                    let _ = reply.send(());
+                }
+                ccm_rt::PeerMsg::Shutdown => break,
+                _ => {}
+            }
+        }
+    });
+    assert!(lan.ping(NodeId(0), NodeId(1), Duration::from_secs(2)));
+    for ping in [true, false] {
+        let (reply, rx) = ReplyTo::channel();
+        let msg = if ping {
+            ccm_rt::PeerMsg::Ping { reply }
+        } else {
+            ccm_rt::PeerMsg::Barrier { reply }
+        };
+        assert!(!lan.send(NodeId(0), NodeId(1), msg));
+        assert!(rx.recv().is_err(), "the refused reply was dropped unsent");
+    }
+    assert!(lan.ping(NodeId(0), NodeId(1), Duration::from_secs(2)));
+    assert!(lan.barrier(NodeId(1), Duration::from_secs(2)));
+    assert_eq!(lan.net_stats().teardowns, 0, "the link stayed up");
+    assert!(lan.send(NodeId(1), NodeId(1), ccm_rt::PeerMsg::Shutdown));
+    service.join().expect("service thread");
 }

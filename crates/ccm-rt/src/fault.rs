@@ -30,7 +30,7 @@
 //! on the same link, then delivered after them — reordering expressed in
 //! message counts rather than time, which keeps it deterministic.
 
-use crate::transport::{PeerMsg, Pending, Transport};
+use crate::transport::{PeerMsg, Pending, ReplyTo, Transport};
 use ccm_core::{BlockId, NodeId};
 use ccm_disk::DiskFaults;
 use ccm_obs::{Counter, Registry};
@@ -312,15 +312,8 @@ impl ChaosLan {
         if self.links.is_empty() {
             return self.inner.fetch_block(src, holder, block, timeout);
         }
-        let (reply_tx, reply_rx) = simcore::chan::unbounded();
-        if !self.send(
-            src,
-            holder,
-            PeerMsg::BlockRequest {
-                block,
-                reply: reply_tx,
-            },
-        ) {
+        let (reply, reply_rx) = ReplyTo::channel();
+        if !self.send(src, holder, PeerMsg::BlockRequest { block, reply }) {
             return None;
         }
         reply_rx.recv_timeout(timeout).ok().flatten()

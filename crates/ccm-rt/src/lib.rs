@@ -60,5 +60,7 @@ pub use obs::ReadClass;
 pub use runtime::{Middleware, NodeHandle, RtConfig, WriteError};
 pub use shard::ShardedMap;
 pub use store::{BlockStore, Catalog, MemStore, SyntheticStore};
-pub use transport::{AttachedStores, BlockStores, Completion, Lan, PeerMsg, Pending, Transport};
+pub use transport::{
+    AttachedStores, BlockStores, Completion, Lan, PeerMsg, Pending, ReplySink, ReplyTo, Transport,
+};
 pub use write::{WriteConfig, WriteMode, WriteStats};

@@ -9,11 +9,10 @@
 //! the HTTP front tier included).
 //!
 //! In the channel backend each node owns an unbounded receiver; any thread
-//! holding a [`Lan`] can address any node. Data-plane replies travel on
-//! per-request one-shot channels, as a real RPC layer would multiplex them.
-//! (A socket backend cannot ship a channel sender across the wire; it
-//! correlates replies by request id and completes them its own way — see
-//! `ccm-net`.)
+//! holding a [`Lan`] can address any node. A message that wants an answer
+//! carries a [`ReplyTo`]: a per-request one-shot channel over the channel
+//! backend; over a socket backend, which correlates replies by request id,
+//! a [`ReplySink`] that writes the answer onto the request's connection.
 //!
 //! ## Issue now, wait later
 //!
@@ -53,15 +52,15 @@
 
 use crate::shard::ShardedMap;
 use ccm_core::{BlockId, NodeId};
-use simcore::chan::{unbounded, Receiver, Sender};
+use simcore::chan::{unbounded, Receiver, SendError, Sender};
 use simcore::sync::RwLock;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A message between cluster nodes.
 ///
-/// `Clone` exists so a fault injector can duplicate a message in flight;
-/// the runtime itself never clones messages.
+/// `Clone` exists so a fault injector can duplicate a message in flight (the
+/// first copy answered wins); the runtime itself never clones messages.
 #[derive(Clone)]
 pub enum PeerMsg {
     /// "Send me a non-master copy of `block`" — answered with the bytes, or
@@ -71,7 +70,7 @@ pub enum PeerMsg {
         /// The wanted block.
         block: BlockId,
         /// Where to deliver the reply.
-        reply: Sender<Option<Arc<[u8]>>>,
+        reply: ReplyTo<Option<Arc<[u8]>>>,
     },
     /// An evicted master forwarded here (second chance); carries its bytes
     /// and, when the protocol displaced a block at this node to make room,
@@ -108,7 +107,7 @@ pub enum PeerMsg {
     /// this inbox has been processed. Used to quiesce the data plane.
     Barrier {
         /// Where to deliver the ack.
-        reply: Sender<()>,
+        reply: ReplyTo<()>,
     },
     /// Heartbeat probe: the service thread answers immediately to prove it
     /// is alive. Control-plane — the chaos wrapper never drops or delays a
@@ -116,10 +115,54 @@ pub enum PeerMsg {
     /// faults.
     Ping {
         /// Where to deliver the pong.
-        reply: Sender<()>,
+        reply: ReplyTo<()>,
     },
     /// Orderly shutdown of the node's service thread.
     Shutdown,
+}
+
+/// Where the answer to one [`PeerMsg`] goes, held by whoever answers it.
+/// The first answer among a reply's clones wins, and a reply dropped
+/// unsent — by the answering thread, or with the inbox of a node that
+/// died — tells the requester at once that none is coming.
+#[derive(Clone)]
+pub enum ReplyTo<T> {
+    /// The sending end of a one-shot channel ([`ReplyTo::channel`]), as over
+    /// the channel [`Lan`]; dropped unsent, it disconnects.
+    Channel(Sender<T>),
+    /// A sink a wire backend hands its node's service thread, which writes
+    /// the answer onto the connection the request came in on; dropped
+    /// unsent, it writes the miss (for an ack, tears the connection down).
+    Wire(Arc<dyn ReplySink<T>>),
+}
+
+/// An answer a wire backend writes itself: see [`ReplyTo::Wire`].
+pub trait ReplySink<T>: Send + Sync {
+    /// Write `reply` to the requester; only the first call takes effect.
+    fn send(&self, reply: T);
+}
+
+impl<T> ReplyTo<T> {
+    /// A reply on an in-process channel, and its receiving end.
+    pub fn channel() -> (ReplyTo<T>, Receiver<T>) {
+        let (tx, rx) = unbounded();
+        (ReplyTo::Channel(tx), rx)
+    }
+
+    /// Answer the request.
+    ///
+    /// # Errors
+    /// [`SendError`] (returning `reply`) when nobody holds the channel's
+    /// receiving end any more: the requester is gone.
+    pub fn send(&self, reply: T) -> Result<(), SendError<T>> {
+        match self {
+            ReplyTo::Channel(tx) => tx.send(reply),
+            ReplyTo::Wire(sink) => {
+                sink.send(reply);
+                Ok(())
+            }
+        }
+    }
 }
 
 /// The per-node data-plane block stores (index = node), as [`Middleware`]
@@ -217,7 +260,7 @@ impl Pending {
     ) -> Pending {
         let mut channels = Vec::with_capacity(blocks.len());
         for (i, &block) in blocks.iter().enumerate() {
-            let (reply, rx) = unbounded();
+            let (reply, rx) = ReplyTo::channel();
             if transport.send(src, holder, PeerMsg::BlockRequest { block, reply }) {
                 channels.push((i, rx));
             }
@@ -273,6 +316,12 @@ impl Pending {
 /// * `send` is fire-and-forget. `false` means the transport *knows* the
 ///   destination cannot receive (dead incarnation, link down); `true` means
 ///   the message was handed to the fabric — it may still be lost in flight.
+/// * An answer comes back through the request's [`ReplyTo`]. A backend that
+///   takes requests off a wire hands the service thread a [`ReplySink`] per
+///   request, which answers even when dropped unsent.
+/// * A remote [`PeerMsg::Barrier`] or [`PeerMsg::Ping`] goes out through
+///   [`Transport::barrier`] and [`Transport::ping`]; a wire backend that
+///   overrides both may refuse one handed to `send` (`TcpLan` does).
 /// * [`PeerMsg::Shutdown`] is control-plane and must be delivered locally
 ///   (never over a wire): it stops the destination's service thread, which
 ///   a real remote peer has no business doing.
@@ -351,7 +400,7 @@ pub trait Transport: Send + Sync + 'static {
     /// fabric for `node` has been processed by its service thread. False if
     /// the node is dead or the ack timed out.
     fn barrier(&self, node: NodeId, timeout: Duration) -> bool {
-        let (reply, rx) = unbounded();
+        let (reply, rx) = ReplyTo::channel();
         self.send(node, node, PeerMsg::Barrier { reply }) && Pending::ack(rx).acked(timeout)
     }
 
@@ -360,7 +409,7 @@ pub trait Transport: Send + Sync + 'static {
     /// False — a missed heartbeat — if the send was refused, the thread is
     /// gone, or the pong did not arrive in time.
     fn ping(&self, src: NodeId, dst: NodeId, timeout: Duration) -> bool {
-        let (reply, rx) = unbounded();
+        let (reply, rx) = ReplyTo::channel();
         self.send(src, dst, PeerMsg::Ping { reply }) && Pending::ack(rx).acked(timeout)
     }
 }
@@ -476,7 +525,7 @@ impl Transport for Lan {
         for (i, &block) in blocks.iter().enumerate() {
             let hit = self.fabric.stores.hit(holder, &inbox.read(), block);
             if hit.is_none() {
-                let (reply, rx) = unbounded();
+                let (reply, rx) = ReplyTo::channel();
                 if self.send(holder, PeerMsg::BlockRequest { block, reply }) {
                     channels.push((i, rx));
                 }
