@@ -2,13 +2,14 @@
 //!
 //! One listener per node on loopback (the per-node address a round-robin
 //! DNS would hand out), one lazily established TCP connection per ordered
-//! node pair, and the [`crate::wire`] codec in between. The in-process
-//! reply channels of [`PeerMsg`] never cross the socket: each outbound
-//! connection keeps a *pending table*, keyed by request id, of whom each
-//! outstanding reply is owed to — a slot of a train issued through
-//! [`Transport::issue`], or the reply channel of a message handed to
-//! [`Transport::send`] — and whoever reads the socket hands each
-//! [`WireMsg::BlockReply`] / [`WireMsg::BarrierAck`] on as it comes back.
+//! node pair, and the [`crate::wire`] codec in between. Every request that
+//! wants a reply goes out in a train issued through [`Transport::issue`]
+//! (a fetch), [`Transport::barrier`] or [`Transport::ping`]; each outbound
+//! connection keeps a *pending table*, keyed by request id, of the train
+//! slot each outstanding reply is owed to, and whoever reads the socket
+//! hands each [`WireMsg::BlockReply`] / [`WireMsg::BarrierAck`] /
+//! [`WireMsg::Pong`] on as it comes back. [`Transport::send`] carries only
+//! what wants no reply, and refuses a remote request that does.
 //!
 //! ## Data plane: group-commit frame trains + one reactor per node
 //!
@@ -79,11 +80,9 @@
 //!   wait) holds the read half without polling it; a caller that comes to
 //!   wait there takes it over rather than park behind it.
 //! * **the dialing node's reactor** — it gets the read half, through its
-//!   wake pipe, when a leader leaves (done, timed out or dropped) while
-//!   other replies are still owed, and when a reply channel comes in
-//!   through `send` (a fetch under a fault plan; pings and wire barriers go
-//!   out as trains waited for like a fetch), which nobody waits for inside
-//!   the transport. It gives it back once the pending table is empty.
+//!   wake pipe, only when a leader leaves (done, timed out or dropped)
+//!   while other replies are still owed, and gives it back once the
+//!   pending table is empty.
 //!
 //! **Ownership invariant:** whenever an outbound connection's pending table
 //! is non-empty, exactly one of its leading caller or its node's reactor
@@ -141,6 +140,8 @@
 //! [`Transport`]: ccm_rt::Transport
 //! [`Transport::attach_stores`]: ccm_rt::Transport::attach_stores
 //! [`Transport::issue`]: ccm_rt::Transport::issue
+//! [`Transport::barrier`]: ccm_rt::Transport::barrier
+//! [`Transport::ping`]: ccm_rt::Transport::ping
 //! [`Transport::send`]: ccm_rt::Transport::send
 //! [`Transport::reconnect`]: ccm_rt::Transport::reconnect
 //! [`Pending::wait`]: ccm_rt::Pending::wait
@@ -342,27 +343,6 @@ impl NetObs {
     }
 }
 
-/// Whom a reply is owed to.
-enum Owed {
-    /// A `send` caller, on the reply its [`PeerMsg`] came with.
-    Channel(ReplyTo<Option<Arc<[u8]>>>),
-    /// Slot `.1` of an issued train's [`Waiter`].
-    Slot(Arc<Waiter>, usize),
-}
-
-impl Owed {
-    /// Hand `reply` to whoever it is owed to.
-    fn deliver(self, reply: Option<Arc<[u8]>>) {
-        match self {
-            Owed::Slot(waiter, i) => waiter.resolve(i, reply),
-            // The requester may have timed out.
-            Owed::Channel(tx) => {
-                let _ = tx.send(reply);
-            }
-        }
-    }
-}
-
 /// Who holds the read half of an outbound connection.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Reader {
@@ -376,11 +356,12 @@ enum Reader {
 }
 
 /// The receive side of an outbound connection: the pending table of
-/// outstanding requests, keyed by request id, and who reads their replies.
-/// Whenever the table is non-empty exactly one reader holds the read half
-/// (see the module docs).
+/// outstanding requests, keyed by request id, each owed to slot `.1` of an
+/// issued train's [`Waiter`], and who reads their replies. Whenever the
+/// table is non-empty exactly one reader holds the read half (see the
+/// module docs).
 struct Rx {
-    pending: FxHashMap<u64, Owed>,
+    pending: FxHashMap<u64, (Arc<Waiter>, usize)>,
     reader: Reader,
     /// The connection failed: nothing more may register, so no entry can
     /// be orphaned to sit out its full timeout.
@@ -394,10 +375,8 @@ impl Rx {
     fn close(&mut self) -> usize {
         self.closed = true;
         let dropped = self.pending.len();
-        for (_, owed) in self.pending.drain() {
-            if let Owed::Slot(waiter, _) = owed {
-                waiter.fail();
-            }
+        for (_, (waiter, _)) in self.pending.drain() {
+            waiter.fail();
         }
         dropped
     }
@@ -480,12 +459,40 @@ struct Outbox {
     dead: bool,
 }
 
-/// An established outbound connection. The socket is nonblocking; the
-/// dialing side writes trains through `outbox`, and whoever holds the read
-/// half (`rx.reader`) reads replies from the same socket.
-struct Conn {
+/// A connection's nonblocking socket and the outbox its writers stage
+/// frames on: requests on a dialed connection, replies on an accepted one.
+struct Io {
     sock: TcpStream,
     outbox: Mutex<Outbox>,
+}
+
+impl Io {
+    fn new(sock: TcpStream) -> Io {
+        Io {
+            sock,
+            outbox: Mutex::default(),
+        }
+    }
+
+    /// Stop the data plane on this connection: refuse further staging and
+    /// shut the socket down so the reactor (and the peer) observes it.
+    fn kill(&self) {
+        self.outbox.lock().dead = true;
+        let _ = self.sock.shutdown(Shutdown::Both);
+    }
+}
+
+impl Drop for Io {
+    fn drop(&mut self) {
+        let _ = self.sock.shutdown(Shutdown::Both);
+    }
+}
+
+/// An established outbound connection. The dialing side writes trains
+/// through `io.outbox`, and whoever holds the read half (`rx.reader`) reads
+/// replies from the same socket.
+struct Conn {
+    io: Io,
     rx: Mutex<Rx>,
     /// Reassembles reply frames. Locked for one read pass by the reader,
     /// or by the reactor noticing a hang-up; taken before `rx`.
@@ -495,8 +502,7 @@ struct Conn {
 impl Conn {
     fn new(sock: TcpStream) -> Conn {
         Conn {
-            sock,
-            outbox: Mutex::default(),
+            io: Io::new(sock),
             rx: Mutex::new(Rx {
                 pending: FxHashMap::default(),
                 reader: Reader::Idle,
@@ -514,19 +520,6 @@ impl Conn {
         } else {
             POLLRDHUP
         }
-    }
-
-    /// Stop the data plane on this connection: refuse further staging and
-    /// shut the socket down so the reactor (and any peer) observes it.
-    fn kill(&self) {
-        self.outbox.lock().dead = true;
-        let _ = self.sock.shutdown(Shutdown::Both);
-    }
-}
-
-impl Drop for Conn {
-    fn drop(&mut self) {
-        let _ = self.sock.shutdown(Shutdown::Both);
     }
 }
 
@@ -594,7 +587,7 @@ impl TcpShared {
         let is_current = link.conn.as_ref().is_some_and(|c| Arc::ptr_eq(c, conn));
         if is_current {
             if let Some(conn) = link.conn.take() {
-                conn.kill(); // the reactor sees the shutdown and unwatches
+                conn.io.kill(); // the reactor sees the shutdown and unwatches
             }
             link.retry_at = Some(Instant::now() + link.backoff);
             let o = self.obs.pair(src, dst);
@@ -609,7 +602,7 @@ impl TcpShared {
 /// waiter (immediate disconnect, not timeout), settle the pending gauge,
 /// and put the link into backoff if this is still its current connection.
 fn conn_failed(shared: &TcpShared, src: NodeId, dst: NodeId, conn: &Arc<Conn>) {
-    conn.kill();
+    conn.io.kill();
     // Count the teardown *before* failing the waiters: a fetch that wakes
     // on the degrade path must already find its cause in the wire
     // counters.
@@ -651,16 +644,16 @@ fn write_train(
     train: &mut FrameTrain,
 ) -> bool {
     loop {
-        match train.write_some(&mut &conn.sock) {
+        match train.write_some(&mut &conn.io.sock) {
             Ok(true) => {
                 count_train(shared, src, dst, train);
                 return true;
             }
             Ok(false) => {
-                if conn.outbox.lock().dead {
+                if conn.io.outbox.lock().dead {
                     return false;
                 }
-                let mut fd = [PollFd::new(&conn.sock, POLLOUT)];
+                let mut fd = [PollFd::new(&conn.io.sock, POLLOUT)];
                 wait_ready(&mut fd, Some(FULL_SOCKET_RECHECK));
             }
             Err(_) => return false,
@@ -682,7 +675,7 @@ fn pump_frames(
     frames: &[WireMsg],
 ) -> bool {
     let cap = MAX_TRAIN_BYTES as u64;
-    let mut ob = conn.outbox.lock();
+    let mut ob = conn.io.outbox.lock();
     if ob.dead {
         return false;
     }
@@ -692,7 +685,7 @@ fn pump_frames(
     while ob.writing && ob.train.bytes() >= cap {
         drop(ob);
         std::thread::yield_now();
-        ob = conn.outbox.lock();
+        ob = conn.io.outbox.lock();
         if ob.dead {
             return false;
         }
@@ -709,10 +702,10 @@ fn pump_frames(
         drop(ob);
         if !write_train(shared, src, dst, conn, &mut train) {
             conn_failed(shared, src, dst, conn);
-            conn.outbox.lock().writing = false;
+            conn.io.outbox.lock().writing = false;
             return false;
         }
-        ob = conn.outbox.lock();
+        ob = conn.io.outbox.lock();
         if ob.dead || ob.train.is_empty() {
             ob.writing = false;
             // Our frame was flushed either way; a dead connection only
@@ -873,7 +866,7 @@ impl TcpLan {
         // The Hello is staged, not written: it coalesces into the same
         // train as the first request, and `pump_frames` flushes them
         // together.
-        conn.outbox.lock().train.push(&WireMsg::Hello {
+        conn.io.outbox.lock().train.push(&WireMsg::Hello {
             version: WIRE_VERSION,
             node: src,
         });
@@ -897,78 +890,37 @@ impl TcpLan {
         Some(conn)
     }
 
-    /// Encode `msg` as a frame, register its reply channel on the pending
-    /// table if it expects a reply, and stage it on the link's group-commit
+    /// Encode `msg` as a frame and stage it on the link's group-commit
     /// outbox. Returns false (after teardown) on any failure, and for a
-    /// barrier or ping, which only [`TcpLan::barrier`] and [`TcpLan::ping`]
-    /// put on the wire.
+    /// request that wants a reply, whose reply is dropped unsent: only a
+    /// train its caller waits for puts one on the wire
+    /// ([`Transport::issue`], [`TcpLan::barrier`], [`TcpLan::ping`]).
     fn send_wire(&self, src: NodeId, dst: NodeId, msg: PeerMsg) -> bool {
         let obs = self.shared.obs.pair(src, dst);
-        let mut link = self.shared.link(src, dst).lock();
-        let Some(conn) = self.ensure_conn(&mut link, src, dst) else {
-            obs.degrades.inc();
-            return false;
-        };
-        drop(link);
-        let req_id = self.shared.next_req.fetch_add(1, Ordering::Relaxed);
-        let (frame, reply) = match msg {
-            PeerMsg::BlockRequest { block, reply } => (
-                WireMsg::BlockRequest { req_id, block },
-                Some(Owed::Channel(reply)),
-            ),
+        let frame = match msg {
             PeerMsg::Forward {
                 block,
                 data,
                 displace,
-            } => (
-                WireMsg::Forward {
-                    block,
-                    data,
-                    displace,
-                },
-                None,
-            ),
-            PeerMsg::Invalidate { block } => (WireMsg::Invalidate { block }, None),
+            } => WireMsg::Forward {
+                block,
+                data,
+                displace,
+            },
+            PeerMsg::Invalidate { block } => WireMsg::Invalidate { block },
             PeerMsg::WriteInvalidate { block, version } => {
-                (WireMsg::WriteInvalidate { block, version }, None)
+                WireMsg::WriteInvalidate { block, version }
             }
-            // Wire barriers and pings go out only as trains their callers
-            // wait for (`TcpLan::barrier`, `TcpLan::ping`): refused here.
-            PeerMsg::Barrier { .. } | PeerMsg::Ping { .. } => {
+            PeerMsg::BlockRequest { .. } | PeerMsg::Barrier { .. } | PeerMsg::Ping { .. } => {
                 obs.degrades.inc();
                 return false;
             }
             // Control-plane; `send` routes it locally before we get here.
             PeerMsg::Shutdown => unreachable!("Shutdown never crosses the wire"),
         };
-        // Register the reply before the frame can hit the wire. Nobody
-        // waits for a reply channel inside the transport, so the reactor
-        // reads it unless a caller is reading the socket already.
-        let mut wake = false;
-        if let Some(owed) = reply {
-            let mut rx = conn.rx.lock();
-            if rx.closed {
-                drop(rx);
-                obs.degrades.inc();
-                return false; // the connection died under us
-            }
-            rx.pending.insert(req_id, owed);
-            if !matches!(
-                rx.reader,
-                Reader::Reactor | Reader::Caller { polling: true, .. }
-            ) {
-                rx.reader = Reader::Reactor;
-                wake = true;
-            }
-            drop(rx);
-            obs.pending_replies.adjust(1);
-        }
-        let sent = pump_frames(&self.shared, src, dst, &conn, &[frame]);
-        if wake {
-            self.shared.wake(src);
-        }
+        let conn = self.ensure_conn(&mut self.shared.link(src, dst).lock(), src, dst);
+        let sent = conn.is_some_and(|conn| pump_frames(&self.shared, src, dst, &conn, &[frame]));
         if !sent {
-            // The pending entry (if any) died with the connection's table.
             obs.degrades.inc();
         }
         sent
@@ -995,8 +947,7 @@ impl TcpLan {
                 return None;
             }
             for i in 0..n {
-                rx.pending
-                    .insert(first + i as u64, Owed::Slot(waiter.clone(), i));
+                rx.pending.insert(first + i as u64, (waiter.clone(), i));
             }
             if rx.reader == Reader::Idle {
                 rx.reader = Reader::Caller {
@@ -1090,7 +1041,7 @@ impl Transport for TcpLan {
                 let mut link = self.shared.links[src * n + dst].lock();
                 let pair = self.shared.obs.pair(NodeId(src as u16), NodeId(dst as u16));
                 if let Some(conn) = link.conn.take() {
-                    conn.kill();
+                    conn.io.kill();
                     pair.teardowns.inc();
                 }
                 link.backoff = INITIAL_BACKOFF;
@@ -1162,7 +1113,7 @@ impl Drop for TcpLan {
         // a reactor that is about to stop.
         for link in &self.shared.links {
             if let Some(conn) = link.lock().conn.take() {
-                conn.kill();
+                conn.io.kill();
                 conn.rx.lock().close();
             }
         }
@@ -1190,8 +1141,7 @@ const READ_CHUNK: usize = 64 * 1024;
 struct Replies {
     shared: Arc<TcpShared>,
     node: NodeId,
-    sock: TcpStream,
-    outbox: Mutex<Outbox>,
+    io: Io,
     /// A train the socket took only part of — non-empty only while
     /// `outbox.writing`, as the reactor's turn to finish it on writability.
     rest: Mutex<FrameTrain>,
@@ -1200,7 +1150,7 @@ struct Replies {
 impl Replies {
     /// Stage `frame` behind the replies already staged.
     fn stage(&self, frame: &WireMsg) {
-        let mut ob = self.outbox.lock();
+        let mut ob = self.io.outbox.lock();
         if !ob.dead {
             ob.train.push(frame);
         }
@@ -1210,7 +1160,7 @@ impl Replies {
     /// at it already: the caller becomes the writer (group commit). True if
     /// the socket left a remainder for the reactor to finish.
     fn flush(&self, src: NodeId) -> bool {
-        let mut ob = self.outbox.lock();
+        let mut ob = self.io.outbox.lock();
         if ob.writing || ob.dead || ob.train.is_empty() {
             return false;
         }
@@ -1235,18 +1185,18 @@ impl Replies {
     /// requester may read the counters once it has the reply.
     fn write(&self, src: NodeId, mut train: FrameTrain) -> bool {
         loop {
-            match train.write_some(&mut &self.sock) {
+            match train.write_some(&mut &self.io.sock) {
                 Ok(true) => {}
                 Ok(false) => {
                     *self.rest.lock() = train;
                     return true;
                 }
                 Err(_) => {
-                    self.kill();
+                    self.io.kill();
                     return false;
                 }
             }
-            let mut ob = self.outbox.lock();
+            let mut ob = self.io.outbox.lock();
             if ob.dead || ob.train.is_empty() {
                 ob.writing = false;
                 return false;
@@ -1255,13 +1205,6 @@ impl Replies {
             drop(ob);
             count_train(&self.shared, self.node, src, &train);
         }
-    }
-
-    /// Tear the connection down: the reactor reads its end and drops it,
-    /// and the requester sees the hang-up.
-    fn kill(&self) {
-        self.outbox.lock().dead = true;
-        let _ = self.sock.shutdown(Shutdown::Both);
     }
 }
 
@@ -1295,7 +1238,7 @@ impl<T> Answer<T> {
                     self.replies.shared.wake(self.replies.node);
                 }
             }
-            None => self.replies.kill(),
+            None => self.replies.io.kill(),
         }
     }
 }
@@ -1330,8 +1273,7 @@ impl InConn {
             replies: Arc::new(Replies {
                 shared: shared.clone(),
                 node,
-                sock,
-                outbox: Mutex::default(),
+                io: Io::new(sock),
                 rest: Mutex::default(),
             }),
             asm: FrameAssembler::new(),
@@ -1357,7 +1299,7 @@ impl InConn {
     /// false when the connection must be dropped.
     fn poll(&mut self, ready: bool) -> bool {
         let (shared, node) = (&*self.replies.shared, self.replies.node);
-        if ready && !read_pass(&mut self.asm, &self.replies.sock) {
+        if ready && !read_pass(&mut self.asm, &self.replies.io.sock) {
             return false; // EOF (the peer is gone) or a socket error
         }
         // Demux complete frames.
@@ -1442,7 +1384,7 @@ impl InConn {
             if let Err(refused) = inbox.send(msg) {
                 // A dead incarnation: go down before the refused request's
                 // reply answers, so the requester sees a teardown, not a miss.
-                self.replies.kill();
+                self.replies.io.kill();
                 drop(refused);
                 return false;
             }
@@ -1464,7 +1406,7 @@ impl InConn {
 
 impl Drop for InConn {
     fn drop(&mut self) {
-        self.replies.kill();
+        self.replies.io.kill();
     }
 }
 
@@ -1491,7 +1433,7 @@ fn read_pass(asm: &mut FrameAssembler, mut sock: &TcpStream) -> bool {
 /// cleaned up).
 fn read_replies(shared: &TcpShared, node: NodeId, dst: NodeId, conn: &Arc<Conn>) -> bool {
     let mut asm = conn.asm.lock();
-    let mut ok = read_pass(&mut asm, &conn.sock);
+    let mut ok = read_pass(&mut asm, &conn.io.sock);
     // Replies travel `dst → node`; the pending gauge lives on the link as
     // dialed, `node → dst`. Frames read before an EOF are still delivered.
     let in_obs = shared.obs.pair(dst, node);
@@ -1515,9 +1457,9 @@ fn read_replies(shared: &TcpShared, node: NodeId, dst: NodeId, conn: &Arc<Conn>)
         in_obs.frames_in.inc();
         in_obs.bytes_in.add(n);
         // No entry: its waiter left (timed out or dropped) — discard.
-        if let Some(owed) = rx.pending.remove(&req_id) {
+        if let Some((waiter, i)) = rx.pending.remove(&req_id) {
             link_obs.pending_replies.adjust(-1);
-            owed.deliver(reply);
+            waiter.resolve(i, reply);
         }
     }
     if rx.reader == Reader::Reactor && rx.pending.is_empty() {
@@ -1581,7 +1523,7 @@ impl TcpWait {
                 return;
             }
             if self.lead() {
-                let mut fd = [PollFd::new(&self.conn.sock, POLLIN)];
+                let mut fd = [PollFd::new(&self.conn.io.sock, POLLIN)];
                 if wait_ready(&mut fd, Some(deadline - now)) > 0 {
                     read_replies(&self.shared, self.src, self.dst, &self.conn);
                 }
@@ -1732,14 +1674,14 @@ fn reactor_loop(
         fds.extend(inbound.iter().map(|c| {
             let remainder = !c.replies.rest.lock().is_empty();
             PollFd::new(
-                &c.replies.sock,
+                &c.replies.io.sock,
                 POLLIN | if remainder { POLLOUT } else { 0 },
             )
         }));
         fds.extend(
             outbound
                 .iter()
-                .map(|w| PollFd::new(&w.conn.sock, w.conn.reactor_interest())),
+                .map(|w| PollFd::new(&w.conn.io.sock, w.conn.reactor_interest())),
         );
         // How long to sleep: until the nearest Hello deadline while a
         // connection is still anonymous; else until woken.

@@ -11,10 +11,12 @@
 //!   same seed produces bit-identical protocol and chaos statistics even
 //!   though the transport underneath is a real socket stack.
 //!
-//! Faults are injected *before* the socket (sender-side), so a dropped
-//! request still degrades to an instant disconnect — never a TCP-level
-//! stall — and the fault schedule is byte-for-byte the one the channel
-//! backend sees.
+//! Faults are injected *before* the socket (sender-side), request by
+//! request inside each fetch train: a dropped request never reaches the
+//! wire and reads as a miss at once — never a TCP-level stall — while the
+//! survivors leave as one pipelined train, the path every fault-free fetch
+//! takes. The fault schedule is byte-for-byte the one the channel backend
+//! sees.
 //!
 //! The driver is `ccm-testkit`'s [`run_torture`] with [`Backend::Tcp`] —
 //! the same code path the channel-mode `tests/chaos.rs` runs, including
@@ -23,10 +25,13 @@
 //! channel harness's: a real loopback round trip plus scheduling noise
 //! must never be mistaken for a lost message.
 
-use ccm_core::{FileId, NodeId, ReplacementPolicy};
+use ccm_core::{BlockId, FileId, NodeId, ReplacementPolicy};
 use ccm_net::TcpLan;
+use ccm_obs::{Registry, Value};
 use ccm_rt::store::read_file_direct;
-use ccm_rt::{DiskFaults, FaultPlan, Middleware, RtConfig};
+use ccm_rt::{
+    ChaosLan, DiskFaults, FaultPlan, LinkFaults, Middleware, PeerMsg, RtConfig, Transport,
+};
 use ccm_testkit::{fixture, run_torture, Backend};
 use simcore::Rng;
 use std::sync::Arc;
@@ -88,6 +93,70 @@ fn disk_faults_over_tcp_stay_exact_and_replayable() {
     let b = run_torture(BACKEND, 21, 4, 80, true, disk);
     assert_eq!(a, b, "disk-faulted socket reruns must be bit-identical");
     assert!(a.disk_fallbacks > 0);
+}
+
+/// A faulted fetch train still leaves as one wire train: one 32-block
+/// `ChaosLan::issue` over `TcpLan` under a drop-only plan moves the request
+/// link's `ccm_net_trains_out_total` by exactly 1, a dropped request reads
+/// `None`, and every survivor is answered with its own bytes.
+#[test]
+fn a_faulted_fetch_train_leaves_as_one_wire_train() {
+    let registry = Registry::new();
+    let lan = Arc::new(TcpLan::loopback_obs(2, &registry).expect("bind loopback listeners"));
+    let _rx0 = lan.reconnect(NodeId(0));
+    let rx1 = lan.reconnect(NodeId(1));
+    let service = std::thread::spawn(move || {
+        while let Ok(msg) = rx1.recv() {
+            match msg {
+                PeerMsg::BlockRequest { block, reply } => {
+                    let _ = reply.send(Some(vec![block.index as u8].into()));
+                }
+                PeerMsg::Ping { reply } => {
+                    let _ = reply.send(());
+                }
+                PeerMsg::Shutdown => break,
+                _ => {}
+            }
+        }
+    });
+    // Dial the link first, so the fetch train is counted alone.
+    assert!(lan.ping(NodeId(0), NodeId(1), Duration::from_secs(2)));
+    let trains = || {
+        let snap = registry.snapshot();
+        let series = snap.find("ccm_net_trains_out_total", &[("dst", "1"), ("src", "0")]);
+        match series.map(|m| &m.value) {
+            Some(Value::Counter(v)) => *v,
+            other => panic!("no request-link train counter: {other:?}"),
+        }
+    };
+    let plan = FaultPlan {
+        link: LinkFaults {
+            drop_prob: 0.3,
+            ..LinkFaults::NONE
+        },
+        ..FaultPlan::quiet(7)
+    };
+    let chaos = ChaosLan::new(lan.clone(), &plan);
+    let blocks: Vec<BlockId> = (0..32).map(|i| BlockId::new(FileId(0), i)).collect();
+    let before = trains();
+    let got = chaos
+        .issue(NodeId(0), NodeId(1), &blocks)
+        .wait(Duration::from_secs(5));
+    assert_eq!(trains() - before, 1, "the survivors left as one train");
+    let dropped = chaos.chaos_stats().dropped;
+    assert!(dropped > 0, "30% drops over 32 requests must fire");
+    assert_eq!(got.iter().filter(|r| r.is_none()).count() as u64, dropped);
+    for (i, reply) in got.iter().enumerate() {
+        if let Some(bytes) = reply {
+            assert_eq!(
+                bytes[..],
+                [i as u8],
+                "block {i} answered with another's bytes"
+            );
+        }
+    }
+    assert!(lan.send(NodeId(1), NodeId(1), PeerMsg::Shutdown));
+    service.join().expect("service thread");
 }
 
 /// Concurrent stress over sockets: reader threads hammer never-crashed

@@ -265,18 +265,23 @@ fn wire_ping_round_trips_and_detects_death() {
     );
 }
 
-/// A remote barrier or ping goes on the wire only through
-/// `Transport::barrier` and `Transport::ping`, whose callers read their own
-/// acks. Handed to `send` instead, it is refused at once: the reply is
-/// dropped unsent and the link stays up.
+/// A remote block request, barrier or ping goes on the wire only through
+/// `Transport::issue`, `Transport::barrier` and `Transport::ping`, whose
+/// callers read their own replies. Handed to `send` instead, it is refused
+/// at once and counted as a degrade: the reply is dropped unsent and the
+/// link stays up.
 #[test]
 fn a_remote_barrier_or_ping_through_send_is_refused() {
-    let lan = TcpLan::loopback(2).expect("bind loopback listeners");
+    let registry = ccm_obs::Registry::new();
+    let lan = TcpLan::loopback_obs(2, &registry).expect("bind loopback listeners");
     let _rx0 = lan.reconnect(NodeId(0));
     let rx1 = lan.reconnect(NodeId(1));
     let service = std::thread::spawn(move || {
         while let Ok(msg) = rx1.recv() {
             match msg {
+                ccm_rt::PeerMsg::BlockRequest { block, reply } => {
+                    let _ = reply.send(Some(vec![block.index as u8].into()));
+                }
                 ccm_rt::PeerMsg::Ping { reply } | ccm_rt::PeerMsg::Barrier { reply } => {
                     let _ = reply.send(());
                 }
@@ -285,7 +290,17 @@ fn a_remote_barrier_or_ping_through_send_is_refused() {
             }
         }
     });
+    let block = BlockId::new(FileId(0), 5);
+    let fetch = |lan: &TcpLan| lan.fetch_block(NodeId(0), NodeId(1), block, Duration::from_secs(2));
     assert!(lan.ping(NodeId(0), NodeId(1), Duration::from_secs(2)));
+    assert_eq!(fetch(&lan).as_deref(), Some(&[5u8][..]));
+    let (reply, rx) = ReplyTo::channel();
+    let fetch_msg = ccm_rt::PeerMsg::BlockRequest { block, reply };
+    assert!(!lan.send(NodeId(0), NodeId(1), fetch_msg));
+    assert!(
+        rx.recv().is_err(),
+        "the refused fetch's reply was dropped unsent"
+    );
     for ping in [true, false] {
         let (reply, rx) = ReplyTo::channel();
         let msg = if ping {
@@ -296,8 +311,15 @@ fn a_remote_barrier_or_ping_through_send_is_refused() {
         assert!(!lan.send(NodeId(0), NodeId(1), msg));
         assert!(rx.recv().is_err(), "the refused reply was dropped unsent");
     }
+    let snap = registry.snapshot();
+    let degrades = snap.find("ccm_net_degrades_total", &[("dst", "1"), ("src", "0")]);
+    assert!(
+        matches!(degrades.map(|m| &m.value), Some(ccm_obs::Value::Counter(3))),
+        "each refusal counts one degrade: {degrades:?}"
+    );
     assert!(lan.ping(NodeId(0), NodeId(1), Duration::from_secs(2)));
     assert!(lan.barrier(NodeId(1), Duration::from_secs(2)));
+    assert_eq!(fetch(&lan).as_deref(), Some(&[5u8][..]));
     assert_eq!(lan.net_stats().teardowns, 0, "the link stayed up");
     assert!(lan.send(NodeId(1), NodeId(1), ccm_rt::PeerMsg::Shutdown));
     service.join().expect("service thread");

@@ -1,10 +1,11 @@
-//! Deterministic fault injection for the channel LAN.
+//! Deterministic fault injection for the peer transport.
 //!
 //! A [`FaultPlan`] is a seeded, declarative description of everything that
 //! will go wrong in a run: per-link message drop / duplication / delay
 //! probabilities and a per-node crash/restart schedule. [`ChaosLan`] wraps
-//! [`Lan`] and applies the link faults; the torture harness applies the
-//! crash schedule through `Middleware::crash_node` / `restart_node`.
+//! any [`Transport`] and applies the link faults; the torture harness
+//! applies the crash schedule through `Middleware::crash_node` /
+//! `restart_node`.
 //!
 //! Determinism: every random decision comes from a per-link
 //! [`simcore::Rng`] substream keyed by `(src, dst)`, consumed strictly in
@@ -14,11 +15,16 @@
 //!
 //! Fault model boundaries:
 //!
-//! * Only data-plane messages — [`PeerMsg::BlockRequest`] and
-//!   [`PeerMsg::Forward`] — are chaos-eligible. Losing either is safe by
-//!   design: the requester's bounded wait expires and it falls through to
-//!   the backing store (the paper's §3 escape hatch), and a lost forward
-//!   merely wastes the master's second chance.
+//! * Only data-plane traffic — the block requests of a train put in flight
+//!   by [`ChaosLan::issue`], and [`PeerMsg::Forward`] — is chaos-eligible.
+//!   Losing either is safe by design: the requester's bounded wait expires
+//!   and it falls through to the backing store (the paper's §3 escape
+//!   hatch), and a lost forward merely wastes the master's second chance.
+//! * A train is faulted request by request, in block order, with the draws
+//!   each request would take sent on its own; the survivors then go out as
+//!   one train through the inner [`Transport::issue`], the one fetch path
+//!   there is with faults and without. A duplicated request is asked for
+//!   twice in that train.
 //! * [`PeerMsg::Invalidate`] is delivered reliably and *flushes the link's
 //!   delayed messages first*: an invalidation overtaken by a stale forward
 //!   of the same block would resurrect superseded bytes, which no fault in
@@ -27,17 +33,19 @@
 //!   bypass chaos entirely.
 //!
 //! A *delayed* message is held until `delay_sends` further messages leave
-//! on the same link, then delivered after them — reordering expressed in
-//! message counts rather than time, which keeps it deterministic.
+//! on the same link, then delivered after them (after the whole train, for
+//! a train) — reordering expressed in message counts rather than time,
+//! which keeps it deterministic. A held block request goes out as a train
+//! of its own that nobody waits for: its requester had given it up.
 
-use crate::transport::{PeerMsg, Pending, ReplyTo, Transport};
+use crate::transport::{Completion, PeerMsg, Pending, Transport};
 use ccm_core::{BlockId, NodeId};
 use ccm_disk::DiskFaults;
 use ccm_obs::{Counter, Registry};
 use simcore::sync::Mutex;
 use simcore::Rng;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Per-link fault probabilities.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -162,10 +170,55 @@ pub struct ChaosStats {
 
 struct LinkState {
     rng: Rng,
-    /// Messages sent on this link so far (chaos-eligible or not).
+    /// Chaos-eligible messages sent on this link so far.
     sends: u64,
     /// Held messages: (deliver once `sends` reaches this, message).
-    held: Vec<(u64, PeerMsg)>,
+    held: Vec<(u64, Held)>,
+}
+
+/// A message held back on a link.
+enum Held {
+    /// One handed to [`ChaosLan::send`].
+    Msg(PeerMsg),
+    /// One block request of a train.
+    Fetch(BlockId),
+}
+
+/// What the fault model does to one chaos-eligible message.
+enum Fate {
+    Drop,
+    Duplicate,
+    Delay,
+    Deliver,
+}
+
+/// A train sent through the fault model: the survivors' replies, put back
+/// in the order of the blocks asked for.
+struct Faulted {
+    /// The survivors, as the inner transport issued them.
+    train: Pending,
+    /// The block position each request of `train` was sent for.
+    positions: Vec<usize>,
+    /// How many blocks were asked for.
+    blocks: usize,
+    /// A request is held on the link: its reply, like any that does not
+    /// come, is waited for until the deadline.
+    held: bool,
+}
+
+impl Completion for Faulted {
+    fn wait(self: Box<Self>, timeout: Duration) -> Vec<Option<Arc<[u8]>>> {
+        let deadline = Instant::now() + timeout;
+        let mut replies = vec![None; self.blocks];
+        for (&i, reply) in self.positions.iter().zip(self.train.wait(timeout)) {
+            // A duplicated request: the first answer wins.
+            replies[i] = replies[i].take().or(reply);
+        }
+        if self.held {
+            std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+        }
+        replies
+    }
 }
 
 /// A [`Transport`] wrapper with a [`FaultPlan`] applied to its data-plane
@@ -259,6 +312,30 @@ impl ChaosLan {
         &self.links[src.index() * self.inner.nodes() + dst.index()]
     }
 
+    /// Count one chaos-eligible message on `link` and draw its fate from the
+    /// link's substream: drop, else duplicate, else delay.
+    fn draw(&self, link: &mut LinkState) -> Fate {
+        link.sends += 1;
+        if link.rng.chance(self.faults.drop_prob) {
+            self.dropped.inc();
+            Fate::Drop
+        } else if link.rng.chance(self.faults.dup_prob) {
+            self.duplicated.inc();
+            Fate::Duplicate
+        } else if link.rng.chance(self.faults.delay_prob) {
+            self.delayed.inc();
+            Fate::Delay
+        } else {
+            Fate::Deliver
+        }
+    }
+
+    /// Hold `held` on `link` until `delay_sends` further messages left it.
+    fn hold(&self, link: &mut LinkState, held: Held) {
+        let release_at = link.sends + self.faults.delay_sends;
+        link.held.push((release_at, held));
+    }
+
     /// Send `msg` from `src` to `dst` through the fault model. Returns false
     /// only when the destination is known dead; a dropped message still
     /// returns true — the sender cannot tell (that is the fault).
@@ -266,83 +343,71 @@ impl ChaosLan {
         if self.links.is_empty() {
             return self.inner.send(src, dst, msg);
         }
-        let chaos_eligible = matches!(msg, PeerMsg::BlockRequest { .. } | PeerMsg::Forward { .. });
         let mut link = self.link(src, dst).lock();
-        if !chaos_eligible {
+        if !matches!(msg, PeerMsg::Forward { .. }) {
             // Reliable messages must not overtake held data-plane traffic on
             // their link (an Invalidate arriving before a stale Forward of
             // the same block would later be undone by it).
-            Self::release_all(&mut link, &*self.inner, src, dst);
+            self.release_all(&mut link, src, dst);
             return self.inner.send(src, dst, msg);
         }
-        link.sends += 1;
-        let delivered = if link.rng.chance(self.faults.drop_prob) {
-            self.dropped.inc();
-            true // lost in the network; the sender cannot tell
-        } else if link.rng.chance(self.faults.dup_prob) {
-            self.duplicated.inc();
-            let ok = self.inner.send(src, dst, msg.clone());
-            self.inner.send(src, dst, msg);
-            ok
-        } else if link.rng.chance(self.faults.delay_prob) {
-            self.delayed.inc();
-            let release_at = link.sends + self.faults.delay_sends;
-            link.held.push((release_at, msg));
-            true
-        } else {
-            self.inner.send(src, dst, msg)
+        let delivered = match self.draw(&mut link) {
+            Fate::Drop => true, // lost in the network; the sender cannot tell
+            Fate::Duplicate => {
+                let ok = self.inner.send(src, dst, msg.clone());
+                self.inner.send(src, dst, msg);
+                ok
+            }
+            Fate::Delay => {
+                self.hold(&mut link, Held::Msg(msg));
+                true
+            }
+            Fate::Deliver => self.inner.send(src, dst, msg),
         };
         // Held messages whose wait expired leave *after* the current one —
         // that is the reordering.
-        let due = link.sends;
-        Self::release_due(&mut link, &*self.inner, src, dst, due);
+        self.release_due(&mut link, src, dst);
         delivered
-    }
-
-    /// Request `block` from `holder` on behalf of `src`, waiting at most
-    /// `timeout`. A dropped or delayed request (or reply path gone) surfaces
-    /// as `None`, which callers treat as "fall through to the backing store".
-    pub fn fetch_block(
-        &self,
-        src: NodeId,
-        holder: NodeId,
-        block: BlockId,
-        timeout: Duration,
-    ) -> Option<Arc<[u8]>> {
-        if self.links.is_empty() {
-            return self.inner.fetch_block(src, holder, block, timeout);
-        }
-        let (reply, reply_rx) = ReplyTo::channel();
-        if !self.send(src, holder, PeerMsg::BlockRequest { block, reply }) {
-            return None;
-        }
-        reply_rx.recv_timeout(timeout).ok().flatten()
     }
 
     /// Put the fetches of `blocks` from `holder` in flight on behalf of
     /// `src` — see [`Transport::issue`]. Without link faults the train passes
-    /// whole to the inner transport (one pipelined train over `TcpLan`).
-    /// Under a fault plan each request goes through the fault model on its
-    /// own, in block order, and is answered or waited out (`timeout` each)
-    /// before the next is sent, exactly as a loop of
-    /// [`ChaosLan::fetch_block`] calls would: the train completes here and
-    /// the `Pending` comes back ready.
-    pub fn issue(
-        &self,
-        src: NodeId,
-        holder: NodeId,
-        blocks: &[BlockId],
-        timeout: Duration,
-    ) -> Pending {
+    /// whole to the inner transport. Under a fault plan each request takes
+    /// its draw in block order, and the survivors go out as one inner
+    /// `issue` all the same (one pipelined train over `TcpLan`); held
+    /// messages that came due leave after it. A dropped or held request
+    /// reads `None` — the one dropped at once, the one held at the deadline
+    /// — which callers treat as "fall through to the backing store".
+    pub fn issue(&self, src: NodeId, holder: NodeId, blocks: &[BlockId]) -> Pending {
         if self.links.is_empty() {
             return self.inner.issue(src, holder, blocks);
         }
-        Pending::ready(
-            blocks
-                .iter()
-                .map(|&b| self.fetch_block(src, holder, b, timeout))
-                .collect(),
-        )
+        let mut link = self.link(src, holder).lock();
+        let (mut train, mut positions, mut held) = (Vec::new(), Vec::new(), false);
+        for (i, &block) in blocks.iter().enumerate() {
+            let copies = match self.draw(&mut link) {
+                Fate::Drop => 0,
+                Fate::Duplicate => 2,
+                Fate::Delay => {
+                    self.hold(&mut link, Held::Fetch(block));
+                    held = true;
+                    0
+                }
+                Fate::Deliver => 1,
+            };
+            for _ in 0..copies {
+                train.push(block);
+                positions.push(i);
+            }
+        }
+        let train = self.inner.issue(src, holder, &train);
+        self.release_due(&mut link, src, holder);
+        Pending::wire(Box::new(Faulted {
+            train,
+            positions,
+            blocks: blocks.len(),
+            held,
+        }))
     }
 
     /// Deliver every held message on every link, in link order. Part of
@@ -351,33 +416,39 @@ impl ChaosLan {
         for (i, link) in self.links.iter().enumerate() {
             let src = NodeId((i / self.inner.nodes()) as u16);
             let dst = NodeId((i % self.inner.nodes()) as u16);
-            Self::release_all(&mut link.lock(), &*self.inner, src, dst);
+            self.release_all(&mut link.lock(), src, dst);
         }
     }
 
-    fn release_due(
-        link: &mut LinkState,
-        inner: &dyn Transport,
-        src: NodeId,
-        dst: NodeId,
-        due: u64,
-    ) {
+    /// Put one held message on the inner transport. A held fetch goes out
+    /// as a train of its own whose replies are discarded.
+    fn release(&self, src: NodeId, dst: NodeId, held: Held) {
+        match held {
+            Held::Msg(msg) => {
+                self.inner.send(src, dst, msg);
+            }
+            Held::Fetch(block) => drop(self.inner.issue(src, dst, &[block])),
+        }
+    }
+
+    /// Deliver the held messages whose wait is over, in hold order.
+    fn release_due(&self, link: &mut LinkState, src: NodeId, dst: NodeId) {
         // Held lists are tiny (a few messages); a linear sweep keeps release
         // order identical to hold order.
         let mut i = 0;
         while i < link.held.len() {
-            if link.held[i].0 <= due {
-                let (_, msg) = link.held.remove(i);
-                inner.send(src, dst, msg);
+            if link.held[i].0 <= link.sends {
+                let (_, held) = link.held.remove(i);
+                self.release(src, dst, held);
             } else {
                 i += 1;
             }
         }
     }
 
-    fn release_all(link: &mut LinkState, inner: &dyn Transport, src: NodeId, dst: NodeId) {
-        for (_, msg) in link.held.drain(..) {
-            inner.send(src, dst, msg);
+    fn release_all(&self, link: &mut LinkState, src: NodeId, dst: NodeId) {
+        for (_, held) in link.held.drain(..) {
+            self.release(src, dst, held);
         }
     }
 }
@@ -538,12 +609,110 @@ mod tests {
             disk: DiskFaults::NONE,
         };
         let chaos = ChaosLan::new(Arc::new(lan), &plan);
-        let got = chaos.fetch_block(NodeId(0), NodeId(1), b(4), Duration::from_millis(20));
+        let got = chaos
+            .issue(NodeId(0), NodeId(1), &[b(4)])
+            .wait(Duration::from_millis(20));
         assert_eq!(
-            got, None,
+            got,
+            vec![None],
             "dropped request must surface as a store fallback"
         );
         assert!(inboxes[1].is_empty());
+    }
+
+    /// An inner transport that answers every block it is issued with the
+    /// block's index and records each `issue`.
+    #[derive(Default)]
+    struct Recorder {
+        issued: Mutex<Vec<Vec<BlockId>>>,
+    }
+
+    impl Transport for Recorder {
+        fn nodes(&self) -> usize {
+            2
+        }
+
+        fn send(&self, _src: NodeId, _dst: NodeId, _msg: PeerMsg) -> bool {
+            true
+        }
+
+        fn reconnect(&self, _node: NodeId) -> simcore::chan::Receiver<PeerMsg> {
+            simcore::chan::unbounded().1
+        }
+
+        fn issue(&self, _src: NodeId, _holder: NodeId, blocks: &[BlockId]) -> Pending {
+            self.issued.lock().push(blocks.to_vec());
+            Pending::ready(
+                blocks
+                    .iter()
+                    .map(|b| Some(vec![b.index as u8].into()))
+                    .collect(),
+            )
+        }
+    }
+
+    /// A faulted train takes the draws its requests would take sent one by
+    /// one, and still goes out as one inner `issue`: a block reads `None`
+    /// exactly where a same-seed `send` of it would have been dropped or
+    /// held, and every other block reads its bytes. Held requests leave
+    /// later, each as a train of its own, in hold order.
+    #[test]
+    fn a_faulted_train_is_one_issue_with_the_per_request_draws() {
+        let faults = LinkFaults {
+            drop_prob: 0.2,
+            dup_prob: 0.1,
+            delay_prob: 0.1,
+            delay_sends: 64, // nothing held comes due within the train
+        };
+        let blocks: Vec<BlockId> = (0..32).map(b).collect();
+        let (src, dst) = (NodeId(0), NodeId(1));
+        let mut fired = ChaosStats::default();
+        for seed in 0..8 {
+            let plan = FaultPlan {
+                link: faults,
+                ..FaultPlan::quiet(seed)
+            };
+            // The reference: each request's fate, read off the stats as a
+            // same-seed wrapper sends a forward per block.
+            let reference = ChaosLan::new(Arc::new(Recorder::default()), &plan);
+            let (mut lost, mut held) = (Vec::new(), Vec::new());
+            for i in 0..32 {
+                let before = reference.chaos_stats();
+                reference.send(src, dst, fwd(i));
+                let after = reference.chaos_stats();
+                if after.delayed > before.delayed {
+                    held.push(i as usize);
+                }
+                if after.dropped > before.dropped || after.delayed > before.delayed {
+                    lost.push(i as usize);
+                }
+            }
+
+            let inner = Arc::new(Recorder::default());
+            let chaos = ChaosLan::new(inner.clone(), &plan);
+            let got = chaos
+                .issue(src, dst, &blocks)
+                .wait(Duration::from_millis(5));
+            let stats = chaos.chaos_stats();
+            assert_eq!(stats, reference.chaos_stats(), "seed {seed}: draws moved");
+            for (i, reply) in got.iter().enumerate() {
+                let want = (!lost.contains(&i)).then(|| Arc::from(&[i as u8][..]));
+                assert_eq!(*reply, want, "seed {seed}: block {i}");
+            }
+            let issued = inner.issued.lock().clone();
+            assert_eq!(issued.len(), 1, "seed {seed}: one train per issue");
+            let survivors = 32 - lost.len() as u64 + stats.duplicated;
+            assert_eq!(issued[0].len() as u64, survivors, "seed {seed}");
+
+            chaos.flush();
+            let released: Vec<Vec<BlockId>> = inner.issued.lock()[1..].to_vec();
+            let want: Vec<Vec<BlockId>> = held.iter().map(|&i| vec![blocks[i]]).collect();
+            assert_eq!(released, want, "seed {seed}: held requests");
+            fired.dropped += stats.dropped;
+            fired.duplicated += stats.duplicated;
+            fired.delayed += stats.delayed;
+        }
+        assert!(fired.dropped > 0 && fired.duplicated > 0 && fired.delayed > 0);
     }
 
     #[test]

@@ -1508,7 +1508,7 @@ impl NodeHandle {
                 .map(|s| s.block)
                 .collect();
             let issued = Some(Stopwatch::start());
-            steps[i].train = Some(self.shared.chaos.issue(self.node, from, &blocks, timeout));
+            steps[i].train = Some(self.shared.chaos.issue(self.node, from, &blocks));
             for s in steps[i..].iter_mut().filter(|s| on_train(s)) {
                 s.issued = issued;
             }
@@ -1549,10 +1549,11 @@ impl NodeHandle {
         // network time on both backends.
         for hop in trail {
             if self.shared.is_alive(hop) {
-                let _ =
-                    self.shared
-                        .chaos
-                        .fetch_block(self.node, hop, block, self.shared.fetch_timeout);
+                let _ = self
+                    .shared
+                    .chaos
+                    .issue(self.node, hop, &[block])
+                    .wait(self.shared.fetch_timeout);
             }
         }
         let (data, class) = match outcome {

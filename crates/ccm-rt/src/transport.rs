@@ -59,8 +59,8 @@ use std::time::{Duration, Instant};
 
 /// A message between cluster nodes.
 ///
-/// `Clone` exists so a fault injector can duplicate a message in flight (the
-/// first copy answered wins); the runtime itself never clones messages.
+/// `Clone` exists so a fault injector can duplicate a message in flight; the
+/// runtime itself never clones messages.
 #[derive(Clone)]
 pub enum PeerMsg {
     /// "Send me a non-master copy of `block`" — answered with the bytes, or
@@ -212,18 +212,18 @@ type ReplyRx = Receiver<Option<Arc<[u8]>>>;
 enum Owed {
     /// Replies in request order; those still owed come on in-process reply
     /// channels, each with its index.
-    Channels {
+    InProcess {
         replies: Vec<Option<Arc<[u8]>>>,
         channels: Vec<(usize, ReplyRx)>,
     },
     /// One ack owed on an in-process channel (a barrier or a ping).
     Ack(Receiver<()>),
-    /// Replies a wire backend completes its own way.
+    /// Replies a wire backend (or the fault injector) completes its own way.
     Wire(Box<dyn Completion>),
 }
 
-/// How a wire backend completes the fetches it issued: see
-/// [`Pending::wire`].
+/// How a wire backend completes the fetches it issued, or the `ChaosLan`
+/// fault injector the train it faulted: see [`Pending::wire`].
 pub trait Completion: Send {
     /// Block until every reply is in or `timeout` passes. Returns the
     /// replies in request order, `None` for each one that did not come.
@@ -233,7 +233,7 @@ pub trait Completion: Send {
 impl Pending {
     /// Replies already in hand (or known lost, as `None`).
     pub fn ready(replies: Vec<Option<Arc<[u8]>>>) -> Pending {
-        Pending(Owed::Channels {
+        Pending(Owed::InProcess {
             replies,
             channels: Vec::new(),
         })
@@ -244,7 +244,8 @@ impl Pending {
         Pending(Owed::Ack(rx))
     }
 
-    /// Replies a wire backend owes and completes itself.
+    /// Replies a wire backend (or the fault injector) owes and completes
+    /// itself.
     pub fn wire(completion: Box<dyn Completion>) -> Pending {
         Pending(Owed::Wire(completion))
     }
@@ -265,7 +266,7 @@ impl Pending {
                 channels.push((i, rx));
             }
         }
-        Pending(Owed::Channels {
+        Pending(Owed::InProcess {
             replies: vec![None; blocks.len()],
             channels,
         })
@@ -277,7 +278,7 @@ impl Pending {
     /// empty buffer).
     pub fn wait(self, timeout: Duration) -> Vec<Option<Arc<[u8]>>> {
         match self.0 {
-            Owed::Channels {
+            Owed::InProcess {
                 mut replies,
                 channels,
             } => {
@@ -319,9 +320,10 @@ impl Pending {
 /// * An answer comes back through the request's [`ReplyTo`]. A backend that
 ///   takes requests off a wire hands the service thread a [`ReplySink`] per
 ///   request, which answers even when dropped unsent.
-/// * A remote [`PeerMsg::Barrier`] or [`PeerMsg::Ping`] goes out through
-///   [`Transport::barrier`] and [`Transport::ping`]; a wire backend that
-///   overrides both may refuse one handed to `send` (`TcpLan` does).
+/// * A remote [`PeerMsg::BlockRequest`], [`PeerMsg::Barrier`] or
+///   [`PeerMsg::Ping`] goes out through [`Transport::issue`],
+///   [`Transport::barrier`] or [`Transport::ping`]; a wire backend that
+///   overrides all three may refuse one handed to `send` (`TcpLan` does).
 /// * [`PeerMsg::Shutdown`] is control-plane and must be delivered locally
 ///   (never over a wire): it stops the destination's service thread, which
 ///   a real remote peer has no business doing.
@@ -532,7 +534,7 @@ impl Transport for Lan {
             }
             replies.push(hit);
         }
-        Pending(Owed::Channels { replies, channels })
+        Pending(Owed::InProcess { replies, channels })
     }
 }
 
