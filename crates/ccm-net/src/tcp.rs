@@ -14,7 +14,7 @@
 //! ## Data plane: group-commit frame trains + one reactor per node
 //!
 //! Senders never write a frame directly. Each connection carries an
-//! *outbox* [`FrameTrain`]; a sender pushes its frame under the outbox
+//! *outbox* [`FrameTrain`]; a sender stages its frames under the outbox
 //! lock and, if no flush is in progress, becomes the writer: it detaches
 //! the staged train and puts it on the wire with one vectored write,
 //! looping while more frames accumulate behind it. A single in-flight
@@ -22,34 +22,39 @@
 //! concurrent requests coalesce into one syscall — the classic
 //! group-commit shape. Block payloads ride the train as shared
 //! `Arc<[u8]>` segments, so an 8 KB block goes from the peer's store to
-//! the socket without a copy. [`MAX_TRAIN_BYTES`] bounds the staged
-//! backlog: pushers briefly yield instead of growing a train past the cap
-//! while the peer is slow.
+//! the socket without a copy.
 //!
-//! The request side is one *reactor thread per node*. The reactor owns the
+//! Requests on a dialed connection and replies on an accepted one are
+//! written the same way (`Io`): a writer writes only what the socket
+//! takes without blocking and hands a remainder, with the writer's turn,
+//! to its node's reactor, which finishes it when the socket turns
+//! writable. No thread sleeps on a full socket. [`MAX_TRAIN_BYTES`] bounds
+//! the staged backlog of requests: their pushers briefly yield instead of
+//! growing a train past the cap while the peer is slow. Replies have no
+//! cap, since a capped reply writer could wait forever on a requester that
+//! never reads its late replies.
+//!
+//! The serving side is one *reactor thread per node*. The reactor owns the
 //! node's nonblocking listener and every inbound connection. Inbound frames
 //! are reassembled incrementally ([`FrameAssembler`]) and then either
 //!
 //! * **answered by the reactor itself** — a [`WireMsg::BlockRequest`] whose
 //!   block is in the node's attached store
 //!   ([`Transport::attach_stores`]) is a lock-sharded map lookup, so the
-//!   reactor pushes the [`WireMsg::BlockReply`] onto the connection's reply
+//!   reactor stages the [`WireMsg::BlockReply`] on the connection's reply
 //!   outbox in the same pass, with no other thread involved; or
 //! * **forwarded to the service inbox** — everything that mutates the node
-//!   (`Forward`, `Invalidate`, `WriteInvalidate`), everything that must
-//!   observe the inbox order (`Barrier`, `Ping`), and every `BlockRequest`
-//!   the reactor cannot answer: a store *miss*, no store attached, or a
-//!   dead inbox incarnation. A request that needs a reply carries a
-//!   [`ReplySink`] bound to its connection and request id, through which
-//!   the service thread writes the reply itself; the reactor waits for
-//!   none, so many requests stream down one connection *pipelined*.
+//!   (`Forward`, `WriteInvalidate`), everything that must observe the
+//!   inbox order (`Barrier`, `Ping`), and every `BlockRequest` the reactor
+//!   cannot answer: a store *miss*, no store attached, or a dead inbox
+//!   incarnation. A request that needs a reply carries a [`ReplySink`]
+//!   bound to its connection and request id, through which the service
+//!   thread writes the reply itself; the reactor waits for none, so many
+//!   requests stream down one connection *pipelined*.
 //!
-//! Both write through the connection's one reply outbox, a group commit
-//! like the request side's: whoever stages a reply while nobody writes
-//! becomes the writer. A writer writes only what the socket accepts without
-//! blocking and hands a remainder to the reactor, which finishes it when
-//! the socket turns writable. A sink dropped unsent answers anyway: a fetch
-//! with an explicit miss, an ack by tearing the connection down.
+//! Both write through the connection's one reply outbox. A sink dropped
+//! unsent answers anyway: a fetch with an explicit miss, an ack by tearing
+//! the connection down.
 //!
 //! The miss fall-through is what keeps ordering: a `Forward{X}` still
 //! queued in the inbox followed by a `BlockRequest{X}` on the same
@@ -63,39 +68,41 @@
 //!
 //! ## Reply side: the caller reads its own replies
 //!
-//! The read half of an outbound connection is held by one *reader* at a
-//! time, and a reply goes from the socket straight to the thread that
-//! waits for it:
+//! The read half of an outbound connection is held by at most one caller
+//! at a time, and a reply goes from the socket straight to the thread that
+//! waits for it. A caller that issues a train on a connection nobody reads
+//! takes the read half with it. In [`Pending::wait`] this *leader* blocks
+//! in the readiness wait on that one socket until its replies are in or its
+//! deadline passes, and any other waiter's reply it reads on the way it
+//! hands to that waiter. A caller that finds the connection read by someone
+//! else parks until its replies are handed over. A lone remote hit thus
+//! wakes two threads — the holder's reactor and the requesting caller. A
+//! caller that issued a train but is waiting on another connection (a
+//! chunk's trains to several holders all go out before the first wait)
+//! holds the read half without polling it; a caller that comes to wait
+//! there takes it over rather than park behind it.
 //!
-//! * **a leading caller** — a caller that issues a train on a connection
-//!   nobody reads takes the read half with it. In [`Pending::wait`] it
-//!   blocks in the readiness wait on that one socket until its replies are
-//!   in or its deadline passes, and any other waiter's reply it reads on
-//!   the way it hands to that waiter. A caller that finds the connection
-//!   read by someone else parks until its replies are handed over. A lone
-//!   remote hit thus wakes two threads — the holder's reactor and the
-//!   requesting caller — with no reactor and channel hand-off in between.
-//!   A caller that issued a train but is waiting on another connection
-//!   (a chunk's trains to several holders all go out before the first
-//!   wait) holds the read half without polling it; a caller that comes to
-//!   wait there takes it over rather than park behind it.
-//! * **the dialing node's reactor** — it gets the read half, through its
-//!   wake pipe, only when a leader leaves (done, timed out or dropped)
-//!   while other replies are still owed, and gives it back once the
-//!   pending table is empty.
+//! A leader that leaves (done, timed out or dropped) while other replies
+//! are still owed frees the read half and *nudges* every waiter left in the
+//! pending table: a flag set under the waiter's own lock, so a nudge that
+//! lands before its owner parks is not lost. A nudged waiter tries to lead
+//! again, and one that has not started waiting takes the read half when it
+//! does.
 //!
-//! **Ownership invariant:** whenever an outbound connection's pending table
-//! is non-empty, exactly one of its leading caller or its node's reactor
-//! has read interest in the socket. An idle or led connection stays in the
-//! reactor's readiness set for hang-up only (`POLLRDHUP`), so a peer's close
-//! is still noticed at once: the reactor reads what the socket still
-//! holds, hands it on, and fails the connection.
+//! **Invariant:** whenever an outbound connection's pending table is
+//! non-empty, either a caller holds the read half or every parked waiter in
+//! the table has been nudged. The dialing node's reactor reads replies only
+//! when the peer hangs up: it keeps the connection in its readiness set for
+//! `POLLRDHUP`, so a peer's close is still noticed at once, and then reads
+//! what the socket still holds, hands it on, and fails the connection.
+//! Otherwise it only asks for writability while a request remainder is
+//! owed.
 //!
 //! An idle reactor **blocks in `poll(2)`** on its listener, its sockets and
-//! a wake pipe (new `Watch` work, a read-half hand-off, a reply remainder,
-//! shutdown): kernel readiness wakes it the moment a peer's bytes arrive,
-//! and it costs nothing while there are none. It waits with a deadline only
-//! while an accepted connection has yet to say Hello.
+//! a wake pipe (new `Watch` work, a request or reply remainder, shutdown):
+//! kernel readiness wakes it the moment a peer's bytes arrive, and it costs
+//! nothing while there are none. It waits with a deadline only while an
+//! accepted connection has yet to say Hello.
 //!
 //! ## Connection lifecycle
 //!
@@ -103,8 +110,8 @@
 //!   send. The first frame staged is a [`WireMsg::Hello`] naming the wire
 //!   version and the source node (it coalesces with the first request);
 //!   the accepting reactor rejects mismatched versions.
-//! * **Failure** — a write error, an EOF or a decode error met by either
-//!   reader, or a peer's hang-up, tears the connection down: the socket is
+//! * **Failure** — a write error, an EOF or a decode error, or a peer's
+//!   hang-up, tears the connection down: the socket is
 //!   shut down both ways, the teardown is counted, and only then is every
 //!   pending reply failed (waiting requesters observe an immediate miss,
 //!   not a timeout, and fall back to the backing store), and the link
@@ -173,9 +180,10 @@ const INITIAL_BACKOFF: Duration = Duration::from_millis(10);
 /// Backoff ceiling (doubles per consecutive failure up to this).
 const MAX_BACKOFF: Duration = Duration::from_millis(500);
 
-/// Staged-outbox ceiling per connection: once a train holds this many
-/// bytes while a flush is in progress, further pushers yield until the
-/// writer drains it (bounded memory under a slow peer).
+/// Staged-request ceiling per dialed connection: once a train holds this
+/// many bytes while a writer has the turn, further request pushers yield
+/// until it drains them (bounded memory under a slow peer). Replies have
+/// no ceiling (module docs).
 pub const MAX_TRAIN_BYTES: usize = 256 * 1024;
 
 /// Wire/connection counters (diagnostics; monotonic).
@@ -346,20 +354,18 @@ impl NetObs {
 /// Who holds the read half of an outbound connection.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Reader {
-    /// Nobody: no reply is owed.
+    /// Nobody: the next caller to wait takes it.
     Idle,
     /// A caller with replies of its own owed, named by its [`Waiter`]'s
     /// address; `polling` while it is inside its wait on this socket.
     Caller { waiter: usize, polling: bool },
-    /// The dialing node's reactor.
-    Reactor,
 }
 
 /// The receive side of an outbound connection: the pending table of
 /// outstanding requests, keyed by request id, each owed to slot `.1` of an
 /// issued train's [`Waiter`], and who reads their replies. Whenever the
-/// table is non-empty exactly one reader holds the read half (see the
-/// module docs).
+/// table is non-empty a caller holds the read half or every parked waiter
+/// in it has been nudged (see the module docs).
 struct Rx {
     pending: FxHashMap<u64, (Arc<Waiter>, usize)>,
     reader: Reader,
@@ -376,7 +382,7 @@ impl Rx {
         self.closed = true;
         let dropped = self.pending.len();
         for (_, (waiter, _)) in self.pending.drain() {
-            waiter.fail();
+            waiter.poke(|s| s.failed = true);
         }
         dropped
     }
@@ -397,6 +403,9 @@ struct Slots {
     owed: usize,
     /// The connection failed: the rest will never come.
     failed: bool,
+    /// The read half was freed since the caller last parked: it must try
+    /// to lead before it parks again.
+    nudged: bool,
     /// The caller is asleep on `ready`.
     parked: bool,
 }
@@ -408,6 +417,7 @@ impl Waiter {
                 replies: vec![None; n],
                 owed: n,
                 failed: false,
+                nudged: false,
                 parked: false,
             }),
             ready: Condvar::new(),
@@ -423,9 +433,10 @@ impl Waiter {
         }
     }
 
-    fn fail(&self) {
+    /// Change the slots by `f` and wake the caller if it is parked.
+    fn poke(&self, f: impl FnOnce(&mut Slots)) {
         let mut s = self.slots.lock();
-        s.failed = true;
+        f(&mut s);
         if s.parked {
             self.ready.notify_one();
         }
@@ -437,15 +448,16 @@ impl Waiter {
         s.owed == 0 || s.failed
     }
 
-    /// Sleep until done, or until `deadline`.
+    /// Sleep until done, nudged, or `deadline`.
     fn park(&self, deadline: Instant) {
         let left = deadline.saturating_duration_since(Instant::now());
         let mut s = self.slots.lock();
         s.parked = true;
         let (mut s, _) = self
             .ready
-            .wait_timeout_while(s, left, |s| s.owed > 0 && !s.failed);
+            .wait_timeout_while(s, left, |s| s.owed > 0 && !s.failed && !s.nudged);
         s.parked = false;
+        s.nudged = false;
     }
 }
 
@@ -453,17 +465,37 @@ impl Waiter {
 #[derive(Default)]
 struct Outbox {
     train: FrameTrain,
-    /// A thread is currently flushing; pushers just stage and return.
+    /// A thread is currently flushing, or the reactor holds the turn with
+    /// a remainder; pushers just stage and return.
     writing: bool,
     /// The connection failed; stage nothing more.
     dead: bool,
 }
 
-/// A connection's nonblocking socket and the outbox its writers stage
-/// frames on: requests on a dialed connection, replies on an accepted one.
+/// How a flush ended for the thread that ran it.
+#[derive(Debug, PartialEq, Eq)]
+enum Flush {
+    /// Nothing is left to this thread: what was staged is on the wire, or
+    /// another writer has the turn.
+    Done,
+    /// The socket filled up: the remainder waits in `rest`, and the
+    /// writer's turn with it, for the reactor.
+    Rest,
+    /// A write failed; the connection is dead.
+    Failed,
+}
+
+/// A connection's nonblocking socket and its one train writer: requests on
+/// a dialed connection, replies on an accepted one. Whoever flushes while
+/// nobody writes becomes the writer (group commit) and writes what the
+/// socket takes without blocking; a remainder goes, with the writer's
+/// turn, to the reactor, which finishes it on writability.
 struct Io {
     sock: TcpStream,
     outbox: Mutex<Outbox>,
+    /// A train the socket took only part of — non-empty only while
+    /// `outbox.writing`, as the reactor's turn to finish it on writability.
+    rest: Mutex<FrameTrain>,
 }
 
 impl Io {
@@ -471,6 +503,7 @@ impl Io {
         Io {
             sock,
             outbox: Mutex::default(),
+            rest: Mutex::default(),
         }
     }
 
@@ -479,6 +512,84 @@ impl Io {
     fn kill(&self) {
         self.outbox.lock().dead = true;
         let _ = self.sock.shutdown(Shutdown::Both);
+    }
+
+    /// Stage `frames` as one unit behind those staged already; false if the
+    /// connection is dead. While a writer is busy and `cap` bytes are
+    /// staged, the pusher yields until the writer drains them.
+    fn stage(&self, frames: &[WireMsg], cap: usize) -> bool {
+        let mut ob = self.outbox.lock();
+        while !ob.dead && ob.writing && ob.train.bytes() >= cap as u64 {
+            drop(ob);
+            std::thread::yield_now();
+            ob = self.outbox.lock();
+        }
+        if ob.dead {
+            return false;
+        }
+        for frame in frames {
+            ob.train.push(frame);
+        }
+        true
+    }
+
+    /// Put the staged frames on the wire, unless a writer is at it already:
+    /// the caller becomes the writer. `obs` is the link written on.
+    fn flush(&self, obs: &LinkObs) -> Flush {
+        let mut ob = self.outbox.lock();
+        if ob.writing || ob.dead || ob.train.is_empty() {
+            return Flush::Done;
+        }
+        ob.writing = true;
+        drop(ob);
+        self.write(obs, FrameTrain::new())
+    }
+
+    /// The reactor's turn on writability: finish the remainder, if any.
+    fn resume(&self, obs: &LinkObs) -> Flush {
+        let rest = std::mem::take(&mut *self.rest.lock());
+        if rest.is_empty() {
+            return Flush::Done;
+        }
+        self.write(obs, rest)
+    }
+
+    /// As the writer: write `train`, then each train staged meanwhile, as
+    /// far as the socket takes them without blocking — until the outbox is
+    /// empty (the turn is given back) or the socket is full (the remainder
+    /// goes to `rest`). Frames count when their train is taken: a requester
+    /// reads the counters only once its replies are in.
+    fn write(&self, obs: &LinkObs, mut train: FrameTrain) -> Flush {
+        loop {
+            match train.write_some(&mut &self.sock) {
+                Ok(true) => {}
+                Ok(false) => {
+                    *self.rest.lock() = train;
+                    return Flush::Rest;
+                }
+                Err(_) => {
+                    self.kill();
+                    return Flush::Failed;
+                }
+            }
+            let mut ob = self.outbox.lock();
+            if ob.dead || ob.train.is_empty() {
+                ob.writing = false;
+                return Flush::Done;
+            }
+            train = ob.train.take();
+            drop(ob);
+            obs.frames_out.add(train.frames());
+            obs.bytes_out.add(train.bytes());
+            obs.trains_out.inc();
+        }
+    }
+
+    /// The reactor's readiness entry for this socket: `events`, and
+    /// writability while a remainder is owed.
+    fn interest(&self, events: i16) -> PollFd {
+        let rest = !self.rest.lock().is_empty();
+        PollFd::new(&self.sock, events | if rest { POLLOUT } else { 0 })
     }
 }
 
@@ -489,7 +600,7 @@ impl Drop for Io {
 }
 
 /// An established outbound connection. The dialing side writes trains
-/// through `io.outbox`, and whoever holds the read half (`rx.reader`) reads
+/// through `io`, and the caller holding the read half (`rx.reader`) reads
 /// replies from the same socket.
 struct Conn {
     io: Io,
@@ -511,16 +622,6 @@ impl Conn {
             asm: Mutex::new(FrameAssembler::new()),
         }
     }
-
-    /// What the dialing node's reactor waits for on this socket: replies
-    /// while it holds the read half, else only the peer hanging up.
-    fn reactor_interest(&self) -> i16 {
-        if self.rx.lock().reader == Reader::Reactor {
-            POLLIN
-        } else {
-            POLLRDHUP
-        }
-    }
 }
 
 /// One directed link `src → dst`.
@@ -540,13 +641,30 @@ struct NodeSlot {
 }
 
 /// Work handed to a node's reactor thread: watch an outbound connection
-/// this node dialed — for a hang-up while a caller or nobody reads it, and
-/// for replies while the reactor holds its read half. (Frames need no
-/// hand-off — the kernel wakes the reactor when a peer's bytes reach one of
-/// its sockets.)
+/// this node dialed — for a hang-up, and for room to finish a request
+/// remainder. (Frames need no hand-off — the kernel wakes the reactor when
+/// a peer's bytes reach one of its sockets.)
 struct Watch {
     dst: NodeId,
     conn: Arc<Conn>,
+}
+
+impl Watch {
+    /// Act on the readiness `revents` of the watched connection `node →
+    /// dst`: on a hang-up read what is left and fail the connection, on
+    /// writability finish the request remainder. False once it failed.
+    fn serve(&self, shared: &TcpShared, node: NodeId, revents: i16) -> bool {
+        if revents & !POLLOUT != 0 && !read_replies(shared, node, self.dst, &self.conn) {
+            return false;
+        }
+        if revents & POLLOUT != 0
+            && self.conn.io.resume(shared.obs.pair(node, self.dst)) == Flush::Failed
+        {
+            conn_failed(shared, node, self.dst, &self.conn);
+            return false;
+        }
+        true
+    }
 }
 
 struct TcpShared {
@@ -617,56 +735,11 @@ fn conn_failed(shared: &TcpShared, src: NodeId, dst: NodeId, conn: &Arc<Conn>) {
     }
 }
 
-/// Count `train`, written on the link `src → dst`, in the wire metrics.
-fn count_train(shared: &TcpShared, src: NodeId, dst: NodeId, train: &FrameTrain) {
-    let o = shared.obs.pair(src, dst);
-    o.frames_out.add(train.frames());
-    o.bytes_out.add(train.bytes());
-    o.trains_out.inc();
-}
-
-/// How long a writer sleeps on a full socket between checks for its death.
-const FULL_SOCKET_RECHECK: Duration = Duration::from_millis(100);
-
-/// Flush one detached train, sleeping in [`wait_ready`] for `POLLOUT` while
-/// the socket is full. A full socket drains without our help: the peer's
-/// reactor has this connection in its readiness set whenever it waits,
-/// wakes as soon as bytes sit in the receive buffer, and never blocks on
-/// anything but that wait (it hands frames to an unbounded inbox, and no
-/// writer of replies waits on a full socket), so the loop terminates unless
-/// the connection dies. Counts wire metrics only once the whole train is on
-/// the wire.
-fn write_train(
-    shared: &TcpShared,
-    src: NodeId,
-    dst: NodeId,
-    conn: &Conn,
-    train: &mut FrameTrain,
-) -> bool {
-    loop {
-        match train.write_some(&mut &conn.io.sock) {
-            Ok(true) => {
-                count_train(shared, src, dst, train);
-                return true;
-            }
-            Ok(false) => {
-                if conn.io.outbox.lock().dead {
-                    return false;
-                }
-                let mut fd = [PollFd::new(&conn.io.sock, POLLOUT)];
-                wait_ready(&mut fd, Some(FULL_SOCKET_RECHECK));
-            }
-            Err(_) => return false,
-        }
-    }
-}
-
-/// Stage `frames` on the connection's outbox as one unit and make sure
-/// somebody flushes them: if a writer is already active they ride its next
-/// batch (group commit); otherwise the caller becomes the writer and
-/// flushes staged trains until the outbox runs dry. A multi-frame stage is
-/// the pipelined-fetch path — the whole batch lands in one train, one
-/// vectored write. Returns false when the connection is (or goes) dead.
+/// Stage `frames` on the connection's outbox as one unit and flush them
+/// through its writer ([`Io`]); a remainder the socket does not take goes
+/// to this node's reactor. A multi-frame stage is the pipelined-fetch path
+/// — the whole batch lands in one train, one vectored write. Returns false
+/// when the connection is (or goes) dead.
 fn pump_frames(
     shared: &TcpShared,
     src: NodeId,
@@ -674,43 +747,18 @@ fn pump_frames(
     conn: &Arc<Conn>,
     frames: &[WireMsg],
 ) -> bool {
-    let cap = MAX_TRAIN_BYTES as u64;
-    let mut ob = conn.io.outbox.lock();
-    if ob.dead {
+    if !conn.io.stage(frames, MAX_TRAIN_BYTES) {
         return false;
     }
-    // Backpressure: while a slow flush is in progress, don't grow the
-    // staged train past the cap — wait for the writer to drain it (it is
-    // in `write_train`, whose progress the peer's reactor guarantees).
-    while ob.writing && ob.train.bytes() >= cap {
-        drop(ob);
-        std::thread::yield_now();
-        ob = conn.io.outbox.lock();
-        if ob.dead {
-            return false;
+    match conn.io.flush(shared.obs.pair(src, dst)) {
+        Flush::Done => true,
+        Flush::Rest => {
+            shared.wake(src); // the reactor asks for writability once woken
+            true
         }
-    }
-    for frame in frames {
-        ob.train.push(frame);
-    }
-    if ob.writing {
-        return true; // the active writer flushes our frame with its batch
-    }
-    ob.writing = true;
-    loop {
-        let mut train = ob.train.take();
-        drop(ob);
-        if !write_train(shared, src, dst, conn, &mut train) {
+        Flush::Failed => {
             conn_failed(shared, src, dst, conn);
-            conn.io.outbox.lock().writing = false;
-            return false;
-        }
-        ob = conn.io.outbox.lock();
-        if ob.dead || ob.train.is_empty() {
-            ob.writing = false;
-            // Our frame was flushed either way; a dead connection only
-            // matters to whoever staged *after* the failure.
-            return true;
+            false
         }
     }
 }
@@ -907,10 +955,7 @@ impl TcpLan {
                 data,
                 displace,
             },
-            PeerMsg::Invalidate { block } => WireMsg::Invalidate { block },
-            PeerMsg::WriteInvalidate { block, version } => {
-                WireMsg::WriteInvalidate { block, version }
-            }
+            PeerMsg::WriteInvalidate { block } => WireMsg::WriteInvalidate { block },
             PeerMsg::BlockRequest { .. } | PeerMsg::Barrier { .. } | PeerMsg::Ping { .. } => {
                 obs.degrades.inc();
                 return false;
@@ -1108,9 +1153,9 @@ impl Transport for TcpLan {
 impl Drop for TcpLan {
     fn drop(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
-        // Killing every outbound connection unblocks stuck writers and
-        // leading callers; failing its table releases callers parked on
-        // a reactor that is about to stop.
+        // Killing every outbound connection wakes the leading callers
+        // polling it; failing its table releases the callers parked behind
+        // them.
         for link in &self.shared.links {
             if let Some(conn) = link.lock().conn.take() {
                 conn.io.kill();
@@ -1142,68 +1187,15 @@ struct Replies {
     shared: Arc<TcpShared>,
     node: NodeId,
     io: Io,
-    /// A train the socket took only part of — non-empty only while
-    /// `outbox.writing`, as the reactor's turn to finish it on writability.
-    rest: Mutex<FrameTrain>,
 }
 
 impl Replies {
-    /// Stage `frame` behind the replies already staged.
-    fn stage(&self, frame: &WireMsg) {
-        let mut ob = self.io.outbox.lock();
-        if !ob.dead {
-            ob.train.push(frame);
-        }
-    }
-
-    /// Put the staged replies on the link `node → src`, unless a writer is
-    /// at it already: the caller becomes the writer (group commit). True if
-    /// the socket left a remainder for the reactor to finish.
-    fn flush(&self, src: NodeId) -> bool {
-        let mut ob = self.io.outbox.lock();
-        if ob.writing || ob.dead || ob.train.is_empty() {
-            return false;
-        }
-        ob.writing = true;
-        drop(ob);
-        self.write(src, FrameTrain::new())
-    }
-
-    /// The reactor's turn on writability: finish the remainder, if any.
-    fn resume(&self, src: NodeId) {
-        let rest = std::mem::take(&mut *self.rest.lock());
-        if !rest.is_empty() {
-            // Still full: the next wait asks for writability again.
-            self.write(src, rest);
-        }
-    }
-
-    /// As the writer: write `train`, then each train staged meanwhile, as
-    /// far as the socket takes them without blocking — until the outbox is
-    /// empty (the turn is given back) or the socket is full (the remainder
-    /// goes to `rest`: true). Frames count when their train is taken: the
-    /// requester may read the counters once it has the reply.
-    fn write(&self, src: NodeId, mut train: FrameTrain) -> bool {
-        loop {
-            match train.write_some(&mut &self.io.sock) {
-                Ok(true) => {}
-                Ok(false) => {
-                    *self.rest.lock() = train;
-                    return true;
-                }
-                Err(_) => {
-                    self.io.kill();
-                    return false;
-                }
-            }
-            let mut ob = self.io.outbox.lock();
-            if ob.dead || ob.train.is_empty() {
-                ob.writing = false;
-                return false;
-            }
-            train = ob.train.take();
-            drop(ob);
-            count_train(&self.shared, self.node, src, &train);
+    /// Stage `frame` behind the replies already staged (uncapped, see the
+    /// module docs) and flush them on the link `node → src`.
+    fn send(&self, src: NodeId, frame: WireMsg) {
+        self.io.stage(&[frame], usize::MAX);
+        if self.io.flush(self.shared.obs.pair(self.node, src)) == Flush::Rest {
+            self.shared.wake(self.node); // the reactor asks for writability
         }
     }
 }
@@ -1231,13 +1223,7 @@ impl<T> Answer<T> {
             return;
         }
         match (self.framing)(self.req_id, reply) {
-            Some(frame) => {
-                self.replies.stage(&frame);
-                if self.replies.flush(self.src) {
-                    // The reactor asks for writability once woken.
-                    self.replies.shared.wake(self.replies.node);
-                }
-            }
+            Some(frame) => self.replies.send(self.src, frame),
             None => self.replies.io.kill(),
         }
     }
@@ -1274,7 +1260,6 @@ impl InConn {
                 shared: shared.clone(),
                 node,
                 io: Io::new(sock),
-                rest: Mutex::default(),
             }),
             asm: FrameAssembler::new(),
             src: None,
@@ -1341,7 +1326,9 @@ impl InConn {
                     // Forward of the block still in the inbox.
                     if let Some(data) = shared.stores.hit(node, inbox, block) {
                         let data = Some(data);
-                        self.replies.stage(&WireMsg::BlockReply { req_id, data });
+                        // Staged only: the pass's hits go out as one train.
+                        let frame = WireMsg::BlockReply { req_id, data };
+                        self.replies.io.stage(&[frame], usize::MAX);
                         shared.obs.reactors[node.index()].served.inc();
                         continue;
                     }
@@ -1360,10 +1347,7 @@ impl InConn {
                     data,
                     displace,
                 },
-                WireMsg::Invalidate { block } => PeerMsg::Invalidate { block },
-                WireMsg::WriteInvalidate { block, version } => {
-                    PeerMsg::WriteInvalidate { block, version }
-                }
+                WireMsg::WriteInvalidate { block } => PeerMsg::WriteInvalidate { block },
                 WireMsg::Barrier { req_id } => PeerMsg::Barrier {
                     reply: self.reply(src, req_id, |req_id, ack| {
                         ack.map(|()| WireMsg::BarrierAck { req_id })
@@ -1393,12 +1377,13 @@ impl InConn {
             return false; // silent connection never said Hello
         }
         if let Some(src) = self.src {
-            if ready {
-                self.replies.resume(src);
-            }
             // A remainder left here needs no wake-up: the reactor's next
             // wait asks for writability.
-            self.replies.flush(src);
+            let obs = shared.obs.pair(node, src);
+            if ready {
+                self.replies.io.resume(obs);
+            }
+            self.replies.io.flush(obs);
         }
         true
     }
@@ -1428,8 +1413,8 @@ fn read_pass(asm: &mut FrameAssembler, mut sock: &TcpStream) -> bool {
 
 /// One read pass over an outbound connection `node → dst`: read what the
 /// socket has, bounded for fairness, and hand each reply to whoever it is
-/// owed to. Run by the holder of the read half, and by the reactor when
-/// the peer hangs up. Returns false when the connection failed (already
+/// owed to. Run by the caller holding the read half, and by the reactor
+/// when the peer hangs up. Returns false when the connection failed (already
 /// cleaned up).
 fn read_replies(shared: &TcpShared, node: NodeId, dst: NodeId, conn: &Arc<Conn>) -> bool {
     let mut asm = conn.asm.lock();
@@ -1461,9 +1446,6 @@ fn read_replies(shared: &TcpShared, node: NodeId, dst: NodeId, conn: &Arc<Conn>)
             link_obs.pending_replies.adjust(-1);
             waiter.resolve(i, reply);
         }
-    }
-    if rx.reader == Reader::Reactor && rx.pending.is_empty() {
-        rx.reader = Reader::Idle; // nothing owed: back to hang-up interest
     }
     drop(rx);
     drop(asm);
@@ -1500,7 +1482,6 @@ impl TcpWait {
             && match rx.reader {
                 Reader::Idle => true,
                 Reader::Caller { waiter, polling } => waiter == self.id() || !polling,
-                Reader::Reactor => false,
             };
         if free {
             rx.reader = Reader::Caller {
@@ -1514,7 +1495,7 @@ impl TcpWait {
     /// Wait until every reply is in, the connection fails, or `timeout`
     /// passes: as the reader, blocked on this one socket, handing others'
     /// replies on as they come; else asleep until the reader hands over
-    /// ours.
+    /// ours or leaves.
     fn complete(&self, timeout: Duration) {
         let deadline = Instant::now() + timeout;
         while !self.waiter.done() {
@@ -1546,16 +1527,14 @@ impl Completion for TcpWait {
 
 impl Drop for TcpWait {
     /// Leave the connection: give up the replies still owed (one that comes
-    /// later is discarded), and pass the read half on if this caller holds
-    /// it — to the reactor while others' replies are owed, else back to
-    /// idle.
+    /// later is discarded), and free the read half if this caller holds it,
+    /// nudging every waiter still owed a reply to take it up.
     fn drop(&mut self) {
         let (n, settled) = {
             let s = self.waiter.slots.lock();
             (s.replies.len() as u64, s.owed == 0 || s.failed)
         };
         let mut given_up = 0;
-        let mut wake = false;
         {
             let mut rx = self.conn.rx.lock();
             if !settled {
@@ -1564,16 +1543,15 @@ impl Drop for TcpWait {
                 }
             }
             if matches!(rx.reader, Reader::Caller { waiter, .. } if waiter == self.id()) {
-                wake = !rx.pending.is_empty();
-                rx.reader = if wake { Reader::Reactor } else { Reader::Idle };
+                rx.reader = Reader::Idle;
+                for (waiter, _) in rx.pending.values() {
+                    waiter.poke(|s| s.nudged = true);
+                }
             }
         }
         if given_up > 0 {
             let o = self.shared.obs.pair(self.src, self.dst);
             o.pending_replies.adjust(-given_up);
-        }
-        if wake {
-            self.shared.wake(self.src);
         }
     }
 }
@@ -1645,10 +1623,10 @@ fn wait_ready(fds: &mut [PollFd], timeout: Option<Duration>) -> usize {
 
 /// The per-node event loop: accepts inbound connections, answers their
 /// block requests from the node's store or demuxes their frames to the
-/// service inbox, writes the replies it answers and finishes the remainders
-/// other writers leave, and reads the replies on connections this node
-/// dialed while it holds their read half (the rest it watches for a
-/// hang-up). Every socket is nonblocking; the one place the loop blocks is
+/// service inbox, writes the replies it answers, finishes the remainders
+/// other writers leave on full sockets, and watches the connections this
+/// node dialed for a hang-up. Every socket is nonblocking; the one place
+/// the loop blocks is
 /// [`wait_ready`], where a reactor with nothing to do sleeps in the kernel
 /// until a socket, the listener or the wake pipe has something for it.
 fn reactor_loop(
@@ -1666,23 +1644,13 @@ fn reactor_loop(
     // been drained by the pass that ran while it was set.
     while !shared.stop.load(Ordering::Acquire) {
         // Interest set, in this order: listener, wake pipe, inbound
-        // connections (and room for a reply remainder), watched outbound
-        // connections (replies only while this reactor holds the read half).
+        // connections, watched outbound connections (a hang-up only) — each
+        // connection with room for a remainder while one is owed.
         fds.clear();
         fds.push(PollFd::new(&listener, POLLIN));
         fds.push(PollFd::new(&woken, POLLIN));
-        fds.extend(inbound.iter().map(|c| {
-            let remainder = !c.replies.rest.lock().is_empty();
-            PollFd::new(
-                &c.replies.io.sock,
-                POLLIN | if remainder { POLLOUT } else { 0 },
-            )
-        }));
-        fds.extend(
-            outbound
-                .iter()
-                .map(|w| PollFd::new(&w.conn.io.sock, w.conn.reactor_interest())),
-        );
+        fds.extend(inbound.iter().map(|c| c.replies.io.interest(POLLIN)));
+        fds.extend(outbound.iter().map(|w| w.conn.io.interest(POLLRDHUP)));
         // How long to sleep: until the nearest Hello deadline while a
         // connection is still anonymous; else until woken.
         let now = Instant::now();
@@ -1693,15 +1661,13 @@ fn reactor_loop(
             .min();
         wait_ready(&mut fds, timeout);
         obs.wakeups.inc();
-        let mut ready = fds.iter().map(PollFd::ready);
-        let accept = ready.next().expect("listener entry");
-        let mailbox = ready.next().expect("wake pipe entry");
+        let mut fd = fds.iter();
+        let accept = fd.next().expect("listener entry").ready();
+        let mailbox = fd.next().expect("wake pipe entry").ready();
         // Serve what is ready. Connections adopted below were not in this
         // wait; the next one reports them at once if they have bytes.
-        inbound.retain_mut(|c| c.poll(ready.next().expect("inbound entry")));
-        outbound.retain(|w| {
-            !ready.next().expect("outbound entry") || read_replies(&shared, node, w.dst, &w.conn)
-        });
+        inbound.retain_mut(|c| c.poll(fd.next().expect("inbound entry").ready()));
+        outbound.retain(|w| w.serve(&shared, node, fd.next().expect("outbound entry").revents));
         if mailbox {
             // Drain the wake bytes before the mailbox, so a wake-up sent
             // after this point finds the pipe readable again.
@@ -1730,5 +1696,68 @@ fn reactor_loop(
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::write_frame;
+    use ccm_core::FileId;
+
+    /// The one train writer on a full socket: a flush that stages more than
+    /// the socket takes returns at once with the remainder, and the writer's
+    /// turn with it; frames staged meanwhile wait behind it; and `resume`
+    /// finishes the lot, byte for byte, once the far end reads.
+    #[test]
+    fn a_full_socket_leaves_the_remainder_and_the_turn_to_resume() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let sock = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        sock.set_nonblocking(true).unwrap();
+        let (mut far, _) = listener.accept().unwrap();
+        let io = Io::new(sock);
+        let obs = NetObs::new(&Registry::default(), 2);
+        let obs = obs.pair(NodeId(0), NodeId(1));
+
+        // 16 MiB of forwards, more than a loopback socket buffers unread.
+        let data: Arc<[u8]> = (0..8192).map(|i| i as u8).collect();
+        let mut frames: Vec<WireMsg> = (0..2048)
+            .map(|i| WireMsg::Forward {
+                block: BlockId::new(FileId(1), i),
+                data: data.clone(),
+                displace: None,
+            })
+            .collect();
+        assert!(io.stage(&frames, usize::MAX));
+        assert_eq!(io.flush(obs), Flush::Rest);
+        assert!(io.outbox.lock().writing, "the remainder holds the turn");
+        assert!(!io.rest.lock().is_empty());
+
+        let late = WireMsg::Barrier { req_id: 7 };
+        assert!(io.stage(std::slice::from_ref(&late), usize::MAX));
+        assert_eq!(io.flush(obs), Flush::Done, "the turn is taken");
+        frames.push(late);
+        let mut expect = Vec::new();
+        for frame in &frames {
+            write_frame(&mut expect, frame).unwrap();
+        }
+
+        let len = expect.len();
+        let reader = std::thread::spawn(move || {
+            let mut got = vec![0; len];
+            far.read_exact(&mut got).unwrap();
+            got
+        });
+        loop {
+            match io.resume(obs) {
+                Flush::Done => break,
+                Flush::Rest => std::thread::sleep(Duration::from_millis(1)),
+                Flush::Failed => panic!("the far end reads"),
+            }
+        }
+        assert!(!io.outbox.lock().writing, "the turn is given back");
+        assert!(reader.join().unwrap() == expect, "the bytes differ");
+        assert_eq!(obs.frames_out.get(), frames.len() as u64);
+        assert_eq!(obs.trains_out.get(), 2);
     }
 }

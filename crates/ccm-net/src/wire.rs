@@ -1,8 +1,8 @@
 //! The wire image of [`PeerMsg`] and its hand-rolled binary codec.
 //!
-//! `PeerMsg::BlockRequest` carries an in-band reply channel — a structure
-//! that cannot leave the process. On the wire that channel becomes a
-//! request id: the requester keeps `req_id → reply sender` in a pending
+//! `PeerMsg::BlockRequest` carries an in-band reply sink — a structure
+//! that cannot leave the process. On the wire that sink becomes a request
+//! id: the requester keeps `req_id → waiting train slot` in a pending
 //! table (see [`crate::tcp`]) and the responder echoes the id back on
 //! [`WireMsg::BlockReply`]. [`PeerMsg::Barrier`] splits the same way into
 //! [`WireMsg::Barrier`] / [`WireMsg::BarrierAck`]. `PeerMsg::Shutdown` has
@@ -20,12 +20,11 @@
 //! tag 1 BlockRequest := req_id:u64 block
 //! tag 2 BlockReply   := req_id:u64 present:u8 [len:u32 data]   (if present)
 //! tag 3 Forward      := block present:u8 [displaced_block] len:u32 data
-//! tag 4 Invalidate   := block
 //! tag 5 Barrier      := req_id:u64
 //! tag 6 BarrierAck   := req_id:u64
 //! tag 7 Ping         := req_id:u64
 //! tag 8 Pong         := req_id:u64
-//! tag 9 WriteInval   := block version:u64
+//! tag 9 WriteInval   := block
 //! block        := file:u32 index:u32
 //! ```
 //!
@@ -48,8 +47,9 @@ use std::sync::Arc;
 /// layout change so mismatched peers fail the handshake instead of
 /// misparsing each other. Version 2 added the heartbeat frames
 /// ([`WireMsg::Ping`] / [`WireMsg::Pong`]); version 3 added the coherence
-/// write invalidation ([`WireMsg::WriteInvalidate`]).
-pub const WIRE_VERSION: u8 = 3;
+/// write invalidation ([`WireMsg::WriteInvalidate`]); version 4 dropped
+/// the unsent tag 4 invalidation and the write invalidation's version.
+pub const WIRE_VERSION: u8 = 4;
 
 /// Hard upper bound on a frame payload, in bytes.
 pub const MAX_FRAME: u32 = 1 << 20;
@@ -93,11 +93,6 @@ pub enum WireMsg {
         /// Block dropped at the destination to make room, if any.
         displace: Option<BlockId>,
     },
-    /// A write elsewhere invalidated the destination's copy of `block`.
-    Invalidate {
-        /// The written block.
-        block: BlockId,
-    },
     /// Ack request: answered with [`WireMsg::BarrierAck`] once every earlier
     /// frame on this connection has been processed by the service thread.
     Barrier {
@@ -122,12 +117,10 @@ pub enum WireMsg {
         req_id: u64,
     },
     /// A coherence write at the source invalidated the destination's copy
-    /// of `block` (fire-and-forget, like [`WireMsg::Invalidate`]).
+    /// of `block` (fire-and-forget).
     WriteInvalidate {
         /// The written block.
         block: BlockId,
-        /// Monotonic cluster-wide write version of the triggering write.
-        version: u64,
     },
 }
 
@@ -164,7 +157,6 @@ const TAG_HELLO: u8 = 0;
 const TAG_BLOCK_REQUEST: u8 = 1;
 const TAG_BLOCK_REPLY: u8 = 2;
 const TAG_FORWARD: u8 = 3;
-const TAG_INVALIDATE: u8 = 4;
 const TAG_BARRIER: u8 = 5;
 const TAG_BARRIER_ACK: u8 = 6;
 const TAG_PING: u8 = 7;
@@ -176,36 +168,31 @@ fn put_block(out: &mut Vec<u8>, block: BlockId) {
     out.extend_from_slice(&block.index.to_le_bytes());
 }
 
-fn put_bytes(out: &mut Vec<u8>, data: &[u8]) {
-    out.extend_from_slice(&(data.len() as u32).to_le_bytes());
-    out.extend_from_slice(data);
+fn put_req(out: &mut Vec<u8>, tag: u8, req_id: u64) {
+    out.push(tag);
+    out.extend_from_slice(&req_id.to_le_bytes());
 }
 
-/// Encode `msg` into `out` (payload only, no length prefix). `out` is
-/// cleared first so a buffer can be reused across frames.
-pub fn encode(msg: &WireMsg, out: &mut Vec<u8>) {
-    out.clear();
-    match msg {
+/// Append the payload of `msg` (no length prefix) to `out` — the one
+/// encoder of every frame layout. A block of at least
+/// [`FrameTrain::ZERO_COPY_MIN`] bytes, always the payload's tail, is not
+/// copied but returned, for the caller to append or splice in by reference.
+fn put_payload<'m>(msg: &'m WireMsg, out: &mut Vec<u8>) -> Option<&'m Arc<[u8]>> {
+    let data = match msg {
         WireMsg::Hello { version, node } => {
-            out.push(TAG_HELLO);
-            out.push(*version);
+            out.extend_from_slice(&[TAG_HELLO, *version]);
             out.extend_from_slice(&node.0.to_le_bytes());
+            None
         }
         WireMsg::BlockRequest { req_id, block } => {
-            out.push(TAG_BLOCK_REQUEST);
-            out.extend_from_slice(&req_id.to_le_bytes());
+            put_req(out, TAG_BLOCK_REQUEST, *req_id);
             put_block(out, *block);
+            None
         }
         WireMsg::BlockReply { req_id, data } => {
-            out.push(TAG_BLOCK_REPLY);
-            out.extend_from_slice(&req_id.to_le_bytes());
-            match data {
-                None => out.push(0),
-                Some(d) => {
-                    out.push(1);
-                    put_bytes(out, d);
-                }
-            }
+            put_req(out, TAG_BLOCK_REPLY, *req_id);
+            out.push(u8::from(data.is_some()));
+            data.as_ref()
         }
         WireMsg::Forward {
             block,
@@ -214,40 +201,48 @@ pub fn encode(msg: &WireMsg, out: &mut Vec<u8>) {
         } => {
             out.push(TAG_FORWARD);
             put_block(out, *block);
-            match displace {
-                None => out.push(0),
-                Some(d) => {
-                    out.push(1);
-                    put_block(out, *d);
-                }
+            out.push(u8::from(displace.is_some()));
+            if let Some(d) = displace {
+                put_block(out, *d);
             }
-            put_bytes(out, data);
+            Some(data)
         }
-        WireMsg::Invalidate { block } => {
-            out.push(TAG_INVALIDATE);
-            put_block(out, *block);
-        }
-        WireMsg::Barrier { req_id } => {
-            out.push(TAG_BARRIER);
-            out.extend_from_slice(&req_id.to_le_bytes());
-        }
-        WireMsg::BarrierAck { req_id } => {
-            out.push(TAG_BARRIER_ACK);
-            out.extend_from_slice(&req_id.to_le_bytes());
-        }
-        WireMsg::Ping { req_id } => {
-            out.push(TAG_PING);
-            out.extend_from_slice(&req_id.to_le_bytes());
-        }
-        WireMsg::Pong { req_id } => {
-            out.push(TAG_PONG);
-            out.extend_from_slice(&req_id.to_le_bytes());
-        }
-        WireMsg::WriteInvalidate { block, version } => {
+        WireMsg::WriteInvalidate { block } => {
             out.push(TAG_WRITE_INVALIDATE);
             put_block(out, *block);
-            out.extend_from_slice(&version.to_le_bytes());
+            None
         }
+        WireMsg::Barrier { req_id } => {
+            put_req(out, TAG_BARRIER, *req_id);
+            None
+        }
+        WireMsg::BarrierAck { req_id } => {
+            put_req(out, TAG_BARRIER_ACK, *req_id);
+            None
+        }
+        WireMsg::Ping { req_id } => {
+            put_req(out, TAG_PING, *req_id);
+            None
+        }
+        WireMsg::Pong { req_id } => {
+            put_req(out, TAG_PONG, *req_id);
+            None
+        }
+    }?;
+    out.extend_from_slice(&(data.len() as u32).to_le_bytes());
+    if data.len() >= FrameTrain::ZERO_COPY_MIN {
+        return Some(data);
+    }
+    out.extend_from_slice(data);
+    None
+}
+
+/// Encode `msg` into `out` (payload only, no length prefix). `out` is
+/// cleared first so a buffer can be reused across frames.
+pub fn encode(msg: &WireMsg, out: &mut Vec<u8>) {
+    out.clear();
+    if let Some(data) = put_payload(msg, out) {
+        out.extend_from_slice(data);
     }
     debug_assert!(out.len() <= MAX_FRAME as usize, "frame exceeds MAX_FRAME");
 }
@@ -349,15 +344,11 @@ pub fn decode(payload: &[u8]) -> Result<WireMsg, DecodeError> {
                 displace,
             }
         }
-        TAG_INVALIDATE => WireMsg::Invalidate { block: c.block()? },
         TAG_BARRIER => WireMsg::Barrier { req_id: c.u64()? },
         TAG_BARRIER_ACK => WireMsg::BarrierAck { req_id: c.u64()? },
         TAG_PING => WireMsg::Ping { req_id: c.u64()? },
         TAG_PONG => WireMsg::Pong { req_id: c.u64()? },
-        TAG_WRITE_INVALIDATE => WireMsg::WriteInvalidate {
-            block: c.block()?,
-            version: c.u64()?,
-        },
+        TAG_WRITE_INVALIDATE => WireMsg::WriteInvalidate { block: c.block()? },
         t => return Err(DecodeError::UnknownTag(t)),
     };
     if c.pos != payload.len() {
@@ -534,73 +525,29 @@ impl FrameTrain {
         std::mem::take(self)
     }
 
-    fn put_head(&mut self, bytes: &[u8]) {
+    /// Append one frame (length prefix + payload) to the head buffer; a
+    /// large block payload is spliced in by reference, not copied. Returns
+    /// the frame's wire size in bytes.
+    pub fn push(&mut self, msg: &WireMsg) -> usize {
         let start = self.head.len();
-        self.head.extend_from_slice(bytes);
+        self.head.extend_from_slice(&[0; 4]); // the length, backfilled below
+        let blob = put_payload(msg, &mut self.head);
+        let head_len = self.head.len() - start;
+        let wire = head_len + blob.map_or(0, |b| b.len());
+        debug_assert!(wire - 4 <= MAX_FRAME as usize, "frame exceeds MAX_FRAME");
+        self.head[start..start + 4].copy_from_slice(&((wire - 4) as u32).to_le_bytes());
         // Merge into the trailing head segment when one exists (it always
         // ends exactly at the old head length), else open a new one.
         match self.segs.last_mut() {
-            Some(Seg::Head { len, .. }) => *len += bytes.len(),
+            Some(Seg::Head { len, .. }) => *len += head_len,
             _ => self.segs.push(Seg::Head {
                 start,
-                len: bytes.len(),
+                len: head_len,
             }),
         }
-    }
-
-    /// Append one frame (length prefix + payload). Large block payloads are
-    /// shared, not copied. Returns the frame's wire size in bytes.
-    pub fn push(&mut self, msg: &WireMsg) -> usize {
-        let wire = match msg {
-            WireMsg::BlockReply {
-                req_id,
-                data: Some(data),
-            } if data.len() >= Self::ZERO_COPY_MIN => {
-                // header: tag + req_id + presence + embedded len
-                let payload_len = 1 + 8 + 1 + 4 + data.len();
-                let mut hdr = [0u8; 4 + 1 + 8 + 1 + 4];
-                hdr[..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
-                hdr[4] = TAG_BLOCK_REPLY;
-                hdr[5..13].copy_from_slice(&req_id.to_le_bytes());
-                hdr[13] = 1;
-                hdr[14..18].copy_from_slice(&(data.len() as u32).to_le_bytes());
-                self.put_head(&hdr);
-                self.segs.push(Seg::Blob(Arc::clone(data)));
-                4 + payload_len
-            }
-            WireMsg::Forward {
-                block,
-                data,
-                displace,
-            } if data.len() >= Self::ZERO_COPY_MIN => {
-                let disp_len = if displace.is_some() { 8 } else { 0 };
-                let payload_len = 1 + 8 + 1 + disp_len + 4 + data.len();
-                let mut hdr = Vec::with_capacity(4 + payload_len - data.len());
-                hdr.extend_from_slice(&(payload_len as u32).to_le_bytes());
-                hdr.push(TAG_FORWARD);
-                hdr.extend_from_slice(&block.file.0.to_le_bytes());
-                hdr.extend_from_slice(&block.index.to_le_bytes());
-                match displace {
-                    None => hdr.push(0),
-                    Some(d) => {
-                        hdr.push(1);
-                        hdr.extend_from_slice(&d.file.0.to_le_bytes());
-                        hdr.extend_from_slice(&d.index.to_le_bytes());
-                    }
-                }
-                hdr.extend_from_slice(&(data.len() as u32).to_le_bytes());
-                self.put_head(&hdr);
-                self.segs.push(Seg::Blob(Arc::clone(data)));
-                4 + payload_len
-            }
-            _ => {
-                let mut payload = Vec::new();
-                encode(msg, &mut payload);
-                self.put_head(&(payload.len() as u32).to_le_bytes());
-                self.put_head(&payload);
-                4 + payload.len()
-            }
-        };
+        if let Some(blob) = blob {
+            self.segs.push(Seg::Blob(Arc::clone(blob)));
+        }
         self.frames += 1;
         self.bytes += wire as u64;
         wire
@@ -721,15 +668,11 @@ mod tests {
             data: vec![1, 2, 3].into(),
             displace: Some(b(4, 5)),
         });
-        roundtrip(WireMsg::Invalidate { block: b(0, 0) });
         roundtrip(WireMsg::Barrier { req_id: 42 });
         roundtrip(WireMsg::BarrierAck { req_id: 42 });
         roundtrip(WireMsg::Ping { req_id: 43 });
         roundtrip(WireMsg::Pong { req_id: 43 });
-        roundtrip(WireMsg::WriteInvalidate {
-            block: b(6, 7),
-            version: u64::MAX,
-        });
+        roundtrip(WireMsg::WriteInvalidate { block: b(6, 7) });
     }
 
     #[test]
@@ -752,14 +695,10 @@ mod tests {
                 data: vec![7; 33].into(),
                 displace: Some(b(3, 4)),
             },
-            WireMsg::Invalidate { block: b(1, 2) },
             WireMsg::Barrier { req_id: 1 },
             WireMsg::Ping { req_id: 1 },
             WireMsg::Pong { req_id: 1 },
-            WireMsg::WriteInvalidate {
-                block: b(1, 2),
-                version: 3,
-            },
+            WireMsg::WriteInvalidate { block: b(1, 2) },
         ];
         let mut buf = Vec::new();
         for msg in &msgs {
@@ -784,6 +723,7 @@ mod tests {
     #[test]
     fn unknown_tag_is_rejected() {
         assert_eq!(decode(&[200]), Err(DecodeError::UnknownTag(200)));
+        assert_eq!(decode(&[4]), Err(DecodeError::UnknownTag(4)));
         assert_eq!(decode(&[]), Err(DecodeError::Truncated));
     }
 

@@ -83,7 +83,7 @@ fn gated_service(
                 PeerMsg::Barrier { reply } | PeerMsg::Ping { reply } => {
                     let _ = reply.send(());
                 }
-                PeerMsg::Invalidate { block } | PeerMsg::WriteInvalidate { block, .. } => {
+                PeerMsg::WriteInvalidate { block } => {
                     store.remove(block);
                 }
                 PeerMsg::Shutdown => break,
@@ -320,7 +320,7 @@ fn a_reply_dropped_unsent_answers_at_once() {
                 }
             });
             // Dial the link first, so a barrier has a wire half.
-            let dial = PeerMsg::Invalidate { block: block(0) };
+            let dial = PeerMsg::WriteInvalidate { block: block(0) };
             assert!(lan.send(NodeId(0), NodeId(1), dial));
             let t = Instant::now();
             let answered = match op {
@@ -556,15 +556,22 @@ impl GatedLink {
     }
 }
 
-/// (a) Two callers share the link: the first (the leader) asks for a store
-/// hit, the second (its follower) for a block whose bytes sit in a
-/// `Forward` queued at the gated service thread, so its reply can only
-/// come once the gate opens. The leader leaves with the follower's reply
-/// still owed; the read half goes to the requesting node's reactor, and
-/// the follower's reply arrives within 50 ms of the gate opening, not at
-/// its 5 s timeout.
+/// (a) Two callers share the link: the first (the leader) takes the read
+/// half, the second (its follower) asks for a block whose bytes sit in a
+/// `Forward` queued at the gated service thread, so its reply can only come
+/// once the gate opens. The leader leaves with the follower's reply still
+/// owed — with its own store hit in hand before the follower waits, or at
+/// its deadline while the follower is already parked behind it. Either way
+/// the follower reads its own reply within 50 ms of the gate opening, not
+/// at its 5 s timeout, and the requesting node's reactor never wakes.
 #[test]
 fn a_follower_is_answered_after_its_leader_leaves() {
+    for parked in [false, true] {
+        follower_answered_after_leader_leaves(parked);
+    }
+}
+
+fn follower_answered_after_leader_leaves(parked: bool) {
     let link = gated_link();
     let lan = &link.lan;
     assert!(lan.send(
@@ -576,34 +583,38 @@ fn a_follower_is_answered_after_its_leader_leaves() {
             displace: None,
         },
     ));
-    let leader = lan.issue(NodeId(0), NodeId(1), &[block(0)]);
+    // Block 6 is a store miss: it waits at the gated service thread.
+    let leader = lan.issue(NodeId(0), NodeId(1), &[block(if parked { 6 } else { 0 })]);
     let follower = lan.issue(NodeId(0), NodeId(1), &[block(1)]);
     assert_eq!(link.pending(), 2);
     let woke = link.requester_wakeups();
-    assert_eq!(leader.wait(TIMEOUT), vec![Some(bytes(0xA0))]);
+    let follower = if parked {
+        let leading = std::thread::spawn(move || leader.wait(Duration::from_millis(100)));
+        std::thread::sleep(Duration::from_millis(30)); // the leader polls
+        let waiting = std::thread::spawn(move || follower.wait(TIMEOUT));
+        assert_eq!(leading.join().unwrap(), vec![None], "the leader timed out");
+        waiting
+    } else {
+        assert_eq!(leader.wait(TIMEOUT), vec![Some(bytes(0xA0))]);
+        std::thread::spawn(move || follower.wait(TIMEOUT))
+    };
     assert_eq!(link.pending(), 1, "the follower's reply is still owed");
 
-    let opener = std::thread::spawn({
-        let open_gate = link.open_gate.clone();
-        move || {
-            std::thread::sleep(Duration::from_millis(30));
-            let opened = Instant::now();
-            open_gate.send(()).expect("service waits at the gate");
-            opened
-        }
-    });
-    let got = follower.wait(TIMEOUT);
+    std::thread::sleep(Duration::from_millis(30));
+    let opened = Instant::now();
+    link.open_gate.send(()).expect("service waits at the gate");
+    let got = follower.join().unwrap();
     let answered = Instant::now();
-    let opened = opener.join().unwrap();
     assert_eq!(got, vec![Some(bytes(0xB1))]);
     assert!(
         answered - opened < Duration::from_millis(50),
-        "the follower waited {:?} after the gate opened",
+        "the follower waited {:?} after the gate opened (parked: {parked})",
         answered - opened
     );
-    assert!(
-        link.requester_wakeups() > woke,
-        "the reactor took the read half over and read the reply"
+    assert_eq!(
+        link.requester_wakeups(),
+        woke,
+        "the follower read its own reply (parked: {parked})"
     );
     assert_eq!(link.pending(), 0);
     link.finish();
@@ -692,9 +703,10 @@ fn a_pending_dropped_unwaited_leaves_nothing_parked() {
     link.finish();
 }
 
-/// A follower parked on the reactor is not left behind when the transport
-/// goes away: dropping it fails what the stopping reactor can no longer
-/// read, and the follower returns `None` at once instead of at its timeout.
+/// A follower left waiting after its leader is not left behind when the
+/// transport goes away: dropping it shuts the socket the follower now reads
+/// and fails its table, and the follower returns `None` at once instead of
+/// at its timeout.
 #[test]
 fn dropping_the_transport_releases_a_parked_follower() {
     let GatedLink {

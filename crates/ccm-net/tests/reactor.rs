@@ -299,12 +299,13 @@ fn a_service_thread_answer_wakes_the_holders_reactor_once() {
 
 /// More bytes than a socket buffer holds, in both directions, against a
 /// peer whose service thread is held behind a gate. Request side: a writer
-/// that finds the socket full sleeps until it has room (`write_train`),
-/// which only ends because the peer's reactor — blocked in its readiness
-/// wait — is woken by the bytes and drains them into the (unbounded) inbox
-/// whatever the service thread is doing. Reply side: 64 blocks (512 KiB)
-/// come back, written by the service thread as far as the socket takes
-/// them, while the caller reads them.
+/// that finds the socket full hands the remainder to its node's reactor,
+/// which finishes it on writability, and the pushers behind it yield at
+/// the staged-bytes cap; that ends because the peer's reactor — blocked in
+/// its readiness wait — is woken by the bytes and drains them into the
+/// (unbounded) inbox whatever the service thread is doing. Reply side: 64
+/// blocks (512 KiB) come back, written by the service thread as far as the
+/// socket takes them, while the caller reads them.
 #[test]
 fn trains_larger_than_the_socket_buffer_drain_both_ways() {
     let lan = Arc::new(TcpLan::loopback(2).expect("bind loopback"));

@@ -25,10 +25,10 @@
 //!   one train through the inner [`Transport::issue`], the one fetch path
 //!   there is with faults and without. A duplicated request is asked for
 //!   twice in that train.
-//! * [`PeerMsg::Invalidate`] is delivered reliably and *flushes the link's
-//!   delayed messages first*: an invalidation overtaken by a stale forward
-//!   of the same block would resurrect superseded bytes, which no fault in
-//!   the paper's model (lost messages, node crashes) can cause.
+//! * [`PeerMsg::WriteInvalidate`] is delivered reliably and *flushes the
+//!   link's delayed messages first*: an invalidation overtaken by a stale
+//!   forward of the same block would resurrect superseded bytes, which no
+//!   fault in the paper's model (lost messages, node crashes) can cause.
 //! * [`PeerMsg::Barrier`] and [`PeerMsg::Shutdown`] are control-plane and
 //!   bypass chaos entirely.
 //!
@@ -346,7 +346,7 @@ impl ChaosLan {
         let mut link = self.link(src, dst).lock();
         if !matches!(msg, PeerMsg::Forward { .. }) {
             // Reliable messages must not overtake held data-plane traffic on
-            // their link (an Invalidate arriving before a stale Forward of
+            // their link (a WriteInvalidate arriving before a stale Forward of
             // the same block would later be undone by it).
             self.release_all(&mut link, src, dst);
             return self.inner.send(src, dst, msg);
@@ -584,7 +584,11 @@ mod tests {
         let chaos = ChaosLan::new(Arc::new(lan), &plan);
         chaos.send(NodeId(0), NodeId(1), fwd(1)); // held
         assert!(inboxes[1].is_empty(), "forward should be held");
-        chaos.send(NodeId(0), NodeId(1), PeerMsg::Invalidate { block: b(1) });
+        chaos.send(
+            NodeId(0),
+            NodeId(1),
+            PeerMsg::WriteInvalidate { block: b(1) },
+        );
         // The held forward must be released *before* the invalidate.
         match inboxes[1].recv().unwrap() {
             PeerMsg::Forward { block, .. } => assert_eq!(block, b(1)),
@@ -592,7 +596,7 @@ mod tests {
         }
         assert!(matches!(
             inboxes[1].recv().unwrap(),
-            PeerMsg::Invalidate { .. }
+            PeerMsg::WriteInvalidate { .. }
         ));
     }
 

@@ -207,10 +207,6 @@ struct Shared {
     obs: RtObs,
     /// Write-path coherence configuration (mode, dirty budget, cadence).
     write_cfg: WriteConfig,
-    /// Monotonic cluster-wide write version, carried on
-    /// [`PeerMsg::WriteInvalidate`] frames so a networked observer can
-    /// order invalidations; the in-process protocol does not consume it.
-    write_version: AtomicU64,
     /// Per-block write serialization: the lock is held across persist (or
     /// dirty-record), the protocol write, invalidation fan-out, and the
     /// writer's store install, so concurrent same-block writers persist in
@@ -773,10 +769,7 @@ fn service_loop(shared: Arc<Shared>, node: NodeId, inbox: Receiver<PeerMsg>) {
                 store.insert(block, data);
                 shared.obs.node(node).store_blocks.set(store.len());
             }
-            PeerMsg::Invalidate { block } => {
-                shared.store_take(node, block);
-            }
-            PeerMsg::WriteInvalidate { block, .. } => {
+            PeerMsg::WriteInvalidate { block } => {
                 // Coherence invalidation: drop the superseded bytes; the
                 // next read re-routes through the (possibly dirty) master.
                 // Guard: the protocol removed this node's copy *before* the
@@ -885,7 +878,6 @@ impl Middleware {
             fetch_timeout: cfg.fetch_timeout,
             obs,
             write_cfg: cfg.write,
-            write_version: AtomicU64::new(0),
             write_locks: ShardedMap::new(),
             write_ops: AtomicU64::new(0),
             dirty: Mutex::new(DirtyLedger::default()),
@@ -1680,7 +1672,6 @@ impl NodeHandle {
                 }
             }
             // 2. Protocol write (atomic): invalidate + become master.
-            let version = self.shared.write_version.fetch_add(1, Ordering::Relaxed) + 1;
             let out = self.shared.cache.lock().write(self.node, block);
             eviction = out.eviction;
             // 3. Data plane: drop superseded copies, install ours.
@@ -1688,16 +1679,14 @@ impl NodeHandle {
             //    but are never dropped (see the fault model); they do
             //    flush any delayed traffic on their link.
             for peer in out.invalidated {
-                self.shared.chaos.send(
-                    self.node,
-                    peer,
-                    PeerMsg::WriteInvalidate { block, version },
-                );
+                self.shared
+                    .chaos
+                    .send(self.node, peer, PeerMsg::WriteInvalidate { block });
             }
             if let Some(m) = out.superseded_master {
                 self.shared
                     .chaos
-                    .send(self.node, m, PeerMsg::WriteInvalidate { block, version });
+                    .send(self.node, m, PeerMsg::WriteInvalidate { block });
             }
             self.shared.store_insert(self.node, block, Arc::from(data));
             if mode == WriteMode::Back {

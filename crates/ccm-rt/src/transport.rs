@@ -85,23 +85,13 @@ pub enum PeerMsg {
         /// Block dropped here to make room, if any.
         displace: Option<BlockId>,
     },
-    /// A write elsewhere invalidated this node's copy of `block`; drop its
-    /// bytes (§6 writes extension).
-    Invalidate {
-        /// The written block.
-        block: BlockId,
-    },
     /// A coherence write at another node invalidated this node's copy of
-    /// `block`. Carries the cluster-wide write version so receivers can
-    /// order invalidations from different writers; otherwise handled like
-    /// [`PeerMsg::Invalidate`] (drop the bytes). Control-plane: the chaos
-    /// wrapper never drops or delays it, matching the atomic protocol
+    /// `block`; drop its bytes (§6 writes extension). Control-plane: the
+    /// chaos wrapper never drops or delays it, matching the atomic protocol
     /// decision it trails.
     WriteInvalidate {
         /// The written block.
         block: BlockId,
-        /// Monotonic cluster-wide write version of the triggering write.
-        version: u64,
     },
     /// Ack request: the service thread answers once every earlier message on
     /// this inbox has been processed. Used to quiesce the data plane.
@@ -703,14 +693,14 @@ mod tests {
     #[test]
     fn reconnect_replaces_the_inbox() {
         let (lan, inboxes) = Lan::new(1);
-        assert!(lan.send(NodeId(0), PeerMsg::Invalidate { block: b(1) }));
+        assert!(lan.send(NodeId(0), PeerMsg::WriteInvalidate { block: b(1) }));
         drop(inboxes); // crash: queued message lost with the receiver
         assert!(!lan.send(NodeId(0), PeerMsg::Shutdown));
         let rx = lan.reconnect(NodeId(0));
         assert!(rx.is_empty(), "restarted node must see an empty inbox");
-        assert!(lan.send(NodeId(0), PeerMsg::Invalidate { block: b(2) }));
+        assert!(lan.send(NodeId(0), PeerMsg::WriteInvalidate { block: b(2) }));
         match rx.recv().unwrap() {
-            PeerMsg::Invalidate { block } => assert_eq!(block, b(2)),
+            PeerMsg::WriteInvalidate { block } => assert_eq!(block, b(2)),
             _ => panic!("wrong message"),
         }
     }
