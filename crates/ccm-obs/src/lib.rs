@@ -1,28 +1,34 @@
 //! Observability for the cooperative caching runtime.
 //!
-//! Three small pieces, designed so the hot block path pays one relaxed
-//! atomic increment and nothing else:
+//! Three small pieces. On the hot block path a counter costs one relaxed
+//! atomic add, and a histogram sample or a trace hop writes only the
+//! recording thread's own stripe, so two callers do not contend on them:
 //!
-//! - [`metrics`]: a lock-free [`Registry`] of [`Counter`]s, [`Gauge`]s,
-//!   and fixed-bucket log-scale [`Histogram`]s (the bucketing scheme is
-//!   `simcore::Histogram`'s, frozen at 512 buckets so snapshots from
-//!   different nodes always merge).
+//! - [`metrics`]: a [`Registry`] of [`Counter`]s (one relaxed atomic add),
+//!   [`Gauge`]s, and fixed-bucket log-scale [`Histogram`]s striped per
+//!   thread (the bucketing scheme is `simcore::Histogram`'s, frozen at 512
+//!   buckets so snapshots from different nodes always merge).
 //! - [`trace`]: a bounded per-cluster [`TraceRing`] of structured
 //!   block-path hops (dispatch → peer fetch → disk fallback → serve),
-//!   dumpable as JSON on demand or on chaos-invariant failure.
+//!   sharded per thread and dumpable as JSON on demand or on
+//!   chaos-invariant failure.
 //! - [`prom`]: Prometheus text exposition of a registry [`Snapshot`], and
 //!   the minimal parser the `ccmtop` scraper uses.
 //!
-//! Building with `--features obs-off` compiles gauges, histograms,
-//! stopwatches, and trace rings down to nothing (counters stay live; see
-//! [`metrics`] for why) — the overhead-guard bench compares the two
-//! builds.
+//! The ring and the histograms pick their stripe by one per-thread index
+//! (private `stripe` module): a thread's first event takes the next of
+//! eight stripes, and keeps it. Building with `--features obs-off`
+//! compiles gauges, histograms, stopwatches, and trace rings down to
+//! nothing (counters stay live; see [`metrics`] for why) — the
+//! overhead-guard bench compares the two builds.
 
 #![warn(missing_docs)]
 
 pub mod metrics;
 pub mod prom;
 pub mod report;
+#[cfg(not(feature = "obs-off"))]
+mod stripe;
 pub mod trace;
 
 pub use metrics::{

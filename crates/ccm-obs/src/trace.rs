@@ -1,14 +1,23 @@
-//! Block-path trace events: a bounded per-node ring buffer of structured
-//! hops, so a failing chaos run (or a curious operator) can reconstruct
-//! exactly what one request did — dispatch, peer fetch, disk fallback,
-//! serve — with monotonic timestamps, instead of printf archaeology.
+//! Block-path trace events: a bounded per-cluster ring buffer of
+//! structured hops, so a failing chaos run (or a curious operator) can
+//! reconstruct exactly what one request did — dispatch, peer fetch, disk
+//! fallback, serve — with monotonic timestamps, instead of printf
+//! archaeology.
 //!
-//! Pushes are cheap: one relaxed atomic to claim a slot plus one
-//! uncontended-in-practice slot lock (writers only collide on wrap-around).
-//! Under `obs-off` the whole ring compiles to nothing.
+//! The ring is sharded per thread: a push locks only its thread's shard, a
+//! cache-line-aligned mutex that callers on other stripes never take, and
+//! appends to that shard's own ring of up to `capacity` events. Request ids come from
+//! the shard too, in blocks taken from one ring-wide counter. A dump merges
+//! the shards and keeps the most recent `capacity` events, so a single
+//! pusher sees exactly one ring of `capacity`. Under `obs-off` the whole
+//! ring compiles to nothing.
 
 #[cfg(not(feature = "obs-off"))]
+use crate::stripe::{self, STRIPES};
+#[cfg(not(feature = "obs-off"))]
 use simcore::sync::Mutex;
+#[cfg(not(feature = "obs-off"))]
+use std::ops::Range;
 #[cfg(not(feature = "obs-off"))]
 use std::sync::atomic::{AtomicU64, Ordering};
 #[cfg(not(feature = "obs-off"))]
@@ -109,10 +118,31 @@ impl TraceEvent {
     }
 }
 
+/// Request ids a shard takes from the ring-wide counter at a time.
+#[cfg(not(feature = "obs-off"))]
+const ID_BLOCK: u64 = 64;
+
+/// One thread's share of a ring, on cache lines of its own.
+#[cfg(not(feature = "obs-off"))]
+#[derive(Default)]
+#[repr(align(128))]
+struct Shard(Mutex<ShardInner>);
+
+#[cfg(not(feature = "obs-off"))]
+#[derive(Default)]
+struct ShardInner {
+    /// Up to `capacity` events, allocated on the first push; once full,
+    /// `oldest` is the slot the next push overwrites.
+    events: Vec<TraceEvent>,
+    oldest: usize,
+    /// Request ids this shard hands out next.
+    ids: Range<u64>,
+}
+
 #[cfg(not(feature = "obs-off"))]
 struct RingInner {
-    slots: Vec<Mutex<Option<TraceEvent>>>,
-    next: AtomicU64,
+    shards: [Shard; STRIPES],
+    capacity: usize,
     next_req: AtomicU64,
     epoch: std::time::Instant,
 }
@@ -139,24 +169,35 @@ impl std::fmt::Debug for TraceRing {
 impl TraceRing {
     /// A ring holding the most recent `capacity` events (min 1).
     pub fn new(capacity: usize) -> TraceRing {
-        let capacity = capacity.max(1);
         TraceRing(Arc::new(RingInner {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            next: AtomicU64::new(0),
+            shards: Default::default(),
+            capacity: capacity.max(1),
             next_req: AtomicU64::new(0),
             epoch: std::time::Instant::now(),
         }))
     }
 
-    /// Slots in the ring.
+    /// Events the ring retains.
     pub fn capacity(&self) -> usize {
-        self.0.slots.len()
+        self.0.capacity
+    }
+
+    /// The calling thread's shard.
+    fn shard(&self) -> &Mutex<ShardInner> {
+        &self.0.shards[stripe::index()].0
     }
 
     /// A fresh, ring-unique request id (starts at 1; 0 is never issued, so
-    /// callers can use it as "untraced").
+    /// callers can use it as "untraced"). Ids ascend within a thread.
     pub fn next_req_id(&self) -> u64 {
-        self.0.next_req.fetch_add(1, Ordering::Relaxed) + 1
+        let mut shard = self.shard().lock();
+        if shard.ids.is_empty() {
+            let start = self.0.next_req.fetch_add(ID_BLOCK, Ordering::Relaxed) + 1;
+            shard.ids = start..start + ID_BLOCK;
+        }
+        let id = shard.ids.start;
+        shard.ids.start += 1;
+        id
     }
 
     /// Monotonic nanoseconds since the ring was created.
@@ -166,25 +207,42 @@ impl TraceRing {
 
     /// Record a hop for `req_id` on `node`, timestamped now.
     pub fn push(&self, req_id: u64, node: u16, hop: Hop) {
-        let at_ns = self.now_ns();
-        let idx = self.0.next.fetch_add(1, Ordering::Relaxed) as usize % self.0.slots.len();
-        *self.0.slots[idx].lock() = Some(TraceEvent {
+        let capacity = self.0.capacity;
+        let mut shard = self.shard().lock();
+        // Stamped under the lock, so a shard's slot order is time order.
+        let event = TraceEvent {
             req_id,
             node,
-            at_ns,
+            at_ns: self.now_ns(),
             hop,
-        });
+        };
+        let shard = &mut *shard;
+        if shard.events.len() < capacity {
+            if shard.events.capacity() == 0 {
+                // Sized once: growing by doubling leaves the freed smaller
+                // buffers behind in the pushing thread's malloc arena.
+                shard.events.reserve_exact(capacity);
+            }
+            shard.events.push(event);
+        } else {
+            shard.events[shard.oldest] = event;
+            shard.oldest = (shard.oldest + 1) % capacity;
+        }
     }
 
-    /// All retained events, oldest first.
+    /// All retained events, oldest first: every shard's, merged, and the
+    /// most recent `capacity` of them kept.
     pub fn dump(&self) -> Vec<TraceEvent> {
-        let mut events: Vec<TraceEvent> = self
-            .0
-            .slots
-            .iter()
-            .filter_map(|s| s.lock().clone())
-            .collect();
+        let mut events = Vec::new();
+        for shard in &self.0.shards {
+            let shard = shard.0.lock();
+            let (newer, older) = shard.events.split_at(shard.oldest);
+            events.extend_from_slice(older);
+            events.extend_from_slice(newer);
+        }
         events.sort_by_key(|e| (e.at_ns, e.req_id));
+        let excess = events.len().saturating_sub(self.0.capacity);
+        events.drain(..excess);
         events
     }
 
@@ -283,6 +341,57 @@ mod tests {
         assert_eq!(events.len(), 4);
         let ids: Vec<u64> = events.iter().map(|e| e.req_id).collect();
         assert_eq!(ids, vec![6, 7, 8, 9]);
+    }
+
+    #[test]
+    fn concurrent_pushers_keep_the_latest_capacity_events() {
+        const THREADS: u64 = 4;
+        const PUSHES: u64 = 5_000;
+        let ring = TraceRing::new(4096);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let ring = &ring;
+                s.spawn(move || {
+                    for i in 0..PUSHES {
+                        ring.push(t * PUSHES + i, t as u16, Hop::LocalHit);
+                    }
+                });
+            }
+        });
+        let events = ring.dump();
+        assert_eq!(events.len(), 4096);
+        assert!(events.windows(2).all(|w| w[0].at_ns <= w[1].at_ns));
+        for t in 0..THREADS {
+            // A thread's retained events are an unbroken run of its pushes
+            // that ends with its last one.
+            let mut seqs: Vec<u64> = events
+                .iter()
+                .filter(|e| e.node == t as u16)
+                .map(|e| e.req_id - t * PUSHES)
+                .collect();
+            seqs.sort_unstable();
+            let first = PUSHES - seqs.len() as u64;
+            assert_eq!(seqs, (first..PUSHES).collect::<Vec<u64>>(), "thread {t}");
+        }
+    }
+
+    #[test]
+    fn concurrent_request_ids_are_unique_and_ascend_per_thread() {
+        let ring = TraceRing::new(16);
+        let per_thread: Vec<Vec<u64>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| (0..1_000).map(|_| ring.next_req_id()).collect()))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for ids in &per_thread {
+            assert!(ids.windows(2).all(|w| w[0] < w[1]));
+        }
+        let mut all: Vec<u64> = per_thread.concat();
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), 4_000);
+        assert!(all[0] > 0);
     }
 
     #[test]

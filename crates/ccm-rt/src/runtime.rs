@@ -1414,16 +1414,26 @@ impl NodeHandle {
             }
             (hints, cache.hint_stats(), adm, cache.admission_stats())
         };
-        obs.hint_hits.add(hints_after.correct - hints.correct);
-        obs.hint_stale.add(hints_after.stale - hints.stale);
-        obs.hint_forward_hops
-            .add(hints_after.forward_hops - hints.forward_hops);
-        obs.admission_admitted
-            .add(adm_after.admitted - adm.admitted);
-        obs.admission_rejected
-            .add(adm_after.rejected - adm.rejected);
-        obs.admission_ghost_hits
-            .add(adm_after.ghost_hits - adm.ghost_hits);
+        // Every caller shares these counters, and their deltas are zero
+        // unless hints or admission are on: skip the write then.
+        for (counter, delta) in [
+            (&obs.hint_hits, hints_after.correct - hints.correct),
+            (&obs.hint_stale, hints_after.stale - hints.stale),
+            (
+                &obs.hint_forward_hops,
+                hints_after.forward_hops - hints.forward_hops,
+            ),
+            (&obs.admission_admitted, adm_after.admitted - adm.admitted),
+            (&obs.admission_rejected, adm_after.rejected - adm.rejected),
+            (
+                &obs.admission_ghost_hits,
+                adm_after.ghost_hits - adm.ghost_hits,
+            ),
+        ] {
+            if delta > 0 {
+                counter.add(delta);
+            }
+        }
         let me = self.node.index() as u16;
         for step in steps.iter_mut() {
             step.req = obs.trace.next_req_id();
