@@ -23,7 +23,6 @@
 
 use ccm_core::{BlockId, FileId, NodeId, BLOCK_SIZE};
 use ccm_l2s::FileCache;
-use ccm_obs::{Registry, Snapshot};
 use ccm_rt::store::read_file_direct;
 use ccm_rt::{BlockStore, Catalog, Middleware, NodeHandle};
 use simcore::sync::Mutex;
@@ -73,13 +72,6 @@ pub trait FrontBackend: Send + Sync {
 
     /// Drain any in-flight background work so counters are stable.
     fn quiesce(&self) {}
-
-    /// What the tier's `GET /metrics` renders. The default scrapes the
-    /// tier's `registry` as it stands; a backend whose cluster keeps
-    /// snapshot-time gauges refreshes them first.
-    fn metrics_snapshot(&self, registry: &Registry) -> Snapshot {
-        registry.snapshot()
-    }
 
     /// The block-path trace ring as JSON, the body of the tier's
     /// `GET /debug/trace`. `None` (answered `404`) when the backend keeps
@@ -158,14 +150,6 @@ impl FrontBackend for CcmBackend {
 
     fn quiesce(&self) {
         self.middleware.quiesce();
-    }
-
-    /// The middleware's own scrape: it refreshes `ccm_rt_directory_blocks`
-    /// and `ccm_rt_epoch`, which are only written at snapshot time. The
-    /// tier shares the middleware's registry (see `FrontTier::start`), so
-    /// the `ccm_front_*` family is on the same page.
-    fn metrics_snapshot(&self, _registry: &Registry) -> Snapshot {
-        self.middleware.obs_snapshot()
     }
 
     fn trace_json(&self) -> Option<String> {

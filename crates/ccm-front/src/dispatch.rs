@@ -364,9 +364,6 @@ mod tests {
         assert_eq!(ca.pick(NodeId(3), "/metrics", None), NodeId(3));
     }
 
-    // The policy's signal is a gauge, and `obs-off` compiles gauges out
-    // (every node then reads as idle and the policy rotates).
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn load_aware_avoids_the_busy_node() {
         let registry = Registry::new();

@@ -381,7 +381,7 @@ fn handle_request(endpoint: NodeId, req: &Request, inner: &FrontInner) -> Prepar
     }
     match req.path.as_str() {
         "/metrics" => {
-            let snapshot = inner.backend.metrics_snapshot(&inner.registry);
+            let snapshot = inner.registry.snapshot();
             Prepared::page(
                 "text/plain; version=0.0.4; charset=utf-8",
                 ccm_obs::prom::render(&snapshot),

@@ -257,7 +257,6 @@ fn front_stats_endpoint_reports_dispatch() {
     fx.shutdown();
 }
 
-#[cfg(not(feature = "obs-off"))]
 #[test]
 fn metrics_page_carries_the_front_family() {
     use ccm_obs::prom::parse;
@@ -348,9 +347,10 @@ fn metrics_page_carries_the_front_family() {
     let ok = sum("ccm_front_responses_total", &[("status", "2xx")]);
     assert_eq!(ok + partial, 10.0, "3 + 6 full reads and one range");
 
-    // The page is the backend's scrape, not the bare registry's: the
-    // directory-occupancy gauge is only written at snapshot time, and
-    // each of the fixture's 3 + 3 + 1 blocks is now resident at both nodes.
+    // The page reads the directory occupancy current: no data path writes
+    // the gauge, the cluster's refresh hook reads it when the tier scrapes
+    // the registry, and each of the fixture's 3 + 3 + 1 blocks is now
+    // resident at both nodes.
     assert_eq!(
         sum("ccm_rt_directory_blocks", &[]),
         14.0,

@@ -673,7 +673,10 @@ fn run_inner(spec: &LoadSpec, label: &str, transport: Option<Arc<dyn Transport>>
     let (warm_stats, warm_hits, warm_snap) = marks();
 
     // The measurement window, with `/metrics` scraped while it is driven
-    // (the scrape reads the registry only; it cannot perturb the caches).
+    // (the scrape reads the registry and, through the cluster's refresh
+    // hook, takes the decision lock briefly to read the occupancy gauges
+    // and protocol tallies; it decides nothing and moves no block, so it
+    // cannot perturb the caches).
     let (out, elapsed_s, scraped) = std::thread::scope(|s| {
         let scraper = cluster
             .scrape_addr()

@@ -442,9 +442,11 @@ fn a_file_read_sends_one_request_train_per_holder() {
     assert_eq!(after.1 - to1.1, 1, "in one train");
     #[cfg(not(feature = "obs-off"))]
     {
-        let remote =
-            mw.obs_snapshot()
-                .histogram_merged_where("ccm_rt_fetch_latency_ns", "class", "remote");
+        let remote = mw.registry().snapshot().histogram_merged_where(
+            "ccm_rt_fetch_latency_ns",
+            "class",
+            "remote",
+        );
         assert_eq!(remote.count(), 4, "one sample per remote block");
         assert!(
             remote.quantile(0.0) >= 1_000,

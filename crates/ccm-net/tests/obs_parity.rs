@@ -53,7 +53,7 @@ fn run_channel() -> (Snapshot, u64) {
     let registry = Registry::new();
     let mw = Middleware::start(cfg(&registry), catalog, store);
     workload(&mw);
-    let snap = mw.obs_snapshot();
+    let snap = mw.registry().snapshot();
     let dropped = mw.chaos_stats().dropped;
     mw.shutdown();
     (snap, dropped)
@@ -70,7 +70,7 @@ fn run_tcp() -> (Snapshot, u64) {
     };
     let mw = Middleware::start(cfg, catalog, store);
     workload(&mw);
-    let snap = mw.obs_snapshot();
+    let snap = mw.registry().snapshot();
     let dropped = mw.chaos_stats().dropped;
     mw.shutdown();
     (snap, dropped)

@@ -7,7 +7,8 @@
 //! - [`metrics`]: a [`Registry`] of [`Counter`]s (one relaxed atomic add),
 //!   [`Gauge`]s, and fixed-bucket log-scale [`Histogram`]s striped per
 //!   thread (the bucketing scheme is `simcore::Histogram`'s, frozen at 512
-//!   buckets so snapshots from different nodes always merge).
+//!   buckets so snapshots from different nodes always merge), plus the
+//!   refresh hooks a scrape runs first to read values kept elsewhere.
 //! - [`trace`]: a bounded per-cluster [`TraceRing`] of structured
 //!   block-path hops (dispatch → peer fetch → disk fallback → serve),
 //!   sharded per thread and dumpable as JSON on demand or on
@@ -18,8 +19,8 @@
 //! The ring and the histograms pick their stripe by one per-thread index
 //! (private `stripe` module): a thread's first event takes the next of
 //! eight stripes, and keeps it. Building with `--features obs-off`
-//! compiles gauges, histograms, stopwatches, and trace rings down to
-//! nothing (counters stay live; see [`metrics`] for why) — the
+//! compiles histograms, stopwatches, and trace rings down to nothing
+//! (counters and gauges stay live; see [`metrics`] for why) — the
 //! overhead-guard bench compares the two builds.
 
 #![warn(missing_docs)]

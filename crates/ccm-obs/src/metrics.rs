@@ -7,22 +7,24 @@
 //! histogram is striped per thread: a record is three relaxed adds on the
 //! recording thread's own cache-line-aligned stripe, allocated on that
 //! thread's first record, and a snapshot sums the stripes. The registry is
-//! only locked at registration and scrape time, never per event.
+//! only locked at registration and scrape time, never per event. A value
+//! kept elsewhere (an occupancy, a protocol tally) is not mirrored into a
+//! handle on every change: its owner registers a refresh hook
+//! ([`Registry::on_snapshot`]) that copies it in when the registry is
+//! scraped.
 //!
-//! With the `obs-off` feature, gauges, histograms, stopwatches, and the
-//! registry's bookkeeping compile to nothing — the overhead-guard bench
-//! builds against it to measure the instrumentation delta. Counters stay
-//! live even then: several are semantically load-bearing (the runtime's
-//! store-fallback count feeds `CacheStats`), and their cost is exactly the
-//! one relaxed atomic increment the design budgets for the hot path.
+//! With the `obs-off` feature, histograms and stopwatches compile to
+//! nothing — the overhead-guard bench builds against it to measure the
+//! instrumentation delta. Counters and gauges stay live even then: they
+//! carry behaviour (the runtime's store-fallback count feeds `CacheStats`,
+//! and the front tier's load-aware dispatch reads its inflight gauges), and
+//! their cost is one relaxed atomic per event.
 
 #[cfg(not(feature = "obs-off"))]
 use crate::stripe::{self, STRIPES};
 use simcore::histogram::{bucket_low, quantile_bucket};
 use simcore::sync::Mutex;
-#[cfg(not(feature = "obs-off"))]
-use std::sync::atomic::AtomicI64;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 #[cfg(not(feature = "obs-off"))]
 use std::sync::OnceLock;
@@ -71,16 +73,12 @@ impl Counter {
 }
 
 /// A settable signed gauge (occupancies, depths, link states).
-#[cfg(not(feature = "obs-off"))]
+///
+/// Gauges are live in every build, including `obs-off` — see the module
+/// docs for why.
 #[derive(Clone, Debug, Default)]
 pub struct Gauge(Arc<AtomicI64>);
 
-/// A settable signed gauge (`obs-off`: compiled to nothing).
-#[cfg(feature = "obs-off")]
-#[derive(Clone, Debug, Default)]
-pub struct Gauge;
-
-#[cfg(not(feature = "obs-off"))]
 impl Gauge {
     /// A gauge not attached to any registry (starts at zero).
     pub fn new() -> Gauge {
@@ -103,28 +101,6 @@ impl Gauge {
     #[inline]
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-#[cfg(feature = "obs-off")]
-impl Gauge {
-    /// A gauge not attached to any registry.
-    pub fn new() -> Gauge {
-        Gauge
-    }
-
-    /// No-op (`obs-off`).
-    #[inline]
-    pub fn set(&self, _v: i64) {}
-
-    /// No-op (`obs-off`).
-    #[inline]
-    pub fn adjust(&self, _d: i64) {}
-
-    /// Always zero (`obs-off`).
-    #[inline]
-    pub fn get(&self) -> i64 {
-        0
     }
 }
 
@@ -450,13 +426,18 @@ struct Entry {
     handle: Handle,
 }
 
+/// A refresh hook (see [`Registry::on_snapshot`]).
+type Hook = Arc<dyn Fn() + Send + Sync>;
+
 /// The metric registry: owns metric identities, hands out update handles,
 /// and produces [`Snapshot`]s for exposition. Cheap to clone (shared
-/// interior); one registry per process or per cluster is the intended
-/// shape, with components labeling their series (`node`, `peer`, `class`).
+/// interior, refresh hooks included); one registry per process or per
+/// cluster is the intended shape, with components labeling their series
+/// (`node`, `peer`, `class`).
 #[derive(Clone, Default)]
 pub struct Registry {
     inner: Arc<Mutex<Vec<Entry>>>,
+    hooks: Arc<Mutex<Vec<Hook>>>,
 }
 
 impl std::fmt::Debug for Registry {
@@ -554,9 +535,27 @@ impl Registry {
         }
     }
 
-    /// Read every metric. Sorted by `(name, labels)` so the output is
-    /// deterministic regardless of registration order.
+    /// Run `hook` at the start of every [`Registry::snapshot`] of this
+    /// registry or any clone of it, before any value is read; hooks run in
+    /// registration order. A hook copies in values whose owner keeps them
+    /// elsewhere — an occupancy, a protocol tally — so every scrape reads
+    /// them current and the owner writes no handle when they change. A
+    /// hook stays registered for the registry's life: it should hold its
+    /// target weakly and do nothing once the target is gone, and it must
+    /// not scrape the registry itself.
+    pub fn on_snapshot(&self, hook: impl Fn() + Send + Sync + 'static) {
+        self.hooks.lock().push(Arc::new(hook));
+    }
+
+    /// Run the refresh hooks, then read every metric. Sorted by
+    /// `(name, labels)` so the output is deterministic regardless of
+    /// registration order.
     pub fn snapshot(&self) -> Snapshot {
+        // Copied out so a hook runs under none of the registry's locks.
+        let hooks = self.hooks.lock().clone();
+        for hook in &hooks {
+            hook();
+        }
         let entries = self.inner.lock();
         let mut metrics: Vec<MetricSnapshot> = entries
             .iter()
@@ -576,7 +575,7 @@ impl Registry {
     }
 }
 
-#[cfg(all(test, not(feature = "obs-off")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -624,6 +623,40 @@ mod tests {
     }
 
     #[test]
+    fn refresh_hooks_run_before_values_are_read() {
+        let r = Registry::new();
+        let level = r.gauge("level", "l", &[]);
+        let doubled = r.gauge("doubled", "d", &[]);
+        let source = Arc::new(AtomicI64::new(0));
+        let weak = Arc::downgrade(&source);
+        let target = level.clone();
+        r.on_snapshot(move || {
+            if let Some(source) = weak.upgrade() {
+                target.set(source.load(Ordering::Relaxed));
+            }
+        });
+        // Hooks run in registration order: this one sees the first's value.
+        let (from, to) = (level.clone(), doubled.clone());
+        r.on_snapshot(move || to.set(2 * from.get()));
+        let read = |r: &Registry| {
+            let snap = r.snapshot();
+            let gauge = |name| match snap.find(name, &[]).map(|m| &m.value) {
+                Some(Value::Gauge(v)) => *v,
+                other => panic!("no gauge {name}: {other:?}"),
+            };
+            (gauge("level"), gauge("doubled"))
+        };
+        source.store(7, Ordering::Relaxed);
+        assert_eq!(read(&r), (7, 14), "no handle was written before the scrape");
+        // A clone shares the hooks.
+        source.store(9, Ordering::Relaxed);
+        assert_eq!(read(&r.clone()), (9, 18));
+        // With its target gone the hook does nothing: the last value stays.
+        drop(source);
+        assert_eq!(read(&r), (9, 18));
+    }
+
+    #[test]
     fn snapshot_is_sorted_deterministically() {
         let r = Registry::new();
         r.counter("b_total", "b", &[]).inc();
@@ -641,6 +674,7 @@ mod tests {
         assert_eq!(names[2].0, "b_total");
     }
 
+    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn histogram_records_and_quantiles() {
         let h = Histogram::new();
@@ -654,6 +688,7 @@ mod tests {
         assert!((s.mean() - 500.5).abs() < 1e-9);
     }
 
+    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn filtered_sums_and_merges() {
         let r = Registry::new();
@@ -681,6 +716,7 @@ mod tests {
         assert_eq!(merged.sum, 60);
     }
 
+    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn concurrent_records_sum_exactly() {
         const THREADS: u64 = 4;
@@ -705,6 +741,7 @@ mod tests {
         assert_eq!(h.snapshot(), want);
     }
 
+    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn two_recording_threads_write_two_stripes() {
         let h = Histogram::new();
@@ -716,6 +753,7 @@ mod tests {
         assert_eq!(h.snapshot().count(), 2);
     }
 
+    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn records_saturate_into_the_last_bucket() {
         let h = Histogram::new();

@@ -1,45 +1,51 @@
 //! The runtime's metric handles: every counter, gauge, and histogram the
-//! middleware updates, registered once at cluster start so the read path
+//! middleware exports, registered once at cluster start so the read path
 //! never touches the registry — it pays one relaxed atomic per event.
 //!
 //! Metric catalog (see DESIGN.md "Observability" for the full naming
-//! conventions):
+//! conventions). A series marked *read at scrape* is written by no data
+//! path: the cluster's refresh hook (`Registry::on_snapshot`, registered by
+//! `Middleware::start`) reads it from the state that keeps it whenever the
+//! registry is snapshotted, so every scrape route sees it current.
 //!
-//! | name | type | labels |
-//! |------|------|--------|
-//! | `ccm_rt_reads_total` | counter | `node`, `class` = `local`/`remote`/`disk`/`fallback` |
-//! | `ccm_rt_evictions_total` | counter | `node` |
-//! | `ccm_rt_forwards_total` | counter | `node` |
-//! | `ccm_rt_store_fallbacks_total` | counter | `node` |
-//! | `ccm_rt_move_fallbacks_total` | counter | `node` |
-//! | `ccm_rt_disk_error_fallbacks_total` | counter | `node` |
-//! | `ccm_rt_store_blocks` | gauge | `node` |
-//! | `ccm_rt_directory_blocks` | gauge | — |
-//! | `ccm_rt_fetch_latency_ns` | histogram | `class` (timing: see below) |
-//! | `ccm_rt_hint_hits_total` | counter | — |
-//! | `ccm_rt_hint_stale_total` | counter | — |
-//! | `ccm_rt_hint_forward_hops_total` | counter | — |
-//! | `ccm_rt_epoch` | gauge | — |
-//! | `ccm_rt_writes_total` | counter | `node` |
-//! | `ccm_rt_admission_admitted_total` | counter | — |
-//! | `ccm_rt_admission_rejected_total` | counter | — |
-//! | `ccm_rt_admission_ghost_hits_total` | counter | — |
-//! | `ccm_rt_wb_dirty_blocks` | gauge | — |
-//! | `ccm_rt_wb_flushes_total` | counter | — |
-//! | `ccm_rt_wb_lost_total` | counter | — |
-//! | `ccm_rt_wb_recovered_total` | counter | — |
+//! | name | type | labels | read at scrape |
+//! |------|------|--------|----------------|
+//! | `ccm_rt_reads_total` | counter | `node`, `class` = `local`/`remote`/`disk`/`fallback` | |
+//! | `ccm_rt_evictions_total` | counter | `node` | |
+//! | `ccm_rt_forwards_total` | counter | `node` | |
+//! | `ccm_rt_store_fallbacks_total` | counter | `node` | |
+//! | `ccm_rt_move_fallbacks_total` | counter | `node` | |
+//! | `ccm_rt_disk_error_fallbacks_total` | counter | `node` | |
+//! | `ccm_rt_store_blocks` | gauge | `node` | the node's store length |
+//! | `ccm_rt_directory_blocks` | gauge | — | `ClusterCache::resident_blocks` |
+//! | `ccm_rt_fetch_latency_ns` | histogram | `class` (timing: see below) | |
+//! | `ccm_rt_hint_hits_total` | counter | — | `HintStats::correct` |
+//! | `ccm_rt_hint_stale_total` | counter | — | `HintStats::stale` |
+//! | `ccm_rt_hint_forward_hops_total` | counter | — | `HintStats::forward_hops` |
+//! | `ccm_rt_epoch` | gauge | — | `Membership::epoch` |
+//! | `ccm_rt_writes_total` | counter | `node` | |
+//! | `ccm_rt_admission_admitted_total` | counter | — | `AdmissionStats::admitted` |
+//! | `ccm_rt_admission_rejected_total` | counter | — | `AdmissionStats::rejected` |
+//! | `ccm_rt_admission_ghost_hits_total` | counter | — | `AdmissionStats::ghost_hits` |
+//! | `ccm_rt_wb_dirty_blocks` | gauge | — | the dirty ledger's length |
+//! | `ccm_rt_wb_flushes_total` | counter | — | |
+//! | `ccm_rt_wb_lost_total` | counter | — | |
+//! | `ccm_rt_wb_recovered_total` | counter | — | |
 //!
-//! The hint counters mirror the `ccm-core` hint-directory statistics
+//! The hint counters export the `ccm-core` hint-directory statistics
 //! (correct hints, stale hints, wasted forwarding hops); they stay at zero
 //! under the perfect directory but are always registered, so a scrape sees
 //! the family either way. `ccm_rt_epoch` exports the membership table's
 //! epoch — it moves only when the cluster configuration changes.
 //!
-//! The admission counters mirror the `ccm-core` ghost-LRU admission
+//! The admission counters export the `ccm-core` ghost-LRU admission
 //! statistics and stay at zero with admission off; the `wb_*` family
 //! tracks write-back dirty-block lifecycle (flushed / lost with a crashed
 //! dirty master / recovered from a survivor's replica) and stays at zero
 //! under write-through. Like the hint family, all are always registered.
+//! A counter read at scrape advances by its cluster's growth since the
+//! last scrape, so clusters that share a registry sum, as event counters
+//! do.
 //!
 //! The read `class` is the *data-plane* outcome: a protocol-level remote
 //! hit whose bytes had to come from the backing store (the §3 race) counts
@@ -64,6 +70,7 @@
 
 use ccm_core::NodeId;
 use ccm_obs::{Counter, Gauge, Histogram, Registry, TraceRing};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How many block-path trace events the per-cluster ring retains.
 pub const TRACE_RING_CAPACITY: usize = 4096;
@@ -105,6 +112,36 @@ pub(crate) struct NodeObs {
     pub writes: Counter,
 }
 
+/// The protocol tallies exported as counters, in the order
+/// [`RtObs::advance_tallies`] takes them: `HintStats::{correct, stale,
+/// forward_hops}`, then `AdmissionStats::{admitted, rejected, ghost_hits}`.
+const TALLIES: [(&str, &str); 6] = [
+    (
+        "ccm_rt_hint_hits_total",
+        "Hint-directory lookups whose best-guess owner was correct",
+    ),
+    (
+        "ccm_rt_hint_stale_total",
+        "Hint-directory lookups that started from a stale hint",
+    ),
+    (
+        "ccm_rt_hint_forward_hops_total",
+        "Wasted forwarding hops charged while chasing stale hint chains",
+    ),
+    (
+        "ccm_rt_admission_admitted_total",
+        "Remote hits whose replica the admission filter let in",
+    ),
+    (
+        "ccm_rt_admission_rejected_total",
+        "Remote hits served without caching a replica (one-touch candidates)",
+    ),
+    (
+        "ccm_rt_admission_ghost_hits_total",
+        "Admissions granted because the block re-touched its ghost-list entry",
+    ),
+];
+
 /// All of the runtime's metric handles plus the trace ring.
 pub(crate) struct RtObs {
     pub registry: Registry,
@@ -113,16 +150,13 @@ pub(crate) struct RtObs {
     /// Fetch latency histograms indexed by ReadClass as usize.
     pub fetch_ns: [Histogram; 4],
     pub directory_blocks: Gauge,
-    /// Hint-directory outcomes (zero under the perfect directory).
-    pub hint_hits: Counter,
-    pub hint_stale: Counter,
-    pub hint_forward_hops: Counter,
     /// Current membership epoch.
     pub epoch: Gauge,
-    /// Replica-admission outcomes (zero with admission off).
-    pub admission_admitted: Counter,
-    pub admission_rejected: Counter,
-    pub admission_ghost_hits: Counter,
+    /// Hint-directory and replica-admission tallies, in [`TALLIES`] order
+    /// (zero under the perfect directory and with admission off).
+    tallies: [Counter; 6],
+    /// How much of each tally this cluster has added to its counter.
+    exported: [AtomicU64; 6],
     /// Write-back dirty-block lifecycle (zero under write-through).
     pub wb_dirty_blocks: Gauge,
     pub wb_flushes: Counter,
@@ -202,39 +236,10 @@ impl RtObs {
             "Blocks tracked by the global directory (refreshed at snapshot time)",
             &[],
         );
-        let hint_hits = registry.counter(
-            "ccm_rt_hint_hits_total",
-            "Hint-directory lookups whose best-guess owner was correct",
-            &[],
-        );
-        let hint_stale = registry.counter(
-            "ccm_rt_hint_stale_total",
-            "Hint-directory lookups that started from a stale hint",
-            &[],
-        );
-        let hint_forward_hops = registry.counter(
-            "ccm_rt_hint_forward_hops_total",
-            "Wasted forwarding hops charged while chasing stale hint chains",
-            &[],
-        );
+        let tallies = TALLIES.map(|(name, help)| registry.counter(name, help, &[]));
         let epoch = registry.gauge(
             "ccm_rt_epoch",
             "Membership epoch: bumped once per join/leave/crash/repair transition",
-            &[],
-        );
-        let admission_admitted = registry.counter(
-            "ccm_rt_admission_admitted_total",
-            "Remote hits whose replica the admission filter let in",
-            &[],
-        );
-        let admission_rejected = registry.counter(
-            "ccm_rt_admission_rejected_total",
-            "Remote hits served without caching a replica (one-touch candidates)",
-            &[],
-        );
-        let admission_ghost_hits = registry.counter(
-            "ccm_rt_admission_ghost_hits_total",
-            "Admissions granted because the block re-touched its ghost-list entry",
             &[],
         );
         let wb_dirty_blocks = registry.gauge(
@@ -263,17 +268,23 @@ impl RtObs {
             nodes: node_obs,
             fetch_ns,
             directory_blocks,
-            hint_hits,
-            hint_stale,
-            hint_forward_hops,
             epoch,
-            admission_admitted,
-            admission_rejected,
-            admission_ghost_hits,
+            tallies,
+            exported: Default::default(),
             wb_dirty_blocks,
             wb_flushes,
             wb_lost,
             wb_recovered,
+        }
+    }
+
+    /// Advance each tally's counter by this cluster's growth since the
+    /// last call: `now` is the protocol's current value, in [`TALLIES`]
+    /// order. The caller holds the decision lock from reading `now` until
+    /// this returns, so two scrapes never add the same growth twice.
+    pub fn advance_tallies(&self, now: [u64; 6]) {
+        for ((counter, exported), now) in self.tallies.iter().zip(&self.exported).zip(now) {
+            counter.add(now - exported.swap(now, Ordering::Relaxed));
         }
     }
 

@@ -27,7 +27,7 @@ use ccm_core::{
     RepairReport, ReplacementPolicy, BLOCK_SIZE,
 };
 use ccm_disk::{DiskConfig, DiskService, DiskStats};
-use ccm_obs::{Hop, Registry, Snapshot, Stopwatch, TraceRing};
+use ccm_obs::{Hop, Registry, Stopwatch, TraceRing};
 use simcore::chan::Receiver;
 use simcore::sync::Mutex;
 use simcore::FxHashMap;
@@ -197,7 +197,7 @@ struct Shared {
     /// The epoch-versioned member table: which of the provisioned slots
     /// currently participate in the protocol. Transitions are made only by
     /// [`Shared::admit`], [`Shared::depart`] and the heartbeat monitor's
-    /// suspicion, each through [`Shared::set_member`].
+    /// suspicion, each through [`Membership::transition`].
     membership: Membership,
     fetch_timeout: Duration,
     /// Metric handles and the block-path trace ring. Store fallbacks (reads
@@ -269,12 +269,6 @@ impl Shared {
         Some(handle.join())
     }
 
-    /// Move `node` to `state` in the member table and export the new epoch.
-    fn set_member(&self, node: NodeId, state: MemberState) {
-        let epoch = self.membership.transition(node, state);
-        self.obs.epoch.set(epoch as i64);
-    }
-
     /// Bring `node` into the cluster — the one path every join takes. Its
     /// service thread starts on a fresh inbox and the protocol revives its
     /// slot cold. With `rebalance`, a deterministic share of the resident
@@ -321,10 +315,7 @@ impl Shared {
                     // record the loss rather than silently re-mastering the
                     // stale persisted image as current.
                     if dirty_from {
-                        let mut d = self.dirty.lock();
-                        d.owners.remove(&block);
-                        self.obs.wb_dirty_blocks.set(d.owners.len() as i64);
-                        drop(d);
+                        self.dirty.lock().owners.remove(&block);
                         self.mark_lost(block);
                     }
                     self.obs.node(from).store_fallbacks.inc();
@@ -334,7 +325,7 @@ impl Shared {
             };
             self.store_insert(node, block, data);
         }
-        self.set_member(node, MemberState::Up);
+        self.membership.transition(node, MemberState::Up);
         moved.len()
     }
 
@@ -389,10 +380,10 @@ impl Shared {
                 });
                 self.store_insert(to, block, data);
             }
-            self.clear_store(node);
+            self.stores[node.index()].clear();
             gone.report
         } else {
-            self.clear_store(node);
+            self.stores[node.index()].clear();
             let gone = self.cache.lock().depart(node, Departure::Crash);
             self.recover_dirty_after_crash(node, &gone.promoted);
             gone.report
@@ -402,13 +393,8 @@ impl Shared {
         } else {
             MemberState::Down
         };
-        self.set_member(node, state);
+        self.membership.transition(node, state);
         Some(report)
-    }
-
-    fn clear_store(&self, node: NodeId) {
-        self.stores[node.index()].clear();
-        self.obs.node(node).store_blocks.set(0);
     }
 
     fn is_alive(&self, node: NodeId) -> bool {
@@ -416,16 +402,11 @@ impl Shared {
     }
 
     fn store_insert(&self, node: NodeId, block: BlockId, data: Arc<[u8]>) {
-        let store = &self.stores[node.index()];
-        store.insert(block, data);
-        self.obs.node(node).store_blocks.set(store.len());
+        self.stores[node.index()].insert(block, data);
     }
 
     fn store_take(&self, node: NodeId, block: BlockId) -> Option<Arc<[u8]>> {
-        let store = &self.stores[node.index()];
-        let out = store.remove(block);
-        self.obs.node(node).store_blocks.set(store.len());
-        out
+        self.stores[node.index()].remove(block)
     }
 
     fn store_get(&self, node: NodeId, block: BlockId) -> Option<Arc<[u8]>> {
@@ -476,7 +457,6 @@ impl Shared {
         let mut d = self.dirty.lock();
         d.owners.insert(block, DirtyEntry { owner, digest });
         d.order.push_back(block);
-        self.obs.wb_dirty_blocks.set(d.owners.len() as i64);
     }
 
     /// Who currently owns `block`'s dirty bytes, if anyone.
@@ -495,12 +475,7 @@ impl Shared {
     fn flush_block(&self, block: BlockId) -> FlushOutcome {
         let lock = self.write_lock(block);
         let _guard = lock.lock();
-        let owner = {
-            let mut d = self.dirty.lock();
-            let owner = d.owners.remove(&block);
-            self.obs.wb_dirty_blocks.set(d.owners.len() as i64);
-            owner
-        };
+        let owner = self.dirty.lock().owners.remove(&block);
         let Some(entry) = owner else {
             return FlushOutcome::Clean;
         };
@@ -570,7 +545,6 @@ impl Shared {
             for &(b, _) in &owned {
                 d.owners.remove(&b);
             }
-            self.obs.wb_dirty_blocks.set(d.owners.len() as i64);
             owned
         };
         if owned.is_empty() {
@@ -604,6 +578,35 @@ impl Shared {
             }
         }
         self.disk_read(node, block)
+    }
+
+    /// The cluster's refresh hook, run by every snapshot of its registry
+    /// (see [`Middleware::start`]): set the occupancy gauges and the epoch
+    /// from the state that keeps them, and advance the hint and admission
+    /// counters to the protocol's own tallies. No data path writes these
+    /// series. It takes the decision lock, the store shard locks and the
+    /// dirty ledger's lock one at a time, never two at once.
+    fn refresh_obs(&self) {
+        let obs = &self.obs;
+        {
+            let cache = self.cache.lock();
+            obs.directory_blocks.set(cache.resident_blocks() as i64);
+            let (h, a) = (cache.hint_stats(), cache.admission_stats());
+            obs.advance_tallies([
+                h.correct,
+                h.stale,
+                h.forward_hops,
+                a.admitted,
+                a.rejected,
+                a.ghost_hits,
+            ]);
+        }
+        for (node, store) in obs.nodes.iter().zip(self.stores.iter()) {
+            node.store_blocks.set(store.len() as i64);
+        }
+        let dirty = self.dirty.lock().owners.len();
+        obs.wb_dirty_blocks.set(dirty as i64);
+        obs.epoch.set(self.membership.epoch() as i64);
     }
 
     /// Move data in sympathy with an eviction decision. `req` is the trace
@@ -767,7 +770,6 @@ fn service_loop(shared: Arc<Shared>, node: NodeId, inbox: Receiver<PeerMsg>) {
                     }
                 }
                 store.insert(block, data);
-                shared.obs.node(node).store_blocks.set(store.len());
             }
             PeerMsg::WriteInvalidate { block } => {
                 // Coherence invalidation: drop the superseded bytes; the
@@ -883,6 +885,15 @@ impl Middleware {
             dirty: Mutex::new(DirtyLedger::default()),
             lost_writes: Mutex::new(BTreeSet::new()),
         });
+        // Every scrape of the registry reads the series no data path
+        // writes. The hook holds the cluster weakly: it does nothing once
+        // the cluster is gone, and keeps no `Shared` alive.
+        let cluster = Arc::downgrade(&shared);
+        shared.obs.registry.on_snapshot(move || {
+            if let Some(shared) = cluster.upgrade() {
+                shared.refresh_obs();
+            }
+        });
         // Non-members get no thread: their inboxes stay dead, so sends to
         // them fail fast until they join.
         for node in shared.membership.members() {
@@ -962,7 +973,9 @@ impl Middleware {
     }
 
     /// The metric registry this cluster reports into (the one passed via
-    /// [`RtConfig::obs`], or a private one).
+    /// [`RtConfig::obs`], or a private one). Its snapshots read the
+    /// cluster's occupancy gauges, epoch and protocol tallies current
+    /// (taking the decision lock briefly).
     pub fn registry(&self) -> &Registry {
         &self.shared.obs.registry
     }
@@ -970,14 +983,6 @@ impl Middleware {
     /// The per-cluster block-path trace ring.
     pub fn trace(&self) -> &TraceRing {
         &self.shared.obs.trace
-    }
-
-    /// Refresh snapshot-time gauges (directory occupancy; takes the cache
-    /// lock briefly) and scrape the registry.
-    pub fn obs_snapshot(&self) -> Snapshot {
-        let resident = self.shared.cache.lock().resident_blocks();
-        self.shared.obs.directory_blocks.set(resident as i64);
-        self.shared.obs.registry.snapshot()
     }
 
     /// True if `node`'s service thread is running.
@@ -1224,7 +1229,7 @@ fn heartbeat_loop(
             if shared.lan().ping(node, node, timeout) {
                 *missed = 0;
                 if shared.membership.state(node) == MemberState::Suspect {
-                    shared.set_member(node, MemberState::Up);
+                    shared.membership.transition(node, MemberState::Up);
                 }
                 continue;
             }
@@ -1235,7 +1240,7 @@ fn heartbeat_loop(
                 shared.depart(node, Exit::Declared);
                 *missed = 0;
             } else if shared.membership.state(node) == MemberState::Up {
-                shared.set_member(node, MemberState::Suspect);
+                shared.membership.transition(node, MemberState::Suspect);
             }
         }
         // Sleep in small slices so a stop request is honored promptly.
@@ -1383,10 +1388,8 @@ impl NodeHandle {
     fn decide(&self, file: FileId, blocks: Range<u32>, steps: &mut Vec<Step>) -> u32 {
         let obs = &self.shared.obs;
         let mut next = blocks.start;
-        let (hints, hints_after, adm, adm_after) = {
+        {
             let mut cache = self.shared.cache.lock();
-            let hints = cache.hint_stats();
-            let adm = cache.admission_stats();
             while next < blocks.end && steps.len() < CHUNK_BLOCKS {
                 let block = BlockId::new(file, next);
                 let evicted_here = steps
@@ -1411,27 +1414,6 @@ impl NodeHandle {
                 if let AccessOutcome::DiskRead { .. } = outcome {
                     break;
                 }
-            }
-            (hints, cache.hint_stats(), adm, cache.admission_stats())
-        };
-        // Every caller shares these counters, and their deltas are zero
-        // unless hints or admission are on: skip the write then.
-        for (counter, delta) in [
-            (&obs.hint_hits, hints_after.correct - hints.correct),
-            (&obs.hint_stale, hints_after.stale - hints.stale),
-            (
-                &obs.hint_forward_hops,
-                hints_after.forward_hops - hints.forward_hops,
-            ),
-            (&obs.admission_admitted, adm_after.admitted - adm.admitted),
-            (&obs.admission_rejected, adm_after.rejected - adm.rejected),
-            (
-                &obs.admission_ghost_hits,
-                adm_after.ghost_hits - adm.ghost_hits,
-            ),
-        ] {
-            if delta > 0 {
-                counter.add(delta);
             }
         }
         let me = self.node.index() as u16;
@@ -1761,6 +1743,48 @@ mod tests {
         )
     }
 
+    /// Quiesce, scrape the registry the plain way, and check that every
+    /// series the refresh hook keeps reads exactly what the runtime's own
+    /// accessors report. Returns the scrape.
+    fn scrape_matches_accessors(mw: &Middleware) -> ccm_obs::Snapshot {
+        mw.quiesce();
+        let snap = mw.registry().snapshot();
+        let gauge =
+            |name: &str, labels: &[(&str, &str)]| match snap.find(name, labels).map(|m| &m.value) {
+                Some(&ccm_obs::Value::Gauge(v)) => v,
+                other => panic!("no gauge {name} {labels:?}: {other:?}"),
+            };
+        assert_eq!(
+            gauge("ccm_rt_directory_blocks", &[]),
+            mw.shared.cache.lock().resident_blocks() as i64
+        );
+        for (i, store) in mw.shared.stores.iter().enumerate() {
+            let node = i.to_string();
+            assert_eq!(
+                gauge("ccm_rt_store_blocks", &[("node", &node)]),
+                store.len() as i64,
+                "node {i}'s store"
+            );
+        }
+        assert_eq!(gauge("ccm_rt_epoch", &[]), mw.epoch() as i64);
+        assert_eq!(
+            gauge("ccm_rt_wb_dirty_blocks", &[]),
+            mw.dirty_blocks() as i64
+        );
+        let (h, a) = (mw.hint_stats(), mw.admission_stats());
+        for (name, want) in [
+            ("ccm_rt_hint_hits_total", h.correct),
+            ("ccm_rt_hint_stale_total", h.stale),
+            ("ccm_rt_hint_forward_hops_total", h.forward_hops),
+            ("ccm_rt_admission_admitted_total", a.admitted),
+            ("ccm_rt_admission_rejected_total", a.rejected),
+            ("ccm_rt_admission_ghost_hits_total", a.ghost_hits),
+        ] {
+            assert_eq!(snap.counter_sum(name), want, "{name}");
+        }
+        snap
+    }
+
     #[test]
     fn single_node_read_round_trip() {
         let mw = start(1, 64, 4, 20_000);
@@ -2008,7 +2032,8 @@ mod tests {
         let fallbacks = mw.stats().store_fallbacks;
         assert!(fallbacks > 0, "fallbacks must have covered the dead node");
         assert_eq!(
-            mw.obs_snapshot()
+            mw.registry()
+                .snapshot()
                 .counter_sum("ccm_rt_store_fallbacks_total"),
             fallbacks,
             "stats and the registry family are one count"
@@ -2142,7 +2167,7 @@ mod tests {
         mw.handle(NodeId(0)).read_file(FileId(0)); // disk
         mw.handle(NodeId(0)).read_file(FileId(0)); // local
         mw.handle(NodeId(1)).read_file(FileId(0)); // remote
-        let snap = mw.obs_snapshot();
+        let snap = scrape_matches_accessors(&mw);
         let class = |node: &str, class: &str| match snap
             .find("ccm_rt_reads_total", &[("class", class), ("node", node)])
             .map(|m| &m.value)
@@ -2154,7 +2179,7 @@ mod tests {
         assert_eq!(class("0", "local"), blocks);
         assert_eq!(class("1", "remote"), blocks);
         assert_eq!(class("1", "disk"), 0);
-        // Snapshot-time gauge: the directory tracks both nodes' copies.
+        // Read at scrape: the directory tracks both nodes' copies.
         assert!(matches!(
             snap.find("ccm_rt_directory_blocks", &[]).map(|m| &m.value),
             Some(&ccm_obs::Value::Gauge(g)) if g as u64 == 2 * blocks
@@ -2269,9 +2294,65 @@ mod tests {
             } else {
                 NodeId(1)
             });
+            scrape_matches_accessors(&mw);
         }
         assert_eq!(mw.stats().node_repairs, 1, "only the crash repairs");
         mw.shutdown();
+    }
+
+    #[test]
+    fn clusters_sharing_a_registry_sum_their_tallies() {
+        let registry = Registry::new();
+        let cat = catalog(6, 20_000);
+        let start = || {
+            Middleware::start(
+                RtConfig {
+                    nodes: 3,
+                    directory: DirectoryKind::Hint,
+                    capacity_blocks: 8, // tiny: force forwarding → stale hints
+                    obs: Some(registry.clone()),
+                    ..RtConfig::default()
+                },
+                cat.clone(),
+                Arc::new(SyntheticStore::new(cat.clone(), 42)),
+            )
+        };
+        let (a, b) = (start(), start());
+        let tallied = || {
+            let snap = registry.snapshot();
+            ["hits", "stale", "forward_hops"]
+                .map(|t| snap.counter_sum(&format!("ccm_rt_hint_{t}_total")))
+        };
+        let want = |mw: &Middleware| {
+            let h = mw.hint_stats();
+            [h.correct, h.stale, h.forward_hops]
+        };
+        // Two callers read while two threads scrape: every scrape advances
+        // the counter by growth no other scrape has added.
+        std::thread::scope(|s| {
+            for mw in [&a, &b] {
+                s.spawn(move || {
+                    for round in 0..4 {
+                        for f in 0..6u32 {
+                            let node = NodeId(((f as usize + round) % 3) as u16);
+                            mw.handle(node).read_file(FileId(f));
+                        }
+                    }
+                });
+            }
+            for _ in 0..2 {
+                s.spawn(|| (0..50).for_each(|_| _ = registry.snapshot()));
+            }
+        });
+        let sum = std::array::from_fn(|i| want(&a)[i] + want(&b)[i]);
+        assert!(want(&a)[0] > 0 && want(&b)[0] > 0, "both followed hints");
+        assert_eq!(tallied(), sum, "the clusters' tallies sum");
+        assert_eq!(tallied(), sum, "a second scrape adds nothing");
+        // A cluster that is gone leaves its share and refreshes nothing.
+        a.shutdown();
+        assert_eq!(tallied(), sum);
+        b.shutdown();
+        assert_eq!(tallied(), sum);
     }
 
     #[test]
@@ -2329,7 +2410,7 @@ mod tests {
                 mw.handle(node).read_file(FileId(f));
             }
         }
-        let snap = mw.obs_snapshot();
+        let snap = scrape_matches_accessors(&mw);
         let counter = |name: &str| snap.counter_sum(name);
         let hs = mw.hint_stats();
         assert_eq!(counter("ccm_rt_hint_hits_total"), hs.correct);
@@ -2423,7 +2504,7 @@ mod tests {
         mw.handle(NodeId(0)).read_file(FileId(0));
         mw.handle(NodeId(0)).read_file(FileId(0));
         mw.handle(NodeId(1)).read_file(FileId(0));
-        let snap = mw.obs_snapshot();
+        let snap = mw.registry().snapshot();
         for class in ["local", "remote", "disk"] {
             match snap
                 .find("ccm_rt_fetch_latency_ns", &[("class", class)])
@@ -2516,10 +2597,12 @@ mod tests {
         assert_eq!(mw.dirty_blocks(), 1);
         // ...while every node coherently reads the new bytes.
         assert_eq!(&*mw.handle(NodeId(1)).read_block(block), &payload);
+        scrape_matches_accessors(&mw);
         let flushed = mw.flush_dirty();
         assert_eq!(flushed, 1);
         assert_eq!(store.read_block(block), payload, "flush must persist");
         assert_eq!(mw.dirty_blocks(), 0);
+        scrape_matches_accessors(&mw);
         let ws = mw.write_stats();
         assert_eq!((ws.writes, ws.flushes, ws.lost), (1, 1, 0));
         mw.check_invariants();
@@ -2826,8 +2909,8 @@ mod tests {
         assert_eq!(adm.rejected, blocks as u64);
         assert_eq!(adm.ghost_hits, blocks as u64);
         assert_eq!(adm.admitted, blocks as u64);
-        // The registry families mirror the protocol counters exactly.
-        let snap = mw.obs_snapshot();
+        // The registry families read the protocol counters exactly.
+        let snap = scrape_matches_accessors(&mw);
         assert_eq!(
             snap.counter_sum("ccm_rt_admission_rejected_total"),
             adm.rejected

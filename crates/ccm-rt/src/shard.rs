@@ -8,14 +8,16 @@
 //! across distinct blocks. [`ShardedMap`] splits each of those maps into
 //! `2^k` independently locked shards selected by block hash, so concurrent
 //! reads/installs/evictions on different blocks stop contending on one
-//! mutex per node while same-block operations still serialize.
+//! mutex per node while same-block operations still serialize. An insert or
+//! removal writes its own shard and nothing shared: the map keeps no
+//! length of its own, and `len` counts the shards when asked (the runtime
+//! asks when its metric registry is scraped).
 
 use ccm_core::BlockId;
 use simcore::fxhash::FxHasher;
 use simcore::sync::Mutex;
 use simcore::FxHashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicI64, Ordering};
 
 /// Shards per map. Fixed, power of two: plenty of stripes for the thread
 /// counts this runtime sees (service threads + HTTP workers per node),
@@ -24,12 +26,11 @@ const SHARDS: usize = 16;
 
 /// A `FxHashMap<BlockId, V>` split across independently locked shards.
 ///
-/// `len` is tracked with a relaxed atomic so gauge updates (`store_blocks`)
-/// never need a second shard visit; it is exact whenever the map is
-/// externally quiesced, which is when the tests read it.
+/// No state is shared across shards, so operations on blocks of different
+/// shards touch no common cache line. `len` sums the shards one lock at a
+/// time: exact whenever the map is externally quiesced.
 pub struct ShardedMap<V> {
     shards: Box<[Mutex<FxHashMap<BlockId, V>>]>,
-    len: AtomicI64,
 }
 
 impl<V> Default for ShardedMap<V> {
@@ -54,45 +55,33 @@ impl<V> ShardedMap<V> {
             .map(|_| Mutex::new(FxHashMap::default()))
             .collect::<Vec<_>>()
             .into_boxed_slice();
-        ShardedMap {
-            shards,
-            len: AtomicI64::new(0),
-        }
+        ShardedMap { shards }
     }
 
     /// Insert or replace; returns the previous value if any.
     pub fn insert(&self, block: BlockId, value: V) -> Option<V> {
-        let prev = self.shards[shard_of(block)].lock().insert(block, value);
-        if prev.is_none() {
-            self.len.fetch_add(1, Ordering::Relaxed);
-        }
-        prev
+        self.shards[shard_of(block)].lock().insert(block, value)
     }
 
     /// Remove and return the value, if present.
     pub fn remove(&self, block: BlockId) -> Option<V> {
-        let out = self.shards[shard_of(block)].lock().remove(&block);
-        if out.is_some() {
-            self.len.fetch_sub(1, Ordering::Relaxed);
-        }
-        out
+        self.shards[shard_of(block)].lock().remove(&block)
     }
 
     /// Drop every entry.
     pub fn clear(&self) {
         for shard in self.shards.iter() {
-            let mut m = shard.lock();
-            self.len.fetch_sub(m.len() as i64, Ordering::Relaxed);
-            m.clear();
+            shard.lock().clear();
         }
     }
 
-    /// Entry count (relaxed; exact when quiesced).
-    pub fn len(&self) -> i64 {
-        self.len.load(Ordering::Relaxed)
+    /// Entry count, summed over the shards one lock at a time (exact when
+    /// quiesced).
+    pub fn len(&self) -> usize {
+        self.shards.iter().map(|shard| shard.lock().len()).sum()
     }
 
-    /// True when no entries exist.
+    /// True when no entries exist (exact when quiesced).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -125,8 +114,6 @@ impl<V: Clone> ShardedMap<V> {
         }
         let v = make();
         shard.insert(block, v.clone());
-        drop(shard);
-        self.len.fetch_add(1, Ordering::Relaxed);
         v
     }
 }

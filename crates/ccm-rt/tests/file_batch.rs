@@ -123,9 +123,11 @@ fn read_through_dropping_links(backend: Backend, seed: u64) -> (CacheStats, Chao
     cluster.handle(NodeId(1)).read_file(file);
     let got = cluster.handle(NodeId(0)).read_file(file);
     assert_eq!(got, read_file_direct(&*store, &catalog, file));
-    let remote = cluster
-        .obs_snapshot()
-        .counter_sum_where("ccm_rt_reads_total", "class", "remote");
+    let remote =
+        cluster
+            .registry()
+            .snapshot()
+            .counter_sum_where("ccm_rt_reads_total", "class", "remote");
     let out = (cluster.stats(), cluster.chaos_stats(), remote);
     cluster.shutdown();
     out

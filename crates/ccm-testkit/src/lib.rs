@@ -418,7 +418,7 @@ pub fn read_path_outcome(
         mw.quiesce();
     }
     mw.check_invariants();
-    let snap = mw.obs_snapshot();
+    let snap = mw.registry().snapshot();
     let sum = |name: &str| snap.counter_sum(name);
     let out = ReadPathOutcome {
         digest,

@@ -33,6 +33,11 @@ use crate::policy::ReplacementPolicy;
 use crate::stats::CacheStats;
 use simcore::FxHashMap;
 
+/// With a hint directory: how many wasted hops a request may chase through
+/// stale hint chains before falling back to the authoritative home-node
+/// path (Sarkar & Hartman forwarding bound).
+const HINT_MAX_HOPS: usize = 3;
+
 /// Configuration of a cluster cache.
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
@@ -44,18 +49,10 @@ pub struct CacheConfig {
     pub policy: ReplacementPolicy,
     /// Perfect directory (paper's assumption) or hint-based (§6).
     pub directory: DirectoryKind,
-    /// Serving a peer's fetch refreshes the master's age (true matches the
-    /// global-LRU reading of "age of last access"; setting false ages masters
-    /// by *local* use only — an ablation knob).
-    pub touch_master_on_remote: bool,
     /// Extension (not in the paper): when a globally-oldest master would be
     /// dropped while replicas of it survive elsewhere, promote one replica to
     /// master instead of losing memory residency.
     pub promote_on_master_drop: bool,
-    /// With a hint directory: how many wasted hops a request may chase
-    /// through stale hint chains before falling back to the authoritative
-    /// home-node path (Sarkar & Hartman forwarding bound).
-    pub hint_max_hops: usize,
     /// Replica-admission filter for scan resistance (`None` — the paper's
     /// behavior — admits every remote hit as a replica). See
     /// [`AdmissionConfig`].
@@ -71,9 +68,7 @@ impl CacheConfig {
             capacity_blocks,
             policy,
             directory: DirectoryKind::Perfect,
-            touch_master_on_remote: true,
             promote_on_master_drop: false,
-            hint_max_hops: 3,
             admission: None,
         }
     }
@@ -420,11 +415,10 @@ impl ClusterCache {
         // of possibly-stale hints (charging one wasted hop per wrong node)
         // before falling back to the authoritative path; the full trail is
         // parked in `hint_trail` for the runtime to replay as real messages.
-        let max_hops = self.cfg.hint_max_hops;
         let (master_at, wasted_hop) = match &mut self.dir {
             Directory::Perfect(d) => (d.lookup(block), None),
             Directory::Hint(h) => {
-                let r = h.resolve_from(node, block, max_hops);
+                let r = h.resolve_from(node, block, HINT_MAX_HOPS);
                 let first = r.hops.first().copied();
                 self.hint_trail = r.hops;
                 (r.master, first)
@@ -439,10 +433,10 @@ impl ClusterCache {
                 if let Directory::Hint(h) = &mut self.dir {
                     h.exchange(node, m);
                 }
-                if self.cfg.touch_master_on_remote {
-                    let touched = self.nodes[m.index()].touch(block, tick);
-                    debug_assert_eq!(touched, Some(CopyKind::Master));
-                }
+                // Serving a peer's fetch refreshes the master's age: the
+                // global-LRU reading of "age of last access".
+                let touched = self.nodes[m.index()].touch(block, tick);
+                debug_assert_eq!(touched, Some(CopyKind::Master));
                 if limited {
                     self.recirculation.remove(&block);
                 }
@@ -1058,17 +1052,16 @@ impl ClusterCache {
             })
             .collect();
         let live = self.live_nodes();
-        let max_hops = self.cfg.hint_max_hops;
         if let Directory::Hint(h) = &mut self.dir {
             for &(block, master) in &masters {
                 for &node in &live {
-                    let first = h.resolve_from(node, block, max_hops);
+                    let first = h.resolve_from(node, block, HINT_MAX_HOPS);
                     assert_eq!(
                         first.master,
                         Some(master),
                         "hint resolution diverged from truth for {block:?} at {node:?}"
                     );
-                    let second = h.resolve_from(node, block, max_hops);
+                    let second = h.resolve_from(node, block, HINT_MAX_HOPS);
                     assert_eq!(second.master, Some(master));
                     assert!(
                         second.hops.is_empty(),
@@ -1636,11 +1629,26 @@ mod tests {
     fn hint_trail_is_exposed_and_bounded() {
         let mut cfg = CacheConfig::paper(4, 8, ReplacementPolicy::MasterPreserving);
         cfg.directory = DirectoryKind::Hint;
-        cfg.hint_max_hops = 2;
         let mut c = ClusterCache::new(cfg);
         c.access(NodeId(0), b(1)); // master at 0
         c.access(NodeId(2), b(1)); // node 2 learns: at 0 (replica installed)
         assert!(c.take_hint_trail().is_empty(), "no stale hint yet");
+        c.check_invariants();
+        // Churn a wider cluster until stale chains form: the longest trail
+        // reaches the bound and none passes it.
+        let mut cfg = CacheConfig::paper(8, 4, ReplacementPolicy::MasterPreserving);
+        cfg.directory = DirectoryKind::Hint;
+        let mut c = ClusterCache::new(cfg);
+        let mut rng = simcore::Rng::new(31);
+        let mut longest = 0;
+        for _ in 0..4_000 {
+            let node = NodeId(rng.next_below(8) as u16);
+            c.access(node, b(rng.next_below(40) as u32));
+            let trail = c.take_hint_trail();
+            assert!(trail.len() <= HINT_MAX_HOPS, "trail {trail:?} too long");
+            longest = longest.max(trail.len());
+        }
+        assert_eq!(longest, HINT_MAX_HOPS);
         c.check_invariants();
     }
 

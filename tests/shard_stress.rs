@@ -156,7 +156,7 @@ fn sharded_maps_survive_overlapping_readers_and_writers() {
 
         // Stat reconciliation: every read landed in exactly one class.
         cluster.quiesce();
-        let snap = cluster.obs_snapshot();
+        let snap = cluster.registry().snapshot();
         let total: u64 = ["local", "remote", "disk", "fallback"]
             .iter()
             .map(|c| snap.counter_sum_where("ccm_rt_reads_total", "class", c))
