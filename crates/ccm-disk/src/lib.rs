@@ -8,10 +8,11 @@
 //! * [`DiskService`] — a per-node asynchronous disk service: bounded
 //!   request queue with backpressure, one worker (one head), the paper's
 //!   batched C-LOOK scheduler (the simulator's own [`ccm_cluster::SchedQueue`]
-//!   under [`ccm_cluster::DiskScheduler::Batched`]), in-flight miss
-//!   coalescing (concurrent requests for one block issue a single physical
-//!   read and share the `Arc<[u8]>`), and sequential readahead for
-//!   detected streams.
+//!   under [`ccm_cluster::DiskScheduler::Batched`]), one scheduled request
+//!   per run of consecutive blocks the caller decided to read, and
+//!   in-flight miss coalescing (concurrent requests for one block issue a
+//!   single physical read and share the `Arc<[u8]>`). It reads nothing
+//!   ahead and keeps no block bytes of its own.
 //! * [`FileStore`] — a real file-backed [`BlockStore`]: blocks laid out in
 //!   per-file extent-aligned regions of an actual data file, with correct
 //!   partial tail blocks, reopenable from the same data dir.

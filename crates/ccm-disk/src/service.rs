@@ -1,37 +1,38 @@
 //! The asynchronous disk service: a bounded scheduled queue, one worker
-//! (one disk head), miss coalescing, and sequential readahead, per node.
+//! (one disk head) and miss coalescing, per node.
 //!
 //! ## Request life cycle
 //!
-//! [`DiskService::read_async`] first consults the readahead cache, then
-//! attaches to any in-flight request for the same block (one physical
-//! read, everyone shares the `Arc<[u8]>`). Otherwise it blocks while
-//! `queue_cap` demand requests are already pending (the backpressure
-//! seam: callers feel a full disk queue as latency, exactly like a real
-//! device), then enqueues into a [`SchedQueue`] ordered by the paper's
-//! batched C-LOOK rule ([`DiskScheduler::Batched`]) — the simulator's own
-//! queue, so the two serve identical arrivals in identical order. The
-//! worker pops in scheduler order, performs the physical read outside the
-//! lock, and delivers to every waiter.
+//! [`DiskService::read_run`] submits a run: consecutive blocks of one file
+//! that the caller's protocol decisions named as disk reads. A block that
+//! a queued or in-flight request already covers attaches to that request
+//! (one physical read, everyone shares the `Arc<[u8]>`). The rest of the
+//! run blocks while `queue_cap` requests are already queued (the
+//! backpressure seam: callers feel a full disk queue as latency, exactly
+//! like a real device), then enters a [`SchedQueue`] as one request of
+//! `span × BLOCK_SIZE` bytes and the 64 KB extents it touches, ordered by
+//! the paper's batched C-LOOK rule ([`DiskScheduler::Batched`]) — the
+//! simulator's own queue, charged as the simulator charges a run's disk
+//! submit, so the two serve identical arrivals in identical order at
+//! identical seek cost. [`DiskService::read`] is the one-block run. The
+//! worker pops in scheduler order, reads the run's blocks in order outside
+//! the lock, and delivers each block to its waiters as it lands.
 //!
-//! ## Readahead
-//!
-//! A demand read of block `i` right after a demand read of block `i-1` of
-//! the same file marks a sequential stream; the service then enqueues up to
-//! `readahead` internal requests for the following blocks. Internal
-//! requests never block on backpressure (they are shed when the queue is
-//! full), never fail a caller (injected errors on them are counted and
-//! dropped), and park their bytes in a small single-shot cache that
-//! [`DiskService::invalidate`] clears on writes.
+//! The service reads exactly the blocks it is asked for: it keeps no copy
+//! of block bytes and reads nothing ahead. After a write
+//! ([`DiskService::write_block`], or [`DiskService::invalidate`] on the
+//! other nodes' services) no new read attaches to a read of that block
+//! that began before it.
 //!
 //! ## Faults
 //!
 //! [`DiskFaults`] injects seeded slow-disk latency and I/O errors. The
 //! decision is a pure hash of `(seed, block)` — a marked block is *always*
-//! slow or bad under that seed — so chaos-harness replays stay
-//! bit-identical without any per-attempt RNG state. Demand-read errors
-//! surface as [`DiskError::Io`]; the runtime degrades to its synchronous
-//! store fallback, the same escape hatch it uses for data-plane races.
+//! slow or bad under that seed, and inside a run it is slow or bad alone —
+//! so chaos-harness replays stay bit-identical without any per-attempt RNG
+//! state. Read errors surface as [`DiskError::Io`]; the runtime degrades
+//! to its synchronous store fallback, the same escape hatch it uses for
+//! data-plane races.
 
 use crate::layout::DiskLayout;
 use crate::store::{BlockStore, Catalog};
@@ -42,7 +43,6 @@ use ccm_obs::{Counter, Gauge, Histogram, Registry, Stopwatch};
 use simcore::chan::{self, Receiver, Sender};
 use simcore::sync::{Condvar, Mutex};
 use simcore::FxHashMap;
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -96,43 +96,34 @@ impl Default for DiskFaults {
 /// Disk service configuration.
 #[derive(Debug, Clone)]
 pub struct DiskConfig {
-    /// Max pending *demand* requests before submitters block (backpressure).
+    /// Max queued requests before submitters block (backpressure); a run
+    /// is one request.
     pub queue_cap: usize,
-    /// Blocks to read ahead once a sequential stream is detected (0 = off).
-    pub readahead: u32,
 }
 
 impl Default for DiskConfig {
     fn default() -> DiskConfig {
-        DiskConfig {
-            queue_cap: 128,
-            readahead: 2,
-        }
+        DiskConfig { queue_cap: 128 }
     }
 }
 
-/// Capacity of the single-shot readahead cache, in blocks.
-const READAHEAD_CACHE: usize = 64;
-
 /// Counter snapshot for tests and reports. Counters stay live under
-/// `obs-off`, so assertions on coalescing/readahead hold in every build.
+/// `obs-off`, so assertions on coalescing hold in every build.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskStats {
-    /// Demand read requests submitted.
+    /// Read requests submitted: a run counts once, whatever its length.
     pub requests: u64,
-    /// Physical reads performed for demand requests.
+    /// Physical block reads performed.
     pub physical_demand_reads: u64,
-    /// Physical reads performed for readahead.
-    pub physical_readahead_reads: u64,
-    /// Requests satisfied by attaching to an in-flight read.
+    /// Blocks that attached to a queued or in-flight read of the same
+    /// block.
     pub coalesce_hits: u64,
-    /// Requests satisfied from the readahead cache.
+    /// Always 0: the service reads nothing ahead. Kept for the benchmark's
+    /// `disk.readahead_hit_share`.
     pub readahead_hits: u64,
-    /// Readahead requests enqueued.
-    pub readahead_issued: u64,
     /// Synchronous block writes persisted to the backing store.
     pub writes: u64,
-    /// Injected I/O errors (demand and readahead).
+    /// Injected I/O errors.
     pub io_errors: u64,
     /// Injected slow-block delays served.
     pub slow_faults: u64,
@@ -143,9 +134,9 @@ pub struct DiskStats {
 }
 
 impl DiskStats {
-    /// All physical reads, demand plus readahead.
+    /// All physical block reads.
     pub fn physical_reads(&self) -> u64 {
-        self.physical_demand_reads + self.physical_readahead_reads
+        self.physical_demand_reads
     }
 }
 
@@ -153,11 +144,8 @@ impl DiskStats {
 /// standalone (same types, nothing scrapes them).
 struct Metrics {
     requests: Counter,
-    physical_demand: Counter,
-    physical_ra: Counter,
+    physical: Counter,
     coalesce_hits: Counter,
-    readahead_hits: Counter,
-    readahead_issued: Counter,
     writes: Counter,
     io_errors: Counter,
     slow_faults: Counter,
@@ -165,19 +153,15 @@ struct Metrics {
     queue_depth: Gauge,
     inflight: Gauge,
     batch_len: Histogram,
-    latency_demand: Histogram,
-    latency_ra: Histogram,
+    latency: Histogram,
 }
 
 impl Metrics {
     fn standalone() -> Metrics {
         Metrics {
             requests: Counter::new(),
-            physical_demand: Counter::new(),
-            physical_ra: Counter::new(),
+            physical: Counter::new(),
             coalesce_hits: Counter::new(),
-            readahead_hits: Counter::new(),
-            readahead_issued: Counter::new(),
             writes: Counter::new(),
             io_errors: Counter::new(),
             slow_faults: Counter::new(),
@@ -185,8 +169,7 @@ impl Metrics {
             queue_depth: Gauge::new(),
             inflight: Gauge::new(),
             batch_len: Histogram::new(),
-            latency_demand: Histogram::new(),
-            latency_ra: Histogram::new(),
+            latency: Histogram::new(),
         }
     }
 
@@ -195,32 +178,17 @@ impl Metrics {
         Metrics {
             requests: r.counter(
                 "ccm_disk_requests_total",
-                "Demand block reads submitted to the disk service",
+                "Read requests submitted to the disk service (a run counts once)",
                 &l,
             ),
-            physical_demand: r.counter(
+            physical: r.counter(
                 "ccm_disk_reads_total",
                 "Physical reads issued to the backing store, by kind",
                 &[("node", node), ("kind", "demand")],
             ),
-            physical_ra: r.counter(
-                "ccm_disk_reads_total",
-                "Physical reads issued to the backing store, by kind",
-                &[("node", node), ("kind", "readahead")],
-            ),
             coalesce_hits: r.counter(
                 "ccm_disk_coalesce_hits_total",
-                "Requests that attached to an in-flight read of the same block",
-                &l,
-            ),
-            readahead_hits: r.counter(
-                "ccm_disk_readahead_hits_total",
-                "Requests satisfied from the readahead cache",
-                &l,
-            ),
-            readahead_issued: r.counter(
-                "ccm_disk_readahead_issued_total",
-                "Readahead requests enqueued for detected sequential streams",
+                "Blocks that attached to a queued or in-flight read of the same block",
                 &l,
             ),
             writes: r.counter(
@@ -250,7 +218,7 @@ impl Metrics {
             ),
             inflight: r.gauge(
                 "ccm_disk_inflight",
-                "Physical reads currently in progress",
+                "Requests whose physical reads are in progress",
                 &l,
             ),
             batch_len: r.histogram(
@@ -258,41 +226,23 @@ impl Metrics {
                 "Length of head-contiguous runs served back to back",
                 &l,
             ),
-            latency_demand: r.histogram(
+            latency: r.histogram(
                 "ccm_disk_read_latency_ns",
                 "Physical read service time by request kind",
                 &[("node", node), ("kind", "demand")],
-            ),
-            latency_ra: r.histogram(
-                "ccm_disk_read_latency_ns",
-                "Physical read service time by request kind",
-                &[("node", node), ("kind", "readahead")],
             ),
         }
     }
 }
 
-/// Bookkeeping for one enqueued-or-inflight request.
-struct PendingEntry {
-    waiters: Vec<Sender<DiskRead>>,
-    /// Readahead-originated (no caller is owed a reply).
-    internal: bool,
-    /// Counted against the demand backpressure cap at enqueue time.
-    counted_demand: bool,
-    /// Write generation at creation; stale results are never cached.
-    gen: u64,
-}
-
 struct Core {
-    queue: SchedQueue<BlockId>,
-    pending: FxHashMap<u64, PendingEntry>,
+    /// Runs in scheduler order: the first block and the block count.
+    queue: SchedQueue<(BlockId, u32)>,
+    /// The waiters of each queued or in-flight request, by its sequence
+    /// number, each with the index of the block it waits for.
+    pending: FxHashMap<u64, Vec<(u32, Sender<DiskRead>)>>,
+    /// The request each not-yet-delivered block can attach to.
     by_block: FxHashMap<BlockId, u64>,
-    demand_queued: usize,
-    ra_cache: FxHashMap<BlockId, Arc<[u8]>>,
-    ra_order: VecDeque<BlockId>,
-    /// file → index of its last demand read, for stream detection.
-    last_block: FxHashMap<u32, u32>,
-    write_gen: u64,
     batch_run: u64,
     stop: bool,
 }
@@ -301,7 +251,7 @@ struct Inner {
     core: Mutex<Core>,
     /// Signalled when the queue gains work or the service stops.
     work: Condvar,
-    /// Signalled when a demand slot frees up.
+    /// Signalled when a queue slot frees up.
     space: Condvar,
     cfg: DiskConfig,
     store: Arc<dyn BlockStore>,
@@ -358,11 +308,6 @@ impl DiskService {
                 queue: SchedQueue::new(DiskScheduler::Batched),
                 pending: FxHashMap::default(),
                 by_block: FxHashMap::default(),
-                demand_queued: 0,
-                ra_cache: FxHashMap::default(),
-                ra_order: VecDeque::new(),
-                last_block: FxHashMap::default(),
-                write_gen: 0,
                 batch_run: 0,
                 stop: false,
             }),
@@ -370,7 +315,6 @@ impl DiskService {
             space: Condvar::new(),
             cfg: DiskConfig {
                 queue_cap: cfg.queue_cap.max(1),
-                ..cfg
             },
             store,
             catalog,
@@ -393,81 +337,80 @@ impl DiskService {
 
     /// Read one block, blocking until the service delivers it.
     pub fn read(&self, block: BlockId) -> DiskRead {
-        match self.read_async(block).recv() {
-            Ok(res) => res,
-            Err(_) => Err(DiskError::Shutdown),
-        }
+        self.read_async(block)
+            .recv()
+            .unwrap_or(Err(DiskError::Shutdown))
     }
 
-    /// Submit one block read; the receiver yields the result when a worker
-    /// completes it. Blocks only while the demand queue is at capacity.
+    /// Submit a read of one block: the one-block [`DiskService::read_run`].
     pub fn read_async(&self, block: BlockId) -> Receiver<DiskRead> {
+        let mut run = self.read_run(block, 1);
+        run.pop().expect("a one-block run has one receiver")
+    }
+
+    /// Submit a read of the `span` blocks of `first`'s file from `first`
+    /// on as one scheduled request, and return one receiver per block, in
+    /// block order, that yields the block's result once the worker has
+    /// read it. A block a queued or in-flight request already covers
+    /// attaches to that request instead, and the run continues as a new
+    /// request after it. Blocks only while `queue_cap` requests are
+    /// queued.
+    pub fn read_run(&self, first: BlockId, span: u32) -> Vec<Receiver<DiskRead>> {
         let inner = &*self.inner;
-        let (tx, rx) = chan::unbounded();
+        let end = first.index + span;
+        let mut rxs = Vec::with_capacity(span as usize);
         let mut core = inner.core.lock();
         inner.m.requests.inc();
-        if core.stop {
-            let _ = tx.send(Err(DiskError::Shutdown));
-            return rx;
-        }
-        // 1. Readahead cache: single-shot — the runtime caches the block
-        // itself after this, so holding a second copy here is waste.
-        if let Some(data) = core.ra_cache.remove(&block) {
-            inner.m.readahead_hits.inc();
-            note_stream_and_readahead(&mut core, inner, block);
-            let _ = tx.send(Ok(data));
-            return rx;
-        }
-        // 2. Coalesce onto an in-flight or queued read of the same block.
-        if let Some(&seq) = core.by_block.get(&block) {
-            if let Some(p) = core.pending.get_mut(&seq) {
+        while (rxs.len() as u32) < span {
+            let index = first.index + rxs.len() as u32;
+            let block = BlockId::new(first.file, index);
+            let attach_to = core.by_block.get(&block).copied();
+            if core.stop {
+                let (tx, rx) = chan::unbounded();
+                let _ = tx.send(Err(DiskError::Shutdown));
+                rxs.push(rx);
+            } else if let Some(waiters) = attach_to.and_then(|seq| core.pending.get_mut(&seq)) {
+                let (tx, rx) = chan::unbounded();
+                waiters.push((index, tx));
                 inner.m.coalesce_hits.inc();
-                p.internal = false;
-                p.waiters.push(tx);
-                return rx;
+                rxs.push(rx);
+            } else if core.queue.len() >= inner.cfg.queue_cap {
+                core = inner.space.wait(core);
+            } else {
+                // A new request from `block` up to the next block that is
+                // already covered.
+                let len = (index + 1..end)
+                    .find(|&i| core.by_block.contains_key(&BlockId::new(first.file, i)))
+                    .unwrap_or(end)
+                    - index;
+                let last = BlockId::new(first.file, index + len - 1);
+                let seq = core.queue.push(
+                    inner.layout.addr_of(block),
+                    len as u64 * BLOCK_SIZE,
+                    last.extent() - block.extent() + 1,
+                    (block, len),
+                );
+                let mut waiters = Vec::with_capacity(len as usize);
+                for i in index..index + len {
+                    let (tx, rx) = chan::unbounded();
+                    waiters.push((i, tx));
+                    rxs.push(rx);
+                    core.by_block.insert(BlockId::new(first.file, i), seq);
+                }
+                core.pending.insert(seq, waiters);
+                inner.m.queue_depth.set(core.queue.len() as i64);
+                inner.work.notify_one();
             }
         }
-        // 3. Backpressure, then enqueue a demand request.
-        while core.demand_queued >= inner.cfg.queue_cap && !core.stop {
-            core = inner.space.wait(core);
-        }
-        if core.stop {
-            let _ = tx.send(Err(DiskError::Shutdown));
-            return rx;
-        }
-        let seq = core
-            .queue
-            .push(inner.layout.addr_of(block), BLOCK_SIZE, 1, block);
-        core.demand_queued += 1;
-        let gen = core.write_gen;
-        core.pending.insert(
-            seq,
-            PendingEntry {
-                waiters: vec![tx],
-                internal: false,
-                counted_demand: true,
-                gen,
-            },
-        );
-        core.by_block.insert(block, seq);
-        inner.m.queue_depth.set(core.queue.len() as i64);
-        note_stream_and_readahead(&mut core, inner, block);
-        inner.work.notify_one();
-        rx
+        rxs
     }
 
-    /// Drop any cached or future-cacheable copy of `block` (called on
-    /// writes: readahead bytes fetched before the write must never be
-    /// served after it).
+    /// Detach any queued or in-flight read of `block` (called on the other
+    /// nodes' services after a write): waiters that raced the write still
+    /// get before-or-after bytes (the §3 staleness contract), but no *new*
+    /// read attaches to a read that began before the write.
     pub fn invalidate(&self, block: BlockId) {
-        let mut core = self.inner.core.lock();
-        core.write_gen += 1;
-        core.ra_cache.remove(&block);
-        // Detach any in-flight read of this block: waiters that raced the
-        // write still get the old bytes (the §3 staleness contract), but
-        // no *new* request may coalesce onto a pre-write read, and the
-        // generation bump keeps its result out of the readahead cache.
-        core.by_block.remove(&block);
+        self.inner.core.lock().by_block.remove(&block);
     }
 
     /// Durably persist one block, synchronously. The write path bypasses the
@@ -475,27 +418,22 @@ impl DiskService {
     /// latency and must know durability before acking — and is never subject
     /// to fault injection (the chaos plans model read-side device trouble;
     /// an acked write-through write is the durability anchor the torture
-    /// oracles verify against). Invalidation of stale cached read state
-    /// happens under the same lock acquisition that bumps the write
-    /// generation, so no pre-write read result can be cached after this
-    /// returns. Returns false (with no state change charged) if the backing
-    /// store is read-only.
+    /// oracles verify against). Once the store holds the new bytes, any
+    /// queued or in-flight read of the block is detached, as
+    /// [`DiskService::invalidate`] does, so no read submitted after this
+    /// returns attaches to one that may have read the old bytes. Returns
+    /// false (with no state change charged) if the backing store is
+    /// read-only.
     pub fn write_block(&self, block: BlockId, data: &[u8]) -> bool {
-        {
-            let mut core = self.inner.core.lock();
-            if core.stop {
-                return false;
-            }
-            core.write_gen += 1;
-            core.ra_cache.remove(&block);
-            core.by_block.remove(&block);
+        if self.inner.core.lock().stop {
+            return false;
         }
         // The store write runs outside the lock: readers racing it get
-        // before-or-after bytes (the §3 staleness contract), and the
-        // generation bump above already fenced the readahead cache.
+        // before-or-after bytes (the §3 staleness contract).
         let ok = self.inner.store.write_block(block, data);
         if ok {
             self.inner.m.writes.inc();
+            self.invalidate(block);
         }
         ok
     }
@@ -503,17 +441,12 @@ impl DiskService {
     /// Live counter snapshot.
     pub fn stats(&self) -> DiskStats {
         let m = &self.inner.m;
-        let max_queue_depth = {
-            let core = self.inner.core.lock();
-            core.queue.max_depth() as u64
-        };
+        let max_queue_depth = self.inner.core.lock().queue.max_depth() as u64;
         DiskStats {
             requests: m.requests.get(),
-            physical_demand_reads: m.physical_demand.get(),
-            physical_readahead_reads: m.physical_ra.get(),
+            physical_demand_reads: m.physical.get(),
             coalesce_hits: m.coalesce_hits.get(),
-            readahead_hits: m.readahead_hits.get(),
-            readahead_issued: m.readahead_issued.get(),
+            readahead_hits: 0,
             writes: m.writes.get(),
             io_errors: m.io_errors.get(),
             slow_faults: m.slow_faults.get(),
@@ -536,8 +469,8 @@ impl DiskService {
                 return;
             }
             core.stop = true;
-            for (_, p) in core.pending.drain() {
-                for w in p.waiters {
+            for (_, waiters) in core.pending.drain() {
+                for (_, w) in waiters {
                     let _ = w.send(Err(DiskError::Shutdown));
                 }
             }
@@ -563,73 +496,27 @@ impl std::fmt::Debug for DiskService {
     }
 }
 
-/// Update the per-file stream tracker with a demand read of `block` and
-/// enqueue internal readahead for the blocks that follow it. Readahead is
-/// best-effort: it never blocks on backpressure and is shed when the
-/// scheduler queue is already `queue_cap` deep.
-fn note_stream_and_readahead(core: &mut Core, inner: &Inner, block: BlockId) {
-    let file = block.file;
-    let prev = core.last_block.insert(file.0, block.index);
-    if inner.cfg.readahead == 0 {
-        return;
-    }
-    let sequential = block.index > 0 && prev == Some(block.index - 1);
-    if !sequential {
-        return;
-    }
-    let blocks = inner.catalog.blocks_of(file);
-    for k in 1..=inner.cfg.readahead {
-        let Some(next) = block.index.checked_add(k) else {
-            break;
-        };
-        if next >= blocks {
-            break;
+/// One physical block read, no lock held: injected faults, then the real
+/// store read.
+fn read_physical(inner: &Inner, block: BlockId) -> DiskRead {
+    let sw = Stopwatch::start();
+    let mut res = None;
+    if let Some((seed, f)) = inner.faults {
+        if f.slow_prob > 0.0 && roll(seed, SLOW_SALT, block) < f.slow_prob {
+            inner.m.slow_faults.inc();
+            std::thread::sleep(f.slow);
         }
-        let nb = BlockId::new(file, next);
-        if core.ra_cache.contains_key(&nb) || core.by_block.contains_key(&nb) {
-            continue;
+        if f.error_prob > 0.0 && roll(seed, ERR_SALT, block) < f.error_prob {
+            inner.m.io_errors.inc();
+            res = Some(Err(DiskError::Io));
         }
-        if core.queue.len() >= inner.cfg.queue_cap {
-            break;
-        }
-        let seq = core.queue.push(inner.layout.addr_of(nb), BLOCK_SIZE, 1, nb);
-        let gen = core.write_gen;
-        core.pending.insert(
-            seq,
-            PendingEntry {
-                waiters: Vec::new(),
-                internal: true,
-                counted_demand: false,
-                gen,
-            },
-        );
-        core.by_block.insert(nb, seq);
-        inner.m.readahead_issued.inc();
-        inner.m.queue_depth.set(core.queue.len() as i64);
-        inner.work.notify_one();
     }
-}
-
-/// Park readahead bytes in the single-shot cache, evicting oldest-first.
-fn ra_insert(core: &mut Core, block: BlockId, data: Arc<[u8]>) {
-    if core.ra_order.len() >= READAHEAD_CACHE * 2 {
-        // Taken and invalidated entries leave stale ids in the eviction
-        // order; prune them before they dominate.
-        let Core {
-            ra_order, ra_cache, ..
-        } = core;
-        ra_order.retain(|b| ra_cache.contains_key(b));
-    }
-    while core.ra_cache.len() >= READAHEAD_CACHE {
-        let Some(old) = core.ra_order.pop_front() else {
-            break;
-        };
-        // Entries already taken or invalidated leave stale ids behind;
-        // popping them frees nothing, so keep going.
-        core.ra_cache.remove(&old);
-    }
-    core.ra_order.push_back(block);
-    core.ra_cache.insert(block, data);
+    let res = res.unwrap_or_else(|| {
+        inner.m.physical.inc();
+        Ok(Arc::from(inner.store.read_block(block)))
+    });
+    sw.stop(&inner.m.latency);
+    res
 }
 
 fn worker_loop(inner: &Inner) {
@@ -642,19 +529,8 @@ fn worker_loop(inner: &Inner) {
             core = inner.work.wait(core);
             continue;
         };
-        let seq = picked.seq;
-        let block = picked.payload;
-        // The pending entry outlives the pop (delivery removes it), but
-        // shutdown may have drained it while we held no lock earlier.
-        let Some(p) = core.pending.get(&seq) else {
-            continue;
-        };
-        let internal = p.internal;
-        let gen = p.gen;
-        if p.counted_demand {
-            core.demand_queued -= 1;
-            inner.space.notify_one();
-        }
+        inner.space.notify_one();
+        let (seq, (first, span)) = (picked.seq, picked.payload);
         if picked.contiguous {
             core.batch_run += 1;
         } else {
@@ -666,57 +542,27 @@ fn worker_loop(inner: &Inner) {
         inner.m.seeks.add(picked.seeks as u64);
         inner.m.queue_depth.set(core.queue.len() as i64);
         inner.m.inflight.adjust(1);
-        drop(core);
-
-        // Physical service, no lock held: injected faults, then the real
-        // store read.
-        let sw = Stopwatch::start();
-        let mut injected_err = false;
-        if let Some((seed, f)) = inner.faults {
-            if f.slow_prob > 0.0 && roll(seed, SLOW_SALT, block) < f.slow_prob {
-                inner.m.slow_faults.inc();
-                std::thread::sleep(f.slow);
-            }
-            if f.error_prob > 0.0 && roll(seed, ERR_SALT, block) < f.error_prob {
-                injected_err = true;
-            }
-        }
-        let res: DiskRead = if injected_err {
-            inner.m.io_errors.inc();
-            Err(DiskError::Io)
-        } else {
-            if internal {
-                inner.m.physical_ra.inc();
-            } else {
-                inner.m.physical_demand.inc();
-            }
-            Ok(Arc::from(inner.store.read_block(block)))
-        };
-        sw.stop(if internal {
-            &inner.m.latency_ra
-        } else {
-            &inner.m.latency_demand
-        });
-
-        core = inner.core.lock();
-        inner.m.inflight.adjust(-1);
-        if let Some(p) = core.pending.remove(&seq) {
+        for index in first.index..first.index + span {
+            let block = BlockId::new(first.file, index);
+            drop(core);
+            let res = read_physical(inner, block);
+            core = inner.core.lock();
             if core.by_block.get(&block) == Some(&seq) {
                 core.by_block.remove(&block);
             }
-            if p.waiters.is_empty() {
-                // Pure readahead: cache unless a write intervened.
-                if let Ok(data) = &res {
-                    if p.gen == core.write_gen && gen == p.gen {
-                        ra_insert(&mut core, block, data.clone());
-                    }
-                }
-            } else {
-                for w in p.waiters {
+            // Shutdown drained the entry: nobody waits for the rest.
+            let Some(waiters) = core.pending.get_mut(&seq) else {
+                break;
+            };
+            waiters.retain(|(i, w)| {
+                if *i == index {
                     let _ = w.send(res.clone());
                 }
-            }
+                *i != index
+            });
         }
+        core.pending.remove(&seq);
+        inner.m.inflight.adjust(-1);
     }
 }
 

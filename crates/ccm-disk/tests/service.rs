@@ -1,23 +1,25 @@
 //! Behavioral tests for the asynchronous disk service: coalescing (the
 //! acceptance-criteria assertion that concurrent same-block misses issue
-//! exactly one physical read), readahead, backpressure, fault
-//! determinism, write invalidation, and scheduling over a real FileStore.
+//! exactly one physical read), runs (one scheduled request per run of
+//! blocks), backpressure, fault determinism, the write fence, and
+//! scheduling over a real FileStore.
 
+use ccm_cluster::{DiskScheduler, SchedQueue};
 use ccm_core::block::BLOCK_SIZE;
 use ccm_core::{BlockId, FileId};
 use ccm_disk::{
-    BlockStore, Catalog, DiskConfig, DiskError, DiskFaults, DiskService, FileStore, MemStore,
-    SyntheticStore,
+    BlockStore, Catalog, DiskConfig, DiskError, DiskFaults, DiskLayout, DiskService, FileStore,
+    MemStore, SyntheticStore,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// A store whose reads block until the test opens the gate — the only
-/// race-free way to hold a physical read in flight while concurrent
-/// requests pile onto it.
-struct GatedStore {
-    inner: SyntheticStore,
+/// A store whose reads take their bytes and then block until the test
+/// opens the gate — the only race-free way to hold a physical read in
+/// flight while concurrent requests (or a write) pile onto it.
+struct GatedStore<S = SyntheticStore> {
+    inner: S,
     open: Mutex<bool>,
     cv: Condvar,
     reads_started: AtomicU64,
@@ -25,8 +27,14 @@ struct GatedStore {
 
 impl GatedStore {
     fn new(catalog: Catalog, seed: u64) -> GatedStore {
+        GatedStore::over(SyntheticStore::new(catalog, seed))
+    }
+}
+
+impl<S: BlockStore> GatedStore<S> {
+    fn over(inner: S) -> GatedStore<S> {
         GatedStore {
-            inner: SyntheticStore::new(catalog, seed),
+            inner,
             open: Mutex::new(false),
             cv: Condvar::new(),
             reads_started: AtomicU64::new(0),
@@ -43,15 +51,19 @@ impl GatedStore {
     }
 }
 
-impl BlockStore for GatedStore {
+impl<S: BlockStore> BlockStore for GatedStore<S> {
     fn read_block(&self, block: BlockId) -> Vec<u8> {
+        let bytes = self.inner.read_block(block);
         self.reads_started.fetch_add(1, Ordering::SeqCst);
         let mut open = self.open.lock().expect("gate");
         while !*open {
             open = self.cv.wait(open).expect("gate");
         }
-        drop(open);
-        self.inner.read_block(block)
+        bytes
+    }
+
+    fn write_block(&self, block: BlockId, data: &[u8]) -> bool {
+        self.inner.write_block(block, data)
     }
 }
 
@@ -77,10 +89,7 @@ fn concurrent_same_block_misses_issue_one_physical_read() {
     let svc = Arc::new(DiskService::start(
         store.clone(),
         catalog.clone(),
-        DiskConfig {
-            readahead: 0,
-            ..DiskConfig::default()
-        },
+        DiskConfig::default(),
     ));
     let block = BlockId::new(FileId(0), 5);
     let readers: Vec<_> = (0..8)
@@ -106,36 +115,6 @@ fn concurrent_same_block_misses_issue_one_physical_read() {
     assert_eq!(stats.requests, 8);
 }
 
-/// A sequential scan triggers readahead, and the prefetched bytes are
-/// exact.
-#[test]
-fn sequential_scan_hits_readahead() {
-    let catalog = catalog();
-    let synth = SyntheticStore::new(catalog.clone(), 0x5E0u64);
-    let svc = DiskService::start(
-        Arc::new(synth.clone()),
-        catalog.clone(),
-        DiskConfig::default(),
-    );
-    let file = FileId(1);
-    for i in 0..catalog.blocks_of(file) {
-        let b = BlockId::new(file, i);
-        assert_eq!(*svc.read(b).expect("read"), synth.read_block(b));
-        // Give readahead a moment to land so later reads hit the cache.
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    let stats = svc.stats();
-    assert!(stats.readahead_issued > 0, "stream was never detected");
-    assert!(
-        stats.readahead_hits > 0,
-        "no read was served from the readahead cache: {stats:?}"
-    );
-    assert!(
-        stats.physical_reads() <= catalog.blocks_of(file) as u64 + stats.readahead_issued,
-        "readahead must not multiply physical reads: {stats:?}"
-    );
-}
-
 /// The demand queue cap is real backpressure: submitter number cap+2
 /// blocks until a slot frees, then completes.
 #[test]
@@ -145,10 +124,7 @@ fn full_demand_queue_blocks_submitters() {
     let svc = Arc::new(DiskService::start(
         store.clone(),
         catalog,
-        DiskConfig {
-            queue_cap: 2,
-            readahead: 0,
-        },
+        DiskConfig { queue_cap: 2 },
     ));
     // First request: popped by the worker, held at the gate.
     let first = svc.read_async(BlockId::new(FileId(0), 0));
@@ -196,10 +172,7 @@ fn fault_injection_is_deterministic_per_seed() {
         let svc = DiskService::start_observed(
             Arc::new(SyntheticStore::new(catalog.clone(), 1)),
             catalog.clone(),
-            DiskConfig {
-                readahead: 0,
-                ..DiskConfig::default()
-            },
+            DiskConfig::default(),
             Some((seed, faults)),
             None,
             "0",
@@ -226,10 +199,7 @@ fn injected_errors_surface_as_io_and_slow_blocks_delay() {
     let all_bad = DiskService::start_observed(
         Arc::new(SyntheticStore::new(catalog.clone(), 1)),
         catalog.clone(),
-        DiskConfig {
-            readahead: 0,
-            ..DiskConfig::default()
-        },
+        DiskConfig::default(),
         Some((
             3,
             DiskFaults {
@@ -247,10 +217,7 @@ fn injected_errors_surface_as_io_and_slow_blocks_delay() {
     let all_slow = DiskService::start_observed(
         Arc::new(SyntheticStore::new(catalog.clone(), 1)),
         catalog,
-        DiskConfig {
-            readahead: 0,
-            ..DiskConfig::default()
-        },
+        DiskConfig::default(),
         Some((
             3,
             DiskFaults {
@@ -268,46 +235,11 @@ fn injected_errors_surface_as_io_and_slow_blocks_delay() {
     assert_eq!(all_slow.stats().slow_faults, 1);
 }
 
-/// The MemStore write-behind interaction: a write to the store plus
-/// `invalidate` guarantees the next service read returns the new bytes,
-/// even when readahead prefetched the block before the write.
-#[test]
-fn write_then_invalidate_defeats_stale_readahead() {
-    let catalog = catalog();
-    let store = Arc::new(MemStore::new(catalog.clone(), 0xDB));
-    let svc = DiskService::start(store.clone(), catalog.clone(), DiskConfig::default());
-    let file = FileId(0);
-    // Walk the start of the file so readahead has prefetched block 3.
-    for i in 0..3 {
-        svc.read(BlockId::new(file, i)).expect("scan");
-    }
-    wait_until("readahead issued", || svc.stats().readahead_issued > 0);
-    std::thread::sleep(Duration::from_millis(5));
-    // Write-through: mutate the store, then invalidate the service.
-    let target = BlockId::new(file, 3);
-    let fresh = vec![0x5A; BLOCK_SIZE as usize];
-    assert!(store.write_block(target, &fresh));
-    assert_eq!(store.dirty_blocks(), 1);
-    svc.invalidate(target);
-    assert_eq!(
-        *svc.read(target).expect("post-write read"),
-        fresh,
-        "stale readahead bytes served after a write"
-    );
-}
-
 #[test]
 fn shutdown_fails_pending_and_later_reads() {
     let catalog = catalog();
     let store = Arc::new(GatedStore::new(catalog.clone(), 0xDEAD));
-    let svc = DiskService::start(
-        store.clone(),
-        catalog,
-        DiskConfig {
-            readahead: 0,
-            ..DiskConfig::default()
-        },
-    );
+    let svc = DiskService::start(store.clone(), catalog, DiskConfig::default());
     let queued = svc.read_async(BlockId::new(FileId(0), 0));
     wait_until("worker at the gate", || store.reads_started() == 1);
     let waiting = svc.read_async(BlockId::new(FileId(0), 1));
@@ -336,10 +268,7 @@ fn batched_service_over_file_store_serves_exact_bytes() {
     let svc = Arc::new(DiskService::start(
         Arc::new(fs),
         catalog.clone(),
-        DiskConfig {
-            readahead: 0,
-            ..DiskConfig::default()
-        },
+        DiskConfig::default(),
     ));
     // Two interleaved sequential streams over different files.
     let streams: Vec<_> = [FileId(0), FileId(1)]
@@ -364,39 +293,6 @@ fn batched_service_over_file_store_serves_exact_bytes() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
-/// Synchronous writes persist through the service, invalidate cached read
-/// state fetched before the write, and are refused by read-only stores.
-#[test]
-fn write_block_persists_and_fences_readahead() {
-    let catalog = catalog();
-    let store = Arc::new(MemStore::new(catalog.clone(), 0xBEEF));
-    let svc = DiskService::start(
-        store.clone(),
-        catalog.clone(),
-        DiskConfig {
-            readahead: 4,
-            ..DiskConfig::default()
-        },
-    );
-    let file = FileId(0);
-    // Walk a sequential stream so the readahead cache fills up.
-    for i in 0..4 {
-        svc.read(BlockId::new(file, i)).expect("read");
-    }
-    wait_until("readahead issued", || svc.stats().readahead_issued > 0);
-    wait_until("readahead completed", || {
-        svc.stats().physical_readahead_reads >= svc.stats().readahead_issued
-    });
-    // Overwrite a block that may be parked in the readahead cache.
-    let target = BlockId::new(file, 5);
-    let fresh = vec![0xAB; BLOCK_SIZE as usize];
-    assert!(svc.write_block(target, &fresh));
-    assert_eq!(svc.stats().writes, 1);
-    // The next read must observe the write, not pre-write readahead bytes.
-    assert_eq!(*svc.read(target).expect("read after write"), fresh);
-    assert_eq!(store.read_block(target), fresh);
-}
-
 #[test]
 fn write_block_to_read_only_store_is_refused() {
     let catalog = catalog();
@@ -404,4 +300,193 @@ fn write_block_to_read_only_store_is_refused() {
     let svc = DiskService::start(store, catalog, DiskConfig::default());
     assert!(!svc.write_block(BlockId::new(FileId(0), 0), &[1, 2, 3]));
     assert_eq!(svc.stats().writes, 0);
+}
+
+/// A k-block run is one scheduled request: one pop, charged the seeks the
+/// scheduler charges a request of `k × BLOCK_SIZE` bytes over the extents
+/// it touches (as the simulator charges a run's disk submit), and a run
+/// that continues the head pays only for the extents it enters.
+#[test]
+fn a_run_is_one_scheduler_pop_charged_as_a_span() {
+    let catalog = catalog();
+    let svc = DiskService::start(
+        Arc::new(SyntheticStore::new(catalog.clone(), 0x5BA)),
+        catalog.clone(),
+        DiskConfig::default(),
+    );
+    let layout = DiskLayout::new(&catalog);
+    let mut reference = SchedQueue::new(DiskScheduler::Batched);
+    let mut want_seeks = 0;
+    // Blocks 4..14 touch extents 0 and 1; blocks 14..16 continue the head
+    // inside extent 1.
+    for (first, span, extents) in [(4, 10, 2), (14, 2, 1)] {
+        let first = BlockId::new(FileId(0), first);
+        for rx in svc.read_run(first, span) {
+            rx.recv().expect("delivery").expect("read");
+        }
+        reference.push(layout.addr_of(first), span as u64 * BLOCK_SIZE, extents, ());
+        want_seeks += reference.pop().expect("one pop per run").seeks as u64;
+    }
+    assert_eq!(want_seeks, 3, "1 positioning + 2 metadata, then none");
+    let stats = svc.stats();
+    assert_eq!(stats.requests, 2, "a run counts once: {stats:?}");
+    assert_eq!(stats.max_queue_depth, 1, "one queue entry per run");
+    assert_eq!(stats.physical_demand_reads, 12);
+    assert_eq!(stats.physical_reads(), 12);
+    assert_eq!(stats.seeks, want_seeks);
+    assert_eq!(stats.readahead_hits, 0);
+}
+
+/// Every block of a run comes back with exact bytes, in block order,
+/// partial tail blocks included.
+#[test]
+fn every_block_of_a_run_comes_back_exact() {
+    let catalog = catalog();
+    let synth = SyntheticStore::new(catalog.clone(), 0xE4AC);
+    let svc = DiskService::start(
+        Arc::new(synth.clone()),
+        catalog.clone(),
+        DiskConfig::default(),
+    );
+    let mut blocks = 0;
+    for f in 0..catalog.num_files() {
+        let file = FileId(f as u32);
+        let n = catalog.blocks_of(file);
+        for (i, rx) in (0..n).zip(svc.read_run(BlockId::new(file, 0), n)) {
+            let b = BlockId::new(file, i);
+            assert_eq!(
+                *rx.recv().expect("delivery").expect("read"),
+                synth.read_block(b)
+            );
+        }
+        blocks += n as u64;
+    }
+    let stats = svc.stats();
+    assert_eq!(stats.requests, catalog.num_files() as u64);
+    assert_eq!(
+        stats.physical_demand_reads, blocks,
+        "exactly the blocks asked for"
+    );
+}
+
+/// Fault rolls stay per block: under an error plan, a run fails exactly
+/// the blocks that fail when read one by one, and serves the rest.
+#[test]
+fn a_bad_block_inside_a_run_fails_alone() {
+    let catalog = catalog();
+    let synth = SyntheticStore::new(catalog.clone(), 1);
+    let faults = DiskFaults {
+        error_prob: 0.3,
+        ..DiskFaults::NONE
+    };
+    let start = || {
+        DiskService::start_observed(
+            Arc::new(synth.clone()),
+            catalog.clone(),
+            DiskConfig::default(),
+            Some((7, faults)),
+            None,
+            "0",
+        )
+    };
+    let file = FileId(0);
+    let n = catalog.blocks_of(file);
+    let one_by_one = start();
+    let bad: Vec<bool> = (0..n)
+        .map(|i| one_by_one.read(BlockId::new(file, i)).is_err())
+        .collect();
+    assert!(bad.iter().any(|&e| e) && !bad.iter().all(|&e| e), "{bad:?}");
+    let as_run = start();
+    for (i, rx) in (0..n).zip(as_run.read_run(BlockId::new(file, 0), n)) {
+        let b = BlockId::new(file, i);
+        match rx.recv().expect("delivery") {
+            Err(e) => {
+                assert!(bad[i as usize], "block {i} failed in the run only");
+                assert_eq!(e, DiskError::Io);
+            }
+            Ok(bytes) => {
+                assert!(!bad[i as usize], "block {i} failed alone only");
+                assert_eq!(*bytes, synth.read_block(b));
+            }
+        }
+    }
+    let errors = bad.iter().filter(|&&e| e).count() as u64;
+    assert_eq!(as_run.stats().io_errors, errors);
+    assert_eq!(as_run.stats().physical_demand_reads, n as u64 - errors);
+}
+
+/// A read of a block that a queued or in-flight run covers attaches to
+/// that run: one physical read per block, the bytes shared.
+#[test]
+fn a_read_inside_a_pending_run_coalesces_onto_it() {
+    let catalog = catalog();
+    let store = Arc::new(GatedStore::new(catalog.clone(), 0xC0A2));
+    let svc = DiskService::start(store.clone(), catalog.clone(), DiskConfig::default());
+    // In flight: the worker holds block 0 of this run at the gate.
+    let in_flight = svc.read_run(BlockId::new(FileId(0), 0), 8);
+    wait_until("worker at the gate", || store.reads_started() == 1);
+    // Queued behind it.
+    let queued = svc.read_run(BlockId::new(FileId(1), 0), 4);
+    // Two reads onto the in-flight run (the block being read, and one
+    // ahead of it), one onto the queued run.
+    let attached = [(FileId(0), 0), (FileId(0), 5), (FileId(1), 2)].map(|(file, i)| {
+        let b = BlockId::new(file, i);
+        (b, svc.read_async(b))
+    });
+    // Assert only once the gate is open: a failing assertion with the
+    // worker held at the gate would hang the service's shutdown.
+    let coalesced = svc.stats().coalesce_hits;
+    store.open_gate();
+    assert_eq!(coalesced, 3);
+    let synth = SyntheticStore::new(catalog, 0xC0A2);
+    for (file, run) in [(FileId(0), in_flight), (FileId(1), queued)] {
+        for (i, rx) in run.into_iter().enumerate() {
+            let b = BlockId::new(file, i as u32);
+            assert_eq!(
+                *rx.recv().expect("delivery").expect("read"),
+                synth.read_block(b)
+            );
+        }
+    }
+    for (b, rx) in attached {
+        assert_eq!(
+            *rx.recv().expect("delivery").expect("read"),
+            synth.read_block(b)
+        );
+    }
+    let stats = svc.stats();
+    assert_eq!(stats.physical_demand_reads, 12, "no block read twice");
+    assert_eq!(stats.requests, 5);
+}
+
+/// The write fence: after `write_block`, or a store write plus
+/// `invalidate`, a new read of the block never attaches to a read that
+/// began before the write, and it returns the new bytes.
+#[test]
+fn writes_fence_new_reads_off_pre_write_reads() {
+    let catalog = catalog();
+    for via_invalidate in [false, true] {
+        let store = Arc::new(GatedStore::over(MemStore::new(catalog.clone(), 0xF3)));
+        let svc = DiskService::start(store.clone(), catalog.clone(), DiskConfig::default());
+        let block = BlockId::new(FileId(0), 3);
+        let old = store.inner.read_block(block);
+        let before = svc.read_async(block);
+        wait_until("pre-write read in flight", || store.reads_started() == 1);
+        let fresh = vec![0x5A; BLOCK_SIZE as usize];
+        if via_invalidate {
+            assert!(store.write_block(block, &fresh));
+            svc.invalidate(block);
+        } else {
+            assert!(svc.write_block(block, &fresh));
+            assert_eq!(svc.stats().writes, 1);
+        }
+        let after = svc.read_async(block);
+        let coalesced = svc.stats().coalesce_hits;
+        store.open_gate();
+        assert_eq!(coalesced, 0, "attached to a pre-write read");
+        assert_eq!(*before.recv().expect("delivery").expect("read"), old);
+        assert_eq!(*after.recv().expect("delivery").expect("read"), fresh);
+        assert_eq!(store.inner.read_block(block), fresh);
+        assert_eq!(svc.stats().physical_demand_reads, 2);
+    }
 }

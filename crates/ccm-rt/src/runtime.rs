@@ -26,7 +26,7 @@ use ccm_core::{
     CopyKind, Departure, DirectoryKind, Disposition, EvictionEffect, FileId, HintStats, NodeId,
     RepairReport, ReplacementPolicy, BLOCK_SIZE,
 };
-use ccm_disk::{DiskConfig, DiskService, DiskStats};
+use ccm_disk::{service::DiskRead, DiskConfig, DiskService, DiskStats};
 use ccm_obs::{Hop, Registry, Stopwatch, TraceRing};
 use simcore::chan::Receiver;
 use simcore::sync::Mutex;
@@ -181,8 +181,9 @@ struct Shared {
     disk: Arc<dyn BlockStore>,
     /// One asynchronous disk service per node (default [`DiskConfig`]):
     /// every miss and degraded fallback is a queued, scheduled, coalesced
-    /// read against `disk`. Kept by value so dropping `Shared` joins the
-    /// worker threads.
+    /// read against `disk` — a chunk's consecutive disk-read decisions as
+    /// one request — and the services keep no block bytes of their own.
+    /// Kept by value so dropping `Shared` joins the worker threads.
     disks: Vec<DiskService>,
     catalog: Catalog,
     chaos: ChaosLan,
@@ -414,18 +415,20 @@ impl Shared {
     }
 
     /// Read `block` through `node`'s disk service (queued behind its
-    /// scheduler, coalesced with concurrent misses of the same block). An
-    /// injected I/O error is absorbed here: the read retries synchronously
-    /// against the backing store, which cannot fail, so disk faults degrade
-    /// latency but never the bytes served.
+    /// scheduler, coalesced with concurrent misses of the same block).
     fn disk_read(&self, node: NodeId, block: BlockId) -> Arc<[u8]> {
-        match self.disks[node.index()].read(block) {
-            Ok(data) => data,
-            Err(_) => {
-                self.obs.node(node).disk_error_fallbacks.inc();
-                Arc::from(self.disk.read_block(block))
-            }
-        }
+        self.disk_bytes(node, block, self.disks[node.index()].read_async(block))
+    }
+
+    /// `block`'s bytes from `pending`, the result `node`'s disk service
+    /// delivers for it. An injected I/O error is absorbed here: the read
+    /// retries synchronously against the backing store, which cannot fail,
+    /// so disk faults degrade latency but never the bytes served.
+    fn disk_bytes(&self, node: NodeId, block: BlockId, pending: Receiver<DiskRead>) -> Arc<[u8]> {
+        pending.recv().ok().and_then(Result::ok).unwrap_or_else(|| {
+            self.obs.node(node).disk_error_fallbacks.inc();
+            Arc::from(self.disk.read_block(block))
+        })
     }
 
     /// The per-block write serialization lock for `block`.
@@ -434,10 +437,9 @@ impl Shared {
             .get_or_insert_with(block, || Arc::new(Mutex::new(())))
     }
 
-    /// Persist `block` through `node`'s disk service (which fences its own
-    /// readahead/coalescing state) and invalidate every other service's
-    /// caches, so no reader anywhere can be served the superseded image
-    /// from a disk-side cache.
+    /// Persist `block` through `node`'s disk service and invalidate it on
+    /// every other service, so that no read submitted anywhere after the
+    /// write attaches to a disk read that began before it.
     fn persist(&self, node: NodeId, block: BlockId, data: &[u8]) -> bool {
         if !self.disks[node.index()].write_block(block, data) {
             return false;
@@ -721,6 +723,9 @@ struct Step {
     /// The train issued to this block's holder, on the first block it
     /// carries, until it is waited for.
     train: Option<Pending>,
+    /// A disk read's result, from the request that carries its run, until
+    /// it is served.
+    disk: Option<Receiver<DiskRead>>,
     /// The block's bytes once served ahead of block order (local hits).
     served: Option<Arc<[u8]>>,
     /// The decision's eviction, until it is applied.
@@ -951,8 +956,9 @@ impl Middleware {
         s
     }
 
-    /// `node`'s disk-service statistics: physical reads, coalesce and
-    /// readahead hits, queue high-water mark, injected faults.
+    /// `node`'s disk-service statistics: requests (a run of blocks counts
+    /// once), physical reads, coalesce hits, queue high-water mark,
+    /// injected faults.
     ///
     /// # Panics
     /// Panics if the node is out of range.
@@ -1315,14 +1321,15 @@ impl NodeHandle {
     ///
     /// The blocks are decided in chunks of up to 32 (one frame train's
     /// worth): one hold of the decision lock runs `ClusterCache::access`
-    /// for each block of the chunk in block order, then each live holder's
-    /// remote hits go on the wire as one `Transport::issue` train — every
-    /// holder's train before the first is waited for — then the blocks are
-    /// served in block order as one-block reads would be — evictions,
-    /// store installs, counters and trace hops. Local hits
-    /// are served, and evictions that touch none of the chunk's blocks are
-    /// applied, before the trains leave. With a single caller the
-    /// decisions and their effects are those of a per-block
+    /// for each block of the chunk in block order, then each run of
+    /// consecutive disk reads goes to this node's disk service as one
+    /// request and each live holder's remote hits go on the wire as one
+    /// `Transport::issue` train — every request issued before the first is
+    /// waited for — then the blocks are served in block order as one-block
+    /// reads would be — evictions, store installs, counters and trace
+    /// hops. Local hits are served, and evictions that touch none of the
+    /// chunk's blocks are applied, before the requests leave. With a single
+    /// caller the decisions and their effects are those of a per-block
     /// [`NodeHandle::read_block`] loop.
     ///
     /// # Panics
@@ -1364,12 +1371,9 @@ impl NodeHandle {
                 }
             }
             self.evict_ahead(&mut steps);
-            self.fetch_remote(&mut steps);
+            self.fetch(&mut steps);
             for step in steps.iter_mut() {
-                let data = match step.served.take() {
-                    Some(data) => data,
-                    None => self.serve_step(step),
-                };
+                let data = step.served.take().unwrap_or_else(|| self.serve_step(step));
                 serve(data, step.req);
             }
             steps.clear();
@@ -1379,12 +1383,10 @@ impl NodeHandle {
     /// Decide blocks of `file` from `blocks.start` on under one hold of the
     /// decision lock, appending a [`Step`] per block to the empty `steps`,
     /// and return the first block left undecided. A chunk ends after
-    /// [`CHUNK_BLOCKS`] blocks; before a block one of its own decisions
+    /// [`CHUNK_BLOCKS`] blocks, and before a block one of its own decisions
     /// evicted (read serially, that block's fetch would follow the
     /// eviction's `Forward` to its new holder, so it must not be put on the
-    /// wire ahead of it); and after a disk read, the slow step, so that no
-    /// block waits behind one between its decision and its install — time
-    /// in which another caller's eviction could take the block first.
+    /// wire ahead of it).
     fn decide(&self, file: FileId, blocks: Range<u32>, steps: &mut Vec<Step>) -> u32 {
         let obs = &self.shared.obs;
         let mut next = blocks.start;
@@ -1407,13 +1409,11 @@ impl NodeHandle {
                     fetched: None,
                     issued: None,
                     train: None,
+                    disk: None,
                     served: None,
                     eviction: outcome.eviction(),
                 });
                 next += 1;
-                if let AccessOutcome::DiskRead { .. } = outcome {
-                    break;
-                }
             }
         }
         let me = self.node.index() as u16;
@@ -1470,21 +1470,30 @@ impl NodeHandle {
         }
     }
 
-    /// Put the chunk's remote fetches on the wire before its remaining
-    /// effects: one train per live holder, its blocks in block order, and
-    /// every train issued before the first is waited for, so the holders
-    /// answer at the same time. A holder that died since the decision
-    /// cannot answer, so its blocks skip the round trip and its timeout and
-    /// fall back when served.
-    fn fetch_remote(&self, steps: &mut [Step]) {
-        let timeout = self.shared.fetch_timeout;
-        for i in 0..steps.len() {
-            let Some(from) = steps[i].remote_holder() else {
-                continue;
-            };
-            if steps[i].issued.is_some() || !self.shared.is_alive(from) {
-                continue;
+    /// Issue the chunk's reads before its remaining effects: each run of
+    /// consecutive disk reads as one request on this node's disk service,
+    /// and one train per live holder, its blocks in block order. Every
+    /// request is issued before the first is waited for, so the disk and
+    /// the holders work at the same time. A holder that died since the
+    /// decision cannot answer, so its blocks skip the round trip and its
+    /// timeout and fall back when served. A disk result is waited for when
+    /// its block is served.
+    fn fetch(&self, steps: &mut [Step]) {
+        let is_disk = |s: &Step| matches!(s.outcome, AccessOutcome::DiskRead { .. });
+        let disk = &self.shared.disks[self.node.index()];
+        for run in steps.chunk_by_mut(|a, b| is_disk(a) && is_disk(b)) {
+            if is_disk(&run[0]) {
+                let rxs = disk.read_run(run[0].block, run.len() as u32);
+                for (s, rx) in run.iter_mut().zip(rxs) {
+                    s.disk = Some(rx);
+                }
             }
+        }
+        for i in 0..steps.len() {
+            let from = match steps[i].remote_holder() {
+                Some(from) if steps[i].issued.is_none() && self.shared.is_alive(from) => from,
+                _ => continue,
+            };
             let on_train = |s: &Step| s.remote_holder() == Some(from);
             let blocks: Vec<BlockId> = steps[i..]
                 .iter()
@@ -1502,11 +1511,10 @@ impl NodeHandle {
                 continue;
             };
             let from = steps[i].remote_holder();
-            let replies = train.wait(timeout);
             for (s, data) in steps[i..]
                 .iter_mut()
                 .filter(|s| s.remote_holder() == from)
-                .zip(replies)
+                .zip(train.wait(self.shared.fetch_timeout))
             {
                 s.fetched = data;
             }
@@ -1515,8 +1523,8 @@ impl NodeHandle {
 
     /// Carry out one decided block: replay its wasted hint hops, apply its
     /// eviction if that did not go ahead, take its bytes (own store, fetch
-    /// reply, or disk), install them, and count and trace the read.
-    /// Returns the bytes.
+    /// reply, or its disk run's result for it), install them, and count
+    /// and trace the read. Returns the bytes.
     fn serve_step(&self, step: &mut Step) -> Arc<[u8]> {
         let (block, outcome, req) = (step.block, step.outcome, step.req);
         let (trail, fetched) = (std::mem::take(&mut step.trail), step.fetched.take());
@@ -1540,6 +1548,11 @@ impl NodeHandle {
                     .wait(self.shared.fetch_timeout);
             }
         }
+        // Only a miss evicts, and only one whose eviction did not go ahead
+        // still carries it.
+        if let Some(e) = step.eviction.take() {
+            self.shared.apply_eviction(self.node, e, req);
+        }
         let (data, class) = match outcome {
             AccessOutcome::LocalHit { .. } => {
                 match self.shared.store_get(self.node, block) {
@@ -1561,9 +1574,6 @@ impl NodeHandle {
                 }
             }
             AccessOutcome::RemoteHit { admitted, .. } => {
-                if let Some(e) = step.eviction.take() {
-                    self.shared.apply_eviction(self.node, e, req);
-                }
                 let (data, class) = match fetched {
                     Some(bytes) => {
                         obs.trace.push(
@@ -1598,11 +1608,9 @@ impl NodeHandle {
                 (data, class)
             }
             AccessOutcome::DiskRead { .. } => {
-                if let Some(e) = step.eviction.take() {
-                    self.shared.apply_eviction(self.node, e, req);
-                }
                 obs.trace.push(req, me, Hop::DiskRead);
-                let data = self.shared.disk_read(self.node, block);
+                let pending = step.disk.take().expect("fetch issued every disk read");
+                let data = self.shared.disk_bytes(self.node, block, pending);
                 self.shared.store_insert(self.node, block, data.clone());
                 (data, ReadClass::Disk)
             }
@@ -1655,10 +1663,9 @@ impl NodeHandle {
             if mode == WriteMode::Through {
                 // 1. Write-through first: once peers are invalidated, any
                 //    of their re-reads may fall through to the store and
-                //    must see new data. `persist` also fences every disk
-                //    service's readahead/coalescing state so no superseded
-                //    bytes linger in (or keep flowing into) a disk-side
-                //    cache.
+                //    must see new data. `persist` also detaches every disk
+                //    service's reads of the block, so no later read attaches
+                //    to one that began before the write.
                 if !self.shared.persist(self.node, block, data) {
                     return Err(WriteError::ReadOnlyStore);
                 }

@@ -11,6 +11,7 @@
 //! * Under a dropping fault plan each request meets the fault model on its
 //!   own: exactly the dropped blocks fall back, and a same-seed rerun drops
 //!   the same ones.
+//! * A chunk's consecutive disk reads are one disk-service request.
 //!
 //! The train counts on the wire are pinned by `ccm-net`'s
 //! `tests/fast_path.rs`.
@@ -150,5 +151,42 @@ fn only_the_dropped_requests_fall_back() {
             "{}: a same-seed rerun must drop the same requests",
             backend.name()
         );
+    }
+}
+
+/// A cold 70-block file read by one caller on a node with room for it is
+/// three chunks of disk reads (32 + 32 + 6 blocks): three disk-service
+/// requests and 70 physical reads at that node. A warm re-read is all
+/// local hits and touches the disk not at all.
+#[test]
+fn a_chunk_of_disk_reads_is_one_disk_request() {
+    for backend in Backend::all() {
+        let catalog = Catalog::new(vec![70 * BLOCK_SIZE - 5]);
+        let store = Arc::new(SyntheticStore::new(catalog.clone(), 70));
+        let cluster = start_cluster(
+            backend,
+            RtConfig {
+                nodes: 2,
+                capacity_blocks: 80,
+                ..RtConfig::default()
+            },
+            catalog.clone(),
+            store.clone(),
+        );
+        let (node, file) = (NodeId(0), FileId(0));
+        let want = read_file_direct(&*store, &catalog, file);
+        assert_eq!(cluster.handle(node).read_file(file), want);
+        let cold = cluster.disk_stats(node);
+        assert_eq!(
+            (cold.requests, cold.physical_reads()),
+            (3, 70),
+            "{}: {cold:?}",
+            backend.name()
+        );
+        assert_eq!(cluster.stats().disk_reads, 70);
+        assert_eq!(cluster.handle(node).read_file(file), want);
+        assert_eq!(cluster.disk_stats(node), cold, "{}", backend.name());
+        assert_eq!(cluster.stats().local_hits, 70);
+        cluster.shutdown();
     }
 }

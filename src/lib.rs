@@ -19,7 +19,7 @@
 //! | [`l2s`] | `ccm-l2s` | The content- and load-aware baseline server |
 //! | [`webserver`] | `ccm-webserver` | The simulated cluster web servers and metrics |
 //! | [`rt`] | `ccm-rt` | The protocol as a running, threaded middleware |
-//! | [`disk`] | `ccm-disk` | Asynchronous disk I/O: contiguity scheduling (CcmSched-style), miss coalescing, readahead, and a real file-backed block store |
+//! | [`disk`] | `ccm-disk` | Asynchronous disk I/O: contiguity scheduling (CcmSched-style), one request per run of blocks, miss coalescing, and a real file-backed block store |
 //! | [`net`] | `ccm-net` | TCP peer transport: wire codec plus the `TcpLan` socket backend |
 //! | [`httpd`] | `ccm-httpd` | The HTTP/1.x codec: bounded request parsing, header multimap, response writer |
 //! | [`front`] | `ccm-front` | The HTTP server and client (real sockets): a front tier with pluggable dispatch over interchangeable CCM / live-L2S backends; round-robin over CCM is the paper's own deployment |
