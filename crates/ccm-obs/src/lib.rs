@@ -37,4 +37,4 @@ pub use metrics::{
     Value, HISTOGRAM_BUCKETS,
 };
 pub use report::LatencySummary;
-pub use trace::{Hop, TraceEvent, TraceRing};
+pub use trace::{Batch, Hop, TraceEvent, TraceRing};

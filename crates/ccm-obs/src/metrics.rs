@@ -194,10 +194,13 @@ impl Histogram {
 
 /// A started latency measurement; `stop` records the elapsed nanoseconds.
 /// Under `obs-off` no clock is read at all. `Copy`, so one start can time
-/// several things that began together.
+/// several things that began together. It is also a moment: a trace batch
+/// ([`crate::TraceRing::batch`]) stamps its events with it, so one clock
+/// read can both close a latency sample ([`Stopwatch::lap`]) and date the
+/// hops recorded with it.
 #[cfg(not(feature = "obs-off"))]
 #[derive(Debug, Clone, Copy)]
-pub struct Stopwatch(std::time::Instant);
+pub struct Stopwatch(pub(crate) std::time::Instant);
 
 /// A started latency measurement (`obs-off`: compiled to nothing).
 #[cfg(feature = "obs-off")]
@@ -219,6 +222,15 @@ impl Stopwatch {
         h.record(ns);
         ns
     }
+
+    /// Record the elapsed nanoseconds into `h` and return the moment this
+    /// measurement stopped, read from the clock once.
+    #[inline]
+    pub fn lap(self, h: &Histogram) -> Stopwatch {
+        let now = std::time::Instant::now();
+        h.record(now.saturating_duration_since(self.0).as_nanos() as u64);
+        Stopwatch(now)
+    }
 }
 
 #[cfg(feature = "obs-off")]
@@ -233,6 +245,12 @@ impl Stopwatch {
     #[inline]
     pub fn stop(self, _h: &Histogram) -> u64 {
         0
+    }
+
+    /// No-op (`obs-off`: reads no clock).
+    #[inline]
+    pub fn lap(self, _h: &Histogram) -> Stopwatch {
+        Stopwatch
     }
 }
 
@@ -686,6 +704,21 @@ mod tests {
         let med = s.quantile(0.5) as f64;
         assert!((med - 500.0).abs() / 500.0 < 0.07, "median={med}");
         assert!((s.mean() - 500.5).abs() < 1e-9);
+    }
+
+    #[cfg(not(feature = "obs-off"))]
+    #[test]
+    fn a_lap_records_its_sample_and_restarts_where_it_stopped() {
+        let h = Histogram::new();
+        let start = Stopwatch::start();
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        let lap = start.lap(&h);
+        let first = lap.0.duration_since(start.0).as_nanos() as u64;
+        assert!(first >= 1_000_000);
+        let s = h.snapshot();
+        assert_eq!((s.count(), s.sum), (1, first));
+        lap.lap(&h);
+        assert_eq!(h.snapshot().count(), 2);
     }
 
     #[cfg(not(feature = "obs-off"))]

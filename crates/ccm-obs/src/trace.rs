@@ -4,18 +4,24 @@
 //! fallback, serve — with monotonic timestamps, instead of printf
 //! archaeology.
 //!
-//! The ring is sharded per thread: a push locks only its thread's shard, a
-//! cache-line-aligned mutex that callers on other stripes never take, and
-//! appends to that shard's own ring of up to `capacity` events. Request ids come from
-//! the shard too, in blocks taken from one ring-wide counter. A dump merges
-//! the shards and keeps the most recent `capacity` events, so a single
-//! pusher sees exactly one ring of `capacity`. Under `obs-off` the whole
-//! ring compiles to nothing.
+//! The ring is sharded per thread: each thread appends to its own shard, a
+//! cache-line-aligned mutex that callers on other stripes never take, which
+//! holds up to `capacity` events. Events are recorded in batches
+//! ([`TraceRing::batch`]): a batch holds its thread's shard once and stamps
+//! every event it records with one moment, a [`Stopwatch`] its caller has
+//! already read (the read path's decision, or the lap that closed a
+//! block's latency sample), so a batch reads no clock of its own. A single
+//! [`TraceRing::push`] is a one-event batch stamped now. Request ids come
+//! from the shard too, in blocks taken from one ring-wide counter. A dump
+//! merges the shards, sorts them by stamp and keeps the most recent
+//! `capacity` events, so a single pusher sees exactly one ring of
+//! `capacity`. Under `obs-off` the whole ring compiles to nothing.
 
 #[cfg(not(feature = "obs-off"))]
 use crate::stripe::{self, STRIPES};
+use crate::Stopwatch;
 #[cfg(not(feature = "obs-off"))]
-use simcore::sync::Mutex;
+use simcore::sync::{Mutex, MutexGuard};
 #[cfg(not(feature = "obs-off"))]
 use std::ops::Range;
 #[cfg(not(feature = "obs-off"))]
@@ -187,47 +193,36 @@ impl TraceRing {
         &self.0.shards[stripe::index()].0
     }
 
+    /// Hold the calling thread's shard until the returned batch drops,
+    /// stamping what it records `at` (the moment `at` was read), labeled
+    /// `node`. The batch reads no clock. A thread holds one batch at a
+    /// time: the shard's lock is not reentrant, so a second `batch`,
+    /// `push` or `next_req_id` on the same thread before the first batch
+    /// drops deadlocks or panics.
+    pub fn batch(&self, at: Stopwatch, node: u16) -> Batch<'_> {
+        let at_ns = at.0.saturating_duration_since(self.0.epoch).as_nanos() as u64;
+        self.hold(at_ns, node)
+    }
+
+    fn hold(&self, at_ns: u64, node: u16) -> Batch<'_> {
+        Batch {
+            ring: &self.0,
+            shard: self.shard().lock(),
+            node,
+            at_ns,
+        }
+    }
+
     /// A fresh, ring-unique request id (starts at 1; 0 is never issued, so
     /// callers can use it as "untraced"). Ids ascend within a thread.
     pub fn next_req_id(&self) -> u64 {
-        let mut shard = self.shard().lock();
-        if shard.ids.is_empty() {
-            let start = self.0.next_req.fetch_add(ID_BLOCK, Ordering::Relaxed) + 1;
-            shard.ids = start..start + ID_BLOCK;
-        }
-        let id = shard.ids.start;
-        shard.ids.start += 1;
-        id
+        self.hold(0, 0).next_req_id()
     }
 
-    /// Monotonic nanoseconds since the ring was created.
-    pub fn now_ns(&self) -> u64 {
-        self.0.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Record a hop for `req_id` on `node`, timestamped now.
+    /// Record a hop for `req_id` on `node`, timestamped now: a one-event
+    /// batch.
     pub fn push(&self, req_id: u64, node: u16, hop: Hop) {
-        let capacity = self.0.capacity;
-        let mut shard = self.shard().lock();
-        // Stamped under the lock, so a shard's slot order is time order.
-        let event = TraceEvent {
-            req_id,
-            node,
-            at_ns: self.now_ns(),
-            hop,
-        };
-        let shard = &mut *shard;
-        if shard.events.len() < capacity {
-            if shard.events.capacity() == 0 {
-                // Sized once: growing by doubling leaves the freed smaller
-                // buffers behind in the pushing thread's malloc arena.
-                shard.events.reserve_exact(capacity);
-            }
-            shard.events.push(event);
-        } else {
-            shard.events[shard.oldest] = event;
-            shard.oldest = (shard.oldest + 1) % capacity;
-        }
+        self.batch(Stopwatch::start(), node).push(req_id, hop);
     }
 
     /// All retained events, oldest first: every shard's, merged, and the
@@ -240,6 +235,9 @@ impl TraceRing {
             events.extend_from_slice(older);
             events.extend_from_slice(newer);
         }
+        // A batch is stamped before it holds its shard, so two threads on
+        // one stripe can append out of stamp order: the merge sorts. The
+        // sort is stable, so a batch's events keep their push order.
         events.sort_by_key(|e| (e.at_ns, e.req_id));
         let excess = events.len().saturating_sub(self.0.capacity);
         events.drain(..excess);
@@ -269,6 +267,72 @@ impl TraceRing {
     }
 }
 
+/// Events recorded under one hold of the calling thread's trace shard,
+/// all stamped with the moment the batch was taken at
+/// ([`TraceRing::batch`]). The shard is released when the batch drops.
+#[cfg(not(feature = "obs-off"))]
+pub struct Batch<'a> {
+    ring: &'a RingInner,
+    shard: MutexGuard<'a, ShardInner>,
+    node: u16,
+    at_ns: u64,
+}
+
+/// A trace batch (`obs-off`: compiled to nothing).
+#[cfg(feature = "obs-off")]
+pub struct Batch<'a>(std::marker::PhantomData<&'a TraceRing>);
+
+#[cfg(not(feature = "obs-off"))]
+impl Batch<'_> {
+    /// A fresh, ring-unique request id, as [`TraceRing::next_req_id`].
+    pub fn next_req_id(&mut self) -> u64 {
+        let ids = &mut self.shard.ids;
+        if ids.is_empty() {
+            let start = self.ring.next_req.fetch_add(ID_BLOCK, Ordering::Relaxed) + 1;
+            *ids = start..start + ID_BLOCK;
+        }
+        let id = ids.start;
+        ids.start += 1;
+        id
+    }
+
+    /// Record a hop for `req_id` on the batch's node, at its stamp.
+    pub fn push(&mut self, req_id: u64, hop: Hop) {
+        let capacity = self.ring.capacity;
+        let event = TraceEvent {
+            req_id,
+            node: self.node,
+            at_ns: self.at_ns,
+            hop,
+        };
+        let shard = &mut *self.shard;
+        if shard.events.len() < capacity {
+            if shard.events.capacity() == 0 {
+                // Sized once: growing by doubling leaves the freed smaller
+                // buffers behind in the pushing thread's malloc arena.
+                shard.events.reserve_exact(capacity);
+            }
+            shard.events.push(event);
+        } else {
+            shard.events[shard.oldest] = event;
+            shard.oldest = (shard.oldest + 1) % capacity;
+        }
+    }
+}
+
+#[cfg(feature = "obs-off")]
+impl Batch<'_> {
+    /// Always zero, the "untraced" id (`obs-off`).
+    #[inline]
+    pub fn next_req_id(&mut self) -> u64 {
+        0
+    }
+
+    /// No-op (`obs-off`).
+    #[inline]
+    pub fn push(&mut self, _req_id: u64, _hop: Hop) {}
+}
+
 #[cfg(feature = "obs-off")]
 impl TraceRing {
     /// A ring (`obs-off`: retains nothing).
@@ -281,13 +345,14 @@ impl TraceRing {
         0
     }
 
-    /// Always zero, the "untraced" id (`obs-off`).
-    pub fn next_req_id(&self) -> u64 {
-        0
+    /// A batch that records nothing (`obs-off`).
+    #[inline]
+    pub fn batch(&self, _at: Stopwatch, _node: u16) -> Batch<'_> {
+        Batch(std::marker::PhantomData)
     }
 
-    /// Always zero (`obs-off`).
-    pub fn now_ns(&self) -> u64 {
+    /// Always zero, the "untraced" id (`obs-off`).
+    pub fn next_req_id(&self) -> u64 {
         0
     }
 
@@ -392,6 +457,107 @@ mod tests {
         all.dedup();
         assert_eq!(all.len(), 4_000);
         assert!(all[0] > 0);
+    }
+
+    #[test]
+    fn batch_ids_are_unique_and_ascend_per_thread_across_block_refills() {
+        let ring = TraceRing::new(16);
+        let per_thread: Vec<Vec<u64>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|t| {
+                    let ring = &ring;
+                    s.spawn(move || {
+                        let mut ids = Vec::new();
+                        for round in 0..50 {
+                            // Batches of 1..=5 ids, single takes between them,
+                            // and one batch longer than an id block.
+                            let mut batch = ring.batch(Stopwatch::start(), t);
+                            let n = if round == 20 {
+                                ID_BLOCK + 6
+                            } else {
+                                round % 5 + 1
+                            };
+                            ids.extend((0..n).map(|_| batch.next_req_id()));
+                            drop(batch);
+                            ids.push(ring.next_req_id());
+                        }
+                        ids
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for ids in &per_thread {
+            assert!(ids.windows(2).all(|w| w[0] < w[1]));
+        }
+        let mut all: Vec<u64> = per_thread.concat();
+        let taken = all.len();
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), taken, "ids are ring-unique");
+        assert!(all[0] > 0);
+    }
+
+    #[test]
+    fn a_batch_stamps_every_event_with_its_moment() {
+        let ring = TraceRing::new(16);
+        let at = Stopwatch::start();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let mut batch = ring.batch(at, 3);
+        let req = batch.next_req_id();
+        batch.push(req, Hop::Dispatch { file: 1, block: 2 });
+        batch.push(req, Hop::LocalHit);
+        batch.push(req, Hop::Serve { bytes: 8 });
+        drop(batch);
+        ring.push(req + 1, 3, Hop::LocalHit);
+        let events = ring.dump();
+        assert_eq!(events.len(), 4);
+        let stamp = events[0].at_ns;
+        assert!(events[..3].iter().all(|e| e.at_ns == stamp && e.node == 3));
+        // The stamp is the batch's moment, not the time of its pushes: a
+        // push after it, stamped then, is at least the sleep later.
+        assert!(stamp + 2_000_000 <= events[3].at_ns);
+    }
+
+    #[test]
+    fn dump_keeps_push_order_for_equal_stamps() {
+        let ring = TraceRing::new(16);
+        let hops = [
+            Hop::Dispatch { file: 0, block: 0 },
+            Hop::PeerFetch { from: 1 },
+            Hop::PeerReply { bytes: 8 },
+            Hop::DiskFallback,
+            Hop::Serve { bytes: 8 },
+        ];
+        let mut batch = ring.batch(Stopwatch::start(), 0);
+        for hop in &hops {
+            batch.push(9, hop.clone());
+        }
+        drop(batch);
+        let got: Vec<Hop> = ring.dump_for(9).into_iter().map(|e| e.hop).collect();
+        assert_eq!(got, hops);
+    }
+
+    #[test]
+    fn batches_wrap_the_ring() {
+        let ring = TraceRing::new(4);
+        for req in 0..5u64 {
+            let mut batch = ring.batch(Stopwatch::start(), 0);
+            batch.push(req, Hop::LocalHit);
+            batch.push(req, Hop::Serve { bytes: req });
+        }
+        ring.push(5, 0, Hop::LocalHit);
+        let events = ring.dump();
+        let got: Vec<(u64, Hop)> = events.into_iter().map(|e| (e.req_id, e.hop)).collect();
+        assert_eq!(
+            got,
+            vec![
+                (3, Hop::Serve { bytes: 3 }),
+                (4, Hop::LocalHit),
+                (4, Hop::Serve { bytes: 4 }),
+                (5, Hop::LocalHit),
+            ]
+        );
     }
 
     #[test]

@@ -65,8 +65,11 @@
 //! other remote hits on its holder — is timed from that fetch's issue to
 //! its serve, so a train's later blocks carry the round trip their reader
 //! waited through, not a near-zero serve time. Every other block is timed
-//! over its own serve: the store lookup, disk read or fallback, plus its
-//! eviction and install.
+//! from its chunk's decision stamp — the one clock read taken once the
+//! decision lock is released, which also stamps the chunk's dispatch hops —
+//! to its serve: the serves ahead of it in the chunk, its store lookup,
+//! disk read or fallback, plus its eviction and install. The clock read
+//! that closes a sample also stamps the block's class hop and `serve`.
 
 use ccm_core::NodeId;
 use ccm_obs::{Counter, Gauge, Histogram, Registry, TraceRing};

@@ -1360,20 +1360,24 @@ impl NodeHandle {
         let mut steps = Vec::with_capacity(blocks.len().min(CHUNK_BLOCKS));
         let mut next = blocks.start;
         while next < blocks.end {
-            next = self.decide(file, next..blocks.end, &mut steps);
+            let decided;
+            (next, decided) = self.decide(file, next..blocks.end, &mut steps);
             // A local hit moves no bytes, and no other effect of its chunk
             // changes what it finds, so it is served at once: another
             // caller gets no more time to evict it first than a one-block
             // read would give.
             for step in steps.iter_mut() {
                 if let AccessOutcome::LocalHit { .. } = step.outcome {
-                    step.served = Some(self.serve_step(step));
+                    step.served = Some(self.serve_step(step, decided));
                 }
             }
             self.evict_ahead(&mut steps);
             self.fetch(&mut steps);
             for step in steps.iter_mut() {
-                let data = step.served.take().unwrap_or_else(|| self.serve_step(step));
+                let data = step
+                    .served
+                    .take()
+                    .unwrap_or_else(|| self.serve_step(step, decided));
                 serve(data, step.req);
             }
             steps.clear();
@@ -1382,12 +1386,14 @@ impl NodeHandle {
 
     /// Decide blocks of `file` from `blocks.start` on under one hold of the
     /// decision lock, appending a [`Step`] per block to the empty `steps`,
-    /// and return the first block left undecided. A chunk ends after
-    /// [`CHUNK_BLOCKS`] blocks, and before a block one of its own decisions
-    /// evicted (read serially, that block's fetch would follow the
-    /// eviction's `Forward` to its new holder, so it must not be put on the
-    /// wire ahead of it).
-    fn decide(&self, file: FileId, blocks: Range<u32>, steps: &mut Vec<Step>) -> u32 {
+    /// and return the first block left undecided with the moment the lock
+    /// was released. A chunk ends after [`CHUNK_BLOCKS`] blocks, and before
+    /// a block one of its own decisions evicted (read serially, that
+    /// block's fetch would follow the eviction's `Forward` to its new
+    /// holder, so it must not be put on the wire ahead of it). The chunk's
+    /// request ids and its Dispatch and PeerFetch hops are recorded in one
+    /// trace batch stamped with that moment.
+    fn decide(&self, file: FileId, blocks: Range<u32>, steps: &mut Vec<Step>) -> (u32, Stopwatch) {
         let obs = &self.shared.obs;
         let mut next = blocks.start;
         {
@@ -1416,28 +1422,27 @@ impl NodeHandle {
                 next += 1;
             }
         }
-        let me = self.node.index() as u16;
+        let decided = Stopwatch::start();
+        let mut batch = obs.trace.batch(decided, self.node.index() as u16);
         for step in steps.iter_mut() {
-            step.req = obs.trace.next_req_id();
-            obs.trace.push(
+            step.req = batch.next_req_id();
+            batch.push(
                 step.req,
-                me,
                 Hop::Dispatch {
                     file: file.0,
                     block: step.block.index,
                 },
             );
             if let Some(from) = step.remote_holder() {
-                obs.trace.push(
+                batch.push(
                     step.req,
-                    me,
                     Hop::PeerFetch {
                         from: from.index() as u16,
                     },
                 );
             }
         }
-        next
+        (next, decided)
     }
 
     /// Apply the chunk's evictions in block order, ahead of its fetches,
@@ -1524,16 +1529,17 @@ impl NodeHandle {
     /// Carry out one decided block: replay its wasted hint hops, apply its
     /// eviction if that did not go ahead, take its bytes (own store, fetch
     /// reply, or its disk run's result for it), install them, and count
-    /// and trace the read. Returns the bytes.
-    fn serve_step(&self, step: &mut Step) -> Arc<[u8]> {
+    /// and trace the read: one clock read closes its latency sample and
+    /// stamps its class hop and `Serve`, recorded in one trace batch.
+    /// Returns the bytes.
+    fn serve_step(&self, step: &mut Step, decided: Stopwatch) -> Arc<[u8]> {
         let (block, outcome, req) = (step.block, step.outcome, step.req);
         let (trail, fetched) = (std::mem::take(&mut step.trail), step.fetched.take());
         let obs = &self.shared.obs;
-        let me = self.node.index() as u16;
         // A block that came over the transport is timed from the fetch's
         // issue — the wait its reader saw, train-mates included; every
-        // other block from the start of its own serve.
-        let sw = step.issued.unwrap_or_else(Stopwatch::start);
+        // other block from its chunk's decision.
+        let sw = step.issued.unwrap_or(decided);
         // Replay the wasted hint-chain hops as real round trips: each node a
         // stale hint pointed at is asked and answers "not here"; the reply
         // is discarded — the authoritative outcome below already accounts
@@ -1553,37 +1559,29 @@ impl NodeHandle {
         if let Some(e) = step.eviction.take() {
             self.shared.apply_eviction(self.node, e, req);
         }
-        let (data, class) = match outcome {
+        let (data, class, hop) = match outcome {
             AccessOutcome::LocalHit { .. } => {
                 match self.shared.store_get(self.node, block) {
-                    Some(data) => {
-                        obs.trace.push(req, me, Hop::LocalHit);
-                        (data, ReadClass::Local)
-                    }
+                    Some(data) => (data, ReadClass::Local, Hop::LocalHit),
                     None => {
                         // Our bytes are still in flight (concurrent fetch of
                         // the same block); the backing store is authoritative
                         // — unless the block is write-back dirty, in which
                         // case the dirty owner's store is.
                         obs.node(self.node).store_fallbacks.inc();
-                        obs.trace.push(req, me, Hop::DiskFallback);
                         let data = self.shared.fallback_read(self.node, block);
                         self.shared.store_insert(self.node, block, data.clone());
-                        (data, ReadClass::Fallback)
+                        (data, ReadClass::Fallback, Hop::DiskFallback)
                     }
                 }
             }
             AccessOutcome::RemoteHit { admitted, .. } => {
-                let (data, class) = match fetched {
+                let (data, class, hop) = match fetched {
                     Some(bytes) => {
-                        obs.trace.push(
-                            req,
-                            me,
-                            Hop::PeerReply {
-                                bytes: bytes.len() as u64,
-                            },
-                        );
-                        (bytes, ReadClass::Remote)
+                        let hop = Hop::PeerReply {
+                            bytes: bytes.len() as u64,
+                        };
+                        (bytes, ReadClass::Remote, hop)
                     }
                     None => {
                         // The §3 race: the holder discarded the block (or the
@@ -1592,10 +1590,10 @@ impl NodeHandle {
                         // write-back dirty block the disk image is stale;
                         // `fallback_read` serves the dirty owner's bytes.
                         obs.node(self.node).store_fallbacks.inc();
-                        obs.trace.push(req, me, Hop::DiskFallback);
                         (
                             self.shared.fallback_read(self.node, block),
                             ReadClass::Fallback,
+                            Hop::DiskFallback,
                         )
                     }
                 };
@@ -1605,21 +1603,21 @@ impl NodeHandle {
                 if admitted {
                     self.shared.store_insert(self.node, block, data.clone());
                 }
-                (data, class)
+                (data, class, hop)
             }
             AccessOutcome::DiskRead { .. } => {
-                obs.trace.push(req, me, Hop::DiskRead);
                 let pending = step.disk.take().expect("fetch issued every disk read");
                 let data = self.shared.disk_bytes(self.node, block, pending);
                 self.shared.store_insert(self.node, block, data.clone());
-                (data, ReadClass::Disk)
+                (data, ReadClass::Disk, Hop::DiskRead)
             }
         };
-        sw.stop(&obs.fetch_ns[class as usize]);
+        let served = sw.lap(&obs.fetch_ns[class as usize]);
         obs.node(self.node).reads[class as usize].inc();
-        obs.trace.push(
+        let mut batch = obs.trace.batch(served, self.node.index() as u16);
+        batch.push(req, hop);
+        batch.push(
             req,
-            me,
             Hop::Serve {
                 bytes: data.len() as u64,
             },
@@ -2501,6 +2499,58 @@ mod tests {
         // The dump is valid JSON-ish and mentions the request.
         let json = mw.trace().dump_json();
         assert!(json.contains(&format!("\"req_id\":{req}")));
+        mw.shutdown();
+    }
+
+    #[cfg(not(feature = "obs-off"))]
+    #[test]
+    fn a_local_hit_traces_three_hops_on_two_clock_reads() {
+        let mw = start(1, 8, 1, BLOCK_SIZE);
+        let block = BlockId::new(FileId(0), 0);
+        mw.handle(NodeId(0)).read_block(block);
+        let (_, req) = mw.handle(NodeId(0)).read_block_traced(block);
+        let events = mw.trace().dump_for(req);
+        let hops: Vec<Hop> = events.iter().map(|e| e.hop.clone()).collect();
+        assert_eq!(
+            hops,
+            [
+                Hop::Dispatch { file: 0, block: 0 },
+                Hop::LocalHit,
+                Hop::Serve { bytes: BLOCK_SIZE }
+            ]
+        );
+        // The decision's stamp, then the one read that closed the block's
+        // latency sample, shared by its class hop and its serve.
+        assert!(events[0].at_ns <= events[1].at_ns);
+        assert_eq!(events[1].at_ns, events[2].at_ns);
+        mw.shutdown();
+    }
+
+    #[cfg(not(feature = "obs-off"))]
+    #[test]
+    fn a_decided_chunk_shares_one_stamp_and_each_served_block_one_more() {
+        let mw = start(1, 128, 1, 70 * BLOCK_SIZE);
+        let (_, reqs) = mw.handle(NodeId(0)).read_file_traced(FileId(0));
+        assert_eq!(reqs.len(), 70);
+        let trace = mw.trace();
+        let events: Vec<Vec<ccm_obs::TraceEvent>> =
+            reqs.iter().map(|&r| trace.dump_for(r)).collect();
+        for (i, ev) in events.iter().enumerate() {
+            let hops: Vec<Hop> = ev.iter().map(|e| e.hop.clone()).collect();
+            let dispatch = Hop::Dispatch {
+                file: 0,
+                block: i as u32,
+            };
+            assert_eq!(hops[..2], [dispatch, Hop::DiskRead], "block {i}");
+            assert!(matches!(hops[2..], [Hop::Serve { .. }]), "block {i}");
+            assert!(ev[0].at_ns <= ev[1].at_ns, "block {i}");
+            assert_eq!(ev[1].at_ns, ev[2].at_ns, "block {i}: class hop and serve");
+        }
+        // The first chunk (32 blocks) was decided under one lock hold and
+        // dispatched at one moment; the second chunk was decided later.
+        let dispatched = |i: usize| events[i][0].at_ns;
+        assert!((0..32).all(|i| dispatched(i) == dispatched(0)));
+        assert!(dispatched(32) > dispatched(31));
         mw.shutdown();
     }
 

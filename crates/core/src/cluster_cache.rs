@@ -246,7 +246,22 @@ enum Directory {
 /// assert!(matches!(cache.access(NodeId(1), block),
 ///                  AccessOutcome::LocalHit { .. }));
 /// ```
+///
+/// Layout: `#[repr(C)]`, so the fields every access writes or checks —
+/// `tick`, `hint_trail` and the front of `stats` (`local_hits`) — share the
+/// first cache line, and a local hit writes that line alone (plus its own
+/// node's [`NodeCache`]). `hint_trail` is written only when it holds
+/// something, so a local hit leaves it untouched.
+#[repr(C)]
 pub struct ClusterCache {
+    tick: u64,
+    /// Wasted hops of the most recent hint-chain resolution (empty under a
+    /// perfect directory or after a correct/missing hint). The runtime
+    /// drains this with [`ClusterCache::take_hint_trail`] to perform the
+    /// real wasted round trips; `AccessOutcome` stays `Copy` and carries
+    /// only the first hop.
+    hint_trail: Vec<NodeId>,
+    stats: CacheStats,
     cfg: CacheConfig,
     nodes: Vec<NodeCache>,
     dir: Directory,
@@ -259,16 +274,8 @@ pub struct ClusterCache {
     /// Nodes currently departed (or never joined): excluded from
     /// forwarding targets and kept empty until [`ClusterCache::revive_node`].
     down: Vec<bool>,
-    /// Wasted hops of the most recent hint-chain resolution (empty under a
-    /// perfect directory or after a correct/missing hint). The runtime
-    /// drains this with [`ClusterCache::take_hint_trail`] to perform the
-    /// real wasted round trips; `AccessOutcome` stays `Copy` and carries
-    /// only the first hop.
-    hint_trail: Vec<NodeId>,
     /// Replica-admission filter, if configured (see [`AdmissionConfig`]).
     admission: Option<Admission>,
-    tick: u64,
-    stats: CacheStats,
 }
 
 impl ClusterCache {
@@ -288,16 +295,16 @@ impl ClusterCache {
         let down = vec![false; cfg.nodes];
         let admission = cfg.admission.map(|a| Admission::new(a, cfg.nodes));
         ClusterCache {
+            tick: 0,
+            hint_trail: Vec::new(),
+            stats: CacheStats::new(),
             cfg,
             nodes,
             dir,
             replica_holders: FxHashMap::default(),
             recirculation: FxHashMap::default(),
             down,
-            hint_trail: Vec::new(),
             admission,
-            tick: 0,
-            stats: CacheStats::new(),
         }
     }
 
@@ -395,7 +402,9 @@ impl ClusterCache {
     pub fn access(&mut self, node: NodeId, block: BlockId) -> AccessOutcome {
         debug_assert!(!self.down[node.index()], "access through a down node");
         self.tick += 1;
-        self.hint_trail.clear();
+        if !self.hint_trail.is_empty() {
+            self.hint_trail.clear();
+        }
         let tick = self.tick;
         let n = node.index();
 
@@ -764,6 +773,10 @@ impl ClusterCache {
     /// directories only; empty otherwise). Each listed node was visited on
     /// a stale hint's say-so and did not hold the master.
     pub fn take_hint_trail(&mut self) -> Vec<NodeId> {
+        if self.hint_trail.is_empty() {
+            // Nothing to take: leave the field, and its line, unwritten.
+            return Vec::new();
+        }
         std::mem::take(&mut self.hint_trail)
     }
 
@@ -1084,6 +1097,16 @@ mod tests {
 
     fn cluster(nodes: usize, cap: usize, policy: ReplacementPolicy) -> ClusterCache {
         ClusterCache::new(CacheConfig::paper(nodes, cap, policy))
+    }
+
+    /// What every access writes or checks sits on the first cache line.
+    #[test]
+    fn access_fields_share_the_first_line() {
+        use std::mem::offset_of;
+        assert!(offset_of!(ClusterCache, tick) < 64);
+        assert!(offset_of!(ClusterCache, hint_trail) + std::mem::size_of::<Vec<NodeId>>() <= 64);
+        assert_eq!(offset_of!(CacheStats, local_hits), 0);
+        assert!(offset_of!(ClusterCache, stats) + 8 <= 64);
     }
 
     /// Re-mastering shards are FNV-1a over the little-endian block id;

@@ -21,7 +21,14 @@ pub enum CopyKind {
 }
 
 /// A single node's cache state.
+///
+/// Layout: aligned to 128 bytes (a pair of cache lines, the unit the
+/// adjacent-line prefetcher moves), as `ccm-obs`'s trace shards are. The
+/// node caches sit side by side in one `Vec`, and every local hit rewrites
+/// its node's LRU head, so two callers on different nodes would otherwise
+/// drag a shared line between their CPUs on each hit.
 #[derive(Debug, Clone)]
+#[repr(align(128))]
 pub struct NodeCache {
     capacity: usize,
     masters: LruList<BlockId>,
@@ -223,6 +230,12 @@ mod tests {
 
     fn b(i: u32) -> BlockId {
         BlockId::new(FileId(0), i)
+    }
+
+    /// Adjacent node caches in the cluster's `Vec` never share a line pair.
+    #[test]
+    fn node_caches_sit_on_lines_of_their_own() {
+        assert!(std::mem::align_of::<NodeCache>() >= 128);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! a torture test must be able to keep driving a cluster after one injected
 //! failure panicked a worker thread.
 
-use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+/// The guard [`Mutex::lock`] returns, for callers that keep one.
+pub use std::sync::MutexGuard;
+use std::sync::{RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
 /// A mutual-exclusion lock; `lock()` never returns a poison error.
